@@ -44,7 +44,6 @@ from .enclosure import (
     NotContractingError,
     contraction_sweep,
     float_ledger,
-    zero_sum_operator_norm_bound,
 )
 from .certify import (
     Certificate,

@@ -25,6 +25,7 @@ import numpy as np
 from .intervals import Interval, iv
 from .maps import LYCoefficientsBV, LYCoefficientsLip, PiecewiseMap
 from .enclosure import ContractionCertificate, EnclosedDensity
+from .hatbasis import LinfMatrix
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -113,7 +114,7 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
     )
 
 
-def certify_linf(ly: LYCoefficientsLip, matrix: TransitionMatrix,
+def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  nu: float, eps_num: float, map_id: str = "map") -> Certificate:
     """Sup-norm certificate with the linearized-operator error terms."""
@@ -126,14 +127,13 @@ def certify_linf(ly: LYCoefficientsLip, matrix: TransitionMatrix,
     k = matrix.k
     m = ly.m_sup
     d = ly.distortion
-    lin_err = getattr(matrix, "lin_err", (iv(4) * d / (iv(k) * iv(k))).hi)
     bracket = (iv(4) / iv(k)) * d + iv(2) * (m + iv(1)) * m * (
         iv(1) + ly.b_one / (iv(1) - ly.alpha)
     )
     err_disc = ((iv(2) / iv(k)) * iv(n_true) * m * bracket * (ly.b_var + iv(1))).hi
     v_sup = float(np.abs(density.values).max())
     err_mat = (
-        iv(2) * iv(n_true) * m * m * (iv(matrix.eps) + iv(lin_err))
+        iv(2) * iv(n_true) * m * m * (iv(matrix.eps) + iv(matrix.lin_err))
         * (iv(v_sup) + iv(eps_num))
     ).hi
     err_num = _up_sum(eps_num, density.float_err)

@@ -13,12 +13,13 @@ supporting + - * ^ and juxtaposition ("2x", "(1/2)x(1-x)"), plus at most one
 sinusoidal term "A sin(B pi x)" with rational A, B.
 
 Config files are INI style: a [run] section with the keys mirrored by the
-command line flags (mode, k, nu, eps_num, iterate, workers, out_dir,
-dump_matrix, verbose, no_lyap) and a [map] section with either text= or
-file=.  Flags override config values.
+command line flags (mode, k, nu, eps_num, iterate, out_dir, dump_matrix,
+verbose, no_lyap; any other key is rejected) and a [map] section with
+either text= or file=.  Flags override config values.
 
-Exit codes: 0 success, 1 bad configuration, 2 failed expansion check,
-3 no observed contraction.
+Exit codes: 0 success, 1 bad configuration (including command line usage
+errors and maps the assembly rejects), 2 failed expansion check, 3 no
+observed contraction.
 """
 
 from __future__ import annotations
@@ -407,7 +408,6 @@ class RunConfig:
     nu: Optional[float] = None
     eps_num: Optional[float] = None
     iterate: Optional[int] = None
-    workers: int = 1
     out_dir: str = "out"
     dump_matrix: Optional[str] = None
     verbose: bool = False
@@ -421,8 +421,6 @@ class RunConfig:
             raise ValueError("k must be at least 8")
         if self.nu is not None and not self.nu > 0:
             raise ValueError("nu must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
@@ -489,22 +487,25 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc} (try --iterate)", file=sys.stderr)
         return 2
 
-    if config.mode == "L1":
-        nu_frac = Fraction(config.nu) if config.nu is not None else None
-        cfg = AssemblyConfig(nu=nu_frac)
-        raw = assemble_ulam(mapped, config.k, cfg, workers=config.workers)
-        matrix = markovize(raw)
-        nu_val = float(cfg.resolved_nu(config.k))
-    else:
-        matrix = markovize(assemble_linearized(mapped, config.k, ly))
-        nu_val = 0.0
+    try:
+        if config.mode == "L1":
+            nu_frac = Fraction(config.nu) if config.nu is not None else None
+            cfg = AssemblyConfig(nu=nu_frac)
+            matrix = markovize(assemble_ulam(mapped, config.k, cfg))
+            nu_val = float(cfg.resolved_nu(config.k))
+        else:
+            matrix = markovize(assemble_linearized(mapped, config.k, ly))
+            nu_val = 0.0
+    except (ValueError, RuntimeError) as exc:
+        # maps the assembly rejects, singular rows, subdivision depth cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if config.dump_matrix:
         dump_matrix(matrix, config.dump_matrix)
 
     try:
         contraction, density = contraction_sweep(matrix, eps_num,
-                                                 verbose=config.verbose,
-                                                 workers=config.workers)
+                                                 verbose=config.verbose)
     except NotContractingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -530,6 +531,15 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+# [run] keys (the same names as the run flags) and the getter for each
+_RUN_KEYS = {
+    "mode": "get", "out_dir": "get", "dump_matrix": "get",
+    "k": "getint", "iterate": "getint",
+    "nu": "getfloat", "eps_num": "getfloat",
+    "verbose": "getboolean", "no_lyap": "getboolean",
+}
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -539,18 +549,10 @@ def _load_config(path: Optional[str]) -> dict:
         raise ValueError(f"cannot read config file {path}")
     out: dict = {}
     if cp.has_section("run"):
-        for key in ("mode", "out_dir", "dump_matrix"):
-            if cp.has_option("run", key):
-                out[key] = cp.get("run", key)
-        for key in ("k", "iterate", "workers"):
-            if cp.has_option("run", key):
-                out[key] = cp.getint("run", key)
-        for key in ("nu", "eps_num"):
-            if cp.has_option("run", key):
-                out[key] = cp.getfloat("run", key)
-        for key in ("verbose", "no_lyap"):
-            if cp.has_option("run", key):
-                out[key] = cp.getboolean("run", key)
+        for key in cp.options("run"):
+            if key not in _RUN_KEYS:
+                raise ValueError(f"unknown [run] key {key!r} in {path}")
+            out[key] = getattr(cp, _RUN_KEYS[key])("run", key)
     if cp.has_section("map"):
         if cp.has_option("map", "text"):
             out["map_text"] = cp.get("map", "text")
@@ -573,20 +575,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--nu", type=float)
     ap.add_argument("--eps-num", dest="eps_num", type=float)
     ap.add_argument("--iterate", type=int)
-    ap.add_argument("--workers", type=int)
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--dump-matrix", dest="dump_matrix")
     ap.add_argument("--verbose", action="store_true", default=None)
     ap.add_argument("--no-lyap", dest="no_lyap", action="store_true", default=None)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 is the expansion check
+        if exc.code:
+            return 1
+        raise
 
     try:
         settings = _load_config(args.config)
         if args.map:
             settings["map_text"] = Path(args.map).read_text()
             settings.setdefault("map_id", Path(args.map).stem)
-        for key in ("mode", "k", "nu", "eps_num", "iterate", "workers",
-                    "out_dir", "dump_matrix", "verbose", "no_lyap"):
+        for key in _RUN_KEYS:
             v = getattr(args, key)
             if v is not None:
                 settings[key] = v

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +35,6 @@ __all__ = [
     "EnclosedDensity",
     "NotContractingError",
     "contraction_sweep",
-    "zero_sum_operator_norm_bound",
     "float_ledger",
 ]
 
@@ -85,17 +84,6 @@ class EnclosedDensity:
 def float_ledger(l: int, k: int) -> float:
     """Accumulated matrix-vector roundoff estimate l * k * eps_mach."""
     return l * k * EPS_MACH
-
-
-def zero_sum_operator_norm_bound(step_norms: Sequence[float], t: int, k: int) -> float:
-    """max_j ||Pi^t (e_1 - e_j)|| + t*k*eps_mach, a bound on ||Pi^t|_V||.
-
-    Any unit zero-sum vector splits as (p - q)/2 with p, q in the simplex,
-    so its image norm is at most half the max pairwise anchor distance,
-    which the triangle inequality reduces to single-anchor norms.
-    """
-    base = max(step_norms) if len(step_norms) else 0.0
-    return base + float_ledger(t, k)
 
 
 def _up(x: float) -> float:
@@ -170,18 +158,14 @@ def _drift_sequence(norm_max: np.ndarray, k: int, scale: float,
 
 def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
                       j_max: int = 200, batch_size: Optional[int] = None,
-                      verbose: bool = False,
-                      start: Optional[np.ndarray] = None,
-                      workers: int = 1):
+                      verbose: bool = False):
     """Certify contraction of Pi on V and enclose its fixed vector.
 
     Returns (ContractionCertificate, EnclosedDensity).  L1 mode works at
     mass scale (anchors e_0 - e_j); sup mode at density scale (anchors
     k*(e_0 - e_j)), so eps_num means the same thing the certificate's
-    numeric-error term does in both cases.
-
-    Anchor batches are independent; workers > 1 runs them in parallel
-    processes with a deterministic merge (results assigned by batch slot).
+    numeric-error term does in both cases.  A sup-norm matrix is a
+    LinfMatrix, whose m_sup and lin_err enter the per-step inflation.
 
     Raises NotContractingError if j_max steps pass without the certified
     bound dropping below 1/2 or some anchor staying above eps_num.
@@ -195,11 +179,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     if norm_kind == "L1":
         inflation = 2.0 * matrix.nnz_max * matrix.eps
     else:
-        m_sup = getattr(matrix, "m_sup", None)
-        lin_err = getattr(matrix, "lin_err", 0.0)
-        if m_sup is None:
-            raise ValueError("sup-norm sweep needs the matrix m_sup bound")
-        inflation = 2.0 * m_sup * m_sup * (matrix.eps + lin_err)
+        inflation = 2.0 * matrix.m_sup * matrix.m_sup * (matrix.eps + matrix.lin_err)
 
     if batch_size is None:
         batch_size = max(1, min(k - 1, (1 << 24) // max(k, 1)))
@@ -210,22 +190,9 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     steps = min(j_max, 16)
     while True:
         norms_steps = np.zeros((steps, k - 1))
-        slots = [(s, ids_all[s:s + batch_size]) for s in range(0, k - 1, batch_size)]
-        if workers > 1 and len(slots) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    _run_batch,
-                    [a] * len(slots), [ids for _, ids in slots],
-                    [steps] * len(slots), [scale] * len(slots),
-                    [norm_kind] * len(slots),
-                )
-                for (s, ids), part in zip(slots, parts):
-                    norms_steps[:, s:s + len(ids)] = part
-        else:
-            for s, ids in slots:
-                norms_steps[:, s:s + len(ids)] = _run_batch(a, ids, steps, scale, norm_kind)
+        for s in range(0, k - 1, batch_size):
+            ids = ids_all[s:s + batch_size]
+            norms_steps[:, s:s + len(ids)] = _run_batch(a, ids, steps, scale, norm_kind)
         norm_max = norms_steps.max(axis=1)
         drift = _drift_sequence(norm_max, k, scale, col_count, colsum_up, norm_kind)
         bounds = [_up(norm_max[t] + 2.0 * drift[t]) for t in range(steps)]
@@ -260,11 +227,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         norm_kind=norm_kind,
     )
 
-    if start is None:
-        b0 = np.full(k, scale / k) if norm_kind == "L1" else np.ones(k)
-    else:
-        b0 = np.asarray(start, dtype=float)
-    v = b0
+    v = np.full(k, scale / k) if norm_kind == "L1" else np.ones(k)
     for _ in range(l):
         v = v @ a
     if norm_kind == "L1":

@@ -53,14 +53,6 @@ class HatBasis:
             t -= k
         return max(0.0, 1.0 - abs(t))
 
-    def eval_function(self, coeffs: Sequence[float], x: float) -> float:
-        """Sum of c_i phi_i(x): linear interpolation through the nodes."""
-        k = self.k
-        t = (x * k) % k
-        j = int(math.floor(t)) % k
-        frac = t - math.floor(t)
-        return coeffs[j] * (1.0 - frac) + coeffs[(j + 1) % k] * frac
-
 
 @dataclass(frozen=True)
 class LinfMatrix(TransitionMatrix):

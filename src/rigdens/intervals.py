@@ -184,9 +184,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
 

@@ -95,11 +95,6 @@ class Branch:
     def domain_outer(self) -> Interval:
         return Interval(self.lo.enc.lo, self.hi.enc.hi)
 
-    def domain_inner(self) -> Optional[Interval]:
-        if self.lo.enc.hi <= self.hi.enc.lo:
-            return Interval(self.lo.enc.hi, self.hi.enc.lo)
-        return None
-
     # -- evaluation -------------------------------------------------------
 
     def value_exact(self, x: Fraction) -> Optional[Fraction]:

@@ -19,7 +19,6 @@ residue of the final adjustment is charged to eps rather than dropped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -41,19 +40,19 @@ __all__ = [
 ]
 
 
+_SUBDIVISION = 16  # pieces per subdivision step
+
+
 @dataclass(frozen=True)
 class AssemblyConfig:
-    """Subdivision control: error threshold nu, branching factor, depth cap."""
+    """Subdivision control: error threshold nu and depth cap."""
 
     nu: Optional[Fraction] = None      # None: defaults to 1e-6 / k
-    m: int = 16
     max_depth: int = 30
 
     def __post_init__(self):
         if self.nu is not None and self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.m < 2:
-            raise ValueError("subdivision factor m must be >= 2")
 
     def resolved_nu(self, k: int) -> Fraction:
         if self.nu is not None:
@@ -203,7 +202,7 @@ def assemble_row(m: PiecewiseMap, i: int, k: int,
         # breakpoint enclosures meeting the piece: the discontinuity path
         if any(lo <= b and a <= hi for lo, hi in fuzzy_bps):
             if measure > nu and depth < cfg.max_depth:
-                _subdivide(stack, a, b, depth, cfg.m)
+                _subdivide(stack, a, b, depth)
             elif measure > nu:
                 raise RuntimeError(
                     f"depth cap {cfg.max_depth} hit at piece width {float(measure):.3g}"
@@ -216,7 +215,7 @@ def assemble_row(m: PiecewiseMap, i: int, k: int,
         if br is None:
             # only possible inside an enclosure gap; treat as discontinuity
             if measure > nu and depth < cfg.max_depth:
-                _subdivide(stack, a, b, depth, cfg.m)
+                _subdivide(stack, a, b, depth)
             else:
                 _charge_piece(acc, m, a, b, measure)
             continue
@@ -234,7 +233,7 @@ def assemble_row(m: PiecewiseMap, i: int, k: int,
         if j_lo >= j_hi:
             acc.add(j_lo, measure * k)
         elif measure > nu and depth < cfg.max_depth:
-            _subdivide(stack, a, b, depth, cfg.m)
+            _subdivide(stack, a, b, depth)
         elif measure > nu:
             raise RuntimeError(
                 f"depth cap {cfg.max_depth} hit at piece width {float(measure):.3g}"
@@ -246,9 +245,9 @@ def assemble_row(m: PiecewiseMap, i: int, k: int,
     return acc.vals, acc.errs
 
 
-def _subdivide(stack, a: Fraction, b: Fraction, depth: int, m_factor: int):
-    step = (b - a) / m_factor
-    for t in range(m_factor):
+def _subdivide(stack, a: Fraction, b: Fraction, depth: int):
+    step = (b - a) / _SUBDIVISION
+    for t in range(_SUBDIVISION):
         stack.append((a + t * step, a + (t + 1) * step, depth + 1))
 
 
@@ -262,33 +261,19 @@ def _charge_piece(acc: _RowAccumulator, m: PiecewiseMap,
         acc.charge(j, measure * acc.k)
 
 
-def _rows_chunk(args):
-    m, k, cfg, rows = args
-    return [(i, assemble_row(m, i, k, cfg)) for i in rows]
-
-
-def assemble_ulam(m: PiecewiseMap, k: int, cfg: Optional[AssemblyConfig] = None,
-                  workers: int = 1) -> TransitionMatrix:
+def assemble_ulam(m: PiecewiseMap, k: int,
+                  cfg: Optional[AssemblyConfig] = None) -> TransitionMatrix:
     """Assemble the raw (un-markovized) Ulam matrix for a k-cell partition."""
     cfg = cfg or AssemblyConfig()
     if k < 1:
         raise ValueError("k must be positive")
-    results: List[Tuple[int, Tuple[Dict[int, Fraction], Dict[int, Fraction]]]] = []
-    if workers > 1:
-        chunks = [(m, k, cfg, list(range(s, k, workers))) for s in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_rows_chunk, chunks):
-                results.extend(part)
-        results.sort(key=lambda t: t[0])
-    else:
-        results = [(i, assemble_row(m, i, k, cfg)) for i in range(k)]
-
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
     eps = 0.0
     nnz_max = 0
-    for i, (vals, errs) in results:
+    for i in range(k):
+        vals, errs = assemble_row(m, i, k, cfg)
         if not vals:
             raise ValueError(f"row {i} has no nonzero entries; map is singular there")
         cols = sorted(vals)
@@ -348,13 +333,15 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
 
 
 def nnz_bound(matrix: TransitionMatrix, m: PiecewiseMap) -> int:
-    """Max nonzeros per row; asserts the sup|T'| + 4 structural bound."""
+    """Max nonzeros per row; raises RuntimeError above the sup|T'| + 4
+    structural bound."""
     counts = np.diff(matrix.csr.indptr)
     observed = int(counts.max())
     cap = math.ceil(m.abs_deriv_sup().hi) + 4
-    assert observed <= cap, (
-        f"row sparsity {observed} exceeds structural bound {cap}; assembly bug"
-    )
+    if observed > cap:
+        raise RuntimeError(
+            f"row sparsity {observed} exceeds structural bound {cap}; assembly bug"
+        )
     return observed
 
 

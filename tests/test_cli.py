@@ -71,6 +71,41 @@ def test_main_missing_map_exits_1(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("argv", [["--k", "abc"], ["--bogus", "1"],
+                                  ["--workers", "2"]])
+def test_main_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("settings,message", [
+    # the two branch ends do not meet on the circle: sup-norm assembly refuses
+    (dict(map_text="poly [0,1/2] : 3x; poly [1/2,1] : 3x - 1/2 mod 1",
+          mode="Linf"), "map endpoints do not match on the circle"),
+    # pieces cannot shrink below nu within the subdivision depth cap
+    (dict(map_text=EQ4, nu=1e-300), "depth cap 30 hit"),
+])
+def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
+    cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
+    assert run(cfg) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["workers = 2", "eps-num = 1e-6"])
+def test_config_unknown_run_key_exits_1(key, tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[run]\nk = 27\n{key}\n\n[map]\ntext = linear 3 mod 1\n")
+    assert main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "unknown [run] key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_expansion_failure_exits_2(tmp_path, capsys):
     mp = tmp_path / "lanford.map"
     mp.write_text("poly [0,1] : 2x + (1/2)x(1-x) mod 1\n")
@@ -120,14 +155,14 @@ def test_full_run_artifacts(tmp_path, capsys):
     assert (out / "report.txt").exists()
 
 
-def test_run_deterministic_across_workers(tmp_path):
+def test_run_deterministic_across_repeats(tmp_path):
     mp = tmp_path / "q.map"
     mp.write_text(EQ4)
     outs = []
-    for name, workers in (("a", 1), ("b", 2), ("c", 1)):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
         cfg = RunConfig(map_text=mp.read_text(), k=32, out_dir=str(out),
-                        workers=workers, no_lyap=True)
+                        no_lyap=True)
         assert run(cfg) == 0
         outs.append((out / "density.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]

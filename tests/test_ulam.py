@@ -105,6 +105,14 @@ def test_nnz_bounds(tripling, eq6, lanford2):
     assert nnz_bound(mk, lanford2) <= 10
 
 
+def test_nnz_bound_raises_above_structural_cap(tripling):
+    # a dense 8x8 row exceeds sup|T'| + 4 = 7 for the tripling map
+    tm = TransitionMatrix(k=8, csr=sparse.csr_matrix(np.full((8, 8), 1 / 8)),
+                          eps=0.0, nnz_max=8)
+    with pytest.raises(RuntimeError, match="exceeds structural bound 7"):
+        nnz_bound(tm, tripling)
+
+
 def test_refinement_monotonicity(eq4):
     cfg1 = AssemblyConfig(nu=F(1, 10**6))
     cfg2 = AssemblyConfig(nu=F(1, 2 * 10**6))
@@ -124,13 +132,6 @@ def test_depth_cap_raises(eq4):
     cfg = AssemblyConfig(nu=F(1, 10**12), max_depth=2)
     with pytest.raises(RuntimeError):
         assemble_row(eq4, 0, 16, cfg)
-
-
-def test_workers_determinism(eq4):
-    a = assemble_ulam(eq4, 24)
-    b = assemble_ulam(eq4, 24, workers=2)
-    assert (a.csr != b.csr).nnz == 0
-    assert a.eps == b.eps
 
 
 def test_dump_format(tmp_path, tripling):
