@@ -32,7 +32,7 @@ print("(hand check: 1/3, 2/(1/3) + 0 = 6, 6/(1 - 2/3) = 18)")
 k = 9
 raw = assemble_ulam(m, k)
 print(f"\nassembled k={k}: per-entry error bound eps = {raw.eps:.3g} "
-      "(representation only: the rational fast path is exact)")
+      "(representation only: rational preimages are exact)")
 matrix = markovize(raw)
 print("row sums after markovization:", set(matrix.row_sums().tolist()))
 print("max nonzeros per row:", nnz_bound(matrix, m), " (structural cap 3+4)")
@@ -47,7 +47,7 @@ print("density values (cell mass * k):",
 k = 243
 matrix = markovize(assemble_ulam(m, k))
 contraction, density = contraction_sweep(matrix, 1e-6)
-cert = certify_l1(ly, matrix, contraction, density, nu=0.0, eps_num=1e-6,
+cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-6,
                   map_id="3x mod 1")
 lyap = lyapunov(m, density, cert)
 print(f"\nrefined to k = {k}: certified error bound eps_rig = {cert.eps_rig:.4f}")

@@ -31,7 +31,7 @@ matrix = markovize(assemble_ulam(m, k))
 print(f"\nk = {k}: eps = {matrix.eps:.3g}, nnz_max = {matrix.nnz_max}")
 
 contraction, density = contraction_sweep(matrix, 1e-4)
-cert = certify_l1(ly, matrix, contraction, density, nu=0.0, eps_num=1e-4,
+cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-4,
                   map_id="17x/5 mod 1")
 lyap = lyapunov(m, density, cert)
 print(report(cert, lyap).text)

@@ -5,14 +5,11 @@ T(x) = 2x + x(1-x)/2 mod 1 has derivative as low as 3/2, so the mass-norm
 pipeline (which needs inf |T'| > 2) rejects it.  Studying T^2 instead is
 legitimate because T and T^2 share their invariant measures.  The second
 iterate is composed symbolically: branch polynomials compose exactly while
-the new breakpoints, which are irrational, become interval enclosures that
-the assembly treats as discontinuity zones.
+the new breakpoints, which are irrational, become interval enclosures whose
+widths the assembly charges to the per-entry error.
 """
 
-from fractions import Fraction
-
 from rigdens import (
-    AssemblyConfig,
     ExpansionError,
     assemble_ulam,
     certify_l1,
@@ -47,12 +44,12 @@ print(f"\ncertified inf |(T^2)'| >= {1 / ly.lam.hi:.6f} "
 print(f"lambda = {ly.lam.hi:.4f}  B' = {ly.b_prime.hi:.4f}  B = {ly.b.hi:.4f}")
 
 k = 256
-matrix = markovize(assemble_ulam(m2, k, AssemblyConfig(nu=Fraction(1, 10**9))))
-print(f"\nk = {k}: eps = {matrix.eps:.3g} (subdivision charges near the "
-      f"irrational breakpoints), nnz_max = {matrix.nnz_max}")
+matrix = markovize(assemble_ulam(m2, k))
+print(f"\nk = {k}: eps = {matrix.eps:.3g} (bracket widths of the irrational "
+      f"breakpoints and level preimages), nnz_max = {matrix.nnz_max}")
 
 contraction, density = contraction_sweep(matrix, 1e-4)
-cert = certify_l1(ly, matrix, contraction, density, nu=1e-9, eps_num=1e-4,
+cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-4,
                   map_id="lanford T^2")
 lyap = lyapunov(m2, density, cert)
 print(report(cert, lyap).text)

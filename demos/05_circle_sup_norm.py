@@ -15,7 +15,6 @@ from rigdens import (
     lyapunov,
     ly_coefficients_lip,
     markovize,
-    op_distance_bound,
     parse_map,
     report,
 )
@@ -30,16 +29,15 @@ print(f"alpha = M lambda = {ly.alpha.hi:.5f} < 1 already at the first "
       f"iterate (k_iter = {ly.k_iter})")
 
 k = 2048
-print(f"\noperator-distance bound at k={k}: {op_distance_bound(ly, k):.3g}")
-
 matrix = markovize(assemble_linearized(m, k, ly))
-print(f"assembled: eps = {matrix.eps:.3g}, linearization error = "
+print(f"\nassembled: eps = {matrix.eps:.3g}, linearization error = "
       f"{matrix.lin_err:.3g}, nnz_max = {matrix.nnz_max}")
 
 contraction, density = contraction_sweep(matrix, 1e-5)
-cert = certify_linf(ly, matrix, contraction, density, nu=0.0, eps_num=1e-5,
+cert = certify_linf(ly, matrix, contraction, density, eps_num=1e-5,
                     map_id="4x + 0.01 sin(8 pi x)")
 lyap = lyapunov(m, density, cert)
+print(f"discretization error at k={k}: {cert.err_discretization:.3g}")
 print()
 print(report(cert, lyap).text)
 print(f"\nsup-norm density range: [{density.values.min():.4f}, "

@@ -23,7 +23,6 @@ from .maps import (
     split_mod_branches,
 )
 from .ulam import (
-    AssemblyConfig,
     TransitionMatrix,
     assemble_row,
     assemble_ulam,
@@ -31,13 +30,7 @@ from .ulam import (
     markovize,
     nnz_bound,
 )
-from .hatbasis import (
-    HatBasis,
-    LinfMatrix,
-    assemble_linearized,
-    op_distance_bound,
-    project_hat,
-)
+from .hatbasis import LinfMatrix, assemble_linearized
 from .enclosure import (
     ContractionCertificate,
     EnclosedDensity,

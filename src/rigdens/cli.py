@@ -13,7 +13,7 @@ supporting + - * ^ and juxtaposition ("2x", "(1/2)x(1-x)"), plus at most one
 sinusoidal term "A sin(B pi x)" with rational A, B.
 
 Config files are INI style: a [run] section with the keys mirrored by the
-command line flags (mode, k, nu, eps_num, iterate, out_dir, dump_matrix,
+command line flags (mode, k, eps_num, iterate, out_dir, dump_matrix,
 verbose, no_lyap; any other key is rejected) and a [map] section with
 either text= or file=.  Flags override config values.
 
@@ -47,7 +47,7 @@ from .maps import (
     split_mod_branches,
 )
 from .polys import Poly
-from .ulam import AssemblyConfig, assemble_ulam, dump_matrix, markovize
+from .ulam import assemble_ulam, dump_matrix, markovize
 
 __all__ = ["RunConfig", "MapSpec", "parse_map", "run", "emit_plot_data", "main"]
 
@@ -405,7 +405,6 @@ class RunConfig:
     map_text: str
     mode: str = "L1"
     k: int = 1024
-    nu: Optional[float] = None
     eps_num: Optional[float] = None
     iterate: Optional[int] = None
     out_dir: str = "out"
@@ -419,8 +418,6 @@ class RunConfig:
             raise ValueError(f"mode must be L1 or Linf, got {self.mode!r}")
         if self.k < 8:
             raise ValueError("k must be at least 8")
-        if self.nu is not None and not self.nu > 0:
-            raise ValueError("nu must be positive")
 
 
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
@@ -489,15 +486,11 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.mode == "L1":
-            nu_frac = Fraction(config.nu) if config.nu is not None else None
-            cfg = AssemblyConfig(nu=nu_frac)
-            matrix = markovize(assemble_ulam(mapped, config.k, cfg))
-            nu_val = float(cfg.resolved_nu(config.k))
+            matrix = markovize(assemble_ulam(mapped, config.k))
         else:
             matrix = markovize(assemble_linearized(mapped, config.k, ly))
-            nu_val = 0.0
-    except (ValueError, RuntimeError) as exc:
-        # maps the assembly rejects, singular rows, subdivision depth cap
+    except ValueError as exc:
+        # maps the assembly rejects, singular rows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.dump_matrix:
@@ -512,10 +505,10 @@ def run(config: RunConfig) -> int:
 
     if config.mode == "L1":
         cert = certify_l1(ly, matrix, contraction, density,
-                          nu=nu_val, eps_num=eps_num, map_id=config.map_id)
+                          eps_num=eps_num, map_id=config.map_id)
     else:
         cert = certify_linf(ly, matrix, contraction, density,
-                            nu=nu_val, eps_num=eps_num, map_id=config.map_id)
+                            eps_num=eps_num, map_id=config.map_id)
     lyap = None
     if not config.no_lyap:
         lyap = lyapunov(mapped, density, cert)
@@ -535,7 +528,7 @@ def run(config: RunConfig) -> int:
 _RUN_KEYS = {
     "mode": "get", "out_dir": "get", "dump_matrix": "get",
     "k": "getint", "iterate": "getint",
-    "nu": "getfloat", "eps_num": "getfloat",
+    "eps_num": "getfloat",
     "verbose": "getboolean", "no_lyap": "getboolean",
 }
 
@@ -572,7 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--map", help="map description file (grammar in module docs)")
     ap.add_argument("--mode", choices=["L1", "Linf"])
     ap.add_argument("--k", type=int)
-    ap.add_argument("--nu", type=float)
     ap.add_argument("--eps-num", dest="eps_num", type=float)
     ap.add_argument("--iterate", type=int)
     ap.add_argument("--out-dir", dest="out_dir")

@@ -126,7 +126,8 @@ def _run_batch(a: sparse.csr_matrix, ids: np.ndarray, steps: int,
             out[t] = 2.0 * _upper_abs_row_sums(v)
             # a row-stochastic action never expands the 1-norm
             if prev is not None and not (out[t] <= prev * (1 + 1e-9) + 1e-30).all():
-                raise AssertionError("1-norm grew under the stochastic action")
+                raise ValueError("matrix is not row-stochastic: an anchor's "
+                                 "1-norm grew under its action")
             prev = out[t]
         else:
             out[t] = 2.0 * np.abs(v).max(axis=1)

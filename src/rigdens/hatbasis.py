@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -25,33 +25,9 @@ from .intervals import Interval, from_fraction, iv
 from .maps import LYCoefficientsLip, PiecewiseMap, ly_coefficients_lip
 from .ulam import TransitionMatrix
 
-__all__ = [
-    "HatBasis",
-    "LinfMatrix",
-    "project_hat",
-    "assemble_linearized",
-    "op_distance_bound",
-]
+__all__ = ["LinfMatrix", "assemble_linearized"]
 
 _SNAP = 1 << 24  # denominator of the rational snap grid for entry formulas
-
-
-@dataclass(frozen=True)
-class HatBasis:
-    """k unit hats on equally spaced circle nodes; sum phi_i = 1 pointwise."""
-
-    k: int
-
-    def node(self, i: int) -> Fraction:
-        return Fraction(i % self.k, self.k)
-
-    def eval_hat(self, i: int, x: float) -> float:
-        """phi_i(x) with wrap-around support [a_{i-1}, a_{i+1}]."""
-        k = self.k
-        t = (x * k - i) % k
-        if t > k / 2:
-            t -= k
-        return max(0.0, 1.0 - abs(t))
 
 
 @dataclass(frozen=True)
@@ -62,13 +38,6 @@ class LinfMatrix(TransitionMatrix):
 
     lin_err: float = 0.0
     m_sup: float = 1.0
-
-
-def project_hat(node_values: Sequence[float]) -> np.ndarray:
-    """Projection coefficients of the piecewise-linear function through
-    the given node values: c_j = (f_{j-1} + 4 f_j + f_{j+1}) / 6."""
-    f = np.asarray(node_values, dtype=float)
-    return (np.roll(f, 1) + 4.0 * f + np.roll(f, -1)) / 6.0
 
 
 def _tri_value(t: Fraction, center: Fraction, halfwidth: Fraction) -> Fraction:
@@ -200,24 +169,3 @@ def assemble_linearized(m: PiecewiseMap, k: int,
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max, norm_kind="Linf",
                       lin_err=lin_err, m_sup=m_sup)
 
-
-def op_distance_bound(coeffs: LYCoefficientsLip, k: int,
-                      lip_f: Optional[float] = None,
-                      sup_f: Optional[float] = None) -> float:
-    """Sup-norm distance bound ||(L - L_k) f|| for the invariant density.
-
-    Defaults to Lip(f) <= M (1 + B1/(1-alpha)) ||f||_inf with
-    ||f||_inf <= B + 1 in the general bound
-    (2/k)((lambda + M) Lip(g) + B1 ||g||_inf); sharper per-function data
-    can be passed explicitly.
-    """
-    if not coeffs.alpha.hi < 1.0:
-        raise ValueError("alpha must stay below 1")
-    sup_iv = coeffs.b_var + iv(1) if sup_f is None else iv(sup_f)
-    if lip_f is None:
-        lip_iv = coeffs.m_sup * (iv(1) + coeffs.b_one / (iv(1) - coeffs.alpha)) * sup_iv
-    else:
-        lip_iv = iv(lip_f)
-    bound = (iv(2) / iv(k)) * ((coeffs.lam + coeffs.m_sup) * lip_iv
-                               + coeffs.b_one * sup_iv)
-    return bound.hi

@@ -41,6 +41,7 @@ __all__ = [
     "ly_coefficients_bv",
     "ly_coefficients_lip",
     "iterate_map",
+    "level_crossing",
     "split_mod_branches",
 ]
 
@@ -414,27 +415,31 @@ def _branch_increasing(b: Branch) -> bool:
 
 def _exact_level_crossing(b: Branch, level: Fraction,
                           a: Fraction, c: Fraction) -> Optional[Fraction]:
-    """Try to solve expr(x) = level exactly on [a, c]."""
-    if b.is_polynomial and poly_is_linear(b.poly):
-        q = poly_shift(list(b.poly), -level)
-        if len(q) > 1 and q[1] != 0:
-            r = -q[0] / q[1]
-            if a <= r <= c:
-                return r
+    """Root of expr(x) = level on [a, c] when it is rational: the root of a
+    linear polynomial part, unless a sine term is nonzero there."""
+    p = b.poly
+    if not poly_is_linear(p) or len(p) < 2 or p[1] == 0:
         return None
-    if b.trig_amp != 0 and poly_is_linear(b.poly):
-        # candidate: root of the polynomial part; exact if the sine vanishes
-        c1 = b.poly[1] if len(b.poly) > 1 else Fraction(0)
-        if c1 != 0:
-            r = (level - b.poly[0]) / c1
-            if a <= r <= c and b.value_exact(r) == level:
-                return r
+    r = (level - p[0]) / p[1]
+    if a <= r <= c and (b.trig_amp == 0 or b.value_exact(r) == level):
+        return r
     return None
 
 
-def _float_bisect(b: Branch, level: Fraction, a: Fraction, c: Fraction,
-                  increasing: bool) -> Tuple[Fraction, Fraction]:
-    """Bracket the crossing expr(x) = level by interval-sign bisection."""
+def level_crossing(b: Branch, level: Fraction, a: Fraction, c: Fraction,
+                   increasing: bool) -> Tuple[Fraction, Fraction]:
+    """Rational bracket (lo, hi) of {x in [a, c] : b(x) = level}.
+
+    b must be monotone on [a, c] in the given direction.  lo == hi when the
+    crossing is solved exactly; otherwise interval-sign bisection narrows
+    the bracket to 1e-14 or to where the sign becomes undecidable.  A level
+    that b does not reach on [a, c] is bracketed at the end of [a, c] it
+    lies beyond, so the bracket always encloses the crossing clamped to
+    [a, c].
+    """
+    exact = _exact_level_crossing(b, level, a, c)
+    if exact is not None:
+        return exact, exact
     lvl = from_fraction(level)
     lo, hi = a, c
 
@@ -498,12 +503,7 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
 
     cuts: List[Endpoint] = [a_end]
     for lvl in levels:
-        exact = _exact_level_crossing(b, lvl, a, c)
-        if exact is not None and a < exact < c:
-            cuts.append(Endpoint.from_rational(exact))
-        else:
-            lo_r, hi_r = _float_bisect(b, lvl, a, c, inc)
-            cuts.append(Endpoint.from_bracket(lo_r, hi_r))
+        cuts.append(Endpoint.from_bracket(*level_crossing(b, lvl, a, c, inc)))
     cuts.append(c_end)
 
     out: List[Branch] = []
@@ -528,13 +528,10 @@ def _preimage_endpoint(b: Branch, target: Endpoint, increasing: bool,
                        a: Fraction, c: Fraction) -> Endpoint:
     """Endpoint enclosure of {x in [a,c] : expr(x) = target} (monotone)."""
     if target.is_exact:
-        exact = _exact_level_crossing(b, target.exact, a, c)
-        if exact is not None:
-            return Endpoint.from_rational(exact)
-        lo_r, hi_r = _float_bisect(b, target.exact, a, c, increasing)
-        return Endpoint.from_bracket(lo_r, hi_r)
-    br1 = _float_bisect(b, Fraction(target.enc.lo), a, c, increasing)
-    br2 = _float_bisect(b, Fraction(target.enc.hi), a, c, increasing)
+        return Endpoint.from_bracket(*level_crossing(b, target.exact, a, c,
+                                                     increasing))
+    br1 = level_crossing(b, Fraction(target.enc.lo), a, c, increasing)
+    br2 = level_crossing(b, Fraction(target.enc.hi), a, c, increasing)
     return Endpoint.from_bracket(min(br1[0], br2[0]), max(br1[1], br2[1]))
 
 

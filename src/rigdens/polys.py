@@ -1,4 +1,4 @@
-"""Exact rational polynomials and rigorous range/root machinery.
+"""Exact rational polynomials with exact and interval evaluation.
 
 A polynomial is a plain list of ``Fraction`` coefficients, lowest degree
 first.  Evaluation at rational points is exact; evaluation on an interval
@@ -82,71 +82,3 @@ def poly_degree(p: Sequence[Fraction]) -> int:
 def poly_is_linear(p: Sequence[Fraction]) -> bool:
     return poly_degree(p) <= 1
 
-
-def poly_range(p: Sequence[Fraction], dom: Interval, rel_tol: float = 1e-3,
-               max_depth: int = 24) -> Interval:
-    """Rigorous enclosure of {p(x) : x in dom}, tightened adaptively.
-
-    Bisects subintervals whose interval-Horner enclosure still sticks out
-    beyond the hull of sampled point evaluations by more than ``rel_tol``
-    of the current range magnitude.
-    """
-    lo_pt = poly_eval_iv(p, iv(dom.lo))
-    hi_pt = poly_eval_iv(p, iv(dom.hi))
-    inner = Interval.hull(lo_pt, hi_pt)  # attained values: lower bound of range
-    stack = [(dom, 0)]
-    out_lo, out_hi = inner.lo, inner.hi
-    pending = []
-    while stack:
-        seg, depth = stack.pop()
-        enc = poly_eval_iv(p, seg)
-        scale = max(abs(out_lo), abs(out_hi), abs(enc.lo), abs(enc.hi), 1e-300)
-        slack = max(enc.hi - out_hi, out_lo - enc.lo, 0.0)
-        if depth >= max_depth or slack <= rel_tol * scale or seg.width <= 0:
-            pending.append(enc)
-            continue
-        mid = seg.mid
-        m_pt = poly_eval_iv(p, iv(mid))
-        out_lo = min(out_lo, m_pt.lo)
-        out_hi = max(out_hi, m_pt.hi)
-        stack.append((Interval(seg.lo, mid), depth + 1))
-        stack.append((Interval(mid, seg.hi), depth + 1))
-    enc_all = Interval.hull(*pending) if pending else inner
-    return Interval.hull(enc_all, Interval(out_lo, out_hi))
-
-
-def monotone_root_bracket(p: Sequence[Fraction], level: Fraction,
-                          a: Fraction, b: Fraction,
-                          width: Fraction = Fraction(1, 10 ** 14)):
-    """Bracket the unique root of p(x) = level on [a, b], p strictly monotone.
-
-    Returns (lo, hi) rationals with lo <= root <= hi and hi - lo <= width,
-    or a degenerate (r, r) when the root is hit exactly.  The linear case is
-    solved exactly.
-    """
-    q = poly_shift(p, -level)
-    if poly_is_linear(q):
-        c1 = q[1] if len(q) > 1 else Fraction(0)
-        if c1 == 0:
-            raise ValueError("constant branch cannot cross a level")
-        r = -q[0] / c1
-        return (r, r)
-    fa = poly_eval(q, a)
-    fb = poly_eval(q, b)
-    if fa == 0:
-        return (a, a)
-    if fb == 0:
-        return (b, b)
-    if (fa < 0) == (fb < 0):
-        raise ValueError("no sign change: root not bracketed")
-    lo, hi, flo = a, b, fa
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(q, mid)
-        if fm == 0:
-            return (mid, mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo, hi)

@@ -1,15 +1,16 @@
 """Rigorously enclosed Ulam transition matrices.
 
 Entry (i, j) of the Ulam matrix is P_ij = m(T^-1(I_j) cap I_i) * k for the
-uniform partition of [0,1] into k cells.  Rows are assembled by recursive
-subdivision: a sub-piece of cell i whose image certifiably lands inside one
-cell contributes its full measure; pieces straddling cell boundaries or
-meeting a breakpoint enclosure are subdivided until their measure drops
-below the threshold nu and are then charged to the per-entry error budget.
+uniform partition of [0,1] into k cells.  Rows are assembled from branch
+preimages: each branch meeting cell i gives a piece whose ends are cell
+edges or the branch's endpoint enclosures, the preimages of the levels j/k
+inside the piece's image cut it into segments that each map into a single
+cell, and a segment's length is enclosed from the brackets of its two ends.
+An entry stores the midpoint of that enclosure and charges its half-width
+to the per-entry error budget.
 
-Linear branches with exact rational data bypass subdivision entirely: the
-preimage overlaps are computed in closed form, so piecewise linear maps with
-rational slopes assemble with zero error.
+Exact linear branches with rational data have exact preimages, so
+piecewise linear maps with rational slopes assemble with zero error.
 
 Markovization redistributes each row's mass deficit uniformly over its
 nonzero entries so every row sums to 1 exactly in binary64; the sub-ulp
@@ -21,16 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from .intervals import Interval, from_fraction
-from .maps import Branch, PiecewiseMap
+from .intervals import from_fraction
+from .maps import Branch, Endpoint, PiecewiseMap, level_crossing
 
 __all__ = [
-    "AssemblyConfig",
     "TransitionMatrix",
     "assemble_row",
     "assemble_ulam",
@@ -38,26 +38,6 @@ __all__ = [
     "nnz_bound",
     "dump_matrix",
 ]
-
-
-_SUBDIVISION = 16  # pieces per subdivision step
-
-
-@dataclass(frozen=True)
-class AssemblyConfig:
-    """Subdivision control: error threshold nu and depth cap."""
-
-    nu: Optional[Fraction] = None      # None: defaults to 1e-6 / k
-    max_depth: int = 30
-
-    def __post_init__(self):
-        if self.nu is not None and self.nu <= 0:
-            raise ValueError("nu must be positive")
-
-    def resolved_nu(self, k: int) -> Fraction:
-        if self.nu is not None:
-            return Fraction(self.nu)
-        return Fraction(1, k * 10 ** 6)
 
 
 @dataclass(frozen=True)
@@ -84,196 +64,98 @@ class TransitionMatrix:
         return out
 
 
-class _RowAccumulator:
-    def __init__(self, k: int):
-        self.k = k
-        self.vals: Dict[int, Fraction] = {}
-        self.errs: Dict[int, Fraction] = {}
-
-    def add(self, j: int, mass_times_k: Fraction):
-        self.vals[j] = self.vals.get(j, Fraction(0)) + mass_times_k
-
-    def charge(self, j: int, mass_times_k: Fraction):
-        self.errs[j] = self.errs.get(j, Fraction(0)) + mass_times_k
+def _value_bracket(br: Branch, x: Fraction) -> Tuple[Fraction, Fraction]:
+    v = br.value_exact(x)
+    if v is not None:
+        return v, v
+    enc = br.value_iv(from_fraction(x))
+    return Fraction(enc.lo), Fraction(enc.hi)
 
 
-def _interior_breakpoints(m: PiecewiseMap):
-    """(exact rational, enclosure-as-fractions) interior breakpoints."""
-    exact: List[Fraction] = []
-    fuzzy: List[Tuple[Fraction, Fraction]] = []
-    for e in m.breakpoints():
-        if e.is_exact:
-            exact.append(e.exact)
-        else:
-            fuzzy.append((Fraction(e.enc.lo), Fraction(e.enc.hi)))
-    return exact, fuzzy
+def _increasing(br: Branch) -> bool:
+    """Direction of a monotone branch, decided from its end values."""
+    u, v = br.value_iv(br.lo.enc), br.value_iv(br.hi.enc)
+    if u.hi < v.lo or v.hi < u.lo:
+        return u.hi < v.lo
+    raise ValueError("branch end values overlap; cannot orient the branch")
 
 
-def _certain_branch(m: PiecewiseMap, a: Fraction, b: Fraction) -> Optional[Branch]:
-    """Branch whose true domain certifiably contains [a, b], if any."""
-    for br in m.branches:
-        lo_in = br.lo.exact if br.lo.is_exact else Fraction(br.lo.enc.hi)
-        hi_in = br.hi.exact if br.hi.is_exact else Fraction(br.hi.enc.lo)
-        if lo_in <= a and b <= hi_in:
-            return br
-    return None
+def _piece_end(e: Endpoint, c_lo: Fraction, c_hi: Fraction) -> Tuple[Fraction, Fraction]:
+    """Bracket of the endpoint clamped to the cell [c_lo, c_hi]."""
+    if e.is_exact:
+        x = max(c_lo, min(c_hi, e.exact))
+        return x, x
+    return (max(c_lo, min(c_hi, Fraction(e.enc.lo))),
+            max(c_lo, min(c_hi, Fraction(e.enc.hi))))
 
 
-def _image_exact(br: Branch, a: Fraction, b: Fraction):
-    """Exact image [u, v] of [a, b] under a monotone branch, if computable."""
-    va = br.value_exact(a)
-    vb = br.value_exact(b)
-    if va is None or vb is None:
-        return None
-    return (va, vb) if va <= vb else (vb, va)
-
-
-def _images_fuzzy(m: PiecewiseMap, a: Fraction, b: Fraction):
-    """Per-branch image enclosures of [a, b] (not hulled across branches)."""
-    af, bf = float(a), float(b)
-    out = []
-    for br in m.branches:
-        dom = br.domain_outer()
-        if dom.hi < af or dom.lo > bf:
-            continue
-        seg = Interval(max(dom.lo, af), min(dom.hi, bf))
-        img = Interval.hull(br.value_iv(Interval(seg.lo, seg.lo)),
-                            br.value_iv(Interval(seg.hi, seg.hi)))
-        lo = max(img.lo, 0.0)
-        hi = min(img.hi, 1.0)
-        if lo <= hi:
-            out.append((Fraction(lo), Fraction(hi)))
-    if not out:
-        out.append((Fraction(0), Fraction(1)))
-    return out
-
-
-def _cells_touched(u: Fraction, v: Fraction, k: int) -> Tuple[int, int]:
-    """Cell index range [j_lo, j_hi] meeting (u, v) with positive measure."""
-    j_lo = math.floor(u * k)
-    vk = v * k
-    j_hi = (vk.numerator // vk.denominator - 1) if vk.denominator == 1 else math.floor(vk)
-    return max(j_lo, 0), min(j_hi, k - 1)
-
-
-def _linear_assign(acc: _RowAccumulator, br: Branch, a: Fraction, b: Fraction):
-    """Closed-form preimage overlap for an exact-rational linear branch."""
-    k = acc.k
-    c0 = br.poly[0]
-    c1 = br.poly[1] if len(br.poly) > 1 else Fraction(0)
-    u = c0 + c1 * a
-    v = c0 + c1 * b
-    if u > v:
-        u, v = v, u
-    j_lo, j_hi = _cells_touched(u, v, k)
-    inv_slope = 1 / abs(c1)
-    for j in range(j_lo, j_hi + 1):
-        o_lo = max(u, Fraction(j, k))
-        o_hi = min(v, Fraction(j + 1, k))
-        if o_hi > o_lo:
-            acc.add(j, (o_hi - o_lo) * inv_slope * k)
-
-
-def assemble_row(m: PiecewiseMap, i: int, k: int,
-                 cfg: AssemblyConfig) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+def assemble_row(m: PiecewiseMap, i: int,
+                 k: int) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
     """One row of the Ulam matrix: (entries, per-entry charged errors).
 
-    Entries and errors are exact rationals in P units (mass times k).
-    Raises if the depth cap is hit before pieces shrink below nu.
+    Entries and errors are exact rationals in P units (mass times k); an
+    entry with no error key is exact.
     """
     if not 0 <= i < k:
         raise ValueError("row index out of range")
-    nu = cfg.resolved_nu(k)
-    acc = _RowAccumulator(k)
-    exact_bps, fuzzy_bps = _interior_breakpoints(m)
-    stack: List[Tuple[Fraction, Fraction, int]] = [(Fraction(i, k), Fraction(i + 1, k), 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        measure = b - a
-        if measure <= 0:
+    c_lo, c_hi = Fraction(i, k), Fraction(i + 1, k)
+    vals: Dict[int, Fraction] = {}
+    errs: Dict[int, Fraction] = {}
+    for br in m.branches:
+        # brackets of the piece ends, the branch ends clamped to the cell
+        left = _piece_end(br.lo, c_lo, c_hi)
+        if left[0] == c_hi:
+            break  # branches are ordered along [0, 1]
+        right = _piece_end(br.hi, c_lo, c_hi)
+        if right[1] == c_lo:
             continue
-        # exact breakpoints strictly inside: split there at no cost
-        inner_exact = [q for q in exact_bps if a < q < b]
-        if inner_exact:
-            pts = [a] + sorted(inner_exact) + [b]
-            for p, q in zip(pts, pts[1:]):
-                stack.append((p, q, depth))
-            continue
-        # breakpoint enclosures meeting the piece: the discontinuity path
-        if any(lo <= b and a <= hi for lo, hi in fuzzy_bps):
-            if measure > nu and depth < cfg.max_depth:
-                _subdivide(stack, a, b, depth)
-            elif measure > nu:
-                raise RuntimeError(
-                    f"depth cap {cfg.max_depth} hit at piece width {float(measure):.3g}"
-                    " before reaching nu; nu too small for the working precision"
-                )
-            else:
-                _charge_piece(acc, m, a, b, measure)
-            continue
-        br = _certain_branch(m, a, b)
-        if br is None:
-            # only possible inside an enclosure gap; treat as discontinuity
-            if measure > nu and depth < cfg.max_depth:
-                _subdivide(stack, a, b, depth)
-            else:
-                _charge_piece(acc, m, a, b, measure)
-            continue
-        if br.is_linear:
-            _linear_assign(acc, br, a, b)
-            continue
-        img = _image_exact(br, a, b)
-        if img is None:
-            seg_lo = br.value_iv(from_fraction(a))
-            seg_hi = br.value_iv(from_fraction(b))
-            hull = Interval.hull(seg_lo, seg_hi)
-            img = (Fraction(max(hull.lo, 0.0)), Fraction(min(hull.hi, 1.0)))
-        u, v = max(img[0], Fraction(0)), min(img[1], Fraction(1))
-        j_lo, j_hi = _cells_touched(u, v, k)
-        if j_lo >= j_hi:
-            acc.add(j_lo, measure * k)
-        elif measure > nu and depth < cfg.max_depth:
-            _subdivide(stack, a, b, depth)
-        elif measure > nu:
-            raise RuntimeError(
-                f"depth cap {cfg.max_depth} hit at piece width {float(measure):.3g}"
-                " before reaching nu; nu too small for the working precision"
-            )
-        else:
-            for j in range(j_lo, j_hi + 1):
-                acc.charge(j, measure * k)
-    return acc.vals, acc.errs
+        a, b = left[0], right[1]
+        (u_lo, u_hi), (v_lo, v_hi) = _value_bracket(br, a), _value_bracket(br, b)
+        if u_hi < v_lo or v_hi < u_lo:
+            increasing = u_hi < v_lo
+        else:  # a sliver inside an endpoint enclosure
+            increasing = _increasing(br)
+        # levels j/k strictly inside the image enclosure cut the piece
+        j_first = math.floor(min(u_lo, v_lo) * k)
+        j_last = max(math.ceil(max(u_hi, v_hi) * k) - 1, j_first)
+        levels = range(j_first + 1, j_last + 1)
+        cuts = [left]
+        for j in (levels if increasing else reversed(levels)):
+            x_lo, x_hi = level_crossing(br, Fraction(j, k), a, b, increasing)
+            # the bracket lies in [a, b]; clamp it to the true piece
+            cuts.append((min(x_lo, right[0]), max(x_hi, left[1])))
+        cuts.append(right)
+        j, step = (j_first, 1) if increasing else (j_last, -1)
+        for p, q in zip(cuts, cuts[1:]):
+            len_lo, len_hi = q[0] - p[1], q[1] - p[0]
+            if not 0 <= j < k:
+                # a segment mapping outside [0, 1]: empty for a map of [0, 1]
+                # into itself, which it certifiably is not if the segment
+                # has positive length
+                if len_lo > 0:
+                    raise ValueError(f"the map leaves [0, 1] on cell {i}")
+            elif len_lo == len_hi:  # both ends exact
+                if len_hi > 0:
+                    vals[j] = vals.get(j, 0) + len_hi * k
+            elif len_hi > 0:
+                len_lo = max(len_lo, Fraction(0))
+                vals[j] = vals.get(j, 0) + (len_lo + len_hi) / 2 * k
+                errs[j] = errs.get(j, 0) + (len_hi - len_lo) / 2 * k
+            j += step
+    return vals, errs
 
 
-def _subdivide(stack, a: Fraction, b: Fraction, depth: int):
-    step = (b - a) / _SUBDIVISION
-    for t in range(_SUBDIVISION):
-        stack.append((a + t * step, a + (t + 1) * step, depth + 1))
-
-
-def _charge_piece(acc: _RowAccumulator, m: PiecewiseMap,
-                  a: Fraction, b: Fraction, measure: Fraction):
-    charged = set()
-    for u, v in _images_fuzzy(m, a, b):
-        j_lo, j_hi = _cells_touched(u, v, acc.k)
-        charged.update(range(j_lo, j_hi + 1))
-    for j in charged:
-        acc.charge(j, measure * acc.k)
-
-
-def assemble_ulam(m: PiecewiseMap, k: int,
-                  cfg: Optional[AssemblyConfig] = None) -> TransitionMatrix:
+def assemble_ulam(m: PiecewiseMap, k: int) -> TransitionMatrix:
     """Assemble the raw (un-markovized) Ulam matrix for a k-cell partition."""
-    cfg = cfg or AssemblyConfig()
     if k < 1:
         raise ValueError("k must be positive")
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
-    eps = 0.0
+    eps = Fraction(0)  # rounded up once at the end: rounding is monotone
     nnz_max = 0
     for i in range(k):
-        vals, errs = assemble_row(m, i, k, cfg)
+        vals, errs = assemble_row(m, i, k)
         if not vals:
             raise ValueError(f"row {i} has no nonzero entries; map is singular there")
         cols = sorted(vals)
@@ -283,21 +165,15 @@ def assemble_ulam(m: PiecewiseMap, k: int,
             data.append(f)
             indices.append(j)
             # representation slack of the float conversion
-            repr_err = abs(Fraction(f) - x)
-            entry_err = errs.get(j, Fraction(0)) + repr_err
-            if entry_err:
-                eps = max(eps, from_fraction(entry_err).hi)
-        for j, e in errs.items():
-            if j not in vals:
-                eps = max(eps, from_fraction(e).hi)
-        touched = len(set(cols) | set(errs))
-        nnz_max = max(nnz_max, touched)
+            eps = max(eps, errs.get(j, 0) + abs(Fraction(f) - x))
+        nnz_max = max(nnz_max, len(cols))
         indptr.append(len(indices))
     csr = sparse.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(k, k),
     )
-    return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max, norm_kind="L1")
+    return TransitionMatrix(k=k, csr=csr, eps=from_fraction(eps).hi,
+                            nnz_max=nnz_max, norm_kind="L1")
 
 
 def markovize(raw: TransitionMatrix) -> TransitionMatrix:

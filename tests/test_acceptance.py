@@ -17,12 +17,13 @@ from scipy import sparse
 from rigdens.cli import parse_map
 from rigdens.certify import certify_l1, certify_linf, lyapunov
 from rigdens.enclosure import contraction_sweep
-from rigdens.hatbasis import HatBasis, assemble_linearized, project_hat
+from rigdens.hatbasis import assemble_linearized
 from rigdens.intervals import Interval, iv
 from rigdens.maps import ly_coefficients_bv, ly_coefficients_lip
-from rigdens.ulam import AssemblyConfig, TransitionMatrix, assemble_ulam, markovize
+from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 
 from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
+from tests.hat_reference import HatBasis, project_hat
 from tests.test_ulam import exact_linear_ulam
 from tests.test_enclosure import dyadic_stochastic, exact_fixed_vector
 
@@ -39,9 +40,9 @@ def _verdict(criterion: str, ok: bool, detail: str = ""):
 def eq6_run():
     m = parse_map(EQ6).build()
     ly = ly_coefficients_bv(m)
-    matrix = markovize(assemble_ulam(m, 4096, AssemblyConfig(nu=F(1, 10**10))))
+    matrix = markovize(assemble_ulam(m, 4096))
     contraction, density = contraction_sweep(matrix, 1e-4)
-    cert = certify_l1(ly, matrix, contraction, density, nu=1e-10, eps_num=1e-4,
+    cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-4,
                       map_id="17x/5 mod 1")
     lyap = lyapunov(m, density, cert)
     return m, matrix, contraction, density, cert, lyap
@@ -117,7 +118,7 @@ def test_criterion_3_error_formula():
                                              norm_kind="L1")
         density = EnclosedDensity(values=np.array([1.0]), diameter=0.0, l=0,
                                   float_err=0.0, norm_kind="L1")
-        cert = certify_l1(ly, matrix, contraction, density, nu=0.0,
+        cert = certify_l1(ly, matrix, contraction, density,
                           eps_num=eps_num, map_id=name)
         rel = abs(cert.eps_rig - expected) / expected
         results.append((name, cert.eps_rig, expected, rel))
@@ -209,7 +210,7 @@ def test_criterion_7_sup_norm_pipeline():
     k = 8192
     matrix = markovize(assemble_linearized(m, k, ly))
     contraction, density = contraction_sweep(matrix, 1e-5)
-    cert = certify_linf(ly, matrix, contraction, density, nu=0.0,
+    cert = certify_linf(ly, matrix, contraction, density,
                         eps_num=1e-5, map_id="4x+0.01sin(8pix)")
     lyap = lyapunov(m, density, cert)
     finite = math.isfinite(cert.eps_rig)

@@ -68,7 +68,7 @@ def test_certify_l1_reproduces_reference_bounds(name, b, n, n_eps, nnz, eps,
     ly = synthetic_bv(0.32, b)
     cert = certify_l1(ly, synthetic_matrix(k, eps, nnz),
                       synthetic_contraction(n_eps, n), synthetic_density([1.0]),
-                      nu=1e-10, eps_num=eps_num, map_id=name)
+                      eps_num=eps_num, map_id=name)
     direct = 2 * n * (2 * b / k) + 4 * n_eps * nnz * eps + eps_num
     assert math.isclose(cert.eps_rig, direct, rel_tol=1e-9)
     assert abs(cert.eps_rig - expected) / expected < 0.20
@@ -79,7 +79,7 @@ def test_certify_l1_lanford_direct_arithmetic():
     ly = synthetic_bv(0.32, 19.88)
     cert = certify_l1(ly, synthetic_matrix(2**20, 3e-11, 10),
                       synthetic_contraction(17, 18), synthetic_density([1.0]),
-                      nu=1e-10, eps_num=1e-4)
+                      eps_num=1e-4)
     assert math.isclose(cert.err_discretization, 2 * 18 * 2 * 19.88 / 2**20,
                         rel_tol=1e-9)
     assert math.isclose(cert.err_matrix, 4 * 17 * 10 * 3e-11, rel_tol=1e-9)
@@ -89,7 +89,7 @@ def test_certify_l1_zero_errors_vanish():
     ly = synthetic_bv(0.25, 0.0)
     cert = certify_l1(ly, synthetic_matrix(1024, 0.0, 4),
                       synthetic_contraction(3, 3), synthetic_density([1.0]),
-                      nu=0.0, eps_num=0.0)
+                      eps_num=0.0)
     assert cert.eps_rig == 0.0
 
 
@@ -98,7 +98,7 @@ def test_certify_l1_component_sum():
     cert = certify_l1(ly, synthetic_matrix(4096, 1e-9, 6),
                       synthetic_contraction(7, 8),
                       synthetic_density([1.0], float_err=1e-12),
-                      nu=1e-8, eps_num=1e-4)
+                      eps_num=1e-4)
     s = cert.err_discretization + cert.err_matrix + cert.err_numeric
     assert cert.eps_rig >= s * (1 - 1e-12)
     assert cert.eps_rig <= s * (1 + 1e-12)
@@ -110,7 +110,7 @@ def test_certify_l1_monotone_in_eps_num():
             synthetic_density([1.0]))
     prev = -1.0
     for eps_num in (1e-6, 1e-5, 1e-4, 1e-3):
-        cert = certify_l1(*args, nu=0.0, eps_num=eps_num)
+        cert = certify_l1(*args, eps_num=eps_num)
         assert cert.eps_rig >= prev
         prev = cert.eps_rig
 
@@ -120,7 +120,7 @@ def test_certify_l1_rejects_wide_lambda():
     with pytest.raises(ValueError):
         certify_l1(ly, synthetic_matrix(64, 0.0, 2),
                    synthetic_contraction(1, 1), synthetic_density([1.0]),
-                   nu=0.0, eps_num=0.0)
+                   eps_num=0.0)
 
 
 def synthetic_lip(lam, b, b_one, alpha, dist):
@@ -134,7 +134,7 @@ def test_certify_linf_synthetic_exact_value():
     ly = synthetic_lip(0.25, 0.0, 0.0, 0.5, 0.0)
     mat = synthetic_matrix(100, 0.0, 4, norm_kind="Linf", lin_err=0.0, m_sup=1.0)
     cert = certify_linf(ly, mat, synthetic_contraction(1, 1, "Linf"),
-                        synthetic_density([1.0], "Linf"), nu=0.0, eps_num=0.0)
+                        synthetic_density([1.0], "Linf"), eps_num=0.0)
     assert math.isclose(cert.eps_rig, 0.08, rel_tol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_certify_linf_distortion_free_scaling():
     for k, n in ((128, 3), (256, 3)):
         mat = synthetic_matrix(k, 0.0, 4, norm_kind="Linf", lin_err=0.0, m_sup=1.0)
         cert = certify_linf(ly, mat, synthetic_contraction(n, n, "Linf"),
-                            synthetic_density([1.0], "Linf"), nu=0.0, eps_num=0.0)
+                            synthetic_density([1.0], "Linf"), eps_num=0.0)
         assert cert.eps_rig <= (2 / k) * n * 4 + 1e-15
 
 
@@ -154,7 +154,7 @@ def test_certify_linf_reference_scale():
     mat = synthetic_matrix(131072, 2**-50, 12, norm_kind="Linf",
                            lin_err=4e-10, m_sup=1.62)
     cert = certify_linf(ly, mat, synthetic_contraction(2, 3, "Linf"),
-                        synthetic_density([1.0], "Linf"), nu=0.0, eps_num=1e-5)
+                        synthetic_density([1.0], "Linf"), eps_num=1e-5)
     assert abs(cert.eps_rig - 0.004) / 0.004 < 0.20
 
 
@@ -162,7 +162,7 @@ def test_lyapunov_tripling_contains_log3(tripling):
     mk = markovize(assemble_ulam(tripling, 27))
     ly = ly_coefficients_bv(tripling)
     contraction, density = contraction_sweep(mk, 1e-4)
-    cert = certify_l1(ly, mk, contraction, density, nu=0.0, eps_num=1e-4)
+    cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4)
     lr = lyapunov(tripling, density, cert)
     with mpmath.workdps(40):
         ln3 = mpmath.log(3)
@@ -176,7 +176,7 @@ def test_lyapunov_eq6_contains_exact_value(eq6, k):
     mk = markovize(assemble_ulam(eq6, k))
     ly = ly_coefficients_bv(eq6)
     contraction, density = contraction_sweep(mk, 1e-4)
-    cert = certify_l1(ly, mk, contraction, density, nu=0.0, eps_num=1e-4)
+    cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4)
     lr = lyapunov(eq6, density, cert)
     with mpmath.workdps(40):
         target = mpmath.log(17) - mpmath.log(5)
@@ -187,7 +187,7 @@ def test_lyapunov_linf_mode(sinmap):
     lys = ly_coefficients_lip(sinmap)
     mk = markovize(assemble_linearized(sinmap, 256, lys))
     contraction, density = contraction_sweep(mk, 1e-5)
-    cert = certify_linf(lys, mk, contraction, density, nu=0.0, eps_num=1e-5)
+    cert = certify_linf(lys, mk, contraction, density, eps_num=1e-5)
     lr = lyapunov(sinmap, density, cert)
     assert lr.lo < math.log(4) < lr.hi  # crude containment of log(mean slope)
     assert math.isfinite(cert.eps_rig)
@@ -197,7 +197,7 @@ def test_report_json_roundtrip(tripling):
     mk = markovize(assemble_ulam(tripling, 27))
     ly = ly_coefficients_bv(tripling)
     contraction, density = contraction_sweep(mk, 1e-4)
-    cert = certify_l1(ly, mk, contraction, density, nu=1e-8, eps_num=1e-4,
+    cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4,
                       map_id="tripling")
     lr = lyapunov(tripling, density, cert)
     cert = attach_lyapunov(cert, lr)
@@ -217,7 +217,7 @@ def test_report_without_lyapunov(tripling):
     mk = markovize(assemble_ulam(tripling, 27))
     ly = ly_coefficients_bv(tripling)
     contraction, density = contraction_sweep(mk, 1e-4)
-    cert = certify_l1(ly, mk, contraction, density, nu=0.0, eps_num=1e-4)
+    cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4)
     rep = report(cert)
     assert rep.data["lyap"] is None
     assert "L_exp   -" in rep.text

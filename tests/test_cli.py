@@ -72,7 +72,7 @@ def test_main_missing_map_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--k", "abc"], ["--bogus", "1"],
-                                  ["--workers", "2"]])
+                                  ["--workers", "2"], ["--nu", "1e-6"]])
 def test_main_usage_error_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "usage" in capsys.readouterr().err
@@ -88,8 +88,6 @@ def test_main_help_exits_0(capsys):
     # the two branch ends do not meet on the circle: sup-norm assembly refuses
     (dict(map_text="poly [0,1/2] : 3x; poly [1/2,1] : 3x - 1/2 mod 1",
           mode="Linf"), "map endpoints do not match on the circle"),
-    # pieces cannot shrink below nu within the subdivision depth cap
-    (dict(map_text=EQ4, nu=1e-300), "depth cap 30 hit"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
@@ -97,7 +95,7 @@ def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["workers = 2", "eps-num = 1e-6"])
+@pytest.mark.parametrize("key", ["workers = 2", "eps-num = 1e-6", "nu = 1e-6"])
 def test_config_unknown_run_key_exits_1(key, tmp_path, capsys):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(f"[run]\nk = 27\n{key}\n\n[map]\ntext = linear 3 mod 1\n")

@@ -19,7 +19,7 @@ def _l1_run(m, k):
     ly = ly_coefficients_bv(m)
     matrix = markovize(assemble_ulam(m, k))
     contraction, density = contraction_sweep(matrix, 1e-5)
-    cert = certify_l1(ly, matrix, contraction, density, nu=0.0, eps_num=1e-5)
+    cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-5)
     return density, cert
 
 
@@ -46,7 +46,7 @@ def _linf_run(m, k):
     ly = ly_coefficients_lip(m)
     matrix = markovize(assemble_linearized(m, k, ly))
     contraction, density = contraction_sweep(matrix, 1e-6)
-    cert = certify_linf(ly, matrix, contraction, density, nu=0.0, eps_num=1e-6)
+    cert = certify_linf(ly, matrix, contraction, density, eps_num=1e-6)
     return density, cert
 
 

@@ -151,3 +151,11 @@ def test_non_contracting_raises():
     tm = TransitionMatrix(k=4, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
     with pytest.raises(NotContractingError):
         contraction_sweep(tm, 1e-4, j_max=32)
+
+
+def test_non_stochastic_matrix_raises():
+    # row 0 sums to 1.5: the anchor's 1-norm grows from step 1 to step 2
+    m = np.array([[0.9, 0.6], [0.5, 0.5]])
+    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
+    with pytest.raises(ValueError, match="not row-stochastic"):
+        contraction_sweep(tm, 1e-4)

@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rigdens.hatbasis import (
-    HatBasis,
-    assemble_linearized,
-    op_distance_bound,
-    project_hat,
-)
+from rigdens.hatbasis import assemble_linearized
 from rigdens.intervals import iv
-from rigdens.maps import LYCoefficientsLip, ly_coefficients_lip
+from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
+
+from tests.hat_reference import HatBasis, project_hat
 
 
 def test_project_constant():
@@ -118,36 +115,6 @@ def test_matrix_entries_enclose_dense_quadrature(sinmap):
             assert abs(entry - dense[i, j]) <= k * lm.eps + 5e-4
 
 
-def test_op_distance_synthetic():
-    ly = LYCoefficientsLip(
-        lam=iv(0.27), b_var=iv(0.62), m_sup=iv(1.62), b_one=iv(1.8),
-        k_iter=1, alpha=iv(0.44), distortion=iv(0.45),
-    )
-    bound = op_distance_bound(ly, 2**17)
-    lip_f = 1.62 * (1 + 1.8 / 0.56) * 1.62
-    expected = (2 / 2**17) * ((0.27 + 1.62) * lip_f + 1.8 * 1.62)
-    assert math.isclose(bound, expected, rel_tol=1e-9)
-    assert bound <= 0.004
-
-
-def test_op_distance_halves_with_k():
-    ly = LYCoefficientsLip(
-        lam=iv(0.3), b_var=iv(0.5), m_sup=iv(1.5), b_one=iv(1.0),
-        k_iter=1, alpha=iv(0.45), distortion=iv(0.4),
-    )
-    b1 = op_distance_bound(ly, 1000)
-    b2 = op_distance_bound(ly, 2000)
-    assert math.isclose(b1, 2 * b2, rel_tol=1e-12)
-
-
-def test_op_distance_zero_for_constant_density():
-    ly = LYCoefficientsLip(
-        lam=iv(0.25), b_var=iv(0.0), m_sup=iv(1.0), b_one=iv(0.0),
-        k_iter=1, alpha=iv(0.25), distortion=iv(0.0),
-    )
-    assert op_distance_bound(ly, 100, lip_f=0.0) == 0.0
-
-
 def test_interior_kink_rejected():
     from fractions import Fraction as F
 
@@ -162,12 +129,3 @@ def test_interior_kink_rejected():
     m = PiecewiseMap((left, right), circle=True)
     with pytest.raises(ValueError, match="not C"):
         assemble_linearized(m, 16)
-
-
-def test_op_distance_rejects_alpha_one():
-    ly = LYCoefficientsLip(
-        lam=iv(0.5), b_var=iv(1.0), m_sup=iv(2.0), b_one=iv(1.0),
-        k_iter=1, alpha=iv(1.0), distortion=iv(0.5),
-    )
-    with pytest.raises(ValueError):
-        op_distance_bound(ly, 100)

@@ -39,7 +39,7 @@ def test_falling_coefficients_and_exponent():
     matrix = markovize(assemble_ulam(m, 27))
     assert matrix.eps < 1e-15
     contraction, density = contraction_sweep(matrix, 1e-5)
-    cert = certify_l1(ly, matrix, contraction, density, nu=0.0, eps_num=1e-5)
+    cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-5)
     lr = lyapunov(m, density, cert)
     assert lr.lo < math.log(3) < lr.hi
 
@@ -79,7 +79,7 @@ def test_zigzag_uniform_density():
     # the zigzag preserves Lebesgue: the enclosure must contain uniform
     err = np.abs(density.values - 1 / 27).sum()
     assert err <= density.diameter + density.float_err
-    cert = certify_l1(ly, matrix, contraction, density, nu=0.0, eps_num=1e-6)
+    cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-6)
     lr = lyapunov(m, density, cert)
     with mpmath.workdps(30):
         assert mpmath.mpf(lr.lo) < mpmath.log(3) < mpmath.mpf(lr.hi)

@@ -1,19 +1,21 @@
-"""Exact rational polynomial helpers and rigorous ranges/roots."""
+"""Exact rational polynomial helpers and the branch preimage routine."""
 
 from fractions import Fraction as F
 
-import pytest
-
 from rigdens.intervals import Interval
+from rigdens.maps import Branch, Endpoint, level_crossing
 from rigdens.polys import (
-    monotone_root_bracket,
     poly_compose,
     poly_derivative,
     poly_eval,
     poly_eval_iv,
     poly_mul,
-    poly_range,
 )
+
+
+def _branch(poly):
+    return Branch(Endpoint.from_rational(0), Endpoint.from_rational(1),
+                  tuple(poly))
 
 
 def test_eval_exact():
@@ -48,27 +50,25 @@ def test_mul():
     assert poly_mul([F(1), F(1)], [F(1), F(-1)]) == [F(1), F(0), F(-1)]
 
 
-def test_range_contains_samples():
-    p = [F(0), F(-1), F(1)]  # x^2 - x: min -1/4 at 1/2
-    rng = poly_range(p, Interval(0.0, 1.0))
-    assert rng.lo <= -0.25 <= rng.hi
-    assert rng.lo >= -0.251  # tight to the advertised relative tolerance
-    assert rng.hi >= 0.0
-
-
 def test_root_bracket_linear_exact():
-    lo, hi = monotone_root_bracket([F(0), F(3)], F(1), F(0), F(1))
+    lo, hi = level_crossing(_branch([F(0), F(3)]), F(1), F(0), F(1), True)
     assert lo == hi == F(1, 3)
 
 
 def test_root_bracket_quadratic():
     # 2.5x - 0.5x^2 = 1 has the root (5 - sqrt(17))/2 in [0, 1]
     p = [F(0), F(5, 2), F(-1, 2)]
-    lo, hi = monotone_root_bracket(p, F(1), F(0), F(1))
-    assert hi - lo <= F(1, 10**14)
+    lo, hi = level_crossing(_branch(p), F(1), F(0), F(1), True)
+    assert 0 < hi - lo <= F(1, 10**14)
     assert poly_eval(p, lo) <= 1 <= poly_eval(p, hi)
 
 
 def test_root_bracket_requires_sign_change():
-    with pytest.raises(ValueError):
-        monotone_root_bracket([F(0), F(1), F(1)], F(10), F(0), F(1))
+    # x + x^2 stays below 10 on [0, 1]: no crossing inside, so the bracket
+    # closes in on the end the crossing lies beyond
+    lo, hi = level_crossing(_branch([F(0), F(1), F(1)]), F(10), F(0), F(1), True)
+    assert hi == 1 and 1 - lo <= F(1, 10**14)
+    # a falling branch crossing 10 left of [0, 1] brackets the left end
+    lo, hi = level_crossing(_branch([F(2), F(-1), F(-1)]), F(10), F(0), F(1),
+                            False)
+    assert lo == 0 and hi <= F(1, 10**14)
