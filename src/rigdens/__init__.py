@@ -16,7 +16,6 @@ from .maps import (
     LYCoefficientsLip,
     PiecewiseMap,
     distortion_sup,
-    eval_on_interval,
     iterate_map,
     ly_coefficients_bv,
     ly_coefficients_lip,
@@ -42,7 +41,6 @@ from .certify import (
     Certificate,
     CertificateReport,
     LyapunovResult,
-    attach_lyapunov,
     certify_l1,
     certify_linf,
     lyapunov,

@@ -17,7 +17,7 @@ error bound, which controls the difference against the true density.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -57,8 +57,6 @@ class Certificate:
     err_matrix: float
     err_numeric: float
     eps_rig: float
-    lyap_lo: Optional[float] = None
-    lyap_hi: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class LyapunovResult:
 
     estimate: float
     radius: float
-    method_note: str
 
     @property
     def lo(self) -> float:
@@ -182,18 +179,7 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     slack = (iv(log_mag) * iv(cert.eps_rig)).hi
     estimate = total.mid
     radius = _up_sum(total.width / 2.0, slack)
-    return LyapunovResult(
-        estimate=estimate,
-        radius=radius,
-        method_note=(
-            "per-cell interval enclosure of log|T'| against the enclosed "
-            "density; radius = quadrature width/2 + sup|log|T'|| * eps_rig"
-        ),
-    )
-
-
-def attach_lyapunov(cert: Certificate, lyap: LyapunovResult) -> Certificate:
-    return replace(cert, lyap_lo=lyap.lo, lyap_hi=lyap.hi)
+    return LyapunovResult(estimate=estimate, radius=radius)
 
 
 @dataclass(frozen=True)
@@ -205,8 +191,8 @@ class CertificateReport:
         return json.dumps(self.data, **kwargs)
 
 
-def report(cert: Certificate, lyap: Optional[LyapunovResult] = None,
-           density: Optional[EnclosedDensity] = None) -> CertificateReport:
+def report(cert: Certificate,
+           lyap: Optional[LyapunovResult] = None) -> CertificateReport:
     """Human-readable inputs/outputs table plus the machine-readable form."""
     ly = cert.ly
     if isinstance(ly, LYCoefficientsBV):

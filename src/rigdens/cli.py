@@ -33,9 +33,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .certify import attach_lyapunov, certify_l1, certify_linf, lyapunov, report
+from .certify import certify_l1, certify_linf, lyapunov, report
 from .enclosure import NotContractingError, contraction_sweep
 from .hatbasis import assemble_linearized
+from .intervals import Interval
 from .maps import (
     Branch,
     Endpoint,
@@ -310,11 +311,11 @@ class MapSpec:
                 branches.extend(split_mod_branches(br))
             else:
                 branches.append(br)
-        branches.sort(key=lambda b: float(b.lo.enc.lo))
+        branches.sort(key=lambda b: b.lo.lo)
         m = PiecewiseMap(tuple(branches), circle=self.circle)
-        m.validate_monotone()
         if self.iterate > 1:
             m = iterate_map(m, self.iterate)
+        m.validate_monotone()
         return m
 
 
@@ -429,18 +430,15 @@ def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
         for i in range(k):
             x = (i + 0.5) / k
             fh.write(f"{x!r} {float(scale * vals[i])!r}\n")
+    doms = [(br, br.domain_outer()) for br in m.branches]
     with open(out_dir / "map_graph.dat", "w") as fh:
         n = max(k, 512)
         for i in range(n + 1):
             x = i / n
-            imgs = []
-            for br in m.branches:
-                dom = br.domain_outer()
+            for br, dom in doms:
                 if dom.lo <= x <= dom.hi:
-                    from .intervals import Interval
-                    imgs.append(br.value_iv(Interval(x, x)).mid)
-            for y in imgs:
-                fh.write(f"{x!r} {y!r}\n")
+                    y = br.value_iv(Interval(x, x)).mid
+                    fh.write(f"{x!r} {y!r}\n")
 
 
 def _write_density_csv(density, k: int, path: Path) -> None:
@@ -512,11 +510,10 @@ def run(config: RunConfig) -> int:
     lyap = None
     if not config.no_lyap:
         lyap = lyapunov(mapped, density, cert)
-        cert = attach_lyapunov(cert, lyap)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_density_csv(density, config.k, out_dir / "density.csv")
-    rep = report(cert, lyap, density)
+    rep = report(cert, lyap)
     (out_dir / "certificate.json").write_text(rep.to_json(indent=2) + "\n")
     (out_dir / "report.txt").write_text(rep.text + "\n")
     emit_plot_data(density, mapped, config.k, out_dir)

@@ -73,13 +73,6 @@ class EnclosedDensity:
     float_err: float
     norm_kind: str
 
-    def masses(self) -> np.ndarray:
-        """Per-cell masses summing to ~1 (both norms store density scale
-        internally: L1 keeps masses, Linf keeps nodal values)."""
-        if self.norm_kind == "L1":
-            return self.values
-        return self.values / len(self.values)
-
 
 def float_ledger(l: int, k: int) -> float:
     """Accumulated matrix-vector roundoff estimate l * k * eps_mach."""
@@ -90,10 +83,10 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _upper_abs_row_sums(v: np.ndarray) -> np.ndarray:
-    """Rigorous upper bounds of per-row 1-norms of a dense matrix."""
-    k = v.shape[1]
-    s = np.abs(v).sum(axis=1)
+def _upper_abs_col_sums(v: np.ndarray) -> np.ndarray:
+    """Rigorous upper bounds of per-column 1-norms of a dense matrix."""
+    k = v.shape[0]
+    s = np.abs(v).sum(axis=0)
     infl = 1.0 + 1.02 * k * _U
     return np.nextafter(s * infl, math.inf)
 
@@ -110,27 +103,29 @@ def _max_col_count(a: sparse.csr_matrix) -> int:
     return int(counts.max()) if len(counts) else 0
 
 
-def _run_batch(a: sparse.csr_matrix, ids: np.ndarray, steps: int,
+def _run_batch(at: sparse.csr_matrix, ids: np.ndarray, steps: int,
                scale: float, norm_kind: str) -> np.ndarray:
-    """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids; return the
+    """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
+    of a (k x len(ids)) block stepped by v -> at @ v (at is the transposed
+    matrix, so each column follows the row action); return the
     (steps x len(ids)) array of upward-rounded full-anchor norms."""
-    k = a.shape[0]
-    v = np.zeros((len(ids), k))
-    v[np.arange(len(ids)), ids] = -0.5 * scale
-    v[:, 0] += 0.5 * scale
+    k = at.shape[0]
+    v = np.zeros((k, len(ids)))
+    v[ids, np.arange(len(ids))] = -0.5 * scale
+    v[0, :] += 0.5 * scale
     out = np.empty((steps, len(ids)))
     prev = None
     for t in range(steps):
-        v = v @ a
+        v = at @ v
         if norm_kind == "L1":
-            out[t] = 2.0 * _upper_abs_row_sums(v)
+            out[t] = 2.0 * _upper_abs_col_sums(v)
             # a row-stochastic action never expands the 1-norm
             if prev is not None and not (out[t] <= prev * (1 + 1e-9) + 1e-30).all():
                 raise ValueError("matrix is not row-stochastic: an anchor's "
                                  "1-norm grew under its action")
             prev = out[t]
         else:
-            out[t] = 2.0 * np.abs(v).max(axis=1)
+            out[t] = 2.0 * np.abs(v).max(axis=0)
     return out
 
 
@@ -186,6 +181,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         batch_size = max(1, min(k - 1, (1 << 24) // max(k, 1)))
     col_count = _max_col_count(a)
     colsum_up = _max_colsum_upper(a)
+    at = a.T.tocsr()
 
     ids_all = np.arange(1, k)
     steps = min(j_max, 16)
@@ -193,7 +189,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         norms_steps = np.zeros((steps, k - 1))
         for s in range(0, k - 1, batch_size):
             ids = ids_all[s:s + batch_size]
-            norms_steps[:, s:s + len(ids)] = _run_batch(a, ids, steps, scale, norm_kind)
+            norms_steps[:, s:s + len(ids)] = _run_batch(at, ids, steps, scale, norm_kind)
         norm_max = norms_steps.max(axis=1)
         drift = _drift_sequence(norm_max, k, scale, col_count, colsum_up, norm_kind)
         bounds = [_up(norm_max[t] + 2.0 * drift[t]) for t in range(steps)]

@@ -6,9 +6,10 @@ support [a_{i-1}, a_{i+1}] by its linearization at a_i: the image of phi_i
 is a single hat of height 1/|T'(a_i)| and half-width |T'(a_i)|/k centered
 at T(a_i), which is then projected back onto the basis.  All projection
 coefficients reduce to integrals of products of two hat functions, which
-are evaluated exactly in rational arithmetic at a rational snap point of
-the (T(a_i), T'(a_i)) enclosure and inflated by a Lipschitz bound in the
-snap distance, so every stored entry carries a rigorous error bound.
+have a closed form (a second difference of cubes) evaluated exactly in
+integers at a snap point of the (T(a_i), T'(a_i)) enclosure on a dyadic
+grid, and inflated by a Lipschitz bound in the snap distance, so every
+stored entry carries a rigorous error bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .ulam import TransitionMatrix
 __all__ = ["LinfMatrix", "assemble_linearized"]
 
 _SNAP = 1 << 24  # denominator of the rational snap grid for entry formulas
+_SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
 
 
 @dataclass(frozen=True)
@@ -40,63 +42,48 @@ class LinfMatrix(TransitionMatrix):
     m_sup: float = 1.0
 
 
-def _tri_value(t: Fraction, center: Fraction, halfwidth: Fraction) -> Fraction:
-    s = abs(t - center)
-    if s >= halfwidth:
-        return Fraction(0)
-    return 1 - s / halfwidth
-
-
 def _hat_product_integral(delta: Fraction, omega: Fraction) -> Fraction:
     """Exact integral of tri(t;1) * tri(t-delta;omega) over the line.
 
-    Simpson on the common refinement of the two kink sets; the integrand is
-    piecewise quadratic there, so Simpson is exact.
+    A hat is the second difference of a ramp, tri(t;h) = sum_q c_q
+    (t - qh)_+ / h with c = (1, -2, 1), so the integral is
+    (1/(6 omega)) sum_{p,q} c_p c_q (delta + p + q omega)_+^3, summed here
+    in integers on the snap grid.  delta and omega must lie on that grid.
     """
-    lo = max(Fraction(-1), delta - omega)
-    hi = min(Fraction(1), delta + omega)
-    if hi <= lo:
+    d, w = delta * _SNAP, omega * _SNAP
+    if d.denominator != 1 or w.denominator != 1:
+        raise ValueError("hat product arguments must lie on the snap grid")
+    d, w = d.numerator, w.numerator
+    if abs(d) >= _SNAP + w:  # disjoint supports
         return Fraction(0)
-    pts = sorted({lo, hi, *(p for p in (Fraction(0), delta) if lo < p < hi)})
-    total = Fraction(0)
-    for p, q in zip(pts, pts[1:]):
-        m = (p + q) / 2
-        fp = _tri_value(p, Fraction(0), Fraction(1)) * _tri_value(p, delta, omega)
-        fm = _tri_value(m, Fraction(0), Fraction(1)) * _tri_value(m, delta, omega)
-        fq = _tri_value(q, Fraction(0), Fraction(1)) * _tri_value(q, delta, omega)
-        total += (q - p) * (fp + 4 * fm + fq) / 6
-    return total
+    total = 0
+    for p, cp in _SECOND_DIFF:
+        for q, cq in _SECOND_DIFF:
+            t = d + p * _SNAP + q * w
+            if t > 0:
+                total += cp * cq * t ** 3
+    return Fraction(total, 6 * w * _SNAP * _SNAP)
 
 
 def _snap(x: float) -> Fraction:
     return Fraction(round(x * _SNAP), _SNAP)
 
 
-def _node_branch(m: PiecewiseMap, a: Fraction):
-    for br in m.branches:
-        if br.lo.enc.lo <= a <= br.hi.enc.hi:
-            return br
-    raise ValueError(f"node {a} outside every branch domain")
-
-
 def _check_circle(m: PiecewiseMap) -> None:
+    """Certify that the map is C^1 on the circle: the endpoint values differ
+    by an integer, and at 0 ~ 1 and at every breakpoint the derivative
+    enclosures from both sides overlap (both enclose the same value)."""
     if not m.circle:
         raise ValueError("sup-norm assembly needs a circle map")
     b0, b1 = m.branches[0], m.branches[-1]
-    v0 = b0.value_iv(iv(0))
-    v1 = b1.value_iv(iv(1))
-    gap = v1 - v0
-    if abs(gap.mid - round(gap.mid)) > 1e-9:
+    gap = b1.value_iv(iv(1)) - b0.value_iv(iv(0))
+    if math.floor(gap.hi) < gap.lo:
         raise ValueError("map endpoints do not match on the circle")
-    d0 = b0.deriv_iv(iv(0))
-    d1 = b1.deriv_iv(iv(1))
-    if not d0.overlaps(Interval(d1.lo - 1e-9, d1.hi + 1e-9)):
+    if not b0.deriv_iv(iv(0)).overlaps(b1.deriv_iv(iv(1))):
         raise ValueError("derivative jumps across 0 ~ 1: not C^1 on the circle")
     for left, right in zip(m.branches, m.branches[1:]):
         at = right.lo.enc
-        dl = left.deriv_iv(at)
-        dr = right.deriv_iv(at)
-        if not dl.overlaps(Interval(dr.lo - 1e-9, dr.hi + 1e-9)):
+        if not left.deriv_iv(at).overlaps(right.deriv_iv(at)):
             raise ValueError(
                 f"derivative jumps at breakpoint {at}: not C^1 on the circle"
             )
@@ -123,7 +110,7 @@ def assemble_linearized(m: PiecewiseMap, k: int,
     nnz_max = 0
     for i in range(k):
         a = Fraction(i, k)
-        br = _node_branch(m, a)
+        br = m.branches[m.branch_index(a)]
         s_enc = br.deriv_iv(from_fraction(a))
         if s_enc.contains_zero():
             raise ValueError(f"T' enclosure touches 0 at node {i}")

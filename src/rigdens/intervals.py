@@ -156,10 +156,6 @@ class Interval:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def exact(x: float) -> "Interval":
-        return Interval(float(x), float(x))
-
-    @staticmethod
     def hull(*vals: "Interval") -> "Interval":
         return Interval(min(v.lo for v in vals), max(v.hi for v in vals))
 
@@ -251,17 +247,6 @@ class Interval:
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def pow_int(self, n: int) -> "Interval":
-        """Integer power; monotone endpoint analysis keeps it tight."""
-        if n < 0:
-            return Interval.exact(1.0) / self.pow_int(-n)
-        if n == 0:
-            return Interval.exact(1.0)
-        if n % 2 == 1:
-            return Interval(_pow_point(self.lo, n).lo, _pow_point(self.hi, n).hi)
-        a = abs(self)
-        return Interval(_pow_point(a.lo, n).lo, _pow_point(a.hi, n).hi)
-
     def sqr(self) -> "Interval":
         a = abs(self)
         return Interval(_prod_lo(a.lo, a.lo), _prod_hi(a.hi, a.hi))
@@ -339,20 +324,6 @@ def _libm_up(fn, x: float) -> float:
 PI = Interval(math.pi, _up(math.pi))
 TWO_PI = PI + PI
 HALF_PI = PI / iv(2)
-
-
-def _pow_point(x: float, n: int) -> Interval:
-    """Rigorous enclosure of x**n for a point x and n >= 1."""
-    out = Interval.exact(1.0)
-    base = Interval(x, x)
-    m = n
-    while m:
-        if m & 1:
-            out = out * base
-        m >>= 1
-        if m:
-            base = base * base
-    return out
 
 
 def _iv_sin(x: Interval) -> Interval:

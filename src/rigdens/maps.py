@@ -3,8 +3,14 @@
 A map is an ordered tuple of branches partitioning [0, 1].  Each branch is
 a polynomial with exact rational coefficients, optionally plus a sinusoidal
 term ``A*sin(B*pi*x)`` with rational A, B, strictly monotone on its domain.
-Branch endpoints are exact rationals or, for breakpoints created by mod-1
-wrapping and by symbolic iteration, machine-interval enclosures.
+Branch endpoints are rational brackets (lo, hi): exact when lo == hi, and
+for the irrational breakpoints created by mod-1 wrapping and by symbolic
+iteration the bracket that ``level_crossing`` returns.
+
+A branch works out each fact about itself once and caches it: its
+certified direction (``Branch.increasing``, which every reader of the
+direction uses) and the interval enclosures of the coefficients of its
+value, first and second derivative.
 
 All quantities the certification consumes (contraction factor, variation
 coefficients, distortion bounds) are produced as intervals whose upper ends
@@ -16,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -36,7 +43,6 @@ __all__ = [
     "LYCoefficientsBV",
     "LYCoefficientsLip",
     "ExpansionError",
-    "eval_on_interval",
     "distortion_sup",
     "ly_coefficients_bv",
     "ly_coefficients_lip",
@@ -52,25 +58,27 @@ class ExpansionError(ValueError):
 
 @dataclass(frozen=True)
 class Endpoint:
-    """Branch endpoint: always an enclosure, exact rational when known."""
+    """Branch endpoint: a rational bracket [lo, hi], exact when lo == hi."""
 
-    enc: Interval
-    exact: Optional[Fraction] = None
+    lo: Fraction
+    hi: Fraction
 
     @staticmethod
     def from_rational(q) -> "Endpoint":
         q = Fraction(q)
-        return Endpoint(from_fraction(q), q)
+        return Endpoint(q, q)
 
-    @staticmethod
-    def from_bracket(lo: Fraction, hi: Fraction) -> "Endpoint":
-        if lo == hi:
-            return Endpoint.from_rational(lo)
-        return Endpoint(Interval(from_fraction(lo).lo, from_fraction(hi).hi), None)
+    @cached_property
+    def enc(self) -> Interval:
+        return Interval(from_fraction(self.lo).lo, from_fraction(self.hi).hi)
+
+    @property
+    def exact(self) -> Optional[Fraction]:
+        return self.lo if self.lo == self.hi else None
 
     @property
     def is_exact(self) -> bool:
-        return self.exact is not None
+        return self.lo == self.hi
 
 
 @dataclass(frozen=True)
@@ -111,26 +119,45 @@ class Branch:
             return base + sign * self.trig_amp
         return None
 
+    @cached_property
+    def _enclosed(self):
+        """Enclosed coefficients of poly, poly' and poly'', and of A and B*pi."""
+        d1 = poly_derivative(self.poly)
+        polys = (self.poly, d1, poly_derivative(d1))
+        return (tuple(tuple(from_fraction(c) for c in p) for p in polys),
+                from_fraction(self.trig_amp), from_fraction(self.trig_freq) * PI)
+
     def value_iv(self, x: Interval) -> Interval:
-        out = poly_eval_iv(self.poly, x)
+        (p, _, _), amp, w = self._enclosed
+        out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
-            arg = from_fraction(self.trig_freq) * PI * x
-            out = out + from_fraction(self.trig_amp) * arg.sin()
+            out = out + amp * (w * x).sin()
         return out
 
     def deriv_iv(self, x: Interval) -> Interval:
-        out = poly_eval_iv(poly_derivative(self.poly), x)
+        (_, p, _), amp, w = self._enclosed
+        out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
-            w = from_fraction(self.trig_freq) * PI
-            out = out + from_fraction(self.trig_amp) * w * (w * x).cos()
+            out = out + amp * w * (w * x).cos()
         return out
 
     def second_iv(self, x: Interval) -> Interval:
-        out = poly_eval_iv(poly_derivative(poly_derivative(self.poly)), x)
+        (_, _, p), amp, w = self._enclosed
+        out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
-            w = from_fraction(self.trig_freq) * PI
-            out = out - from_fraction(self.trig_amp) * w * w * (w * x).sin()
+            out = out - amp * w * w * (w * x).sin()
         return out
+
+    @cached_property
+    def increasing(self) -> bool:
+        """Certified direction: the sign of T' over the outer domain."""
+        dom = self.domain_outer()
+        if _adaptive_inf(self.deriv_iv, dom).lo > 0:
+            return True
+        if _adaptive_sup(self.deriv_iv, dom).hi < 0:
+            return False
+        raise ValueError(f"branch on [{self.lo.lo}, {self.hi.hi}] is not "
+                         "certifiably monotone")
 
     def image_iv(self) -> Interval:
         """Enclosure of the branch image (monotone: endpoint hull)."""
@@ -151,11 +178,8 @@ class PiecewiseMap:
         if first.lo.exact != 0 or last.hi.exact != 1:
             raise ValueError("branch domains must start at 0 and end at 1")
         for a, b in zip(self.branches, self.branches[1:]):
-            if a.hi.is_exact and b.lo.is_exact:
-                if a.hi.exact != b.lo.exact:
-                    raise ValueError("branch domains must share endpoints")
-            elif not a.hi.enc.overlaps(b.lo.enc):
-                raise ValueError("branch endpoint enclosures must agree")
+            if a.hi.hi < b.lo.lo or b.lo.hi < a.hi.lo:
+                raise ValueError("branch domains must share endpoints")
 
     @property
     def branch_count(self) -> int:
@@ -165,20 +189,25 @@ class PiecewiseMap:
         """Interior breakpoints, in order."""
         return [b.lo for b in self.branches[1:]]
 
+    def branch_index(self, x) -> int:
+        """Index of the first branch whose endpoint brackets admit x."""
+        for i, b in enumerate(self.branches):
+            if b.lo.lo <= x <= b.hi.hi:
+                return i
+        raise ValueError(f"point {x} outside [0,1]")
+
     def validate_monotone(self) -> None:
         """Certify that no branch derivative enclosure touches zero."""
-        for i, b in enumerate(self.branches):
-            rng = _adaptive_range(b.deriv_iv, b.domain_outer())
-            if rng.contains_zero():
-                raise ValueError(f"branch {i} is not certifiably monotone")
+        for b in self.branches:
+            b.increasing  # raises ValueError when the sign is undecided
 
     # -- rigorous global quantities --------------------------------------
 
-    def abs_deriv_inf(self, rel_tol: float = 0.002) -> Interval:
+    def abs_deriv_inf(self) -> Interval:
         """Enclosure of inf over [0,1] of |T'|."""
         encs = [
             _adaptive_inf(lambda s, b=b: abs(b.deriv_iv(s)), b.domain_outer(),
-                          rel_tol=rel_tol)
+                          rel_tol=0.002)
             for b in self.branches
         ]
         out = encs[0]
@@ -186,10 +215,10 @@ class PiecewiseMap:
             out = out.min_with(e)
         return out
 
-    def abs_deriv_sup(self, rel_tol: float = 0.002) -> Interval:
+    def abs_deriv_sup(self) -> Interval:
         encs = [
             _adaptive_sup(lambda s, b=b: abs(b.deriv_iv(s)), b.domain_outer(),
-                          rel_tol=rel_tol)
+                          rel_tol=0.002)
             for b in self.branches
         ]
         out = encs[0]
@@ -222,10 +251,11 @@ class PiecewiseMap:
 # ---------------------------------------------------------------------------
 
 _GLOBAL_REFINE_CAP = 20000
+_MAX_DEPTH = 24
 
 
 def _adaptive_sup(fn: Callable[[Interval], Interval], dom: Interval,
-                  rel_tol: float = 0.01, max_depth: int = 24) -> Interval:
+                  rel_tol: float = 0.01) -> Interval:
     """Rigorous enclosure [attained, upper] of sup over dom of fn.
 
     Refines the current argmax segment until its interval evaluation is
@@ -243,13 +273,13 @@ def _adaptive_sup(fn: Callable[[Interval], Interval], dom: Interval,
         neg_hi, lo, hi, depth, width = heap[0]
         top_hi = -neg_hi
         scale = max(abs(best), abs(top_hi), 1e-300)
-        if depth >= max_depth or width <= rel_tol * scale or top_hi <= best:
+        if depth >= _MAX_DEPTH or width <= rel_tol * scale or top_hi <= best:
             break
         heapq.heappop(heap)
         steps += 1
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            heapq.heappush(heap, (neg_hi, lo, hi, max_depth, width))
+            heapq.heappush(heap, (neg_hi, lo, hi, _MAX_DEPTH, width))
             continue
         best = max(best, point(mid))
         for a, b in ((lo, mid), (mid, hi)):
@@ -260,17 +290,8 @@ def _adaptive_sup(fn: Callable[[Interval], Interval], dom: Interval,
 
 
 def _adaptive_inf(fn: Callable[[Interval], Interval], dom: Interval,
-                  rel_tol: float = 0.01, max_depth: int = 24) -> Interval:
-    neg = _adaptive_sup(lambda s: -fn(s), dom, rel_tol, max_depth)
-    return -neg
-
-
-def _adaptive_range(fn: Callable[[Interval], Interval], dom: Interval,
-                    rel_tol: float = 0.01, max_depth: int = 24) -> Interval:
-    return Interval(
-        _adaptive_inf(fn, dom, rel_tol, max_depth).lo,
-        _adaptive_sup(fn, dom, rel_tol, max_depth).hi,
-    )
+                  rel_tol: float = 0.01) -> Interval:
+    return -_adaptive_sup(lambda s: -fn(s), dom, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,32 +299,7 @@ def _adaptive_range(fn: Callable[[Interval], Interval], dom: Interval,
 # ---------------------------------------------------------------------------
 
 
-def eval_on_interval(m: PiecewiseMap, x: Interval) -> List[Tuple[Interval, int]]:
-    """Images of x under every branch it meets, tagged with branch ids.
-
-    The union of returned intervals contains T(x).  An input straddling a
-    breakpoint yields one tagged image per branch; an empty input raises.
-    """
-    if x.width < 0:
-        raise ValueError("empty interval")
-    if x.lo < -1e-12 or x.hi > 1 + 1e-12:
-        raise ValueError("input must lie inside [0,1]")
-    out: List[Tuple[Interval, int]] = []
-    for idx, b in enumerate(m.branches):
-        dom = b.domain_outer()
-        lo = max(dom.lo, x.lo)
-        hi = min(dom.hi, x.hi)
-        if lo > hi:
-            continue
-        img = Interval.hull(b.value_iv(Interval(lo, lo)), b.value_iv(Interval(hi, hi)))
-        out.append((img, idx))
-    if not out:
-        raise ValueError("interval misses every branch domain")
-    return out
-
-
-def distortion_sup(m: PiecewiseMap, rel_tol: float = 0.01,
-                   max_depth: int = 24) -> Interval:
+def distortion_sup(m: PiecewiseMap) -> Interval:
     """Rigorous upper bound of sup over [0,1] of |T''| / (T')^2."""
 
     def make_fn(b: Branch):
@@ -316,10 +312,7 @@ def distortion_sup(m: PiecewiseMap, rel_tol: float = 0.01,
 
         return fn
 
-    encs = [
-        _adaptive_sup(make_fn(b), b.domain_outer(), rel_tol, max_depth)
-        for b in m.branches
-    ]
+    encs = [_adaptive_sup(make_fn(b), b.domain_outer()) for b in m.branches]
     out = encs[0]
     for e in encs[1:]:
         out = out.max_with(e)
@@ -375,7 +368,10 @@ def ly_coefficients_bv(m: PiecewiseMap) -> LYCoefficientsBV:
     return LYCoefficientsBV(lam, b_prime, b, min_len, dist)
 
 
-def ly_coefficients_lip(m: PiecewiseMap, max_k_iter: int = 64) -> LYCoefficientsLip:
+_MAX_K_ITER = 64
+
+
+def ly_coefficients_lip(m: PiecewiseMap) -> LYCoefficientsLip:
     """Coefficients of the Lipschitz inequality for the sup-norm pipeline."""
     if not m.circle:
         raise ValueError("sup-norm coefficients need a circle map")
@@ -391,26 +387,18 @@ def ly_coefficients_lip(m: PiecewiseMap, max_k_iter: int = 64) -> LYCoefficients
     b_one = iv(m.branch_count) * dist
     alpha = m_sup * lam
     k_iter = 1
-    while alpha.hi >= 1.0 and k_iter < max_k_iter:
+    while alpha.hi >= 1.0 and k_iter < _MAX_K_ITER:
         alpha = alpha * lam
         k_iter += 1
     if alpha.hi >= 1.0:
-        raise ExpansionError("no iterate up to 64 contracts the Lipschitz norm")
+        raise ExpansionError(
+            f"no iterate up to {_MAX_K_ITER} contracts the Lipschitz norm")
     return LYCoefficientsLip(lam, b_var, m_sup, b_one, k_iter, alpha, dist)
 
 
 # ---------------------------------------------------------------------------
 # mod-1 splitting and symbolic iteration
 # ---------------------------------------------------------------------------
-
-
-def _branch_increasing(b: Branch) -> bool:
-    rng = _adaptive_range(b.deriv_iv, b.domain_outer(), rel_tol=0.05)
-    if rng.lo > 0:
-        return True
-    if rng.hi < 0:
-        return False
-    raise ValueError("cannot certify branch monotonicity")
 
 
 def _exact_level_crossing(b: Branch, level: Fraction,
@@ -426,11 +414,12 @@ def _exact_level_crossing(b: Branch, level: Fraction,
     return None
 
 
-def level_crossing(b: Branch, level: Fraction, a: Fraction, c: Fraction,
-                   increasing: bool) -> Tuple[Fraction, Fraction]:
+def level_crossing(b: Branch, level: Fraction, a: Fraction,
+                   c: Fraction) -> Tuple[Fraction, Fraction]:
     """Rational bracket (lo, hi) of {x in [a, c] : b(x) = level}.
 
-    b must be monotone on [a, c] in the given direction.  lo == hi when the
+    [a, c] lies in the branch's outer domain, on which the branch is
+    monotone in the direction b.increasing.  lo == hi when the
     crossing is solved exactly; otherwise interval-sign bisection narrows
     the bracket to 1e-14 or to where the sign becomes undecidable.  A level
     that b does not reach on [a, c] is bracketed at the end of [a, c] it
@@ -441,6 +430,7 @@ def level_crossing(b: Branch, level: Fraction, a: Fraction, c: Fraction,
     if exact is not None:
         return exact, exact
     lvl = from_fraction(level)
+    increasing = b.increasing
     lo, hi = a, c
 
     def side(x: Fraction) -> Optional[bool]:
@@ -476,14 +466,13 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
 
     Finds every level crossing expr(x) = n for integer n interior to the
     image, producing branches whose polynomials carry the -n shift.  Exact
-    rational crossings stay exact; irrational ones become enclosures.
+    rational crossings stay exact; irrational ones become brackets.
     """
     b = expr_branch
-    inc = _branch_increasing(b)
     a_end, c_end = b.lo, b.hi
     if not (a_end.is_exact and c_end.is_exact):
         raise ValueError("mod splitting expects exact domain endpoints")
-    a, c = a_end.exact, c_end.exact
+    a, c = a_end.lo, c_end.lo
     va, vc = b.value_exact(a), b.value_exact(c)
     if va is not None and vc is not None:
         lo_img, hi_img = (va, vc) if va <= vc else (vc, va)
@@ -498,41 +487,29 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
         levels = [Fraction(n) for n in range(math.floor(lo_f) + 1,
                                              math.ceil(hi_f) + 1)
                   if lo_f + 1e-9 < n < hi_f - 1e-9]
-    if not inc:
+    if not b.increasing:
         levels = levels[::-1]  # crossings ordered along the domain
 
-    cuts: List[Endpoint] = [a_end]
-    for lvl in levels:
-        cuts.append(Endpoint.from_bracket(*level_crossing(b, lvl, a, c, inc)))
-    cuts.append(c_end)
-
+    cuts = [a_end, *(Endpoint(*level_crossing(b, lvl, a, c)) for lvl in levels),
+            c_end]
     out: List[Branch] = []
     for left, right in zip(cuts, cuts[1:]):
-        probe = _probe_point(left, right)
+        # a point strictly between the cuts when their brackets leave a gap
+        if left.hi < right.lo:
+            probe = (left.hi + right.lo) / 2
+        else:
+            probe = (left.lo + right.hi) / 2
         shift = Fraction(math.floor(b.value_iv(from_fraction(probe)).mid))
         out.append(Branch(left, right, tuple(poly_shift(list(b.poly), -shift)),
                           b.trig_amp, b.trig_freq))
     return out
 
 
-def _probe_point(left: Endpoint, right: Endpoint) -> Fraction:
-    lo = left.exact if left.is_exact else Fraction(left.enc.hi)
-    hi = right.exact if right.is_exact else Fraction(right.enc.lo)
-    if hi <= lo:
-        lo = Fraction(left.enc.lo)
-        hi = Fraction(right.enc.hi)
-    return (lo + hi) / 2
-
-
-def _preimage_endpoint(b: Branch, target: Endpoint, increasing: bool,
-                       a: Fraction, c: Fraction) -> Endpoint:
-    """Endpoint enclosure of {x in [a,c] : expr(x) = target} (monotone)."""
-    if target.is_exact:
-        return Endpoint.from_bracket(*level_crossing(b, target.exact, a, c,
-                                                     increasing))
-    br1 = level_crossing(b, Fraction(target.enc.lo), a, c, increasing)
-    br2 = level_crossing(b, Fraction(target.enc.hi), a, c, increasing)
-    return Endpoint.from_bracket(min(br1[0], br2[0]), max(br1[1], br2[1]))
+def _preimage_endpoint(b: Branch, target: Endpoint, a: Fraction,
+                       c: Fraction) -> Endpoint:
+    """Bracket of {x in [a,c] : expr(x) in target} (monotone)."""
+    ends = [level_crossing(b, t, a, c) for t in {target.lo, target.hi}]
+    return Endpoint(min(e[0] for e in ends), max(e[1] for e in ends))
 
 
 def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
@@ -540,7 +517,9 @@ def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
 
     Restricted to polynomial maps: trigonometric terms do not compose into
     the representable class.  Each inner branch is cut at the preimages of
-    the outer breakpoints interior to its image.
+    the outer breakpoints interior to its image.  The composed branches
+    are not certified monotone here; ``PiecewiseMap.validate_monotone``
+    does that for the map that ``iterate_map`` returns.
     """
     for b in list(outer.branches) + list(inner.branches):
         if not b.is_polynomial:
@@ -548,9 +527,7 @@ def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
     interior = outer.breakpoints()  # d_1 < ... < d_{n-1}
     new_branches: List[Branch] = []
     for ib in inner.branches:
-        inc = _branch_increasing(ib)
-        a = ib.lo.exact if ib.lo.is_exact else Fraction(ib.lo.enc.lo)
-        c = ib.hi.exact if ib.hi.is_exact else Fraction(ib.hi.enc.hi)
+        a, c = ib.lo.lo, ib.hi.hi
         img = ib.image_iv()
         inside = [
             j for j, d in enumerate(interior)
@@ -560,26 +537,19 @@ def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
             first_outer = inside[0]          # image starts in outer branch j0
             outer_ids = [first_outer] + [j + 1 for j in inside]
         else:
-            outer_ids = [_branch_index_at(outer, img.mid)]
+            outer_ids = [outer.branch_index(img.mid)]
         cut_targets = [interior[j] for j in inside]
-        if not inc:
+        if not ib.increasing:
             outer_ids = outer_ids[::-1]
             cut_targets = cut_targets[::-1]
         cuts: List[Endpoint] = [ib.lo]
         for tgt in cut_targets:
-            cuts.append(_preimage_endpoint(ib, tgt, inc, a, c))
+            cuts.append(_preimage_endpoint(ib, tgt, a, c))
         cuts.append(ib.hi)
         for (left, right), oid in zip(zip(cuts, cuts[1:]), outer_ids):
             comp = tuple(poly_compose(list(outer.branches[oid].poly), list(ib.poly)))
             new_branches.append(Branch(left, right, comp))
     return PiecewiseMap(tuple(new_branches), circle=outer.circle)
-
-
-def _branch_index_at(m: PiecewiseMap, x: float) -> int:
-    for i, b in enumerate(m.branches):
-        if b.lo.enc.lo <= x <= b.hi.enc.hi:
-            return i
-    raise ValueError(f"point {x} outside [0,1]")
 
 
 def iterate_map(m: PiecewiseMap, p: int) -> PiecewiseMap:

@@ -2,7 +2,9 @@
 
 A polynomial is a plain list of ``Fraction`` coefficients, lowest degree
 first.  Evaluation at rational points is exact; evaluation on an interval
-goes through the outward-rounded Horner scheme of :mod:`rigdens.intervals`.
+takes the coefficients already enclosed as intervals (a branch encloses
+them once) and runs the outward-rounded Horner scheme of
+:mod:`rigdens.intervals`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .intervals import Interval, from_fraction, iv
+from .intervals import Interval
 
 Poly = List[Fraction]
 
@@ -22,10 +24,11 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_eval_iv(p: Sequence[Fraction], x: Interval) -> Interval:
-    acc = iv(0)
-    for c in reversed(p):
-        acc = acc * x + from_fraction(c)
+def poly_eval_iv(p: Sequence[Interval], x: Interval) -> Interval:
+    """Horner enclosure of the polynomial with enclosed coefficients p."""
+    acc = p[-1]
+    for c in reversed(p[:-1]):
+        acc = acc * x + c
     return acc
 
 

@@ -3,7 +3,7 @@
 Entry (i, j) of the Ulam matrix is P_ij = m(T^-1(I_j) cap I_i) * k for the
 uniform partition of [0,1] into k cells.  Rows are assembled from branch
 preimages: each branch meeting cell i gives a piece whose ends are cell
-edges or the branch's endpoint enclosures, the preimages of the levels j/k
+edges or the branch's endpoint brackets, the preimages of the levels j/k
 inside the piece's image cut it into segments that each map into a single
 cell, and a segment's length is enclosed from the brackets of its two ends.
 An entry stores the midpoint of that enclosure and charges its half-width
@@ -72,21 +72,9 @@ def _value_bracket(br: Branch, x: Fraction) -> Tuple[Fraction, Fraction]:
     return Fraction(enc.lo), Fraction(enc.hi)
 
 
-def _increasing(br: Branch) -> bool:
-    """Direction of a monotone branch, decided from its end values."""
-    u, v = br.value_iv(br.lo.enc), br.value_iv(br.hi.enc)
-    if u.hi < v.lo or v.hi < u.lo:
-        return u.hi < v.lo
-    raise ValueError("branch end values overlap; cannot orient the branch")
-
-
 def _piece_end(e: Endpoint, c_lo: Fraction, c_hi: Fraction) -> Tuple[Fraction, Fraction]:
     """Bracket of the endpoint clamped to the cell [c_lo, c_hi]."""
-    if e.is_exact:
-        x = max(c_lo, min(c_hi, e.exact))
-        return x, x
-    return (max(c_lo, min(c_hi, Fraction(e.enc.lo))),
-            max(c_lo, min(c_hi, Fraction(e.enc.hi))))
+    return max(c_lo, min(c_hi, e.lo)), max(c_lo, min(c_hi, e.hi))
 
 
 def assemble_row(m: PiecewiseMap, i: int,
@@ -111,17 +99,14 @@ def assemble_row(m: PiecewiseMap, i: int,
             continue
         a, b = left[0], right[1]
         (u_lo, u_hi), (v_lo, v_hi) = _value_bracket(br, a), _value_bracket(br, b)
-        if u_hi < v_lo or v_hi < u_lo:
-            increasing = u_hi < v_lo
-        else:  # a sliver inside an endpoint enclosure
-            increasing = _increasing(br)
+        increasing = br.increasing
         # levels j/k strictly inside the image enclosure cut the piece
         j_first = math.floor(min(u_lo, v_lo) * k)
         j_last = max(math.ceil(max(u_hi, v_hi) * k) - 1, j_first)
         levels = range(j_first + 1, j_last + 1)
         cuts = [left]
         for j in (levels if increasing else reversed(levels)):
-            x_lo, x_hi = level_crossing(br, Fraction(j, k), a, b, increasing)
+            x_lo, x_hi = level_crossing(br, Fraction(j, k), a, b)
             # the bracket lies in [a, b]; clamp it to the true piece
             cuts.append((min(x_lo, right[0]), max(x_hi, left[1])))
         cuts.append(right)

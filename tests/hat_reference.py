@@ -1,10 +1,13 @@
-"""Reference hat basis and hat projection for tests of the sup-norm path.
+"""Reference hat basis, hat projection and hat-product integral for tests
+of the sup-norm path.
 
-The assembly never evaluates basis functions or projects node values; the
-tests use these two definitions as independent oracles for its entries and
-for the projection properties the certificate relies on.
+The assembly never evaluates basis functions or projects node values, and
+it sums the hat products in closed form; the tests use these definitions
+as independent oracles for its entries and for the projection properties
+the certificate relies on.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,3 +33,31 @@ def project_hat(node_values: Sequence[float]) -> np.ndarray:
     the given node values: c_j = (f_{j-1} + 4 f_j + f_{j+1}) / 6."""
     f = np.asarray(node_values, dtype=float)
     return (np.roll(f, 1) + 4.0 * f + np.roll(f, -1)) / 6.0
+
+
+def _tri_value(t: Fraction, center: Fraction, halfwidth: Fraction) -> Fraction:
+    s = abs(t - center)
+    if s >= halfwidth:
+        return Fraction(0)
+    return 1 - s / halfwidth
+
+
+def simpson_hat_product(delta: Fraction, omega: Fraction) -> Fraction:
+    """Exact integral of tri(t;1) * tri(t-delta;omega) over the line.
+
+    Simpson on the common refinement of the two kink sets; the integrand is
+    piecewise quadratic there, so Simpson is exact.
+    """
+    lo = max(Fraction(-1), delta - omega)
+    hi = min(Fraction(1), delta + omega)
+    if hi <= lo:
+        return Fraction(0)
+    pts = sorted({lo, hi, *(p for p in (Fraction(0), delta) if lo < p < hi)})
+    total = Fraction(0)
+    for p, q in zip(pts, pts[1:]):
+        m = (p + q) / 2
+        fp = _tri_value(p, Fraction(0), Fraction(1)) * _tri_value(p, delta, omega)
+        fm = _tri_value(m, Fraction(0), Fraction(1)) * _tri_value(m, delta, omega)
+        fq = _tri_value(q, Fraction(0), Fraction(1)) * _tri_value(q, delta, omega)
+        total += (q - p) * (fp + 4 * fm + fq) / 6
+    return total

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rigdens.certify import (
-    attach_lyapunov,
     certify_l1,
     certify_linf,
     lyapunov,
@@ -200,8 +199,7 @@ def test_report_json_roundtrip(tripling):
     cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4,
                       map_id="tripling")
     lr = lyapunov(tripling, density, cert)
-    cert = attach_lyapunov(cert, lr)
-    rep = report(cert, lr, density)
+    rep = report(cert, lr)
     data = json.loads(rep.to_json())
     assert data == rep.data
     assert json.loads(json.dumps(data)) == data

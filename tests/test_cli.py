@@ -88,6 +88,19 @@ def test_main_help_exits_0(capsys):
     # the two branch ends do not meet on the circle: sup-norm assembly refuses
     (dict(map_text="poly [0,1/2] : 3x; poly [1/2,1] : 3x - 1/2 mod 1",
           mode="Linf"), "map endpoints do not match on the circle"),
+    # slopes 4 +- 1e-10 on the two halves: T' jumps at 1/2 and across 0 ~ 1
+    (dict(map_text="circle; poly [0,1/2] : 4.0000000001x mod 1; "
+                   "poly [1/2,1] : 3.9999999999x + 0.0000000001 mod 1",
+          mode="Linf"), "derivative jumps across 0 ~ 1: not C^1 on the circle"),
+    # T(1) - T(0) = 4 + 5e-11 is not an integer
+    (dict(map_text="circle; poly [0,1/2] : 4.0000000001x mod 1; "
+                   "poly [1/2,1] : 4x + 0.00000000005 mod 1",
+          mode="Linf"), "map endpoints do not match on the circle"),
+    # T' changes sign inside the branch, with and without mod-1 splitting
+    (dict(map_text="poly [0,1] : 4x(1-x)"),
+     "branch on [0, 1] is not certifiably monotone"),
+    (dict(map_text="poly [0,1] : 8x(1-x) mod 1"),
+     "branch on [0, 1] is not certifiably monotone"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)

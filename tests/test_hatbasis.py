@@ -1,16 +1,17 @@
 """Hat-basis projection properties and the linearized operator assembly."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from rigdens.hatbasis import assemble_linearized
+from rigdens.hatbasis import _SNAP, _hat_product_integral, assemble_linearized
 from rigdens.intervals import iv
 from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
 
-from tests.hat_reference import HatBasis, project_hat
+from tests.hat_reference import HatBasis, project_hat, simpson_hat_product
 
 
 def test_project_constant():
@@ -129,3 +130,25 @@ def test_interior_kink_rejected():
     m = PiecewiseMap((left, right), circle=True)
     with pytest.raises(ValueError, match="not C"):
         assemble_linearized(m, 16)
+
+
+def test_hat_product_closed_form_matches_simpson():
+    # exact equality with the Simpson oracle, at the kinks of the integrand
+    # as a function of delta (0, +-omega, +-1, +-1 +- omega) and between them
+    rng = np.random.default_rng(3)
+    omegas = [F(1, 2**20), F(1, 2), F(1), F(3, 2), F(7, 4)]
+    omegas += [F(int(rng.integers(1, 8 * 2**20)), 2**20) for _ in range(4)]
+    for w in omegas:
+        kinks = {F(0), w, -w, F(1), F(-1)} | {s + t for s in (1, -1) for t in (w, -w)}
+        deltas = set(kinks) | {d + F(e, _SNAP) for d in kinks for e in (-1, 1)}
+        deltas |= {F(int(rng.integers(-4 * 2**20, 4 * 2**20)), 2**20)
+                   for _ in range(20)}
+        for d in deltas:
+            assert _hat_product_integral(d, w) == simpson_hat_product(d, w)
+
+
+def test_hat_product_rejects_off_grid_arguments():
+    with pytest.raises(ValueError, match="snap grid"):
+        _hat_product_integral(F(1, 3), F(1))
+    with pytest.raises(ValueError, match="snap grid"):
+        _hat_product_integral(F(0), F(1, 3))

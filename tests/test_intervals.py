@@ -87,15 +87,6 @@ def test_from_fraction_contains():
         assert r.width <= 2 * ulp(float(q) or 1e-300)
 
 
-def test_pow_int():
-    r = iv(-1, 2).pow_int(2)
-    assert r.lo == 0.0 and r.hi == 4.0
-    r = iv(-2, 1).pow_int(3)
-    assert r.lo == -8.0 and r.hi == 1.0
-    r = iv(2).pow_int(-2)
-    assert r.contains(Fraction(1, 4))
-
-
 def _rand_float(rng):
     mag = 10.0 ** rng.uniform(-8, 8)
     return rng.uniform(-mag, mag)

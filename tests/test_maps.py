@@ -8,14 +8,18 @@ import pytest
 
 from rigdens.intervals import Interval, iv
 from rigdens.maps import (
+    Branch,
+    Endpoint,
     ExpansionError,
+    PiecewiseMap,
+    compose_maps,
     distortion_sup,
-    eval_on_interval,
     iterate_map,
     ly_coefficients_bv,
     ly_coefficients_lip,
 )
 from rigdens.cli import parse_map
+from rigdens.polys import poly_eval
 
 
 def _dense_grid(m, fn, n=20001):
@@ -38,45 +42,18 @@ def _oracle_distortion(br, x):
     return abs(s) / d ** 2
 
 
-def test_eval_tripling_full_branch(tripling):
-    imgs = eval_on_interval(tripling, iv(0.0, 1 / 3))
-    img0 = [img for img, b in imgs if b == 0]
-    assert len(img0) == 1
-    assert img0[0].lo <= 0.0 and img0[0].hi >= 1.0 - 1e-12
-    # any extra tagged images are breakpoint touches of zero measure
-    for img, b in imgs:
-        if b != 0:
-            assert img.width < 1e-12
-
-
-def test_eval_lanford_small_interval(lanford):
-    imgs = eval_on_interval(lanford, iv(0.0, 0.1))
-    assert len(imgs) == 1
-    img, b = imgs[0]
-    assert b == 0
-    assert img.lo <= 0.0 and 0.245 <= img.hi <= 0.2475
-
-
-def test_eval_eq7_single_branch(eq7):
-    imgs = eval_on_interval(eq7, iv(0.35, 0.45))
-    assert len(imgs) == 1
-
-
-def test_eval_empty_raises(tripling):
-    with pytest.raises(ValueError):
-        eval_on_interval(tripling, iv(1.5, 1.6))
-
-
 def test_eval_image_contains_samples(eq4):
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b = sorted(rng.uniform(0, 1, size=2))
-        imgs = eval_on_interval(eq4, iv(a, b))
-        for x in rng.uniform(a, b, size=20):
-            vals = [br.value_iv(Interval(x, x)) for br in eq4.branches
-                    if br.domain_outer().lo <= x <= br.domain_outer().hi]
-            v = vals[0].mid
-            assert any(img.lo - 1e-12 <= v <= img.hi + 1e-12 for img, _ in imgs)
+        for br in eq4.branches:
+            dom = br.domain_outer()
+            lo, hi = max(a, dom.lo), min(b, dom.hi)
+            if lo > hi:
+                continue
+            img = br.value_iv(Interval(lo, hi))
+            for x in rng.uniform(lo, hi, size=20):
+                assert img.contains(poly_eval(br.poly, F(x)))
 
 
 def test_bv_coefficients_tripling(tripling):
@@ -215,3 +192,33 @@ def test_min_branch_length_eq6(eq6):
 def test_iterate_rejects_trig(sinmap):
     with pytest.raises(ValueError):
         iterate_map(sinmap, 2)
+
+
+def test_branch_direction_is_certified(eq6, lanford2):
+    assert all(b.increasing for b in eq6.branches)
+    falling = parse_map("poly [0,1] : 3 - 3x mod 1").build()
+    assert not any(b.increasing for b in falling.branches)
+    # T^2 composes rising branches of T: every composed branch rises
+    assert all(b.increasing for b in lanford2.branches)
+    # a falling map composed with itself rises
+    assert all(b.increasing for b in iterate_map(falling, 2).branches)
+
+
+@pytest.mark.parametrize("poly", [(F(0), F(4), F(-4)),      # T' in [-4, 4]
+                                  (F(0), F(-1, 10), F(1))])  # T' in [-0.1, 1.9]
+def test_non_monotone_branch_rejected(poly):
+    b = Branch(Endpoint.from_rational(0), Endpoint.from_rational(1), poly)
+    with pytest.raises(ValueError, match="not certifiably monotone"):
+        b.increasing
+
+
+def test_composed_cut_brackets_the_outer_breakpoint_bracket():
+    # the outer breakpoint is known only as the bracket [9/20, 11/20]; the
+    # cut of the composition must bracket the preimages of both its ends
+    d = Endpoint(F(9, 20), F(11, 20))
+    outer = PiecewiseMap((Branch(Endpoint.from_rational(0), d, (F(0), F(2))),
+                          Branch(d, Endpoint.from_rational(1), (F(-1), F(2)))))
+    inner = PiecewiseMap((Branch(Endpoint.from_rational(0),
+                                 Endpoint.from_rational(1), (F(0), F(1))),))
+    cut = compose_maps(outer, inner).branches[1].lo
+    assert (cut.lo, cut.hi) == (F(9, 20), F(11, 20))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from rigdens.intervals import Interval
+from rigdens.intervals import Interval, from_fraction
 from rigdens.maps import Branch, Endpoint, level_crossing
 from rigdens.polys import (
     poly_compose,
@@ -28,7 +28,7 @@ def test_eval_interval_contains_exact():
     p = [F(1, 3), F(-2), F(5, 7)]
     x = F(9, 11)
     exact = poly_eval(p, x)
-    enc = poly_eval_iv(p, Interval(float(x), float(x)))
+    enc = poly_eval_iv([from_fraction(c) for c in p], Interval(float(x), float(x)))
     assert F(enc.lo) <= exact <= F(enc.hi)
 
 
@@ -51,14 +51,14 @@ def test_mul():
 
 
 def test_root_bracket_linear_exact():
-    lo, hi = level_crossing(_branch([F(0), F(3)]), F(1), F(0), F(1), True)
+    lo, hi = level_crossing(_branch([F(0), F(3)]), F(1), F(0), F(1))
     assert lo == hi == F(1, 3)
 
 
 def test_root_bracket_quadratic():
     # 2.5x - 0.5x^2 = 1 has the root (5 - sqrt(17))/2 in [0, 1]
     p = [F(0), F(5, 2), F(-1, 2)]
-    lo, hi = level_crossing(_branch(p), F(1), F(0), F(1), True)
+    lo, hi = level_crossing(_branch(p), F(1), F(0), F(1))
     assert 0 < hi - lo <= F(1, 10**14)
     assert poly_eval(p, lo) <= 1 <= poly_eval(p, hi)
 
@@ -66,9 +66,8 @@ def test_root_bracket_quadratic():
 def test_root_bracket_requires_sign_change():
     # x + x^2 stays below 10 on [0, 1]: no crossing inside, so the bracket
     # closes in on the end the crossing lies beyond
-    lo, hi = level_crossing(_branch([F(0), F(1), F(1)]), F(10), F(0), F(1), True)
+    lo, hi = level_crossing(_branch([F(0), F(1), F(1)]), F(10), F(0), F(1))
     assert hi == 1 and 1 - lo <= F(1, 10**14)
     # a falling branch crossing 10 left of [0, 1] brackets the left end
-    lo, hi = level_crossing(_branch([F(2), F(-1), F(-1)]), F(10), F(0), F(1),
-                            False)
+    lo, hi = level_crossing(_branch([F(2), F(-1), F(-1)]), F(10), F(0), F(1))
     assert lo == 0 and hi <= F(1, 10**14)

@@ -11,7 +11,6 @@ from scipy import sparse
 from tests.conftest import EQ4, EQ7
 
 from rigdens.cli import parse_map
-from rigdens.intervals import Interval
 from rigdens.maps import Branch, Endpoint, PiecewiseMap
 from rigdens.ulam import (
     TransitionMatrix,
@@ -151,7 +150,7 @@ def test_wide_breakpoint_enclosure_is_charged():
 
     for k in (5, 8):
         exact = assemble_ulam(build(Endpoint.from_rational(d)), k)
-        fuzzy = assemble_ulam(build(Endpoint(Interval(0.45, 0.55))), k)
+        fuzzy = assemble_ulam(build(Endpoint(F(0.45), F(0.55))), k)
         tol = F(exact.eps) + F(fuzzy.eps)
         diff = fuzzy.csr.toarray(), exact.csr.toarray()
         for a, b in zip(*(x.ravel().tolist() for x in diff)):
