@@ -18,15 +18,19 @@ verbose, no_lyap; any other key is rejected) and a [map] section with
 either text= or file=.  Flags override config values.
 
 Exit codes: 0 success, 1 bad configuration (including command line usage
-errors and maps the assembly rejects), 2 failed expansion check, 3 no
-observed contraction.
+errors, maps the assembly rejects and maps whose |T'| enclosure touches 0
+in the Lyapunov stage), 2 failed expansion check, 3 no observed
+contraction.  --verbose sends the package's INFO log records (one per
+contraction step) to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
+import logging
 import re
 import sys
 from fractions import Fraction
@@ -451,6 +455,25 @@ def _write_density_csv(density, k: int, path: Path) -> None:
             fh.write(f"{i},{left!r},{right!r},{v!r}\n")
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool):
+    """While enabled, send the package's INFO records to stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("rigdens")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def run(config: RunConfig) -> int:
     """Execute the full pipeline; returns the process exit code."""
     out_dir = Path(config.out_dir)
@@ -495,11 +518,15 @@ def run(config: RunConfig) -> int:
         dump_matrix(matrix, config.dump_matrix)
 
     try:
-        contraction, density = contraction_sweep(matrix, eps_num,
-                                                 verbose=config.verbose)
+        with _log_to_stderr(config.verbose):
+            contraction, density = contraction_sweep(matrix, eps_num)
     except NotContractingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # a nonpositive eps_num
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if config.mode == "L1":
         cert = certify_l1(ly, matrix, contraction, density,
@@ -509,7 +536,12 @@ def run(config: RunConfig) -> int:
                             eps_num=eps_num, map_id=config.map_id)
     lyap = None
     if not config.no_lyap:
-        lyap = lyapunov(mapped, density, cert)
+        try:
+            lyap = lyapunov(mapped, density, cert)
+        except ValueError as exc:
+            # |T'| enclosure touches 0
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_density_csv(density, config.k, out_dir / "density.csv")

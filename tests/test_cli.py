@@ -220,3 +220,42 @@ def test_linf_run(tmp_path):
     assert cert["mode"] == "Linf"
     assert cert["b_prime"] is None
     assert cert["eps_rig"] < float("inf")
+
+
+def test_lyapunov_error_exits_1(tmp_path, capsys, monkeypatch):
+    import rigdens.cli as cli
+
+    def touches_zero(*args):
+        raise ValueError("|T'| enclosure touches 0 over cell 3")
+
+    monkeypatch.setattr(cli, "lyapunov", touches_zero)
+    cfg = RunConfig(map_text="linear 3 mod 1", k=27,
+                    out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 1
+    assert "error: |T'| enclosure touches 0 over cell 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_nonpositive_eps_num_exits_1(tmp_path, capsys):
+    cfg = RunConfig(map_text="linear 3 mod 1", k=27, eps_num=0.0,
+                    out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 1
+    assert "error: eps_num must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_logs_one_record_per_step(verbose, tmp_path, capsys, caplog):
+    cfg = RunConfig(map_text="linear 3 mod 1", k=27, verbose=verbose,
+                    no_lyap=True, out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 0
+    records = [r for r in caplog.records if r.name == "rigdens.enclosure"]
+    captured = capsys.readouterr()
+    assert "step 1:" not in captured.out
+    if verbose:
+        # the first 16-step budget certifies the tripling map
+        assert [r.step for r in records] == list(range(1, 17))
+        assert all(r.levelname == "INFO" and r.bound >= r.max_norm for r in records)
+        assert "rigdens.enclosure: step 1: max_norm=" in captured.err
+    else:
+        assert records == []
+        assert captured.err == ""

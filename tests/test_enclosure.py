@@ -1,12 +1,14 @@
 """Fixed-vector enclosure soundness and contraction-certificate semantics."""
 
 import math
+import threading
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from rigdens import enclosure
 from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
@@ -131,15 +133,60 @@ def test_enclosure_soundness_sample():
         assert float(err) <= dens.diameter + dens.float_err
 
 
-def test_batch_size_determinism(eq6):
-    mk = markovize(assemble_ulam(eq6, 64))
-    cert1, dens1 = contraction_sweep(mk, 1e-4)
-    cert2, dens2 = contraction_sweep(mk, 1e-4, batch_size=7)
+def assert_same_sweep(a, b):
+    (cert1, dens1), (cert2, dens2) = a, b
     assert cert1.n_eps == cert2.n_eps
     assert cert1.n_true == cert2.n_true
     assert cert1.per_step_bounds == cert2.per_step_bounds
     assert dens1.l == dens2.l
+    assert dens1.float_err == dens2.float_err
     assert (dens1.values == dens2.values).all()
+
+
+def test_batch_size_determinism(eq6):
+    mk = markovize(assemble_ulam(eq6, 64))
+    default = contraction_sweep(mk, 1e-4)
+    # 63 anchors: blocks of 7 divide them, blocks of 2 leave a one-column
+    # block at the end, blocks of 1 are all one column wide
+    for batch_size in (7, 2, 1):
+        assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=batch_size))
+
+
+def test_blocked_sweep_matches_one_block(eq6):
+    # the default rule cuts 2047 anchors into blocks of 512, 512, 512, 511
+    k = 2048
+    assert enclosure._block_columns(k) == 512
+    mk = markovize(assemble_ulam(eq6, k))
+    default = contraction_sweep(mk, 1e-4)
+    assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=k - 1))
+    assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=7))
+
+
+def test_block_rule():
+    assert enclosure._block_columns(8192) == 128
+    assert enclosure._block_columns(1024) == 1023
+    assert enclosure._block_columns(1 << 17) == 16
+
+
+def test_block_error_reaches_caller_unchanged(eq6, monkeypatch):
+    mk = markovize(assemble_ulam(eq6, 64))
+    run_batch = enclosure._run_batch
+    calls = []
+    lock = threading.Lock()
+    boom = RuntimeError("block 3 failed")
+
+    def failing_third(*args):
+        with lock:
+            calls.append(None)
+            n = len(calls)
+        if n == 3:
+            raise boom
+        return run_batch(*args)
+
+    monkeypatch.setattr(enclosure, "_run_batch", failing_third)
+    with pytest.raises(RuntimeError) as excinfo:
+        contraction_sweep(mk, 1e-4, batch_size=7)
+    assert excinfo.value is boom
 
 
 def test_non_contracting_raises():
@@ -157,5 +204,18 @@ def test_non_stochastic_matrix_raises():
     # row 0 sums to 1.5: the anchor's 1-norm grows from step 1 to step 2
     m = np.array([[0.9, 0.6], [0.5, 0.5]])
     tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
+    with pytest.raises(ValueError, match="not row-stochastic"):
+        contraction_sweep(tm, 1e-4)
+
+
+@pytest.mark.parametrize("rows", [
+    # rows sum to 1, but an entry is negative
+    [[1.5, -0.5], [0.5, 0.5]],
+    # row 0 sums to 1 + 2^-52: one ulp, far inside any float slack
+    [[0.5, 0.5 + 2.0 ** -52], [0.5, 0.5]],
+])
+def test_row_stochastic_check_is_exact(rows):
+    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(np.array(rows)),
+                          eps=0.0, nnz_max=2)
     with pytest.raises(ValueError, match="not row-stochastic"):
         contraction_sweep(tm, 1e-4)
