@@ -9,20 +9,25 @@ bounded by three nonnegative components, summed with upward rounding:
     2 N M^2 (eps + 4D/k^2) (||v||_inf + eps_num);
   * numeric error          eps_num plus the float ledger of the enclosure.
 
-The Lyapunov exponent integral log|T'| d(mu) is then enclosed cell by cell
-against the computed density, and inflated by sup|log|T'|| times the final
-error bound, which controls the difference against the true density.
+The Lyapunov exponent integral log|T'| d(mu) is then enclosed against the
+computed density: one interval array of per-cell products (the hull of
+|T'| over each outward-rounded cell, its log, times the cell weight),
+summed by math.fsum of the lower and of the upper ends, each correctly
+rounded and then moved one float outward.  The result is inflated by
+sup|log|T'|| times the final error bound, which controls the difference
+against the true density.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .intervals import Interval, iv
+from .intervals import IntervalArray, iv
 from .maps import LYCoefficientsBV, LYCoefficientsLip, PiecewiseMap
 from .enclosure import ContractionCertificate, EnclosedDensity
 from .hatbasis import LinfMatrix
@@ -69,11 +74,11 @@ class LyapunovResult:
 
     @property
     def lo(self) -> float:
-        return self.estimate - self.radius
+        return (iv(self.estimate) - iv(self.radius)).lo
 
     @property
     def hi(self) -> float:
-        return self.estimate + self.radius
+        return (iv(self.estimate) + iv(self.radius)).hi
 
 
 def _up_sum(*terms: float) -> float:
@@ -143,15 +148,6 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
     )
 
 
-def _cell_log_deriv(m: PiecewiseMap, k: int, i: int) -> Interval:
-    # outward-rounded cell so the true rational cell is fully covered
-    cell = Interval((iv(i) / iv(k)).lo, (iv(i + 1) / iv(k)).hi)
-    dr = m.abs_deriv_range_over(cell)
-    if dr.lo <= 0.0:
-        raise ValueError(f"|T'| enclosure touches 0 over cell {i}")
-    return dr.log()
-
-
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
              cert: Certificate) -> LyapunovResult:
     """Certified enclosure of the Lyapunov exponent of the certified run.
@@ -159,27 +155,34 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     Integrates the per-cell interval enclosure of log|T'| against the
     enclosed density, then charges sup|log|T'|| times eps_rig for the
     distance to the true invariant density (a sup-norm certificate also
-    controls the mass norm on [0,1]).
+    controls the mass norm on [0,1]).  The k cells are one interval array,
+    and the products are summed as the module docstring describes.
     """
     k = cert.k
-    vals = density.values
-    total = iv(0)
+    i = np.arange(k, dtype=np.float64)
+    # outward-rounded cells so the true rational cells are fully covered
+    cells = IntervalArray((IntervalArray(i) / k).lo, (IntervalArray(i + 1) / k).hi)
+    dr = m.abs_deriv_range_over(cells)
+    touching = dr.lo <= 0.0
+    if touching.any():
+        raise ValueError(f"|T'| enclosure touches 0 over cell {np.argmax(touching)}")
+    vals = IntervalArray(density.values)
     if density.norm_kind == "L1":
-        for i in range(k):
-            total = total + _cell_log_deriv(m, k, i) * iv(float(vals[i]))
+        weights = vals
     else:
-        for i in range(k):
-            w = (iv(float(vals[i])) + iv(float(vals[(i + 1) % k]))) / iv(2)
-            total = total + _cell_log_deriv(m, k, i) * (w / iv(k))
+        weights = (vals + IntervalArray(np.roll(density.values, -1))) / 2 / k
+    terms = dr.log() * weights
+    total_lo = math.nextafter(math.fsum(terms.lo.tolist()), -math.inf)
+    total_hi = math.nextafter(math.fsum(terms.hi.tolist()), math.inf)
     sup_d = m.abs_deriv_sup()
     inf_d = m.abs_deriv_inf()
     if inf_d.lo <= 0.0:
         raise ValueError("|T'| enclosure touches 0")
     log_mag = max(abs(sup_d.log().hi), abs(inf_d.log().lo))
     slack = (iv(log_mag) * iv(cert.eps_rig)).hi
-    estimate = total.mid
-    radius = _up_sum(total.width / 2.0, slack)
-    return LyapunovResult(estimate=estimate, radius=radius)
+    estimate = 0.5 * (total_lo + total_hi)
+    half = max((iv(total_hi) - iv(estimate)).hi, (iv(estimate) - iv(total_lo)).hi)
+    return LyapunovResult(estimate=estimate, radius=_up_sum(half, slack))
 
 
 @dataclass(frozen=True)

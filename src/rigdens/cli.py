@@ -37,10 +37,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .certify import certify_l1, certify_linf, lyapunov, report
 from .enclosure import NotContractingError, contraction_sweep
 from .hatbasis import assemble_linearized
-from .intervals import Interval
+from .intervals import IntervalArray
 from .maps import (
     Branch,
     Endpoint,
@@ -426,33 +428,45 @@ class RunConfig:
 
 
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
-    """Write plot-ready files: density at cell midpoints and the map graph."""
+    """Write plot-ready files: density at cell midpoints and the map graph.
+
+    The graph samples x = i/n for n = max(k, 512) and writes one line per
+    branch whose outer domain holds x; each branch evaluates all its sample
+    points in one interval-array call.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    vals = density.values
     scale = k if density.norm_kind == "L1" else 1.0
-    with open(out_dir / "density_plot.dat", "w") as fh:
-        for i in range(k):
-            x = (i + 0.5) / k
-            fh.write(f"{x!r} {float(scale * vals[i])!r}\n")
-    doms = [(br, br.domain_outer()) for br in m.branches]
-    with open(out_dir / "map_graph.dat", "w") as fh:
-        n = max(k, 512)
-        for i in range(n + 1):
-            x = i / n
-            for br, dom in doms:
-                if dom.lo <= x <= dom.hi:
-                    y = br.value_iv(Interval(x, x)).mid
-                    fh.write(f"{x!r} {y!r}\n")
+    mids = (np.arange(k) + 0.5) / k
+    _write_lines(out_dir / "density_plot.dat", "{!r} {!r}\n",
+                 mids, scale * density.values)
+    n = max(k, 512)
+    xs = np.arange(n + 1) / n
+    at, ys = [], []
+    for br in m.branches:
+        dom = br.domain_outer()
+        on = np.flatnonzero((dom.lo <= xs) & (xs <= dom.hi))
+        at.append(on)
+        ys.append(np.broadcast_to(br.value_iv(IntervalArray(xs[on])).mid, on.shape))
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")  # by x, then in branch order
+    _write_lines(out_dir / "map_graph.dat", "{!r} {!r}\n",
+                 xs[at[order]], np.concatenate(ys)[order])
+
+
+def _write_lines(path: Path, fmt: str, *columns: np.ndarray,
+                 header: str = "") -> None:
+    """The header, then one formatted line per row of the columns (floats
+    written by repr)."""
+    with open(path, "w") as fh:
+        fh.write(header + "".join(fmt.format(*row) for row in
+                                  zip(*(c.tolist() for c in columns))))
 
 
 def _write_density_csv(density, k: int, path: Path) -> None:
-    vals = density.values
-    with open(path, "w") as fh:
-        fh.write("i,left,right,value\n")
-        for i in range(k):
-            left, right = i / k, (i + 1) / k
-            v = float(k * vals[i] if density.norm_kind == "L1" else vals[i])
-            fh.write(f"{i},{left!r},{right!r},{v!r}\n")
+    i = np.arange(k)
+    vals = k * density.values if density.norm_kind == "L1" else density.values
+    _write_lines(path, "{},{!r},{!r},{!r}\n", i, i / k, (i + 1) / k, vals,
+                 header="i,left,right,value\n")
 
 
 @contextlib.contextmanager

@@ -11,6 +11,16 @@ error-free transformation (TwoSum / Dekker's TwoProd) proves the float result
 exact, in which case no widening happens at all.  This keeps exact dyadic
 arithmetic exact (e.g. [1,1]+[2,2] == [3,3]).
 
+``IntervalArray`` runs the same rules on whole float64 arrays of lower
+and upper ends: every element of an array result equals the scalar
+``Interval`` operation on that element.  Transcendental ends come from the
+same ``math`` libm calls plus the same ``_LIBM_SLACK`` ulps, and ``sin``/
+``cos`` reduce with the same ``PI`` enclosure, so the array layer adds no
+accuracy assumption (a round-to-nearest result is within half an ulp of
+the exact one; Rump, Acta Numerica 2010).  ``Branch.value_iv`` and
+``polys.poly_eval_iv`` take either kind unchanged, so a formula is written
+once; the per-node and per-cell loops of the pipeline use the arrays.
+
 All values are immutable; operations are pure functions, safe under any
 number of concurrent workers.
 """
@@ -22,8 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 __all__ = [
     "Interval",
+    "IntervalArray",
     "EPS_MACH",
     "PI",
     "TWO_PI",
@@ -40,9 +53,12 @@ _INF = math.inf
 # Dekker splitting constant for binary64: 2^27 + 1.
 _SPLITTER = 134217729.0
 
-# Magnitude guards outside which TwoProd's splitting can overflow/denormalize.
+# Magnitude guards outside which TwoProd is not error-free: the splitting
+# can overflow above _PROD_HI, and below _PROD_MIN the product's low bits
+# (down to 2^-104 of its exponent) fall under the subnormal spacing 2^-1074,
+# so the error term is itself rounded.
 _PROD_HI = 1e153
-_PROD_LO = 1e-153
+_PROD_MIN = 2.0 ** -968
 
 
 def _down(x: float) -> float:
@@ -99,7 +115,7 @@ def _prod_safe(a: float, b: float) -> bool:
     aa, ab = abs(a), abs(b)
     if aa == 0.0 or ab == 0.0:
         return True
-    return (aa < _PROD_HI and ab < _PROD_HI) and not (aa < _PROD_LO and ab < _PROD_LO)
+    return aa < _PROD_HI and ab < _PROD_HI and aa * ab >= _PROD_MIN
 
 
 def _prod_lo(a: float, b: float) -> float:
@@ -189,12 +205,16 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Interval":
+        if isinstance(other, IntervalArray):
+            return NotImplemented
         other = _coerce(other)
         return Interval(_sum_lo(self.lo, other.lo), _sum_hi(self.hi, other.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
+        if isinstance(other, IntervalArray):
+            return NotImplemented
         other = _coerce(other)
         return Interval(_sum_lo(self.lo, -other.hi), _sum_hi(self.hi, -other.lo))
 
@@ -202,6 +222,8 @@ class Interval:
         return _coerce(other) - self
 
     def __mul__(self, other) -> "Interval":
+        if isinstance(other, IntervalArray):
+            return NotImplemented
         other = _coerce(other)
         pairs = (
             (self.lo, other.lo),
@@ -217,6 +239,8 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
+        if isinstance(other, IntervalArray):
+            return NotImplemented
         other = _coerce(other)
         if other.contains_zero():
             raise ZeroDivisionError(f"division by interval containing 0: {other}")
@@ -300,6 +324,274 @@ def from_fraction(q: Fraction) -> Interval:
     return Interval(f, _up(f))
 
 
+# ---------------------------------------------------------------------------
+# interval arrays
+# ---------------------------------------------------------------------------
+
+_MAX_FLOAT = math.nextafter(_INF, 0.0)
+
+
+def _min(a, b):
+    """Elementwise min keeping a on ties (signed zeros), like min(a, b)."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """Elementwise max keeping a on ties, like max(a, b)."""
+    return np.where(b > a, b, a)
+
+
+def _v_down(x):
+    return np.nextafter(x, -_INF)
+
+
+def _v_up(x):
+    return np.nextafter(x, _INF)
+
+
+def _v_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _v_sum_lo(a, b):
+    s, e = _v_two_sum(a, b)
+    out = np.where(e < 0, _v_down(s), s)
+    finite = np.isfinite(s)
+    if not finite.all():
+        out = np.where(finite, out, np.where(s > 0, _MAX_FLOAT, -_INF))
+    return out
+
+
+def _v_sum_hi(a, b):
+    s, e = _v_two_sum(a, b)
+    out = np.where(e > 0, _v_up(s), s)
+    finite = np.isfinite(s)
+    if not finite.all():
+        out = np.where(finite, out, np.where(s > 0, _INF, -_MAX_FLOAT))
+    return out
+
+
+def _v_two_prod(a, b):
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _v_prod_safe(a, b):
+    aa, ab = np.abs(a), np.abs(b)
+    return (aa == 0.0) | (ab == 0.0) | (
+        (aa < _PROD_HI) & (ab < _PROD_HI) & (aa * ab >= _PROD_MIN))
+
+
+def _v_prod_bounds(a, b):
+    """Elementwise (_prod_lo(a, b), _prod_hi(a, b))."""
+    p, e = _v_two_prod(a, b)
+    safe = _v_prod_safe(a, b)
+    lo = np.where(safe & ~(e < 0), p, _v_down(p))
+    hi = np.where(safe & ~(e > 0), p, _v_up(p))
+    finite = np.isfinite(p)
+    if not finite.all():
+        lo = np.where(finite, lo, np.where(p < 0, -_INF, _MAX_FLOAT))
+        hi = np.where(finite, hi, np.where(p > 0, _INF, -_MAX_FLOAT))
+    return lo, hi
+
+
+def _v_div_bounds(a, b):
+    """Elementwise _div_bounds(a, b)."""
+    q = a / b
+    p, e = _v_two_prod(q, b)
+    safe = _v_prod_safe(q, b) & np.isfinite(p)
+    r = (a - p) - e
+    exact = safe & (r == 0.0)
+    above = (r > 0) == (b > 0)  # true quotient above q
+    lo = np.where(exact | (safe & above), q, _v_down(q))
+    hi = np.where(exact | (safe & ~above), q, _v_up(q))
+    finite = np.isfinite(q)
+    return np.where(finite, lo, -_INF), np.where(finite, hi, _INF)
+
+
+def _v_libm(fn, x, toward):
+    """fn at every element of x by the scalar layer's libm, then _LIBM_SLACK
+    steps toward -inf or +inf."""
+    y = np.fromiter(map(fn, x.ravel().tolist()), np.float64, count=x.size)
+    y = y.reshape(x.shape)
+    for _ in range(_LIBM_SLACK):
+        y = np.nextafter(y, toward)
+    return y
+
+
+class IntervalArray:
+    """Elementwise closed intervals: float64 arrays lo <= hi of one shape.
+
+    Each operation applies the scalar layer's rounding rules to whole
+    arrays (TwoSum/TwoProd exactness tests, one outward ``nextafter`` step
+    otherwise, the same ``PI`` enclosure and libm slack), so every element
+    of a result equals the scalar ``Interval`` operation on that element
+    (a zero end may differ in sign).  Scalars (``Interval``, ints, floats, rationals) and
+    float arrays combine with an interval array by broadcasting.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # an ndarray operand defers to the reflected op
+
+    def __init__(self, lo, hi=None):
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
+        lo, hi = np.broadcast_arrays(lo, hi)
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("NaN endpoint in interval array")
+        if (lo > hi).any():
+            raise ValueError("inverted interval in interval array")
+        self.lo, self.hi = lo, hi
+
+    @staticmethod
+    def hull(a: "IntervalArray", b: "IntervalArray") -> "IntervalArray":
+        a, b = _as_array(a), _as_array(b)
+        return IntervalArray(_min(a.lo, b.lo), _max(a.hi, b.hi))
+
+    @property
+    def shape(self):
+        return self.lo.shape
+
+    def __getitem__(self, idx) -> "IntervalArray":
+        return IntervalArray(self.lo[idx], self.hi[idx])
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+    def contains_zero(self) -> np.ndarray:
+        return (self.lo <= 0.0) & (0.0 <= self.hi)
+
+    def __repr__(self):
+        return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __neg__(self) -> "IntervalArray":
+        return IntervalArray(-self.hi, -self.lo)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __add__(self, other) -> "IntervalArray":
+        other = _as_array(other)
+        return IntervalArray(_v_sum_lo(self.lo, other.lo),
+                             _v_sum_hi(self.hi, other.hi))
+
+    __radd__ = __add__
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __sub__(self, other) -> "IntervalArray":
+        other = _as_array(other)
+        return IntervalArray(_v_sum_lo(self.lo, -other.hi),
+                             _v_sum_hi(self.hi, -other.lo))
+
+    def __rsub__(self, other) -> "IntervalArray":
+        return _as_array(other) - self
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __mul__(self, other) -> "IntervalArray":
+        return _mul(self, _as_array(other))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __rmul__(self, other) -> "IntervalArray":
+        # keep the scalar operand first, so ties resolve as in Interval
+        return _mul(_as_array(other), self)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __truediv__(self, other) -> "IntervalArray":
+        other = _as_array(other)
+        if other.contains_zero().any():
+            raise ZeroDivisionError("division by interval containing 0")
+        lo = hi = None
+        for a in (self.lo, self.hi):
+            for b in (other.lo, other.hi):
+                q_lo, q_hi = _v_div_bounds(a, b)
+                lo = q_lo if lo is None else _min(lo, q_lo)
+                hi = q_hi if hi is None else _max(hi, q_hi)
+        return IntervalArray(lo, hi)
+
+    def __rtruediv__(self, other) -> "IntervalArray":
+        return _as_array(other) / self
+
+    def __abs__(self) -> "IntervalArray":
+        lo, hi = self.lo, self.hi
+        pos, neg = lo >= 0.0, hi <= 0.0
+        return IntervalArray(
+            np.where(pos, lo, np.where(neg, -hi, 0.0)),
+            np.where(pos, hi, np.where(neg, -lo, _max(-lo, hi))),
+        )
+
+    # -- transcendental ------------------------------------------------
+
+    def log(self) -> "IntervalArray":
+        """Natural log; requires lo > 0 everywhere."""
+        if (self.lo <= 0.0).any():
+            raise ValueError("log of interval touching 0")
+        return IntervalArray(_v_libm(math.log, self.lo, -_INF),
+                             _v_libm(math.log, self.hi, _INF))
+
+    def sin(self) -> "IntervalArray":
+        """Elementwise ``_iv_sin``: endpoint values, widened to +-1 where a
+        quadrant boundary b*pi/2 with b = 1 (peak) or 3 (trough) mod 4
+        lies in the argument."""
+        lo, hi = self.lo, self.hi
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        lo, hi = np.where(finite, lo, 0.0), np.where(finite, hi, 0.0)
+        n_lo = np.floor((IntervalArray(lo) / HALF_PI).lo)
+        n_hi = np.floor((IntervalArray(hi) / HALF_PI).hi)
+        out_lo = _min(_v_libm(math.sin, lo, -_INF), _v_libm(math.sin, hi, -_INF))
+        out_hi = _max(_v_libm(math.sin, lo, _INF), _v_libm(math.sin, hi, _INF))
+
+        def boundaries(m):  # count of b = m mod 4 with n_lo < b <= n_hi
+            return np.floor((n_hi - m) / 4) > np.floor((n_lo - m) / 4)
+
+        out_hi = np.where(boundaries(1), 1.0, out_hi)
+        out_lo = np.where(boundaries(3), -1.0, out_lo)
+        full = ~finite | (self.hi - self.lo >= TWO_PI.lo) | (n_hi - n_lo > 5)
+        return IntervalArray(np.where(full, -1.0, _max(out_lo, -1.0)),
+                             np.where(full, 1.0, _min(out_hi, 1.0)))
+
+    def cos(self) -> "IntervalArray":
+        return (self + HALF_PI).sin()
+
+
+def _mul(x: IntervalArray, y: IntervalArray) -> IntervalArray:
+    if (x.lo >= 0.0).all() and (y.lo >= 0.0).all():
+        # the corner products are monotone: the extreme ones are the ends
+        return IntervalArray(_v_prod_bounds(x.lo, y.lo)[0],
+                             _v_prod_bounds(x.hi, y.hi)[1])
+    lo = hi = None
+    for a in (x.lo, x.hi):
+        for b in (y.lo, y.hi):
+            p_lo, p_hi = _v_prod_bounds(a, b)
+            lo = p_lo if lo is None else _min(lo, p_lo)
+            hi = p_hi if hi is None else _max(hi, p_hi)
+    return IntervalArray(lo, hi)
+
+
+def _as_array(x) -> IntervalArray:
+    if isinstance(x, IntervalArray):
+        return x
+    if isinstance(x, np.ndarray):
+        f = x.astype(np.float64)
+        if not np.issubdtype(x.dtype, np.floating) and (f != x).any():
+            raise ValueError("integer array not exactly representable")
+        return IntervalArray(f)
+    x = _coerce(x)
+    return IntervalArray(x.lo, x.hi)
+
+
 # libm endpoint evaluations are faithful but not proven correctly rounded;
 # two ulps of slack absorbs any admissible libm error.
 _LIBM_SLACK = 2
@@ -358,3 +650,4 @@ def _iv_sin(x: Interval) -> Interval:
 
 def _iv_cos(x: Interval) -> Interval:
     return _iv_sin(x + HALF_PI)
+

@@ -26,7 +26,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .intervals import PI, Interval, from_fraction, iv
+import numpy as np
+
+from .intervals import PI, Interval, IntervalArray, from_fraction, iv
 from .polys import (
     poly_compose,
     poly_derivative,
@@ -226,17 +228,22 @@ class PiecewiseMap:
             out = out.max_with(e)
         return out
 
-    def abs_deriv_range_over(self, x: Interval) -> Interval:
-        """Hull of |T'| over every branch meeting x (straddles included)."""
-        pieces = []
+    def abs_deriv_range_over(self, x: IntervalArray) -> IntervalArray:
+        """Hull of |T'| over every branch meeting x (straddles included),
+        elementwise."""
+        lo = np.full(x.shape, np.inf)
+        hi = np.full(x.shape, -np.inf)
         for b in self.branches:
             dom = b.domain_outer()
-            if dom.lo < x.hi and x.lo < dom.hi:
-                seg = Interval(max(dom.lo, x.lo), min(dom.hi, x.hi))
-                pieces.append(abs(b.deriv_iv(seg)))
-        if not pieces:
+            meet = (dom.lo < x.hi) & (x.lo < dom.hi)
+            seg = IntervalArray(np.maximum(dom.lo, x.lo[meet]),
+                                np.minimum(dom.hi, x.hi[meet]))
+            d = abs(b.deriv_iv(seg))
+            lo[meet] = np.minimum(lo[meet], d.lo)
+            hi[meet] = np.maximum(hi[meet], d.hi)
+        if np.isinf(lo).any():
             raise ValueError("interval misses every branch domain")
-        return Interval.hull(*pieces)
+        return IntervalArray(lo, hi)
 
     def min_branch_length(self) -> Interval:
         lengths = [b.hi.enc - b.lo.enc for b in self.branches]
@@ -461,48 +468,69 @@ def level_crossing(b: Branch, level: Fraction, a: Fraction,
     return lo, hi
 
 
+def _value_at(b: Branch, e: Endpoint):
+    """b at an endpoint: the exact value when it is rational, otherwise the
+    enclosure over the endpoint's bracket."""
+    if e.is_exact:
+        v = b.value_exact(e.lo)
+        if v is not None:
+            return v
+    return b.value_iv(e.enc)
+
+
+def _order(x, y) -> Optional[int]:
+    """Certified sign of x - y, each an exact rational or an enclosing
+    Interval (float/rational comparisons are exact); None when the
+    enclosures overlap and so cannot decide it."""
+    x_lo, x_hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
+    y_lo, y_hi = (y.lo, y.hi) if isinstance(y, Interval) else (y, y)
+    if x_lo > y_hi:
+        return 1
+    if x_hi < y_lo:
+        return -1
+    if x_lo == x_hi == y_lo == y_hi:
+        return 0
+    return None
+
+
 def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     """Split one monotone expression over [a,b] into mod-1 branches.
 
-    Finds every level crossing expr(x) = n for integer n interior to the
-    image, producing branches whose polynomials carry the -n shift.  Exact
-    rational crossings stay exact; irrational ones become brackets.
+    The cuts are the crossings expr(x) = n of the integers n strictly
+    inside the image, decided against the exact end values or, for an
+    irrational end, against its enclosure; an integer that such an
+    enclosure holds raises ValueError.  The branches' polynomials carry
+    the -n shifts.  Exact rational crossings stay exact; irrational ones
+    become brackets.
     """
     b = expr_branch
     a_end, c_end = b.lo, b.hi
     if not (a_end.is_exact and c_end.is_exact):
         raise ValueError("mod splitting expects exact domain endpoints")
     a, c = a_end.lo, c_end.lo
-    va, vc = b.value_exact(a), b.value_exact(c)
-    if va is not None and vc is not None:
-        lo_img, hi_img = (va, vc) if va <= vc else (vc, va)
-        levels = [Fraction(n) for n in range(math.floor(lo_img) + 1,
-                                             math.ceil(hi_img) + 1)
-                  if lo_img < n < hi_img]
-    else:
-        va_i = b.value_iv(from_fraction(a))
-        vc_i = b.value_iv(from_fraction(c))
-        lo_f = min(va_i.lo, vc_i.lo)
-        hi_f = max(va_i.hi, vc_i.hi)
-        levels = [Fraction(n) for n in range(math.floor(lo_f) + 1,
-                                             math.ceil(hi_f) + 1)
-                  if lo_f + 1e-9 < n < hi_f - 1e-9]
-    if not b.increasing:
-        levels = levels[::-1]  # crossings ordered along the domain
+    ends = (_value_at(b, a_end), _value_at(b, c_end))
+    lower, upper = ends if b.increasing else ends[::-1]
+    base = math.floor(lower.lo if isinstance(lower, Interval) else lower)
+    top = math.ceil(upper.hi if isinstance(upper, Interval) else upper)
+    levels = []
+    for n in range(base, top + 1):
+        signs = (_order(n, lower), _order(n, upper))
+        if None in signs:
+            raise ValueError(
+                f"an end value of the branch on [{a}, {c}] is within rounding "
+                f"of the integer {n}: cannot certify its mod-1 cut")
+        if signs == (1, -1):
+            levels.append(Fraction(n))
+    # the integer parts of the pieces, along the image
+    shifts = list(range(base, base + len(levels) + 1))
+    if not b.increasing:  # crossings ordered along the domain
+        levels, shifts = levels[::-1], shifts[::-1]
 
     cuts = [a_end, *(Endpoint(*level_crossing(b, lvl, a, c)) for lvl in levels),
             c_end]
-    out: List[Branch] = []
-    for left, right in zip(cuts, cuts[1:]):
-        # a point strictly between the cuts when their brackets leave a gap
-        if left.hi < right.lo:
-            probe = (left.hi + right.lo) / 2
-        else:
-            probe = (left.lo + right.hi) / 2
-        shift = Fraction(math.floor(b.value_iv(from_fraction(probe)).mid))
-        out.append(Branch(left, right, tuple(poly_shift(list(b.poly), -shift)),
-                          b.trig_amp, b.trig_freq))
-    return out
+    return [Branch(left, right, tuple(poly_shift(list(b.poly), -shift)),
+                   b.trig_amp, b.trig_freq)
+            for left, right, shift in zip(cuts, cuts[1:], shifts)]
 
 
 def _preimage_endpoint(b: Branch, target: Endpoint, a: Fraction,
@@ -528,16 +556,24 @@ def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
     new_branches: List[Branch] = []
     for ib in inner.branches:
         a, c = ib.lo.lo, ib.hi.hi
-        img = ib.image_iv()
-        inside = [
-            j for j, d in enumerate(interior)
-            if d.enc.lo > img.lo + 1e-13 and d.enc.hi < img.hi - 1e-13
-        ]
-        if inside:
-            first_outer = inside[0]          # image starts in outer branch j0
-            outer_ids = [first_outer] + [j + 1 for j in inside]
-        else:
-            outer_ids = [outer.branch_index(img.mid)]
+        ends = (_value_at(ib, ib.lo), _value_at(ib, ib.hi))
+        lower, upper = ends if ib.increasing else ends[::-1]
+        inside, below = [], 0
+        for j, d in enumerate(interior):
+            point = d.exact if d.is_exact else d.enc
+            signs = (_order(point, lower), _order(point, upper))
+            if None in signs:
+                raise ValueError(
+                    f"outer breakpoint [{d.lo}, {d.hi}] is within rounding of "
+                    f"an end value of the branch on [{a}, {c}]: cannot certify "
+                    "the composition cut")
+            if signs == (1, -1):
+                inside.append(j)
+            elif signs[0] <= 0:
+                below += 1
+        # the image starts in outer branch `below` and enters one more
+        # branch at each breakpoint inside it
+        outer_ids = [below] + [j + 1 for j in inside]
         cut_targets = [interior[j] for j in inside]
         if not ib.increasing:
             outer_ids = outer_ids[::-1]

@@ -4,7 +4,8 @@ A polynomial is a plain list of ``Fraction`` coefficients, lowest degree
 first.  Evaluation at rational points is exact; evaluation on an interval
 takes the coefficients already enclosed as intervals (a branch encloses
 them once) and runs the outward-rounded Horner scheme of
-:mod:`rigdens.intervals`.
+:mod:`rigdens.intervals` on an ``Interval`` or, elementwise, on an
+``IntervalArray``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_eval_iv(p: Sequence[Interval], x: Interval) -> Interval:
-    """Horner enclosure of the polynomial with enclosed coefficients p."""
+def poly_eval_iv(p: Sequence[Interval], x):
+    """Horner enclosure of the polynomial with enclosed coefficients p at
+    an Interval or IntervalArray x (a constant stays a scalar Interval)."""
     acc = p[-1]
     for c in reversed(p[:-1]):
         acc = acc * x + c

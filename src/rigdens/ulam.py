@@ -58,10 +58,25 @@ class TransitionMatrix:
 
     def row_sums(self) -> np.ndarray:
         """Correctly rounded row sums (fsum), the markovization guarantee."""
-        out = np.empty(self.k)
-        for i in range(self.k):
-            out[i] = math.fsum(self.csr.data[self.csr.indptr[i]:self.csr.indptr[i + 1]])
-        return out
+        return _row_fsums(self.csr.data, self.csr.indptr)
+
+
+_FSUM_ROWS = 1024  # rows whose entries become Python floats at a time
+
+
+def _row_fsums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """math.fsum of every CSR row: each sum correctly rounded.  The rows go
+    to Python floats in chunks, so no list of the whole matrix raises the
+    process's peak memory."""
+    k = len(indptr) - 1
+    out = np.empty(k)
+    for first in range(0, k, _FSUM_ROWS):
+        ends = indptr[first:first + _FSUM_ROWS + 1].tolist()
+        base = ends[0]
+        vals = data[base:ends[-1]].tolist()
+        out[first:first + len(ends) - 1] = [
+            math.fsum(vals[s - base:e - base]) for s, e in zip(ends, ends[1:])]
+    return out
 
 
 def _value_bracket(br: Branch, x: Fraction) -> Tuple[Fraction, Fraction]:
@@ -165,32 +180,31 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
     """Spread each row's deficit uniformly so rows sum to 1 exactly.
 
     The sub-ulp residue left by the final float adjustment, and any clamping
-    of entries driven below zero, are charged to eps.
+    of entries driven below zero, are charged to eps.  Every step runs on
+    all rows at once; row sums are fsum per row, and the residue goes to
+    the first largest entry of each row.
     """
     csr = raw.csr.tocsr(copy=True)
-    extra = 0.0
-    for i in range(raw.k):
-        s, e = csr.indptr[i], csr.indptr[i + 1]
-        if s == e:
-            raise ValueError(f"row {i} has no nonzero entries")
-        row = csr.data[s:e]
-        deficit = 1.0 - math.fsum(row)
-        share = deficit / len(row)
-        row += share
-        if np.any(row < 0.0):
-            clamped = -row[row < 0.0].sum()
-            row[row < 0.0] = 0.0
-            extra = max(extra, clamped)
-        residue = 1.0 - math.fsum(row)
-        jmax = int(np.argmax(row))
-        row[jmax] += residue
-        final = 1.0 - math.fsum(row)
-        if final != 0.0:
-            row[jmax] += final
-        extra = max(extra, abs(residue))
-        csr.data[s:e] = row
-    eps = raw.eps + extra
-    return replace(raw, csr=csr, eps=eps, markovized=True)
+    indptr, data = csr.indptr, csr.data
+    counts = np.diff(indptr)
+    if (counts == 0).any():
+        raise ValueError(f"row {np.argmax(counts == 0)} has no nonzero entries")
+    data += np.repeat((1.0 - _row_fsums(data, indptr)) / counts, counts)
+    clamped = 0.0
+    negative = np.flatnonzero(data < 0.0)
+    if len(negative):
+        rows = np.searchsorted(indptr, negative, side="right") - 1
+        clamped = float(np.bincount(rows, weights=-data[negative]).max())
+        data[negative] = 0.0
+    residue = 1.0 - _row_fsums(data, indptr)
+    row_max = np.repeat(np.maximum.reduceat(data, indptr[:-1]), counts)
+    at_max = np.flatnonzero(data == row_max)
+    rows = np.searchsorted(indptr, at_max, side="right") - 1
+    jmax = at_max[np.r_[True, rows[1:] != rows[:-1]]]  # first per row
+    data[jmax] += residue
+    data[jmax] += 1.0 - _row_fsums(data, indptr)
+    extra = max(clamped, float(np.abs(residue).max()))
+    return replace(raw, csr=csr, eps=raw.eps + extra, markovized=True)
 
 
 def nnz_bound(matrix: TransitionMatrix, m: PiecewiseMap) -> int:

@@ -1,16 +1,26 @@
-"""Reference hat basis, hat projection and hat-product integral for tests
-of the sup-norm path.
+"""Reference hat basis, hat projection, hat-product integrals and a
+node-by-node assembly for tests of the sup-norm path.
 
 The assembly never evaluates basis functions or projects node values, and
-it sums the hat products in closed form; the tests use these definitions
-as independent oracles for its entries and for the projection properties
-the certificate relies on.
+it sums the hat products in closed form on interval arrays; the tests use
+these definitions as independent oracles for its entries and for the
+projection properties the certificate relies on.  ``assemble_reference``
+is the scalar per-node form of the assembly: exact integer cubes on the
+snap grid and one scalar ``Interval`` chain per entry.
 """
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
+
+from rigdens.hatbasis import _SNAP, LinfMatrix, _check_circle
+from rigdens.intervals import Interval, from_fraction, iv
+from rigdens.maps import PiecewiseMap, ly_coefficients_lip
+
+_SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
 
 
 class HatBasis:
@@ -61,3 +71,88 @@ def simpson_hat_product(delta: Fraction, omega: Fraction) -> Fraction:
         fq = _tri_value(q, Fraction(0), Fraction(1)) * _tri_value(q, delta, omega)
         total += (q - p) * (fp + 4 * fm + fq) / 6
     return total
+
+
+def hat_product_integral(delta: Fraction, omega: Fraction) -> Fraction:
+    """Exact integral of tri(t;1) * tri(t-delta;omega) over the line.
+
+    A hat is the second difference of a ramp, tri(t;h) = sum_q c_q
+    (t - qh)_+ / h with c = (1, -2, 1), so the integral is
+    (1/(6 omega)) sum_{p,q} c_p c_q (delta + p + q omega)_+^3, summed here
+    in integers on the snap grid.  delta and omega must lie on that grid.
+    """
+    d, w = delta * _SNAP, omega * _SNAP
+    if d.denominator != 1 or w.denominator != 1:
+        raise ValueError("hat product arguments must lie on the snap grid")
+    d, w = d.numerator, w.numerator
+    if abs(d) >= _SNAP + w:  # disjoint supports
+        return Fraction(0)
+    total = 0
+    for p, cp in _SECOND_DIFF:
+        for q, cq in _SECOND_DIFF:
+            t = d + p * _SNAP + q * w
+            if t > 0:
+                total += cp * cq * t ** 3
+    return Fraction(total, 6 * w * _SNAP * _SNAP)
+
+
+def _snap(x: float) -> Fraction:
+    return Fraction(round(x * _SNAP), _SNAP)
+
+
+def assemble_reference(m: PiecewiseMap, k: int, coeffs=None) -> LinfMatrix:
+    """Node-by-node scalar form of ``hatbasis.assemble_linearized``."""
+    _check_circle(m)
+    if coeffs is None:
+        coeffs = ly_coefficients_lip(m)
+    lin_err = (iv(4) * coeffs.distortion / (iv(k) * iv(k))).hi
+    indptr = [0]
+    indices: List[int] = []
+    data: List[float] = []
+    eps = 0.0
+    nnz_max = 0
+    for i in range(k):
+        a = Fraction(i, k)
+        br = m.branches[m.branch_index(a)]
+        s_enc = br.deriv_iv(from_fraction(a))
+        if s_enc.contains_zero():
+            raise ValueError(f"T' enclosure touches 0 at node {i}")
+        c_enc = br.value_iv(from_fraction(a))
+        h_enc = iv(1) / abs(s_enc)
+        u_enc = iv(k) * c_enc
+        omega_enc = abs(s_enc)
+        u0 = _snap(u_enc.mid)
+        w0 = _snap(omega_enc.mid)
+        if w0 <= 0:
+            raise ValueError(f"degenerate image width at node {i}")
+        du = max(u_enc.hi - float(u0), float(u0) - u_enc.lo, 0.0)
+        dw = max(omega_enc.hi - float(w0), float(w0) - omega_enc.lo, 0.0)
+        infl = iv(du + dw) / iv(min(omega_enc.lo, float(w0)))
+        span = int(math.ceil(float(w0))) + 2
+        j_center = int(round(float(u0)))
+        row: List[Tuple[int, Interval]] = []
+        for j_real in range(j_center - span, j_center + span + 1):
+            f0 = hat_product_integral(u0 - j_real, w0)
+            entry = h_enc * (from_fraction(f0) + infl * Interval(-1.0, 1.0))
+            if entry.hi <= 0.0:
+                continue
+            entry = Interval(max(entry.lo, 0.0), min(entry.hi, 1.0))
+            row.append((j_real % k, entry))
+        cols: dict = {}
+        for col, entry in row:
+            cols[col] = cols.get(col, iv(0)) + entry
+        for col in sorted(cols):
+            entry = cols[col]
+            val = entry.mid
+            data.append(val)
+            indices.append(col)
+            eps = max(eps, entry.hi - val, val - entry.lo)
+        nnz_max = max(nnz_max, len(cols))
+        indptr.append(len(indices))
+    csr = sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(k, k),
+    )
+    return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max, norm_kind="Linf",
+                      lin_err=lin_err, m_sup=coeffs.m_sup.hi)

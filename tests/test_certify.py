@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction as F
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from rigdens.certify import (
 )
 from rigdens.enclosure import ContractionCertificate, EnclosedDensity, contraction_sweep
 from rigdens.hatbasis import LinfMatrix, assemble_linearized
-from rigdens.intervals import iv
+from rigdens.intervals import Interval, iv
 from rigdens.maps import (
     LYCoefficientsBV,
     LYCoefficientsLip,
@@ -219,3 +220,51 @@ def test_report_without_lyapunov(tripling):
     rep = report(cert)
     assert rep.data["lyap"] is None
     assert "L_exp   -" in rep.text
+
+
+def _scalar_cell_terms(m, density, k):
+    """The per-cell scalar loop: hull of |T'| over each outward-rounded
+    cell, its log, times the cell weight, one scalar Interval each."""
+    vals = density.values
+    terms = []
+    for i in range(k):
+        cell = Interval((iv(i) / iv(k)).lo, (iv(i + 1) / iv(k)).hi)
+        pieces = []
+        for b in m.branches:
+            dom = b.domain_outer()
+            if dom.lo < cell.hi and cell.lo < dom.hi:
+                seg = Interval(max(dom.lo, cell.lo), min(dom.hi, cell.hi))
+                pieces.append(abs(b.deriv_iv(seg)))
+        log_d = Interval.hull(*pieces).log()
+        if density.norm_kind == "L1":
+            w = iv(float(vals[i]))
+        else:
+            w = (iv(float(vals[i])) + iv(float(vals[(i + 1) % k]))) / iv(2) / iv(k)
+        terms.append(log_d * w)
+    return terms
+
+
+@pytest.mark.parametrize("name,mode,k", [("eq6", "L1", 256), ("sinmap", "Linf", 128)])
+def test_lyapunov_contains_scalar_reference(request, name, mode, k):
+    """The reference: the per-cell scalar products summed exactly, plus the
+    same slack; the certified interval must contain all of it."""
+    m = request.getfixturevalue(name)
+    if mode == "L1":
+        ly = ly_coefficients_bv(m)
+        mk = markovize(assemble_ulam(m, k))
+        contraction, density = contraction_sweep(mk, 1e-4)
+        cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4)
+    else:
+        ly = ly_coefficients_lip(m)
+        mk = markovize(assemble_linearized(m, k, ly))
+        contraction, density = contraction_sweep(mk, 1e-5)
+        cert = certify_linf(ly, mk, contraction, density, eps_num=1e-5)
+    lr = lyapunov(m, density, cert)
+    terms = _scalar_cell_terms(m, density, k)
+    log_mag = max(abs(m.abs_deriv_sup().log().hi), abs(m.abs_deriv_inf().log().lo))
+    slack = F((iv(log_mag) * iv(cert.eps_rig)).hi)
+    ref_lo = sum(F(t.lo) for t in terms) - slack
+    ref_hi = sum(F(t.hi) for t in terms) + slack
+    assert F(lr.lo) <= ref_lo and ref_hi <= F(lr.hi)
+    # the fsum bound adds about one ulp per end, not one per cell
+    assert F(lr.hi) - F(lr.lo) - (ref_hi - ref_lo) < 1e-13

@@ -101,6 +101,11 @@ def test_main_help_exits_0(capsys):
      "branch on [0, 1] is not certifiably monotone"),
     (dict(map_text="poly [0,1] : 8x(1-x) mod 1"),
      "branch on [0, 1] is not certifiably monotone"),
+    # T(1/3) = 2 + 8.7e-18: the end value's enclosure holds the level 2
+    (dict(map_text="poly [0,1/3] : 6x + 0.00000000000000001 sin(pi x) mod 1; "
+                   "poly [1/3,1] : 3x mod 1"),
+     "an end value of the branch on [0, 1/3] is within rounding of the "
+     "integer 2: cannot certify its mod-1 cut"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
@@ -259,3 +264,50 @@ def test_verbose_logs_one_record_per_step(verbose, tmp_path, capsys, caplog):
     else:
         assert records == []
         assert captured.err == ""
+
+
+def _plot_files_point_loop(density, m, k, out_dir):
+    """The point-by-point reference form of the plot and density files."""
+    from rigdens.intervals import Interval
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    vals = density.values
+    scale = k if density.norm_kind == "L1" else 1.0
+    with open(out_dir / "density_plot.dat", "w") as fh:
+        for i in range(k):
+            fh.write(f"{(i + 0.5) / k!r} {float(scale * vals[i])!r}\n")
+    with open(out_dir / "map_graph.dat", "w") as fh:
+        n = max(k, 512)
+        for i in range(n + 1):
+            x = i / n
+            for br in m.branches:
+                dom = br.domain_outer()
+                if dom.lo <= x <= dom.hi:
+                    fh.write(f"{x!r} {br.value_iv(Interval(x, x)).mid!r}\n")
+    with open(out_dir / "density.csv", "w") as fh:
+        fh.write("i,left,right,value\n")
+        for i in range(k):
+            v = float(k * vals[i] if density.norm_kind == "L1" else vals[i])
+            fh.write(f"{i},{i / k!r},{(i + 1) / k!r},{v!r}\n")
+
+
+@pytest.mark.parametrize("text,mode,k", [
+    (SINMAP, "Linf", 64),
+    ("poly [0,1] : 3 - 3x mod 1", "L1", 27),
+    (LANFORD2, "L1", 32),
+])
+def test_plot_files_match_point_loop(text, mode, k, tmp_path):
+    from rigdens.cli import _write_density_csv, emit_plot_data
+    from rigdens.enclosure import contraction_sweep
+    from rigdens.hatbasis import assemble_linearized
+    from rigdens.ulam import assemble_ulam, markovize
+
+    m = parse_map(text).build()
+    raw = assemble_ulam(m, k) if mode == "L1" else assemble_linearized(m, k)
+    _, density = contraction_sweep(markovize(raw), 1e-5)
+    emit_plot_data(density, m, k, tmp_path / "fast")
+    _write_density_csv(density, k, tmp_path / "fast" / "density.csv")
+    _plot_files_point_loop(density, m, k, tmp_path / "ref")
+    for name in ("density_plot.dat", "map_graph.dat", "density.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes()

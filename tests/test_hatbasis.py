@@ -6,12 +6,18 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from rigdens.hatbasis import _SNAP, _hat_product_integral, assemble_linearized
+from rigdens.hatbasis import _SNAP, _hat_product_enclosure, assemble_linearized
 from rigdens.intervals import iv
 from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
 
-from tests.hat_reference import HatBasis, project_hat, simpson_hat_product
+from tests.hat_reference import (
+    HatBasis,
+    assemble_reference,
+    hat_product_integral,
+    project_hat,
+    simpson_hat_product,
+)
 
 
 def test_project_constant():
@@ -144,11 +150,47 @@ def test_hat_product_closed_form_matches_simpson():
         deltas |= {F(int(rng.integers(-4 * 2**20, 4 * 2**20)), 2**20)
                    for _ in range(20)}
         for d in deltas:
-            assert _hat_product_integral(d, w) == simpson_hat_product(d, w)
+            assert hat_product_integral(d, w) == simpson_hat_product(d, w)
 
 
 def test_hat_product_rejects_off_grid_arguments():
     with pytest.raises(ValueError, match="snap grid"):
-        _hat_product_integral(F(1, 3), F(1))
+        hat_product_integral(F(1, 3), F(1))
     with pytest.raises(ValueError, match="snap grid"):
-        _hat_product_integral(F(0), F(1, 3))
+        hat_product_integral(F(0), F(1, 3))
+
+
+def test_closed_form_enclosure_contains_exact_integral():
+    # the float closed form encloses the exact one at the kinks of the
+    # integrand in delta, just off them and between them
+    rng = np.random.default_rng(5)
+    deltas, omegas = [], []
+    for w in [F(1, 2**20), F(1, 2), F(1), F(7, 4), F(4), F(131, 32)]:
+        kinks = {F(0), w, -w, F(1), F(-1)} | {s + t for s in (1, -1) for t in (w, -w)}
+        ds = set(kinks) | {d + F(e, _SNAP) for d in kinks for e in (-1, 1)}
+        ds |= {F(int(rng.integers(-8 * 2**20, 8 * 2**20)), 2**20) for _ in range(20)}
+        deltas += sorted(ds)
+        omegas += [w] * len(ds)
+    enc = _hat_product_enclosure(np.array([float(d) for d in deltas]),
+                                 np.array([float(w) for w in omegas]))
+    for d, w, lo, hi in zip(deltas, omegas, enc.lo.tolist(), enc.hi.tolist()):
+        exact = hat_product_integral(d, w)
+        assert F(lo) <= exact <= F(hi)
+        if w >= 1:  # expanding maps: the width ratio is |T'| > 1
+            assert hi - lo <= 1e-13
+        if exact == 0:
+            assert lo == hi == 0.0
+
+
+@pytest.mark.parametrize("k", [4, 8, 64, 257])
+def test_assembly_matches_scalar_reference(sinmap, k):
+    """The interval-array assembly against the node-by-node scalar one:
+    the same support, and every entry within the recorded eps."""
+    ly = ly_coefficients_lip(sinmap)
+    fast, ref = assemble_linearized(sinmap, k, ly), assemble_reference(sinmap, k, ly)
+    assert np.array_equal(fast.csr.indptr, ref.csr.indptr)
+    assert np.array_equal(fast.csr.indices, ref.csr.indices)
+    assert (fast.csr.nnz, fast.nnz_max) == (ref.csr.nnz, ref.nnz_max)
+    assert np.abs(fast.csr.data - ref.csr.data).max() <= fast.eps
+    assert ref.eps <= fast.eps <= ref.eps + 1e-12
+    assert (fast.lin_err, fast.m_sup) == (ref.lin_err, ref.m_sup)

@@ -164,3 +164,13 @@ def test_log_containment_vs_mpmath():
             r = iv(x).log()
             s = mpmath.log(mpmath.mpf(x))
             assert mpmath.mpf(r.lo) <= s <= mpmath.mpf(r.hi)
+
+
+def test_product_underflowing_to_subnormal_contains_exact():
+    # a*b is subnormal: TwoProd's error term is rounded there, so the
+    # endpoint must be widened rather than trusted
+    a, b = 0.818690436186978, 1.1125369292536007e-308
+    r = Interval(a, 1.0) * Interval(b, 1.0)
+    assert Fraction(r.lo) <= Fraction(a) * Fraction(b)
+    q = iv(b) / iv(3.0)
+    assert Fraction(q.lo) <= Fraction(b) / 3 <= Fraction(q.hi)

@@ -222,3 +222,51 @@ def test_composed_cut_brackets_the_outer_breakpoint_bracket():
                                  Endpoint.from_rational(1), (F(0), F(1))),))
     cut = compose_maps(outer, inner).branches[1].lo
     assert (cut.lo, cut.hi) == (F(9, 20), F(11, 20))
+
+
+def _near_integer_end_map(amp: str) -> str:
+    # T(1/3) = 2 + amp * sqrt(3)/2: an irrational end just above the integer 2
+    return (f"poly [0,1/3] : 6x + {amp} sin(pi x) mod 1\n"
+            "poly [1/3,1] : 3x mod 1")
+
+
+def test_mod_split_keeps_cut_near_irrational_image_end():
+    # the end exceeds 2 by 8.7e-11: the crossing of level 2 is a true cut,
+    # leaving a last piece that maps into [0, 8.7e-11]
+    m = parse_map(_near_integer_end_map("0.0000000001")).build()
+    assert m.branch_count == 5
+    last = m.branches[2]
+    assert last.poly[0] == -2 and last.hi.exact == F(1, 3)
+    assert F(1, 3) - F(1, 10**10) < last.lo.lo < last.lo.hi < F(1, 3)
+    img = last.image_iv()
+    assert -1e-13 < img.lo and img.hi < 1e-10  # the cut is a bracket
+
+
+def test_mod_split_undecided_cut_raises():
+    # 8.7e-18 above 2 is inside the end value's enclosure: no certified cut
+    with pytest.raises(ValueError, match="within rounding of the integer 2"):
+        parse_map(_near_integer_end_map("0.00000000000000001")).build()
+
+
+def _identity_split_at(e: Endpoint) -> PiecewiseMap:
+    return PiecewiseMap((Branch(Endpoint.from_rational(0), e, (F(0), F(1))),
+                         Branch(e, Endpoint.from_rational(1), (F(0), F(1)))))
+
+
+def test_composition_cut_near_an_inner_end_value():
+    # the outer breakpoint 1/2 lies 5e-14 below the end of the inner branch's
+    # image: certified inside, so it cuts that branch
+    outer = PiecewiseMap((Branch(Endpoint.from_rational(0), Endpoint.from_rational(F(1, 2)),
+                                 (F(0), F(2))),
+                          Branch(Endpoint.from_rational(F(1, 2)), Endpoint.from_rational(1),
+                                 (F(-1), F(2)))))
+    end = F(1, 2) + F(5, 10**14)
+    near = Endpoint(end - F(1, 10**20), end + F(1, 10**20))
+    comp = compose_maps(outer, _identity_split_at(near))
+    assert [b.poly for b in comp.branches] == [(F(0), F(2)), (F(-1), F(2)),
+                                               (F(-1), F(2))]
+    assert comp.branches[1].lo.exact == F(1, 2)
+    # a bracket holding 1/2 itself leaves the comparison undecided
+    holding = Endpoint(F(1, 2) - F(1, 10**20), F(1, 2) + F(1, 10**20))
+    with pytest.raises(ValueError, match="cannot certify the composition cut"):
+        compose_maps(outer, _identity_split_at(holding))

@@ -8,10 +8,12 @@ import numpy as np
 
 from rigdens.certify import certify_l1, lyapunov
 from rigdens.enclosure import contraction_sweep
-from rigdens.hatbasis import assemble_linearized, _hat_product_integral
+from rigdens.hatbasis import assemble_linearized
 from rigdens.maps import iterate_map, ly_coefficients_bv
 from rigdens.ulam import assemble_ulam, markovize
 from rigdens.cli import parse_map
+
+from tests.hat_reference import hat_product_integral
 
 FALLING = "poly [0,1] : 3 - 3x mod 1"
 
@@ -98,7 +100,7 @@ def test_hat_product_integral_vs_quadrature():
     for _ in range(25):
         delta = F(int(rng.integers(-3000, 3000)), 1024)
         omega = F(int(rng.integers(256, 6000)), 1024)
-        exact = _hat_product_integral(delta, omega)
+        exact = hat_product_integral(delta, omega)
         d, w = float(delta), float(omega)
         with mpmath.workdps(30):
             lo, hi = max(-1.0, d - w), min(1.0, d + w)

@@ -242,3 +242,47 @@ def test_dump_format(tmp_path, tripling):
     row, col, val, err = lines[1].split()
     assert int(row) == 0 and int(col) in (0, 1, 2)
     assert abs(float(val) - 1 / 3) < 1e-12
+
+
+def _markovize_row_loop(raw):
+    """The row-by-row reference form of markovize."""
+    csr = raw.csr.tocsr(copy=True)
+    extra = 0.0
+    for i in range(raw.k):
+        s, e = csr.indptr[i], csr.indptr[i + 1]
+        row = csr.data[s:e]
+        row += (1.0 - math.fsum(row)) / len(row)
+        if np.any(row < 0.0):
+            extra = max(extra, -row[row < 0.0].sum())
+            row[row < 0.0] = 0.0
+        residue = 1.0 - math.fsum(row)
+        jmax = int(np.argmax(row))
+        row[jmax] += residue
+        final = 1.0 - math.fsum(row)
+        if final != 0.0:
+            row[jmax] += final
+        extra = max(extra, abs(residue))
+        csr.data[s:e] = row
+    return csr, raw.eps + extra
+
+
+def test_markovize_matches_row_loop_reference(eq4, lanford2):
+    """Bit-identical to the row loop: data, eps and row sums."""
+    rng = np.random.default_rng(12)
+    # rows summing well above 1, so the spread drives entries negative
+    hostile = np.where(rng.random((40, 40)) < 0.2,
+                       rng.uniform(-0.05, 0.4, size=(40, 40)), 0.0)
+    np.fill_diagonal(hostile, 0.7)  # every row nonempty
+    hostile[3, 5] = 0.7  # a tie for the largest entry
+    raws = [assemble_ulam(eq4, 64), assemble_ulam(lanford2, 32),
+            TransitionMatrix(k=40, csr=sparse.csr_matrix(hostile), eps=1e-9,
+                             nnz_max=int((hostile != 0).sum(axis=1).max()))]
+    for raw in raws:
+        mk = markovize(raw)
+        csr, eps = _markovize_row_loop(raw)
+        assert mk.csr.data.tobytes() == csr.data.tobytes()
+        assert np.array_equal(mk.csr.indices, csr.indices)
+        assert mk.eps == eps
+        assert (mk.row_sums() == 1.0).all()
+        assert mk.row_sums().tolist() == [math.fsum(csr.data[s:e]) for s, e
+                                          in zip(csr.indptr, csr.indptr[1:])]
