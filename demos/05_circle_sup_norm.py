@@ -29,7 +29,7 @@ print(f"alpha = M lambda = {ly.alpha.hi:.5f} < 1 already at the first "
       f"iterate (k_iter = {ly.k_iter})")
 
 k = 2048
-matrix = markovize(assemble_linearized(m, k, ly))
+matrix = markovize(assemble_linearized(m, k))
 print(f"\nassembled: eps = {matrix.eps:.3g}, linearization error = "
       f"{matrix.lin_err:.3g}, nnz_max = {matrix.nnz_max}")
 

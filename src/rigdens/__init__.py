@@ -15,7 +15,6 @@ from .maps import (
     LYCoefficientsBV,
     LYCoefficientsLip,
     PiecewiseMap,
-    distortion_sup,
     iterate_map,
     ly_coefficients_bv,
     ly_coefficients_lip,
@@ -35,7 +34,6 @@ from .enclosure import (
     EnclosedDensity,
     NotContractingError,
     contraction_sweep,
-    float_ledger,
 )
 from .certify import (
     Certificate,

@@ -174,8 +174,8 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     terms = dr.log() * weights
     total_lo = math.nextafter(math.fsum(terms.lo.tolist()), -math.inf)
     total_hi = math.nextafter(math.fsum(terms.hi.tolist()), math.inf)
-    sup_d = m.abs_deriv_sup()
-    inf_d = m.abs_deriv_inf()
+    sup_d = m.abs_deriv_sup
+    inf_d = m.abs_deriv_inf
     if inf_d.lo <= 0.0:
         raise ValueError("|T'| enclosure touches 0")
     log_mag = max(abs(sup_d.log().hi), abs(inf_d.log().lo))

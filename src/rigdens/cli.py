@@ -18,10 +18,13 @@ verbose, no_lyap; any other key is rejected) and a [map] section with
 either text= or file=.  Flags override config values.
 
 Exit codes: 0 success, 1 bad configuration (including command line usage
-errors, maps the assembly rejects and maps whose |T'| enclosure touches 0
+errors, an output path that cannot be written, maps with a zero-length
+branch, maps the assembly rejects and maps whose |T'| enclosure touches 0
 in the Lyapunov stage), 2 failed expansion check, 3 no observed
-contraction.  --verbose sends the package's INFO log records (one per
-contraction step) to stderr.
+contraction.  The output directory and the --dump-matrix file's directory
+are created once the map is built, before any certification work, so an
+unwritable path fails at once.  --verbose sends the package's INFO log
+records (one per contraction step) to stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .maps import (
     ly_coefficients_lip,
     split_mod_branches,
 )
-from .polys import Poly
+from .polys import Poly, poly_degree
 from .ulam import assemble_ulam, dump_matrix, markovize
 
 __all__ = ["RunConfig", "MapSpec", "parse_map", "run", "emit_plot_data", "main"]
@@ -271,6 +274,13 @@ class _BranchStmt:
     amp: Fraction
     freq: Fraction
     mod_one: bool
+
+    def __post_init__(self):
+        # one form per expression, so canonical() round-trips: no trailing
+        # zero coefficients, and no frequency without a sine term
+        object.__setattr__(self, "poly", self.poly[:poly_degree(self.poly) + 1])
+        if self.amp == 0:
+            object.__setattr__(self, "freq", Fraction(0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -490,7 +500,15 @@ def _log_to_stderr(enabled: bool):
 
 def run(config: RunConfig) -> int:
     """Execute the full pipeline; returns the process exit code."""
-    out_dir = Path(config.out_dir)
+    try:
+        return _run(config)
+    except OSError as exc:
+        # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(config: RunConfig) -> int:
     try:
         spec = parse_map(config.map_text)
         if config.iterate is not None:
@@ -501,6 +519,11 @@ def run(config: RunConfig) -> int:
     except (MapParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # fail on an unwritable output path before any certification work
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if config.dump_matrix:
+        Path(config.dump_matrix).parent.mkdir(parents=True, exist_ok=True)
 
     eps_num = config.eps_num if config.eps_num is not None else (
         1e-4 if config.mode == "L1" else 1e-5
@@ -518,12 +541,16 @@ def run(config: RunConfig) -> int:
     except ExpansionError as exc:
         print(f"error: {exc} (try --iterate)", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a zero-length branch
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         if config.mode == "L1":
             matrix = markovize(assemble_ulam(mapped, config.k))
         else:
-            matrix = markovize(assemble_linearized(mapped, config.k, ly))
+            matrix = markovize(assemble_linearized(mapped, config.k))
     except ValueError as exc:
         # maps the assembly rejects, singular rows
         print(f"error: {exc}", file=sys.stderr)
@@ -557,7 +584,6 @@ def run(config: RunConfig) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_density_csv(density, config.k, out_dir / "density.csv")
     rep = report(cert, lyap)
     (out_dir / "certificate.json").write_text(rep.to_json(indent=2) + "\n")

@@ -2,9 +2,11 @@
 
 The stationary vector of a row-stochastic matrix Pi is enclosed by iterating
 the zero-sum anchor vectors (e_0 - e_j)/2 under the row action v -> v Pi and
-watching their norms: once every anchor norm falls below the numeric
-threshold, the iterated simplex has diameter at most twice that threshold
-and any iterated start vector lies inside it together with the true fixed
+watching their norms: once every anchor norm is at most half the numeric
+threshold eps_num, the iterated simplex has diameter at most eps_num (for
+probability vectors p, q, p - q = sum_j (q_j - p_j)(e_0 - e_j) with
+sum_j |q_j - p_j| <= 2), the amount the certificate charges, and any
+iterated start vector lies inside it together with the true fixed
 vector.  The same sweep certifies the contraction step counts used by the
 a-posteriori error bound: N_eps for the computed matrix itself and N for
 the exact discretized operator, whose extra distance is charged linearly
@@ -47,7 +49,6 @@ __all__ = [
     "EnclosedDensity",
     "NotContractingError",
     "contraction_sweep",
-    "float_ledger",
 ]
 
 _U = 2.0 ** -53  # unit roundoff of binary64
@@ -90,7 +91,7 @@ class EnclosedDensity:
     norm_kind: str
 
 
-def float_ledger(l: int, k: int) -> float:
+def _float_ledger(l: int, k: int) -> float:
     """Accumulated matrix-vector roundoff estimate l * k * eps_mach."""
     return l * k * EPS_MACH
 
@@ -196,7 +197,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     logged at INFO level.
 
     Raises NotContractingError if j_max steps pass without the certified
-    bound dropping below 1/2 or some anchor staying above eps_num, and
+    bound dropping below 1/2 or some anchor staying above eps_num/2, and
     ValueError for a nonpositive eps_num or an L1 matrix that is not
     exactly row-stochastic.
     """
@@ -236,7 +237,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
              if _up(bounds[t] + (t + 1) * inflation) <= 0.5),
             None,
         )
-        below = norms_steps <= eps_num
+        below = norms_steps <= eps_num / 2
         l_per_anchor = np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0)
         l_ok = bool((l_per_anchor > 0).all())
         for t in range(steps):
@@ -270,10 +271,10 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         # accumulated drift, which the float_err budget below absorbs
         v = v / math.fsum(v)
     density_drift = float(drift[min(l, steps) - 1]) if l > 0 else 0.0
-    float_err = 3.0 * float_ledger(l, k) + 6.0 * density_drift
+    float_err = 3.0 * _float_ledger(l, k) + 6.0 * density_drift
     dens = EnclosedDensity(
         values=v,
-        diameter=2.0 * eps_num,
+        diameter=eps_num,
         l=l,
         float_err=float_err,
         norm_kind=norm_kind,

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from .intervals import Interval, IntervalArray, iv
-from .maps import LYCoefficientsLip, PiecewiseMap, ly_coefficients_lip
+from .maps import PiecewiseMap, ly_coefficients_lip
 from .ulam import TransitionMatrix
 
 __all__ = ["LinfMatrix", "assemble_linearized"]
@@ -129,20 +128,19 @@ def _merge_columns(key: np.ndarray, entry: IntervalArray):
     return key[start], IntervalArray(acc_lo, acc_hi)
 
 
-def assemble_linearized(m: PiecewiseMap, k: int,
-                        coeffs: Optional[LYCoefficientsLip] = None) -> LinfMatrix:
+def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     """Raw (un-markovized) matrix of the node-linearized hat operator.
 
     Row i holds the projection coefficients of the image of phi_i; exact
     row sums are 1, so the stored float rows sum to 1 up to the recorded
     per-entry error bound eps.  All nodes and all entries of their column
     windows j_center(i) +- span(i) are enclosed in one interval-array pass.
+    The linearization error and the power bound M come from the map's
+    cached distortion and |T'| enclosures.
     """
     _check_circle(m)
-    if coeffs is None:
-        coeffs = ly_coefficients_lip(m)
-    lin_err = (iv(4) * coeffs.distortion / (iv(k) * iv(k))).hi
-    m_sup = coeffs.m_sup.hi
+    lin_err = (iv(4) * m.distortion_sup / (iv(k) * iv(k))).hi
+    m_sup = ly_coefficients_lip(m).m_sup.hi
 
     c_enc, s_enc = _node_enclosures(m, k)
     touching = s_enc.contains_zero()

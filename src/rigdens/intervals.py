@@ -265,12 +265,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
     def sqr(self) -> "Interval":
         a = abs(self)
         return Interval(_prod_lo(a.lo, a.lo), _prod_hi(a.hi, a.hi))

@@ -10,7 +10,15 @@ iteration the bracket that ``level_crossing`` returns.
 A branch works out each fact about itself once and caches it: its
 certified direction (``Branch.increasing``, which every reader of the
 direction uses) and the interval enclosures of the coefficients of its
-value, first and second derivative.
+value, first and second derivative.  A map does the same for the facts
+every later stage reads: ``abs_deriv_inf``, ``abs_deriv_sup``,
+``min_branch_length`` and ``distortion_sup`` are cached enclosures, each
+one fold over the branches of a per-branch enclosure.
+
+Mod-1 splitting and symbolic iteration cut a branch where its image
+crosses a sorted list of levels (the integers, respectively the outer
+map's breakpoints); one routine decides those crossings by certified
+comparison with the branch's end values and brackets their preimages.
 
 All quantities the certification consumes (contraction factor, variation
 coefficients, distortion bounds) are produced as intervals whose upper ends
@@ -24,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +53,6 @@ __all__ = [
     "LYCoefficientsBV",
     "LYCoefficientsLip",
     "ExpansionError",
-    "distortion_sup",
     "ly_coefficients_bv",
     "ly_coefficients_lip",
     "iterate_map",
@@ -99,10 +106,6 @@ class Branch:
     def is_polynomial(self) -> bool:
         return self.trig_amp == 0
 
-    @property
-    def is_linear(self) -> bool:
-        return self.is_polynomial and poly_is_linear(self.poly)
-
     def domain_outer(self) -> Interval:
         return Interval(self.lo.enc.lo, self.hi.enc.hi)
 
@@ -150,6 +153,13 @@ class Branch:
             out = out - amp * w * w * (w * x).sin()
         return out
 
+    def distortion_iv(self, x: Interval) -> Interval:
+        """Enclosure of |T''| / (T')^2 over x ([0, inf] where T' may vanish)."""
+        den = self.deriv_iv(x).sqr()
+        if den.contains_zero():
+            return Interval(0.0, math.inf)
+        return abs(self.second_iv(x)) / den
+
     @cached_property
     def increasing(self) -> bool:
         """Certified direction: the sign of T' over the outer domain."""
@@ -187,46 +197,40 @@ class PiecewiseMap:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def breakpoints(self) -> List[Endpoint]:
-        """Interior breakpoints, in order."""
-        return [b.lo for b in self.branches[1:]]
-
-    def branch_index(self, x) -> int:
-        """Index of the first branch whose endpoint brackets admit x."""
-        for i, b in enumerate(self.branches):
-            if b.lo.lo <= x <= b.hi.hi:
-                return i
-        raise ValueError(f"point {x} outside [0,1]")
-
     def validate_monotone(self) -> None:
         """Certify that no branch derivative enclosure touches zero."""
         for b in self.branches:
             b.increasing  # raises ValueError when the sign is undecided
 
-    # -- rigorous global quantities --------------------------------------
+    # -- rigorous global quantities, each computed once --------------------
 
+    def _fold(self, pick, fact: Callable[[Branch], Interval]) -> Interval:
+        """pick (min or max) of a per-branch enclosure, end by end."""
+        encs = [fact(b) for b in self.branches]
+        return Interval(pick(e.lo for e in encs), pick(e.hi for e in encs))
+
+    @cached_property
     def abs_deriv_inf(self) -> Interval:
         """Enclosure of inf over [0,1] of |T'|."""
-        encs = [
-            _adaptive_inf(lambda s, b=b: abs(b.deriv_iv(s)), b.domain_outer(),
-                          rel_tol=0.002)
-            for b in self.branches
-        ]
-        out = encs[0]
-        for e in encs[1:]:
-            out = out.min_with(e)
-        return out
+        return self._fold(min, lambda b: _adaptive_inf(
+            lambda s: abs(b.deriv_iv(s)), b.domain_outer(), rel_tol=0.002))
 
+    @cached_property
     def abs_deriv_sup(self) -> Interval:
-        encs = [
-            _adaptive_sup(lambda s, b=b: abs(b.deriv_iv(s)), b.domain_outer(),
-                          rel_tol=0.002)
-            for b in self.branches
-        ]
-        out = encs[0]
-        for e in encs[1:]:
-            out = out.max_with(e)
-        return out
+        """Enclosure of sup over [0,1] of |T'|."""
+        return self._fold(max, lambda b: _adaptive_sup(
+            lambda s: abs(b.deriv_iv(s)), b.domain_outer(), rel_tol=0.002))
+
+    @cached_property
+    def distortion_sup(self) -> Interval:
+        """Enclosure of sup over [0,1] of |T''| / (T')^2."""
+        return self._fold(max, lambda b: _adaptive_sup(b.distortion_iv,
+                                                       b.domain_outer()))
+
+    @cached_property
+    def min_branch_length(self) -> Interval:
+        """Enclosure of the shortest branch domain's length."""
+        return self._fold(min, lambda b: b.hi.enc - b.lo.enc)
 
     def abs_deriv_range_over(self, x: IntervalArray) -> IntervalArray:
         """Hull of |T'| over every branch meeting x (straddles included),
@@ -244,13 +248,6 @@ class PiecewiseMap:
         if np.isinf(lo).any():
             raise ValueError("interval misses every branch domain")
         return IntervalArray(lo, hi)
-
-    def min_branch_length(self) -> Interval:
-        lengths = [b.hi.enc - b.lo.enc for b in self.branches]
-        out = lengths[0]
-        for e in lengths[1:]:
-            out = out.min_with(e)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +303,6 @@ def _adaptive_inf(fn: Callable[[Interval], Interval], dom: Interval,
 # ---------------------------------------------------------------------------
 
 
-def distortion_sup(m: PiecewiseMap) -> Interval:
-    """Rigorous upper bound of sup over [0,1] of |T''| / (T')^2."""
-
-    def make_fn(b: Branch):
-        def fn(s: Interval) -> Interval:
-            num = abs(b.second_iv(s))
-            den = b.deriv_iv(s).sqr()
-            if den.contains_zero():
-                return Interval(0.0, math.inf)
-            return num / den
-
-        return fn
-
-    encs = [_adaptive_sup(make_fn(b), b.domain_outer()) for b in m.branches]
-    out = encs[0]
-    for e in encs[1:]:
-        out = out.max_with(e)
-    return out
-
-
 @dataclass(frozen=True)
 class LYCoefficientsBV:
     """Variation-norm inequality data: ||L mu|| <= 2l ||mu|| + B' |mu|_1."""
@@ -356,17 +333,17 @@ def ly_coefficients_bv(m: PiecewiseMap) -> LYCoefficientsBV:
     Requires inf |T'| > 2 (so the doubled contraction factor stays < 1);
     otherwise instructs the caller to study a higher iterate.
     """
-    inf_d = m.abs_deriv_inf()
+    inf_d = m.abs_deriv_inf
     if not inf_d.lo > 2.0:
         raise ExpansionError(
             f"certified inf |T'| = {inf_d.lo:.6g} <= 2; "
             "raise the iterate exponent and retry"
         )
     lam = iv(1) / inf_d
-    min_len = m.min_branch_length()
+    min_len = m.min_branch_length
     if not min_len.lo > 0.0:
         raise ValueError("degenerate branch: zero-length domain")
-    dist = distortion_sup(m)
+    dist = m.distortion_sup
     b_prime = iv(2) / min_len + iv(2) * dist
     one_minus = iv(1) - iv(2) * lam
     if not one_minus.lo > 0.0:
@@ -382,13 +359,13 @@ def ly_coefficients_lip(m: PiecewiseMap) -> LYCoefficientsLip:
     """Coefficients of the Lipschitz inequality for the sup-norm pipeline."""
     if not m.circle:
         raise ValueError("sup-norm coefficients need a circle map")
-    inf_d = m.abs_deriv_inf()
+    inf_d = m.abs_deriv_inf
     if not inf_d.lo > 1.0:
         raise ExpansionError(
             f"certified inf |T'| = {inf_d.lo:.6g} <= 1; not expanding"
         )
     lam = iv(1) / inf_d
-    dist = distortion_sup(m)
+    dist = m.distortion_sup
     b_var = dist / (iv(1) - lam)
     m_sup = b_var + iv(1)
     b_one = iv(m.branch_count) * dist
@@ -493,51 +470,66 @@ def _order(x, y) -> Optional[int]:
     return None
 
 
+def _level_cuts(b: Branch, levels: Sequence[Endpoint], name: str,
+                cut: str) -> List[Tuple[Endpoint, Endpoint, int]]:
+    """Cut b where its image crosses the sorted levels.
+
+    Each level (exact, or a bracket) is compared with b's end values,
+    exact where rational and enclosed otherwise; a level that the
+    comparison cannot place (its enclosure overlaps an end value's) raises
+    ValueError, naming it as the ``name`` level and the cut as a ``cut``
+    cut.  The levels strictly inside the image cut the domain at the
+    bracket of their preimages.  Returns the pieces (left, right, j) in
+    domain order, where piece j's image lies between levels j - 1 and j:
+    j counts the levels at or below it.
+    """
+    a, c = b.lo.lo, b.hi.hi
+    ends = (_value_at(b, b.lo), _value_at(b, b.hi))
+    lower, upper = ends if b.increasing else ends[::-1]
+    inside, below = [], 0
+    for d in levels:
+        point = d.exact if d.is_exact else d.enc
+        signs = (_order(point, lower), _order(point, upper))
+        if None in signs:
+            shown = d.exact if d.is_exact else f"[{d.lo}, {d.hi}]"
+            raise ValueError(
+                f"an end value of the branch on [{a}, {c}] is within rounding "
+                f"of the {name} {shown}: cannot certify its {cut} cut")
+        if signs == (1, -1):
+            inside.append(d)
+        elif signs[0] <= 0:
+            below += 1
+    ids = list(range(below, below + len(inside) + 1))
+    if not b.increasing:  # crossings ordered along the domain
+        inside, ids = inside[::-1], ids[::-1]
+    cuts = [b.lo]
+    for d in inside:
+        brackets = [level_crossing(b, t, a, c) for t in {d.lo, d.hi}]
+        cuts.append(Endpoint(min(e[0] for e in brackets),
+                             max(e[1] for e in brackets)))
+    cuts.append(b.hi)
+    return list(zip(cuts, cuts[1:], ids))
+
+
 def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     """Split one monotone expression over [a,b] into mod-1 branches.
 
     The cuts are the crossings expr(x) = n of the integers n strictly
-    inside the image, decided against the exact end values or, for an
-    irrational end, against its enclosure; an integer that such an
-    enclosure holds raises ValueError.  The branches' polynomials carry
+    inside the image (``_level_cuts``); the branches' polynomials carry
     the -n shifts.  Exact rational crossings stay exact; irrational ones
     become brackets.
     """
     b = expr_branch
-    a_end, c_end = b.lo, b.hi
-    if not (a_end.is_exact and c_end.is_exact):
+    if not (b.lo.is_exact and b.hi.is_exact):
         raise ValueError("mod splitting expects exact domain endpoints")
-    a, c = a_end.lo, c_end.lo
-    ends = (_value_at(b, a_end), _value_at(b, c_end))
-    lower, upper = ends if b.increasing else ends[::-1]
-    base = math.floor(lower.lo if isinstance(lower, Interval) else lower)
-    top = math.ceil(upper.hi if isinstance(upper, Interval) else upper)
-    levels = []
-    for n in range(base, top + 1):
-        signs = (_order(n, lower), _order(n, upper))
-        if None in signs:
-            raise ValueError(
-                f"an end value of the branch on [{a}, {c}] is within rounding "
-                f"of the integer {n}: cannot certify its mod-1 cut")
-        if signs == (1, -1):
-            levels.append(Fraction(n))
-    # the integer parts of the pieces, along the image
-    shifts = list(range(base, base + len(levels) + 1))
-    if not b.increasing:  # crossings ordered along the domain
-        levels, shifts = levels[::-1], shifts[::-1]
-
-    cuts = [a_end, *(Endpoint(*level_crossing(b, lvl, a, c)) for lvl in levels),
-            c_end]
-    return [Branch(left, right, tuple(poly_shift(list(b.poly), -shift)),
+    img = b.image_iv()
+    base = math.floor(img.lo)  # at or below the image: every piece has j >= 1
+    levels = [Endpoint.from_rational(n)
+              for n in range(base, math.ceil(img.hi) + 1)]
+    # piece j lies above the integer base + j - 1
+    return [Branch(left, right, tuple(poly_shift(list(b.poly), 1 - base - j)),
                    b.trig_amp, b.trig_freq)
-            for left, right, shift in zip(cuts, cuts[1:], shifts)]
-
-
-def _preimage_endpoint(b: Branch, target: Endpoint, a: Fraction,
-                       c: Fraction) -> Endpoint:
-    """Bracket of {x in [a,c] : expr(x) in target} (monotone)."""
-    ends = [level_crossing(b, t, a, c) for t in {target.lo, target.hi}]
-    return Endpoint(min(e[0] for e in ends), max(e[1] for e in ends))
+            for left, right, j in _level_cuts(b, levels, "integer", "mod-1")]
 
 
 def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
@@ -545,47 +537,22 @@ def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
 
     Restricted to polynomial maps: trigonometric terms do not compose into
     the representable class.  Each inner branch is cut at the preimages of
-    the outer breakpoints interior to its image.  The composed branches
-    are not certified monotone here; ``PiecewiseMap.validate_monotone``
-    does that for the map that ``iterate_map`` returns.
+    the outer breakpoints interior to its image (``_level_cuts``), and a
+    piece whose image lies above j of them composes with outer branch j.
+    The composed branches are not certified monotone here;
+    ``PiecewiseMap.validate_monotone`` does that for the map that
+    ``iterate_map`` returns.
     """
-    for b in list(outer.branches) + list(inner.branches):
+    for b in outer.branches + inner.branches:
         if not b.is_polynomial:
             raise ValueError("symbolic iteration supports polynomial maps only")
-    interior = outer.breakpoints()  # d_1 < ... < d_{n-1}
-    new_branches: List[Branch] = []
-    for ib in inner.branches:
-        a, c = ib.lo.lo, ib.hi.hi
-        ends = (_value_at(ib, ib.lo), _value_at(ib, ib.hi))
-        lower, upper = ends if ib.increasing else ends[::-1]
-        inside, below = [], 0
-        for j, d in enumerate(interior):
-            point = d.exact if d.is_exact else d.enc
-            signs = (_order(point, lower), _order(point, upper))
-            if None in signs:
-                raise ValueError(
-                    f"outer breakpoint [{d.lo}, {d.hi}] is within rounding of "
-                    f"an end value of the branch on [{a}, {c}]: cannot certify "
-                    "the composition cut")
-            if signs == (1, -1):
-                inside.append(j)
-            elif signs[0] <= 0:
-                below += 1
-        # the image starts in outer branch `below` and enters one more
-        # branch at each breakpoint inside it
-        outer_ids = [below] + [j + 1 for j in inside]
-        cut_targets = [interior[j] for j in inside]
-        if not ib.increasing:
-            outer_ids = outer_ids[::-1]
-            cut_targets = cut_targets[::-1]
-        cuts: List[Endpoint] = [ib.lo]
-        for tgt in cut_targets:
-            cuts.append(_preimage_endpoint(ib, tgt, a, c))
-        cuts.append(ib.hi)
-        for (left, right), oid in zip(zip(cuts, cuts[1:]), outer_ids):
-            comp = tuple(poly_compose(list(outer.branches[oid].poly), list(ib.poly)))
-            new_branches.append(Branch(left, right, comp))
-    return PiecewiseMap(tuple(new_branches), circle=outer.circle)
+    interior = [b.lo for b in outer.branches[1:]]
+    return PiecewiseMap(tuple(
+        Branch(left, right,
+               tuple(poly_compose(list(outer.branches[j].poly), list(ib.poly))))
+        for ib in inner.branches
+        for left, right, j in _level_cuts(ib, interior, "outer breakpoint",
+                                          "composition")), circle=outer.circle)
 
 
 def iterate_map(m: PiecewiseMap, p: int) -> PiecewiseMap:

@@ -212,7 +212,7 @@ def nnz_bound(matrix: TransitionMatrix, m: PiecewiseMap) -> int:
     structural bound."""
     counts = np.diff(matrix.csr.indptr)
     observed = int(counts.max())
-    cap = math.ceil(m.abs_deriv_sup().hi) + 4
+    cap = math.ceil(m.abs_deriv_sup.hi) + 4
     if observed > cap:
         raise RuntimeError(
             f"row sparsity {observed} exceeds structural bound {cap}; assembly bug"

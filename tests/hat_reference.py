@@ -100,11 +100,18 @@ def _snap(x: float) -> Fraction:
     return Fraction(round(x * _SNAP), _SNAP)
 
 
-def assemble_reference(m: PiecewiseMap, k: int, coeffs=None) -> LinfMatrix:
+def branch_index(m: PiecewiseMap, x) -> int:
+    """Index of the first branch of m whose endpoint brackets admit x."""
+    for i, b in enumerate(m.branches):
+        if b.lo.lo <= x <= b.hi.hi:
+            return i
+    raise ValueError(f"point {x} outside [0,1]")
+
+
+def assemble_reference(m: PiecewiseMap, k: int) -> LinfMatrix:
     """Node-by-node scalar form of ``hatbasis.assemble_linearized``."""
     _check_circle(m)
-    if coeffs is None:
-        coeffs = ly_coefficients_lip(m)
+    coeffs = ly_coefficients_lip(m)
     lin_err = (iv(4) * coeffs.distortion / (iv(k) * iv(k))).hi
     indptr = [0]
     indices: List[int] = []
@@ -113,7 +120,7 @@ def assemble_reference(m: PiecewiseMap, k: int, coeffs=None) -> LinfMatrix:
     nnz_max = 0
     for i in range(k):
         a = Fraction(i, k)
-        br = m.branches[m.branch_index(a)]
+        br = m.branches[branch_index(m, a)]
         s_enc = br.deriv_iv(from_fraction(a))
         if s_enc.contains_zero():
             raise ValueError(f"T' enclosure touches 0 at node {i}")

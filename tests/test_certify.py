@@ -185,7 +185,7 @@ def test_lyapunov_eq6_contains_exact_value(eq6, k):
 
 def test_lyapunov_linf_mode(sinmap):
     lys = ly_coefficients_lip(sinmap)
-    mk = markovize(assemble_linearized(sinmap, 256, lys))
+    mk = markovize(assemble_linearized(sinmap, 256))
     contraction, density = contraction_sweep(mk, 1e-5)
     cert = certify_linf(lys, mk, contraction, density, eps_num=1e-5)
     lr = lyapunov(sinmap, density, cert)
@@ -256,12 +256,12 @@ def test_lyapunov_contains_scalar_reference(request, name, mode, k):
         cert = certify_l1(ly, mk, contraction, density, eps_num=1e-4)
     else:
         ly = ly_coefficients_lip(m)
-        mk = markovize(assemble_linearized(m, k, ly))
+        mk = markovize(assemble_linearized(m, k))
         contraction, density = contraction_sweep(mk, 1e-5)
         cert = certify_linf(ly, mk, contraction, density, eps_num=1e-5)
     lr = lyapunov(m, density, cert)
     terms = _scalar_cell_terms(m, density, k)
-    log_mag = max(abs(m.abs_deriv_sup().log().hi), abs(m.abs_deriv_inf().log().lo))
+    log_mag = max(abs(m.abs_deriv_sup.log().hi), abs(m.abs_deriv_inf.log().lo))
     slack = F((iv(log_mag) * iv(cert.eps_rig)).hi)
     ref_lo = sum(F(t.lo) for t in terms) - slack
     ref_hi = sum(F(t.hi) for t in terms) + slack

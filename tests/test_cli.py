@@ -4,8 +4,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigdens.cli import MapParseError, RunConfig, main, parse_map, run
+from rigdens.cli import (MapParseError, MapSpec, RunConfig, _BranchStmt, main,
+                         parse_map, run)
 from tests.conftest import EQ4, LANFORD2, SINMAP
 
 
@@ -14,6 +17,40 @@ def test_parse_round_trip_canonical():
         spec = parse_map(text)
         again = parse_map(spec.canonical())
         assert again == spec
+
+
+_rationals = st.fractions(max_denominator=1000).filter(lambda q: abs(q) < 10 ** 6)
+
+
+@st.composite
+def _map_specs(draw):
+    """MapSpecs of the grammar: a partition of [0, 1] at rational cuts, each
+    branch a rational polynomial with an optional A sin(B pi x) term (B a
+    nonnegative literal, as the grammar writes it) and an optional mod 1,
+    plus iterate and circle."""
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=100),
+                         max_size=4, unique=True))
+    ends = [F(0), *sorted(set(cuts) - {F(0), F(1)}), F(1)]
+    stmts = []
+    for lo, hi in zip(ends, ends[1:]):
+        poly = draw(st.lists(_rationals, min_size=1, max_size=5))
+        amp = draw(st.one_of(st.just(F(0)), _rationals))
+        freq = draw(st.fractions(min_value=0, max_value=64, max_denominator=100))
+        stmts.append(_BranchStmt(lo, hi, tuple(poly), amp, freq, draw(st.booleans())))
+    return MapSpec(tuple(stmts), iterate=draw(st.integers(1, 5)),
+                   circle=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_specs())
+def test_parse_round_trip_generated(spec):
+    assert parse_map(spec.canonical()) == spec
+
+
+def test_parse_keeps_one_form_per_expression():
+    # "+ x^2 - x^2" and a zero sine term leave no trace in the spec
+    s = parse_map("poly [0,1] : 3x + x^2 - x^2 + 0 sin(2 pi x)").stmts[0]
+    assert (s.poly, s.amp, s.freq) == ((F(0), F(3)), F(0), F(0))
 
 
 def test_parse_factored_polynomial():
@@ -106,6 +143,10 @@ def test_main_help_exits_0(capsys):
                    "poly [1/3,1] : 3x mod 1"),
      "an end value of the branch on [0, 1/3] is within rounding of the "
      "integer 2: cannot certify its mod-1 cut"),
+    # T(1) = 3 + 3e-16: the bracket of the level-3 cut reaches the domain
+    # end, so the last branch's length enclosure starts at 0
+    (dict(map_text="poly [0,1] : 3x + 0.0000000000000003 x^2 mod 1"),
+     "degenerate branch: zero-length domain"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
@@ -239,6 +280,22 @@ def test_lyapunov_error_exits_1(tmp_path, capsys, monkeypatch):
     assert run(cfg) == 1
     assert "error: |T'| enclosure touches 0 over cell 3" in capsys.readouterr().err
     assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("flag,path", [("--out-dir", "/dev/null/x"),
+                                       ("--dump-matrix", "/dev/null/m.txt")])
+def test_unwritable_output_path_exits_1(flag, path, tmp_path, capsys, monkeypatch):
+    import rigdens.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("certification ran before the path was checked")
+
+    monkeypatch.setattr(cli, "ly_coefficients_bv", must_not_run)
+    mp = tmp_path / "m.map"
+    mp.write_text("linear 3 mod 1\n")
+    argv = ["--map", str(mp), "--k", "27", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + [flag, path]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_nonpositive_eps_num_exits_1(tmp_path, capsys):

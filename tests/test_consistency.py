@@ -44,7 +44,7 @@ def test_l1_certified_balls_intersect_quadratic(eq4):
 
 def _linf_run(m, k):
     ly = ly_coefficients_lip(m)
-    matrix = markovize(assemble_linearized(m, k, ly))
+    matrix = markovize(assemble_linearized(m, k))
     contraction, density = contraction_sweep(matrix, 1e-6)
     cert = certify_linf(ly, matrix, contraction, density, eps_num=1e-6)
     return density, cert

@@ -12,7 +12,6 @@ from rigdens import enclosure
 from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
-    float_ledger,
 )
 from rigdens.intervals import EPS_MACH
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
@@ -65,14 +64,24 @@ def test_rank_one_contracts_immediately():
     assert cert.n_eps == 1
     assert cert.n_true == 1
     assert np.allclose(dens.values, 1 / 3, atol=1e-15)
-    assert dens.diameter == 2e-4
+    assert dens.diameter == 1e-4  # eps_num: what certify_* charges
+
+
+def test_anchors_swept_to_half_eps_num():
+    # the anchor (e_0 - e_1) of [[3/4, 1/4], [1/4, 3/4]] has norm 2^(1-t)
+    # after t steps: the first t with 2^(1-t) <= 0.03/2 is 8 (and 7 for a
+    # threshold of 0.03, which only proves a diameter of 0.06)
+    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[0.75, 0.25], [0.25, 0.75]]),
+                          eps=0.0, nnz_max=2)
+    _, dens = contraction_sweep(tm, 0.03)
+    assert (dens.l, dens.diameter) == (8, 0.03)
 
 
 def test_float_ledger_values():
-    assert float_ledger(0, 100) == 0.0
-    assert math.isclose(float_ledger(25, 2**20), 5.82e-9, rel_tol=1e-2)
-    assert float_ledger(25, 2**20) == 25 * 2**20 * EPS_MACH
-    assert math.isclose(float_ledger(10, 4096), 9.1e-12, rel_tol=1e-2)
+    assert enclosure._float_ledger(0, 100) == 0.0
+    assert math.isclose(enclosure._float_ledger(25, 2**20), 5.82e-9, rel_tol=1e-2)
+    assert enclosure._float_ledger(25, 2**20) == 25 * 2**20 * EPS_MACH
+    assert math.isclose(enclosure._float_ledger(10, 4096), 9.1e-12, rel_tol=1e-2)
 
 
 def test_zero_sum_bound_vs_bruteforce():
@@ -130,7 +139,9 @@ def test_enclosure_soundness_sample():
         cert, dens = contraction_sweep(mk, 1e-6, j_max=5000)
         exact = exact_fixed_vector(mk.csr.toarray())
         err = sum(abs(F(float(v)) - e) for v, e in zip(dens.values, exact))
-        assert float(err) <= dens.diameter + dens.float_err
+        # the charged numeric error: eps_num plus the float ledger
+        assert dens.diameter == 1e-6
+        assert float(err) <= 1e-6 + dens.float_err
 
 
 def assert_same_sweep(a, b):

@@ -92,7 +92,7 @@ def test_row_sums_near_one(sinmap):
 
 def test_lin_err_formula(sinmap):
     lys = ly_coefficients_lip(sinmap)
-    lm = assemble_linearized(sinmap, 128, lys)
+    lm = assemble_linearized(sinmap, 128)
     expected = 4.0 * lys.distortion.hi / 128**2
     assert lm.lin_err >= expected * (1 - 1e-12)
     assert lm.lin_err <= expected * (1 + 1e-9)
@@ -186,8 +186,7 @@ def test_closed_form_enclosure_contains_exact_integral():
 def test_assembly_matches_scalar_reference(sinmap, k):
     """The interval-array assembly against the node-by-node scalar one:
     the same support, and every entry within the recorded eps."""
-    ly = ly_coefficients_lip(sinmap)
-    fast, ref = assemble_linearized(sinmap, k, ly), assemble_reference(sinmap, k, ly)
+    fast, ref = assemble_linearized(sinmap, k), assemble_reference(sinmap, k)
     assert np.array_equal(fast.csr.indptr, ref.csr.indptr)
     assert np.array_equal(fast.csr.indices, ref.csr.indices)
     assert (fast.csr.nnz, fast.nnz_max) == (ref.csr.nnz, ref.nnz_max)

@@ -13,13 +13,14 @@ from rigdens.maps import (
     ExpansionError,
     PiecewiseMap,
     compose_maps,
-    distortion_sup,
     iterate_map,
     ly_coefficients_bv,
     ly_coefficients_lip,
 )
+from rigdens import cli, maps
 from rigdens.cli import parse_map
 from rigdens.polys import poly_eval
+from tests.conftest import EQ4, SINMAP
 
 
 def _dense_grid(m, fn, n=20001):
@@ -102,8 +103,8 @@ def test_bv_b_relation(eq4):
 
 
 def test_iterate_chain_rule_one_sided(lanford, lanford2):
-    inf1 = lanford.abs_deriv_inf()
-    inf2 = lanford2.abs_deriv_inf()
+    inf1 = lanford.abs_deriv_inf
+    inf2 = lanford2.abs_deriv_inf
     # inf |(T^2)'| >= (inf |T'|)^2; the Lanford map attains equality at 1
     assert inf2.hi >= inf1.lo ** 2 * (1 - 1e-9)
     assert abs(inf1.lo - 1.5) < 1e-6
@@ -132,18 +133,18 @@ def test_lanford_bv_coefficients(lanford2):
 
 
 def test_distortion_tripling(tripling):
-    d = distortion_sup(tripling)
+    d = tripling.distortion_sup
     assert d.hi <= 1e-12
 
 
 def test_distortion_lanford_branch(lanford):
     # T'' = -1, T' in [3/2, 5/2]: sup |T''/(T')^2| = 4/9
-    d = distortion_sup(lanford)
+    d = lanford.distortion_sup
     assert 4 / 9 - 1e-9 <= d.hi <= 4 / 9 * 1.01
 
 
 def test_distortion_sin_map(sinmap):
-    d = distortion_sup(sinmap)
+    d = sinmap.distortion_sup
     grid = _dense_grid(sinmap, _oracle_distortion, 40001).max()
     crude = 0.64 * math.pi ** 2 / (4 - 0.08 * math.pi) ** 2  # ~0.45
     assert grid - 1e-6 <= d.hi <= crude * 1.05
@@ -185,7 +186,7 @@ def test_lip_needs_circle(eq6):
 
 
 def test_min_branch_length_eq6(eq6):
-    ml = eq6.min_branch_length()
+    ml = eq6.min_branch_length
     assert abs(ml.lo - 2 / 17) < 1e-12
 
 
@@ -268,5 +269,29 @@ def test_composition_cut_near_an_inner_end_value():
     assert comp.branches[1].lo.exact == F(1, 2)
     # a bracket holding 1/2 itself leaves the comparison undecided
     holding = Endpoint(F(1, 2) - F(1, 10**20), F(1, 2) + F(1, 10**20))
-    with pytest.raises(ValueError, match="cannot certify the composition cut"):
+    with pytest.raises(ValueError, match="cannot certify its composition cut"):
         compose_maps(outer, _identity_split_at(holding))
+
+
+@pytest.mark.parametrize("text,mode,calls", [(SINMAP, "Linf", 17), (EQ4, "L1", 16)])
+def test_each_map_fact_refined_once(text, mode, calls, tmp_path, monkeypatch):
+    """One cli.run refines each (branch, quantity) pair once: every stage
+    reads the map's cached enclosures.  A refinement is identified by its
+    domain, its tolerance and the enclosure of its function over the whole
+    domain, which tells the direction check, |T'| and the distortion apart.
+    SINMAP: 5 direction checks (the expression and its 4 pieces), then
+    inf |T'|, distortion and sup |T'| on 4 branches; EQ4: 4 directions,
+    then the same 3 facts on 4 branches."""
+    seen = []
+    refine = maps._adaptive_sup
+
+    def recorded(fn, dom, rel_tol=0.01):
+        whole = fn(dom)
+        seen.append((dom.lo, dom.hi, rel_tol, whole.lo, whole.hi))
+        return refine(fn, dom, rel_tol)
+
+    monkeypatch.setattr(maps, "_adaptive_sup", recorded)
+    cfg = cli.RunConfig(map_text=text, mode=mode, k=64, out_dir=str(tmp_path))
+    assert cli.run(cfg) == 0
+    assert len(set(seen)) == len(seen)
+    assert len(seen) == calls
