@@ -22,7 +22,6 @@ from .maps import (
 )
 from .ulam import (
     TransitionMatrix,
-    assemble_row,
     assemble_ulam,
     dump_matrix,
     markovize,

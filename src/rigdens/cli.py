@@ -18,13 +18,14 @@ verbose, no_lyap; any other key is rejected) and a [map] section with
 either text= or file=.  Flags override config values.
 
 Exit codes: 0 success, 1 bad configuration (including command line usage
-errors, an output path that cannot be written, maps with a zero-length
-branch, maps the assembly rejects and maps whose |T'| enclosure touches 0
-in the Lyapunov stage), 2 failed expansion check, 3 no observed
-contraction.  The output directory and the --dump-matrix file's directory
-are created once the map is built, before any certification work, so an
-unwritable path fails at once.  --verbose sends the package's INFO log
-records (one per contraction step) to stderr.
+errors, an output path that cannot be written, maps with a branch whose
+length enclosure reaches 0, maps the assembly rejects and maps whose
+|T'| enclosure touches 0 in the Lyapunov stage), 2 failed expansion
+check, 3 no observed contraction.  The output directory and the
+--dump-matrix file's directory are created once the map is built, before
+any certification work, so an unwritable path fails at once.  --verbose
+sends the package's INFO log records (one per contraction step) to
+stderr.
 """
 
 from __future__ import annotations
@@ -542,7 +543,7 @@ def _run(config: RunConfig) -> int:
         print(f"error: {exc} (try --iterate)", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # a zero-length branch
+        # a branch whose length enclosure reaches 0
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

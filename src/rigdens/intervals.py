@@ -43,6 +43,8 @@ __all__ = [
     "HALF_PI",
     "iv",
     "from_fraction",
+    "ratio_array",
+    "exact_int_dtype",
 ]
 
 # Unit roundoff ledger constant: 2^-52, the spacing of doubles in [1, 2).
@@ -584,6 +586,30 @@ def _as_array(x) -> IntervalArray:
         return IntervalArray(f)
     x = _coerce(x)
     return IntervalArray(x.lo, x.hi)
+
+
+def exact_int_dtype(top: int):
+    """Array dtype of integers over a common denominator, given the largest
+    magnitude top of them and of every integer formed from them: int64
+    when top < 2^53, so each is an exact double too, and object (Python
+    ints) otherwise."""
+    return np.dtype(np.int64) if top < 2 ** 53 else np.dtype(object)
+
+
+def ratio_array(nums, den: int) -> IntervalArray:
+    """Smallest machine intervals holding the rationals nums / den, for an
+    integer array nums (int64 or Python ints) and an integer den > 0."""
+    nums = np.asarray(nums)
+    top = int(np.abs(nums).max()) if nums.size else 0
+    nums = nums.astype(exact_int_dtype(max(den, top)))
+    if nums.dtype != object:
+        # both exact doubles: a correctly rounded quotient and the sign of
+        # its residual
+        lo, hi = _v_div_bounds(nums.astype(np.float64), np.float64(den))
+        return IntervalArray(lo, hi)
+    encs = [from_fraction(Fraction(int(n), den)) for n in nums.tolist()]
+    return IntervalArray(np.array([e.lo for e in encs], dtype=np.float64),
+                         np.array([e.hi for e in encs], dtype=np.float64))
 
 
 # libm endpoint evaluations are faithful but not proven correctly rounded;

@@ -9,16 +9,21 @@ iteration the bracket that ``level_crossing`` returns.
 
 A branch works out each fact about itself once and caches it: its
 certified direction (``Branch.increasing``, which every reader of the
-direction uses) and the interval enclosures of the coefficients of its
-value, first and second derivative.  A map does the same for the facts
+direction uses; a mod-1 piece takes the one its expression certified)
+and the interval enclosures of the coefficients of its value, first and
+second derivative.  A map does the same for the facts
 every later stage reads: ``abs_deriv_inf``, ``abs_deriv_sup``,
 ``min_branch_length`` and ``distortion_sup`` are cached enclosures, each
 one fold over the branches of a per-branch enclosure.
 
-Mod-1 splitting and symbolic iteration cut a branch where its image
-crosses a sorted list of levels (the integers, respectively the outer
-map's breakpoints); one routine decides those crossings by certified
-comparison with the branch's end values and brackets their preimages.
+``level_crossing`` is the one preimage routine: one array call brackets
+the preimages of many levels, exactly (integers over a common
+denominator) on rational linear branches and with verified float
+brackets a few ulps wide otherwise.  Ulam assembly calls it with every
+level j/k of a branch; mod-1 splitting and symbolic iteration call it
+where they cut a branch, at the crossings of a sorted list of levels (the
+integers, respectively the outer map's breakpoints) that one routine
+decides by certified comparison with the branch's end values.
 
 All quantities the certification consumes (contraction factor, variation
 coefficients, distortion bounds) are produced as intervals whose upper ends
@@ -36,7 +41,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import PI, Interval, IntervalArray, from_fraction, iv
+from .intervals import (PI, Interval, IntervalArray, exact_int_dtype, from_fraction, iv,
+                        ratio_array)
 from .polys import (
     poly_compose,
     poly_derivative,
@@ -342,7 +348,9 @@ def ly_coefficients_bv(m: PiecewiseMap) -> LYCoefficientsBV:
     lam = iv(1) / inf_d
     min_len = m.min_branch_length
     if not min_len.lo > 0.0:
-        raise ValueError("degenerate branch: zero-length domain")
+        raise ValueError(
+            "a branch's length enclosure reaches 0: the shortest lies in "
+            f"[{min_len.lo:.3g}, {min_len.hi:.3g}]")
     dist = m.distortion_sup
     b_prime = iv(2) / min_len + iv(2) * dist
     one_minus = iv(1) - iv(2) * lam
@@ -385,64 +393,139 @@ def ly_coefficients_lip(m: PiecewiseMap) -> LYCoefficientsLip:
 # ---------------------------------------------------------------------------
 
 
-def _exact_level_crossing(b: Branch, level: Fraction,
-                          a: Fraction, c: Fraction) -> Optional[Fraction]:
-    """Root of expr(x) = level on [a, c] when it is rational: the root of a
-    linear polynomial part, unless a sine term is nonzero there."""
+# levels bracketed at a time: bounds the interval temporaries
+_CROSSING_CHUNK = 1 << 16
+_NEWTON_STEPS = 8
+
+
+def level_crossing(b: Branch, nums: np.ndarray, den: int, a: Fraction,
+                   c: Fraction) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Brackets of {x in [a, c] : b(x) = n / den} for every n in nums.
+
+    Returns (lo, hi, scale): the bracket of level nums[i] is
+    [lo[i] / scale, hi[i] / scale].  [a, c] lies in the branch's outer
+    domain, on which the branch is monotone in the direction
+    b.increasing.  A level that b does not reach on [a, c] is bracketed at
+    the end of [a, c] it lies beyond, so the bracket always encloses the
+    crossing clamped to [a, c].  There are two kinds of bracket:
+
+    - exact, when the polynomial part is linear and the sine term (if any)
+      vanishes at every root and every root lies in [a, c]: lo == hi are
+      the roots as integers over one common denominator ``scale``, in the
+      format of ``intervals.exact_int_dtype`` (int64 or Python ints);
+    - float, otherwise (``scale`` is 1): a float Newton iteration proposes
+      each root, and certified interval signs of ``b.value_iv`` at the two
+      ends verify it; an end that fails moves away from the proposal by
+      a growing number of ulps until it verifies, so brackets are a few
+      ulps wide.  Proposal and verification run on the branch's whole
+      outer domain, so a level's bracket does not depend on [a, c] until
+      it is clamped to it.
+    """
+    nums = np.asarray(nums)
+    exact = _exact_crossings(b, nums, den, a, c)
+    if exact is not None:
+        return exact
+    y = ratio_array(nums, den)
+    lo_out, hi_out = np.empty(len(nums)), np.empty(len(nums))
+    for s in range(0, len(nums), _CROSSING_CHUNK):
+        part = slice(s, s + _CROSSING_CHUNK)
+        lo_out[part], hi_out[part] = _float_crossings(b, y[part])
+    ea, ec = from_fraction(a), from_fraction(c)
+    return (np.minimum(np.maximum(lo_out, ea.lo), ec.lo),
+            np.minimum(np.maximum(hi_out, ea.hi), ec.hi), 1)
+
+
+def _exact_crossings(b: Branch, nums: np.ndarray, den: int, a: Fraction,
+                     c: Fraction):
+    """Exact roots of expr(x) = n / den clamped to [a, c], as integers over
+    a common denominator, or None unless the polynomial part is linear and
+    any sine term vanishes at every root, which then lies in [a, c]."""
     p = b.poly
     if not poly_is_linear(p) or len(p) < 2 or p[1] == 0:
         return None
-    r = (level - p[0]) / p[1]
-    if a <= r <= c and (b.trig_amp == 0 or b.value_exact(r) == level):
-        return r
-    return None
+    (a0, b0), (a1, b1) = (Fraction(p[0]).as_integer_ratio(),
+                          Fraction(p[1]).as_integer_ratio())
+    # x = (n - den p0) / (den p1) = (n b0 - den a0) b1 / (den b0 a1)
+    g = den * b0 * a1
+    scale = math.lcm(abs(g), a.denominator, c.denominator)
+    mult = b1 * (scale // g)
+    f_num, f_den = b.trig_freq.as_integer_ratio()
+    top = int(np.abs(nums).max()) if nums.size else 0
+    bound = max((top * b0 + den * abs(a0)) * abs(mult) * max(abs(f_num), 1),
+                f_den * scale, scale * max(abs(a), abs(c), 1))
+    x = (nums.astype(exact_int_dtype(bound)) * b0 - den * a0) * mult
+    x_a = a.numerator * (scale // a.denominator)
+    x_c = c.numerator * (scale // c.denominator)
+    if b.trig_amp != 0:
+        # a root of the linear part solves expr(x) = n where the sine
+        # vanishes, i.e. where f_num / f_den * x / scale is an integer; it
+        # is the crossing only inside [a, c], where b is certified
+        # monotone (outside, b may cross the level elsewhere in [a, c])
+        if ((x * f_num) % (f_den * scale) != 0).any() or \
+                (x < x_a).any() or (x > x_c).any():
+            return None
+        return x, x, scale
+    x = np.minimum(np.maximum(x, x_a), x_c)
+    return x, x, scale
 
 
-def level_crossing(b: Branch, level: Fraction, a: Fraction,
-                   c: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rational bracket (lo, hi) of {x in [a, c] : b(x) = level}.
+def _float_values(b: Branch, x: np.ndarray, order: int) -> np.ndarray:
+    """Plain float value (order 0) or derivative (order 1) of b at x: the
+    Newton proposal only, never a decision."""
+    p = [float(c) for c in (b.poly if order == 0 else poly_derivative(b.poly))]
+    out = np.zeros_like(x)
+    for c in reversed(p):
+        out = out * x + c
+    if b.trig_amp != 0:
+        w = float(b.trig_freq) * math.pi
+        # libm per element, so a proposal does not depend on its batch
+        wave = np.fromiter(map(math.cos if order else math.sin,
+                               (w * x).tolist()), np.float64, count=x.size)
+        out = out + float(b.trig_amp) * (w if order else 1.0) * wave
+    return out
 
-    [a, c] lies in the branch's outer domain, on which the branch is
-    monotone in the direction b.increasing.  lo == hi when the
-    crossing is solved exactly; otherwise interval-sign bisection narrows
-    the bracket to 1e-14 or to where the sign becomes undecidable.  A level
-    that b does not reach on [a, c] is bracketed at the end of [a, c] it
-    lies beyond, so the bracket always encloses the crossing clamped to
-    [a, c].
-    """
-    exact = _exact_level_crossing(b, level, a, c)
-    if exact is not None:
-        return exact, exact
-    lvl = from_fraction(level)
-    increasing = b.increasing
-    lo, hi = a, c
 
-    def side(x: Fraction) -> Optional[bool]:
-        v = b.value_iv(from_fraction(x)) - lvl
-        if v.hi < 0:
-            return increasing  # below level: root to the right iff increasing
-        if v.lo > 0:
-            return not increasing
-        return None
-
-    for _ in range(80):
-        if hi - lo <= Fraction(1, 10 ** 14):
-            break
-        mid = (lo + hi) / 2
-        s = side(mid)
-        if s is None:
-            # sign undecidable within rounding: keep a slightly wider bracket
-            quarter = (hi - lo) / 4
-            lo2, hi2 = mid - quarter, mid + quarter
-            if side(lo2) is True and side(hi2) is False:
-                lo, hi = lo2, hi2
-                continue
-            break
-        if s:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _float_crossings(b: Branch, y: IntervalArray):
+    """Verified float brackets (lo, hi) of the crossings of the levels y
+    over the branch's outer domain, each clamped to it."""
+    dom = b.domain_outer()
+    d_lo, d_hi = dom.lo, dom.hi
+    target = y.lo
+    # proposal: inverse interpolation on a coarse table, then Newton; each
+    # element stops on its own, so a proposal depends on its level alone
+    xs = np.linspace(d_lo, d_hi, 65)
+    ts = _float_values(b, xs, 0)
+    if not b.increasing:
+        xs, ts = xs[::-1], ts[::-1]
+    x = np.interp(target, np.maximum.accumulate(ts), xs)
+    active = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            xa = x[active]
+            step = (_float_values(b, xa, 0) - target[active]) / \
+                _float_values(b, xa, 1)
+            new = np.clip(np.where(np.isfinite(step), xa - step, xa), d_lo, d_hi)
+            x[active] = new
+            active = active[new != xa]
+            if not active.size:
+                break
+    # ends: root right of lo and left of hi, certified or at the domain end
+    unit = np.spacing(np.maximum(np.abs(x), 2.0 ** -24 * (d_hi - d_lo)))
+    ends = []
+    for side in (-1.0, 1.0):
+        out = np.empty_like(x)
+        todo, ulps = np.arange(len(x)), 1.0
+        while todo.size:  # ends at the domain clamp within ~80 rounds
+            cand = np.clip(x[todo] + side * ulps * unit[todo], d_lo, d_hi)
+            v = b.value_iv(IntervalArray(cand))
+            below, above = v.hi < y.lo[todo], v.lo > y.hi[todo]
+            # root on the far side of cand from the proposal's end
+            ok = (cand == (d_lo if side < 0 else d_hi)) | (
+                (below if (side < 0) == b.increasing else above))
+            out[todo[ok]] = cand[ok]
+            todo, ulps = todo[~ok], ulps * 2.0
+        ends.append(out)
+    return ends[0], ends[1]
 
 
 def _value_at(b: Branch, e: Endpoint):
@@ -502,12 +585,16 @@ def _level_cuts(b: Branch, levels: Sequence[Endpoint], name: str,
     ids = list(range(below, below + len(inside) + 1))
     if not b.increasing:  # crossings ordered along the domain
         inside, ids = inside[::-1], ids[::-1]
-    cuts = [b.lo]
-    for d in inside:
-        brackets = [level_crossing(b, t, a, c) for t in {d.lo, d.hi}]
-        cuts.append(Endpoint(min(e[0] for e in brackets),
-                             max(e[1] for e in brackets)))
-    cuts.append(b.hi)
+    # one call brackets the preimages of both ends of every level
+    ends = [t for d in inside for t in (d.lo, d.hi)]
+    den = math.lcm(*(t.denominator for t in ends))
+    nums = np.array([t.numerator * (den // t.denominator) for t in ends],
+                    dtype=object)
+    lo, hi, scale = level_crossing(b, nums, den, a, c)
+    lo = [Fraction(v) / scale for v in lo.tolist()]
+    hi = [Fraction(v) / scale for v in hi.tolist()]
+    cuts = [b.lo] + [Endpoint(min(lo[n], lo[n + 1]), max(hi[n], hi[n + 1]))
+                     for n in range(0, len(ends), 2)] + [b.hi]
     return list(zip(cuts, cuts[1:], ids))
 
 
@@ -517,7 +604,8 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     The cuts are the crossings expr(x) = n of the integers n strictly
     inside the image (``_level_cuts``); the branches' polynomials carry
     the -n shifts.  Exact rational crossings stay exact; irrational ones
-    become brackets.
+    become brackets.  Each piece takes the expression's certified
+    direction instead of certifying its own.
     """
     b = expr_branch
     if not (b.lo.is_exact and b.hi.is_exact):
@@ -526,10 +614,17 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     base = math.floor(img.lo)  # at or below the image: every piece has j >= 1
     levels = [Endpoint.from_rational(n)
               for n in range(base, math.ceil(img.hi) + 1)]
-    # piece j lies above the integer base + j - 1
-    return [Branch(left, right, tuple(poly_shift(list(b.poly), 1 - base - j)),
-                   b.trig_amp, b.trig_freq)
-            for left, right, j in _level_cuts(b, levels, "integer", "mod-1")]
+    pieces = []
+    for left, right, j in _level_cuts(b, levels, "integer", "mod-1"):
+        # piece j lies above the integer base + j - 1
+        piece = Branch(left, right, tuple(poly_shift(list(b.poly), 1 - base - j)),
+                       b.trig_amp, b.trig_freq)
+        # the piece's outer domain lies in b's and the shift leaves T'
+        # unchanged, so b's certified direction holds for it (the value
+        # goes where the cached_property would store it)
+        piece.__dict__["increasing"] = b.increasing
+        pieces.append(piece)
+    return pieces
 
 
 def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:

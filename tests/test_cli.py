@@ -143,10 +143,11 @@ def test_main_help_exits_0(capsys):
                    "poly [1/3,1] : 3x mod 1"),
      "an end value of the branch on [0, 1/3] is within rounding of the "
      "integer 2: cannot certify its mod-1 cut"),
-    # T(1) = 3 + 3e-16: the bracket of the level-3 cut reaches the domain
-    # end, so the last branch's length enclosure starts at 0
+    # T(1) = 3 + 3e-16: the level-3 cut lies about 1e-16 below 1, with no
+    # double between it and 1, so its bracket reaches the domain end and
+    # the last branch's length enclosure is [0, 3.33e-16]
     (dict(map_text="poly [0,1] : 3x + 0.0000000000000003 x^2 mod 1"),
-     "degenerate branch: zero-length domain"),
+     "a branch's length enclosure reaches 0: the shortest lies in [0, 3.33e-16]"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import numpy as np
+
 from rigdens.intervals import Interval, from_fraction
 from rigdens.maps import Branch, Endpoint, level_crossing
 from rigdens.polys import (
@@ -16,6 +18,13 @@ from rigdens.polys import (
 def _branch(poly):
     return Branch(Endpoint.from_rational(0), Endpoint.from_rational(1),
                   tuple(poly))
+
+
+def _bracket(branch, level, a, c):
+    """The rational bracket level_crossing gives for one rational level."""
+    lo, hi, scale = level_crossing(branch, np.array([level.numerator]),
+                                   level.denominator, a, c)
+    return F(lo.tolist()[0]) / scale, F(hi.tolist()[0]) / scale
 
 
 def test_eval_exact():
@@ -51,14 +60,14 @@ def test_mul():
 
 
 def test_root_bracket_linear_exact():
-    lo, hi = level_crossing(_branch([F(0), F(3)]), F(1), F(0), F(1))
+    lo, hi = _bracket(_branch([F(0), F(3)]), F(1), F(0), F(1))
     assert lo == hi == F(1, 3)
 
 
 def test_root_bracket_quadratic():
     # 2.5x - 0.5x^2 = 1 has the root (5 - sqrt(17))/2 in [0, 1]
     p = [F(0), F(5, 2), F(-1, 2)]
-    lo, hi = level_crossing(_branch(p), F(1), F(0), F(1))
+    lo, hi = _bracket(_branch(p), F(1), F(0), F(1))
     assert 0 < hi - lo <= F(1, 10**14)
     assert poly_eval(p, lo) <= 1 <= poly_eval(p, hi)
 
@@ -66,8 +75,8 @@ def test_root_bracket_quadratic():
 def test_root_bracket_requires_sign_change():
     # x + x^2 stays below 10 on [0, 1]: no crossing inside, so the bracket
     # closes in on the end the crossing lies beyond
-    lo, hi = level_crossing(_branch([F(0), F(1), F(1)]), F(10), F(0), F(1))
+    lo, hi = _bracket(_branch([F(0), F(1), F(1)]), F(10), F(0), F(1))
     assert hi == 1 and 1 - lo <= F(1, 10**14)
     # a falling branch crossing 10 left of [0, 1] brackets the left end
-    lo, hi = level_crossing(_branch([F(2), F(-1), F(-1)]), F(10), F(0), F(1))
+    lo, hi = _bracket(_branch([F(2), F(-1), F(-1)]), F(10), F(0), F(1))
     assert lo == 0 and hi <= F(1, 10**14)

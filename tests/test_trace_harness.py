@@ -29,5 +29,5 @@ def test_tracer_instruments_and_restores(tmp_path):
         tracer.restore()
     assert (cli.run, cli.assemble_ulam, ulam.assemble_row) == originals
     names = {s["name"] for s in tracer.spans}
-    assert {"cli.run", "ulam.assemble", "ulam.row", "enclosure.sweep"} <= names
+    assert {"cli.run", "ulam.assemble", "enclosure.sweep"} <= names
     assert tracer.counters["ulam.nnz_max"] == 3

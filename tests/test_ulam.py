@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tests.conftest import EQ4, EQ7
+from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
 
 from rigdens.cli import parse_map
-from rigdens.maps import Branch, Endpoint, PiecewiseMap
+from rigdens.intervals import from_fraction
+from rigdens.maps import Branch, Endpoint, PiecewiseMap, level_crossing
 from rigdens.ulam import (
     TransitionMatrix,
     assemble_row,
@@ -135,6 +136,142 @@ def test_quadratic_maps_match_preimage_oracle(text, k):
     for key, v in got.items():
         assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
     assert raw.eps < 1e-10
+
+
+def reference_ulam(m, k):
+    """The row-by-row reference: assemble_row for every row, each entry
+    rounded once, eps the exact maximum of charged error plus rounding,
+    rounded up once."""
+    indptr, indices, data, eps = [0], [], [], F(0)
+    for i in range(k):
+        vals, errs = assemble_row(m, i, k)
+        if not vals:
+            raise ValueError(f"row {i} has no nonzero entries")
+        for j in sorted(vals):
+            f = float(vals[j])
+            data.append(f)
+            indices.append(j)
+            eps = max(eps, errs.get(j, 0) + abs(F(f) - vals[j]))
+        indptr.append(len(indices))
+    return (np.array(data), np.array(indices), np.array(indptr),
+            from_fraction(eps).hi)
+
+
+# a slope whose numerator alone exceeds int64: its roots need Python ints
+HUGE_SLOPE = "linear 30000000000000000001/10000000000000000000 mod 1"
+
+
+@pytest.mark.parametrize("text,k", [
+    (TRIPLING, 3), (TRIPLING, 6), (TRIPLING, 9), (TRIPLING, 81),
+    (EQ6, 34), (EQ6, 8192),
+    ("linear 231/68 mod 1", 1024), ("linear 228/67 mod 1", 1024),
+    ("poly [0,1] : 3 - 3x mod 1", 27),
+    # a breakpoint at 2/7 and an intercept of 1/3
+    ("poly [0,2/7] : 1/3 + 7/3 x; poly [2/7,1] : 7/5 (x - 2/7)", 30),
+    (HUGE_SLOPE, 27),
+], ids=["tripling-3", "tripling-6", "tripling-9", "tripling-81", "eq6-34",
+        "eq6-8192", "slope-231/68", "slope-228/67", "falling", "non-dyadic",
+        "huge-slope"])
+def test_exact_maps_bit_identical_to_row_reference(text, k):
+    m = parse_map(text).build()
+    raw = assemble_ulam(m, k)
+    data, indices, indptr, eps = reference_ulam(m, k)
+    assert raw.csr.data.tobytes() == data.tobytes()
+    assert np.array_equal(raw.csr.indices, indices)
+    assert np.array_equal(raw.csr.indptr, indptr)
+    assert raw.eps == eps
+    assert raw.nnz_max == int(np.diff(indptr).max())
+
+
+def test_huge_slope_roots_are_python_ints():
+    br = parse_map(HUGE_SLOPE).build().branches[0]
+    xs, _, scale = level_crossing(br, np.arange(1, 27), 27, br.lo.exact, br.hi.exact)
+    assert xs.dtype == object and scale >= 2 ** 63
+    assert [F(x, scale) for x in xs] == [F(j, 27) / F(30000000000000000001,
+                                                      10000000000000000000)
+                                         for j in range(1, 27)]
+
+
+@pytest.mark.parametrize("text", [EQ4, EQ7, LANFORD2, QUAD_TENT, SINMAP],
+                         ids=["eq4", "eq7", "lanford2", "tent", "sinmap"])
+@pytest.mark.parametrize("k", [64, 100])
+def test_float_brackets_match_row_reference(text, k):
+    """Nonlinear branches: the same support as the row reference, every
+    entry within eps of it, and eps no larger.  The two share the level
+    preimage brackets (a bracket depends on the branch and the level
+    only), so here they agree to the bit at k = 64; at k = 100 the cell
+    edges are not doubles, and their one-ulp enclosures may move an entry
+    by an ulp."""
+    m = parse_map(text).build()
+    raw = assemble_ulam(m, k)
+    data, indices, indptr, eps = reference_ulam(m, k)
+    assert np.array_equal(raw.csr.indices, indices)
+    assert np.array_equal(raw.csr.indptr, indptr)
+    assert np.abs(raw.csr.data - data).max() <= raw.eps
+    assert raw.eps <= eps
+
+
+def test_preimage_on_a_cell_edge():
+    """T(x) = (x^2 + x)/2 has T(1/2) = 3/8 exactly: at k = 8 the preimage
+    of the level 3/8 is the cell edge 1/2 on a nonlinear branch.  Its
+    float bracket straddles the edge; the exact value there places it on
+    the edge, so neither cell is charged a spurious entry."""
+    m = parse_map("poly [0,1] : 1/2 x^2 + 1/2 x").build()
+    br = m.branches[0]
+    lo, hi, _ = level_crossing(br, np.array([3]), 8, F(0), F(1))
+    assert lo[0] < 0.5 < hi[0]
+    raw = assemble_ulam(m, 8)
+    oracle = preimage_ulam(m, 8)
+    coo = raw.csr.tocoo()
+    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    assert set(got) == set(oracle)
+    for key, v in got.items():
+        assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
+
+
+def test_sine_root_outside_the_piece():
+    """x + 7/20 sin(2 pi x) on [0, 1/5] rises to about 0.533 and crosses
+    the level 1/2 near 0.1817.  The linear part's root of that level is
+    1/2, outside the piece, and the sine vanishes there: that root says
+    nothing about the crossing, which must not come back as the exact
+    point 1/5.  At k = 2 the matrix holds the 60-digit entries within eps."""
+    m = parse_map("poly [0,1/5] : x + 7/20 sin(2 pi x); poly [1/5,1] : x").build()
+    with mpmath.workdps(60):
+        root = mpmath.findroot(
+            lambda x: x + mpmath.mpf(7) / 20 * mpmath.sin(2 * mpmath.pi * x) - 0.5, 0.18)
+        oracle = {(0, 0): 2 * root + mpmath.mpf(3) / 5,
+                  (0, 1): 2 * (mpmath.mpf(1) / 5 - root), (1, 1): mpmath.mpf(1)}
+    lo, hi, scale = level_crossing(m.branches[0], np.array([1]), 2, F(0), F(1, 5))
+    assert scale == 1 and lo[0] <= root <= hi[0]
+    raw = assemble_ulam(m, 2)
+    coo = raw.csr.tocoo()
+    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    assert set(got) == set(oracle)
+    for key, v in got.items():
+        assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
+    assert raw.eps < 1e-14
+
+
+def test_float_brackets_hold_the_roots():
+    """Every level preimage bracket of the EQ4 and LANFORD2 branches holds
+    the 50-digit root and is a few ulps wide (at most 5e-15, about 24 ulps
+    of 1; the Fraction bisection it replaced stopped at 1e-14)."""
+    k = 256
+    for text in (EQ4, LANFORD2):
+        for br in parse_map(text).build().branches:
+            lo, hi, scale = level_crossing(br, np.arange(k + 1), k, br.lo.lo, br.hi.hi)
+            if scale != 1:
+                continue  # exact roots of a linear branch
+            coeffs = [_mp(c) for c in reversed(br.poly)]
+            with mpmath.workdps(60):
+                for j, x_lo, x_hi in zip(range(k + 1), lo.tolist(), hi.tolist()):
+                    y = mpmath.mpf(j) / k
+                    f_lo = mpmath.polyval(coeffs, x_lo) - y
+                    f_hi = mpmath.polyval(coeffs, x_hi) - y
+                    # a sign change, or an end pinned at the domain
+                    assert (f_lo * f_hi <= 0 or x_lo == float(br.lo.lo)
+                            or x_hi == float(br.hi.hi))
+                    assert x_hi - x_lo <= 5e-15
 
 
 def test_wide_breakpoint_enclosure_is_charged():
