@@ -517,7 +517,8 @@ def _run(config: RunConfig) -> int:
         if config.mode == "Linf":
             spec = dataclasses.replace(spec, circle=True)
         mapped = spec.build()
-    except (MapParseError, ValueError) as exc:
+    except (MapParseError, ValueError, OverflowError) as exc:
+        # OverflowError: a coefficient beyond the double range
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # fail on an unwritable output path before any certification work

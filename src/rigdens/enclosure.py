@@ -41,7 +41,7 @@ from typing import List, Optional
 import numpy as np
 from scipy import sparse
 
-from .intervals import EPS_MACH
+from .intervals import EPS_MACH, iv
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -158,8 +158,8 @@ def _anchor_norms(at: sparse.csr_matrix, steps: int, scale: float,
         return np.concatenate(list(blocks), axis=1)
 
 
-def _drift_sequence(norm_max: np.ndarray, k: int, scale: float,
-                    col_count: int, colsum_up: float, norm_kind: str) -> np.ndarray:
+def _drift_sequence(norm_max: np.ndarray, scale: float, col_count: int,
+                    colsum_up: float, norm_kind: str) -> np.ndarray:
     """Cumulative float-error bounds (full-anchor scale) per step.
 
     One product of a float vector v with the nonnegative matrix A obeys
@@ -170,12 +170,11 @@ def _drift_sequence(norm_max: np.ndarray, k: int, scale: float,
     """
     gamma = 1.01 * col_count * _U
     expand = 1.0 if norm_kind == "L1" else colsum_up
-    amp = 1.0 if norm_kind == "L1" else colsum_up
     drift = 0.0
     prev_norm = scale  # full-anchor norm before the first multiply
     out = np.empty(len(norm_max))
     for t in range(len(norm_max)):
-        drift = drift * expand + gamma * amp * (prev_norm + drift)
+        drift = drift * expand + gamma * expand * (prev_norm + drift)
         out[t] = drift
         prev_norm = norm_max[t]
     return out
@@ -213,9 +212,10 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     norm_kind = matrix.norm_kind
     scale = 1.0 if norm_kind == "L1" else float(k)
     if norm_kind == "L1":
-        inflation = 2.0 * matrix.nnz_max * matrix.eps
+        inflation = (iv(2) * iv(matrix.nnz_max) * iv(matrix.eps)).hi
     else:
-        inflation = 2.0 * matrix.m_sup * matrix.m_sup * (matrix.eps + matrix.lin_err)
+        inflation = (iv(2) * iv(matrix.m_sup) * iv(matrix.m_sup)
+                     * (iv(matrix.eps) + iv(matrix.lin_err))).hi
 
     if batch_size is None:
         batch_size = _block_columns(k)
@@ -228,13 +228,13 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     while True:
         norms_steps = _anchor_norms(at, steps, scale, norm_kind, batch_size)
         norm_max = norms_steps.max(axis=1)
-        drift = _drift_sequence(norm_max, k, scale, col_count, colsum_up, norm_kind)
+        drift = _drift_sequence(norm_max, scale, col_count, colsum_up, norm_kind)
         bounds = [_up(norm_max[t] + 2.0 * drift[t]) for t in range(steps)]
 
         n_eps = next((t + 1 for t in range(steps) if bounds[t] <= 0.5), None)
         n_true = next(
             (t + 1 for t in range(steps)
-             if _up(bounds[t] + (t + 1) * inflation) <= 0.5),
+             if (iv(bounds[t]) + iv(t + 1) * iv(inflation)).hi <= 0.5),
             None,
         )
         below = norms_steps <= eps_num / 2

@@ -6,13 +6,11 @@ support [a_{i-1}, a_{i+1}] by its linearization at a_i: the image of phi_i
 is a single hat of height 1/|T'(a_i)| and half-width |T'(a_i)|/k centered
 at T(a_i), which is then projected back onto the basis.  All projection
 coefficients reduce to integrals of products of two hat functions, which
-have a closed form (a second difference of cubes).  It is evaluated at a
-snap point of the (T(a_i), T'(a_i)) enclosure on a dyadic grid, in
-outward-rounded interval arrays: the cubes would overflow int64 on that
-grid, so their rounding is charged to the entry's half-width instead (a
-few 1e-15 for expanding maps).  The entry is then inflated by a Lipschitz
-bound in the snap distance, so every stored entry carries a rigorous error
-bound.  All k nodes and their column windows are one array pass; columns
+have a closed form (a second difference of cubes).  It is evaluated on
+the outward-rounded enclosures of T(a_i) and T'(a_i) themselves, in
+interval arrays, so every stored entry carries a rigorous error bound
+that charges both the node-value enclosures and the rounding of the
+cubes.  All k nodes and their column windows are one array pass; columns
 that a window wraps onto twice (only at tiny k) add their enclosures.
 """
 
@@ -24,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .intervals import Interval, IntervalArray, iv
+from .intervals import IntervalArray, iv
 from .maps import PiecewiseMap, ly_coefficients_lip
-from .ulam import TransitionMatrix
+from .ulam import TransitionMatrix, _entry_sums
 
 __all__ = ["LinfMatrix", "assemble_linearized"]
 
-_SNAP = 1 << 24  # denominator of the rational snap grid for entry formulas
 _SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
 
 
@@ -64,18 +61,17 @@ def _check_circle(m: PiecewiseMap) -> None:
             )
 
 
-def _hat_product_enclosure(delta: np.ndarray, omega: np.ndarray) -> IntervalArray:
+def _hat_product_enclosure(d: IntervalArray, w: IntervalArray) -> IntervalArray:
     """Elementwise enclosure of the integral of tri(t;1) * tri(t-delta;omega)
-    over the line.
+    over the line, for delta in d and omega in w (w > 0).
 
     A hat is the second difference of a ramp, tri(t;h) = sum_q c_q
     (t - qh)_+ / h with c = (1, -2, 1), so the integral is
     (1/(6 omega)) sum_{p,q} c_p c_q (delta + p + q omega)_+^3.  The nine
     cubes, their weighted sum and the division run on interval arrays, so
-    the enclosure charges their rounding; disjoint supports give exactly 0.
+    the enclosure charges their rounding and the widths of d and w;
+    certainly disjoint supports, |delta| >= omega + 1, give exactly 0.
     """
-    d = IntervalArray(delta)
-    w = IntervalArray(omega)
     shift = {-1: -w, 0: 0, 1: w}
     sums = {1: 0, -1: 0}  # sums of the terms of positive and negative weight
     for p, cp in _SECOND_DIFF:
@@ -85,7 +81,7 @@ def _hat_product_enclosure(delta: np.ndarray, omega: np.ndarray) -> IntervalArra
             sign = 1 if cp * cq > 0 else -1
             sums[sign] = t * t * t * abs(cp * cq) + sums[sign]
     f = (sums[1] - sums[-1]) / (w * 6)
-    disjoint = np.abs(delta) >= (w + 1).hi
+    disjoint = abs(d).lo >= (w + 1).hi
     return IntervalArray(np.where(disjoint, 0.0, f.lo),
                          np.where(disjoint, 0.0, f.hi))
 
@@ -109,25 +105,6 @@ def _node_enclosures(m: PiecewiseMap, k: int):
     return IntervalArray(*value), IntervalArray(*deriv)
 
 
-def _merge_columns(key: np.ndarray, entry: IntervalArray):
-    """Sorted distinct keys and the enclosure sum of the entries sharing
-    each key, added in their order.  Keys repeat only where a node's
-    window wraps the circle onto itself (tiny k)."""
-    order = np.argsort(key, kind="stable")
-    key, lo, hi = key[order], entry.lo[order], entry.hi[order]
-    first = np.r_[True, key[1:] != key[:-1]]
-    start = np.flatnonzero(first)
-    run = np.cumsum(first) - 1
-    pos = np.arange(len(key)) - start[run]
-    acc_lo, acc_hi = lo[start], hi[start]
-    for r in range(1, int(pos.max(initial=0)) + 1):
-        sel = pos == r
-        acc = IntervalArray(acc_lo[run[sel]], acc_hi[run[sel]]) + \
-            IntervalArray(lo[sel], hi[sel])
-        acc_lo[run[sel]], acc_hi[run[sel]] = acc.lo, acc.hi
-    return key[start], IntervalArray(acc_lo, acc_hi)
-
-
 def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     """Raw (un-markovized) matrix of the node-linearized hat operator.
 
@@ -149,28 +126,21 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     h_enc = 1 / abs(s_enc)
     u_enc = k * c_enc                             # image position, t units
     omega_enc = abs(s_enc)                        # image half-width, t units
-    u0 = np.rint(u_enc.mid * _SNAP) / _SNAP       # snap points on the grid
-    w0 = np.rint(omega_enc.mid * _SNAP) / _SNAP
-    if (w0 <= 0).any():
-        raise ValueError(f"degenerate image width at node {np.argmax(w0 <= 0)}")
-    # Lipschitz inflation: |df| <= (|d delta| + |d omega|) / min omega
-    du = abs(u_enc - u0).hi
-    dw = abs(omega_enc - w0).hi
-    infl = (IntervalArray(du) + dw) / np.minimum(omega_enc.lo, w0)
 
-    # each node's own window of columns j_center - span .. j_center + span
-    span = np.ceil(w0).astype(np.int64) + 2
-    j_center = np.rint(u0).astype(np.int64)
+    # each node's own window of columns j_center - span .. j_center + span:
+    # |u - j_center| <= 1/2 + width(u_enc), so it holds every j with
+    # |u - j| < omega + 1
+    span = np.ceil(omega_enc.hi + u_enc.width).astype(np.int64) + 2
+    j_center = np.rint(u_enc.mid).astype(np.int64)
     width = 2 * span + 1
     row = np.repeat(np.arange(k), width)
     j_real = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width) \
         + (j_center - span)[row]
-    f0 = _hat_product_enclosure(u0[row] - j_real, w0[row])
-    entry = h_enc[row] * (f0 + infl[row] * Interval(-1.0, 1.0))
+    entry = h_enc[row] * _hat_product_enclosure(u_enc[row] - j_real, omega_enc[row])
     kept = entry.hi > 0.0
     row, entry = row[kept], entry[kept]
-    entry = IntervalArray(np.maximum(entry.lo, 0.0), np.minimum(entry.hi, 1.0))
-    key, entry = _merge_columns(row * k + j_real[kept] % k, entry)
+    key, entry = _entry_sums(row * k + j_real[kept] % k,
+                             np.maximum(entry.lo, 0.0), np.minimum(entry.hi, 1.0))
 
     data = entry.mid
     eps = float(max(np.max(entry.hi - data, initial=0.0),

@@ -307,11 +307,15 @@ def iv(lo, hi=None) -> Interval:
     return Interval(a.lo, b.hi)
 
 
+_MAX_FLOAT = math.nextafter(_INF, 0.0)
+
+
 def from_fraction(q: Fraction) -> Interval:
-    """Smallest machine interval containing the rational q."""
-    f = float(q)
-    if math.isinf(f):
+    """Smallest machine interval containing the rational q; OverflowError
+    beyond the largest double."""
+    if abs(q) > _MAX_FLOAT:
         raise OverflowError("rational out of double range")
+    f = float(q)
     fq = Fraction(f)
     if fq == q:
         return Interval(f, f)
@@ -323,8 +327,6 @@ def from_fraction(q: Fraction) -> Interval:
 # ---------------------------------------------------------------------------
 # interval arrays
 # ---------------------------------------------------------------------------
-
-_MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
 def _min(a, b):

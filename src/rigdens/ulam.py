@@ -68,7 +68,6 @@ class TransitionMatrix:
     eps: float
     nnz_max: int
     norm_kind: str = "L1"
-    markovized: bool = False
 
     def row_sums(self) -> np.ndarray:
         """Correctly rounded row sums (fsum), the markovization guarantee."""
@@ -438,7 +437,7 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
     data[jmax] += residue
     data[jmax] += 1.0 - _row_fsums(data, indptr)
     extra = max(clamped, float(np.abs(residue).max()))
-    return replace(raw, csr=csr, eps=raw.eps + extra, markovized=True)
+    return replace(raw, csr=csr, eps=raw.eps + extra)
 
 
 def nnz_bound(matrix: TransitionMatrix, m: PiecewiseMap) -> int:

@@ -5,8 +5,8 @@ The assembly never evaluates basis functions or projects node values, and
 it sums the hat products in closed form on interval arrays; the tests use
 these definitions as independent oracles for its entries and for the
 projection properties the certificate relies on.  ``assemble_reference``
-is the scalar per-node form of the assembly: exact integer cubes on the
-snap grid and one scalar ``Interval`` chain per entry.
+is the scalar per-node form of the assembly: the same closed form on the
+scalar ``Interval`` enclosures of T(a_i) and T'(a_i), one chain per entry.
 """
 
 import math
@@ -16,11 +16,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from rigdens.hatbasis import _SNAP, LinfMatrix, _check_circle
+from rigdens.hatbasis import LinfMatrix, _check_circle
 from rigdens.intervals import Interval, from_fraction, iv
 from rigdens.maps import PiecewiseMap, ly_coefficients_lip
 
 _SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
+_GRID = 1 << 24  # denominator of the dyadic grid of the exact closed form
 
 
 class HatBasis:
@@ -79,25 +80,38 @@ def hat_product_integral(delta: Fraction, omega: Fraction) -> Fraction:
     A hat is the second difference of a ramp, tri(t;h) = sum_q c_q
     (t - qh)_+ / h with c = (1, -2, 1), so the integral is
     (1/(6 omega)) sum_{p,q} c_p c_q (delta + p + q omega)_+^3, summed here
-    in integers on the snap grid.  delta and omega must lie on that grid.
+    in integers on a dyadic grid.  delta and omega must lie on that grid.
     """
-    d, w = delta * _SNAP, omega * _SNAP
+    d, w = delta * _GRID, omega * _GRID
     if d.denominator != 1 or w.denominator != 1:
-        raise ValueError("hat product arguments must lie on the snap grid")
+        raise ValueError("hat product arguments must lie on the dyadic grid")
     d, w = d.numerator, w.numerator
-    if abs(d) >= _SNAP + w:  # disjoint supports
+    if abs(d) >= _GRID + w:  # disjoint supports
         return Fraction(0)
     total = 0
     for p, cp in _SECOND_DIFF:
         for q, cq in _SECOND_DIFF:
-            t = d + p * _SNAP + q * w
+            t = d + p * _GRID + q * w
             if t > 0:
                 total += cp * cq * t ** 3
-    return Fraction(total, 6 * w * _SNAP * _SNAP)
+    return Fraction(total, 6 * w * _GRID * _GRID)
 
 
-def _snap(x: float) -> Fraction:
-    return Fraction(round(x * _SNAP), _SNAP)
+def hat_product_interval(d: Interval, w: Interval) -> Interval:
+    """Scalar form of ``hatbasis._hat_product_enclosure``: the closed form
+    above on an interval offset d and width ratio w > 0, in the same
+    operation order."""
+    if abs(d).lo >= (w + 1).hi:  # certainly disjoint supports
+        return iv(0)
+    shift = {-1: -w, 0: 0, 1: w}
+    sums = {1: iv(0), -1: iv(0)}
+    for p, cp in _SECOND_DIFF:
+        for q, cq in _SECOND_DIFF:
+            t = d + shift[q] + p
+            t = Interval(max(t.lo, 0.0), max(t.hi, 0.0))
+            sign = 1 if cp * cq > 0 else -1
+            sums[sign] = t * t * t * abs(cp * cq) + sums[sign]
+    return (sums[1] - sums[-1]) / (w * 6)
 
 
 def branch_index(m: PiecewiseMap, x) -> int:
@@ -128,19 +142,11 @@ def assemble_reference(m: PiecewiseMap, k: int) -> LinfMatrix:
         h_enc = iv(1) / abs(s_enc)
         u_enc = iv(k) * c_enc
         omega_enc = abs(s_enc)
-        u0 = _snap(u_enc.mid)
-        w0 = _snap(omega_enc.mid)
-        if w0 <= 0:
-            raise ValueError(f"degenerate image width at node {i}")
-        du = max(u_enc.hi - float(u0), float(u0) - u_enc.lo, 0.0)
-        dw = max(omega_enc.hi - float(w0), float(w0) - omega_enc.lo, 0.0)
-        infl = iv(du + dw) / iv(min(omega_enc.lo, float(w0)))
-        span = int(math.ceil(float(w0))) + 2
-        j_center = int(round(float(u0)))
+        span = int(math.ceil(omega_enc.hi + u_enc.width)) + 2
+        j_center = round(u_enc.mid)
         row: List[Tuple[int, Interval]] = []
         for j_real in range(j_center - span, j_center + span + 1):
-            f0 = hat_product_integral(u0 - j_real, w0)
-            entry = h_enc * (from_fraction(f0) + infl * Interval(-1.0, 1.0))
+            entry = h_enc * hat_product_interval(u_enc - j_real, omega_enc)
             if entry.hi <= 0.0:
                 continue
             entry = Interval(max(entry.lo, 0.0), min(entry.hi, 1.0))

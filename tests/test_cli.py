@@ -121,6 +121,9 @@ def test_main_help_exits_0(capsys):
     assert exc.value.code == 0
 
 
+_HUGE = "1" + "0" * 320
+
+
 @pytest.mark.parametrize("settings,message", [
     # the two branch ends do not meet on the circle: sup-norm assembly refuses
     (dict(map_text="poly [0,1/2] : 3x; poly [1/2,1] : 3x - 1/2 mod 1",
@@ -148,11 +151,19 @@ def test_main_help_exits_0(capsys):
     # the last branch's length enclosure is [0, 3.33e-16]
     (dict(map_text="poly [0,1] : 3x + 0.0000000000000003 x^2 mod 1"),
      "a branch's length enclosure reaches 0: the shortest lies in [0, 3.33e-16]"),
+    # a coefficient, a slope or a sine frequency of 10^320, beyond the
+    # largest double
+    (dict(map_text=f"poly [0,1] : 3x + {_HUGE} mod 1"),
+     "rational out of double range"),
+    (dict(map_text=f"poly [0,1] : {_HUGE} x mod 1"),
+     "rational out of double range"),
+    (dict(map_text=f"poly [0,1] : 3x + 0.1 sin({_HUGE} pi x) mod 1"),
+     "rational out of double range"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
     assert run(cfg) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["workers = 2", "eps-num = 1e-6", "nu = 1e-6"])

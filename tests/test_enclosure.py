@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,7 @@ from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
 )
+from rigdens.hatbasis import assemble_linearized
 from rigdens.intervals import EPS_MACH
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 
@@ -115,6 +117,24 @@ def test_threshold_semantics(eq6):
     assert cert.n_eps <= cert.n_true
     infl = cert.inflation_per_step
     assert bounds[cert.n_true - 1] + cert.n_true * infl <= 0.5
+
+
+def test_inflation_rounded_up(tripling):
+    # 2 * nnz_max * eps with nnz_max = 3 rounds below 6 eps to nearest
+    eps = 6.405920704482397e-11
+    mk = markovize(assemble_ulam(tripling, 9))
+    cert, _ = contraction_sweep(replace(mk, eps=eps), 1e-4)
+    assert mk.nnz_max == 3
+    assert F(cert.inflation_per_step) >= 6 * F(eps)
+
+
+def test_sup_inflation_rounded_up(quadrupling):
+    # 2 M^2 (eps + lin_err) rounds below its exact value to nearest
+    m_sup, eps, lin_err = 1.652, 7.31e-11, 1.751e-13
+    mk = markovize(assemble_linearized(quadrupling, 8))
+    cert, _ = contraction_sweep(
+        replace(mk, m_sup=m_sup, eps=eps, lin_err=lin_err), 1e-5)
+    assert F(cert.inflation_per_step) >= 2 * F(m_sup) ** 2 * (F(eps) + F(lin_err))
 
 
 def test_norm_monotone_under_stochastic_action():

@@ -3,15 +3,17 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
-from rigdens.hatbasis import _SNAP, _hat_product_enclosure, assemble_linearized
-from rigdens.intervals import iv
+from rigdens.hatbasis import _hat_product_enclosure, assemble_linearized
+from rigdens.intervals import IntervalArray, iv
 from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
 
 from tests.hat_reference import (
+    _GRID,
     HatBasis,
     assemble_reference,
     hat_product_integral,
@@ -146,7 +148,7 @@ def test_hat_product_closed_form_matches_simpson():
     omegas += [F(int(rng.integers(1, 8 * 2**20)), 2**20) for _ in range(4)]
     for w in omegas:
         kinks = {F(0), w, -w, F(1), F(-1)} | {s + t for s in (1, -1) for t in (w, -w)}
-        deltas = set(kinks) | {d + F(e, _SNAP) for d in kinks for e in (-1, 1)}
+        deltas = set(kinks) | {d + F(e, _GRID) for d in kinks for e in (-1, 1)}
         deltas |= {F(int(rng.integers(-4 * 2**20, 4 * 2**20)), 2**20)
                    for _ in range(20)}
         for d in deltas:
@@ -154,30 +156,39 @@ def test_hat_product_closed_form_matches_simpson():
 
 
 def test_hat_product_rejects_off_grid_arguments():
-    with pytest.raises(ValueError, match="snap grid"):
+    with pytest.raises(ValueError, match="dyadic grid"):
         hat_product_integral(F(1, 3), F(1))
-    with pytest.raises(ValueError, match="snap grid"):
+    with pytest.raises(ValueError, match="dyadic grid"):
         hat_product_integral(F(0), F(1, 3))
 
 
 def test_closed_form_enclosure_contains_exact_integral():
-    # the float closed form encloses the exact one at the kinks of the
-    # integrand in delta, just off them and between them
+    # the interval closed form encloses the exact one at the kinks of the
+    # integrand in delta, just off them and between them, on point
+    # arguments and on brackets around them
     rng = np.random.default_rng(5)
     deltas, omegas = [], []
     for w in [F(1, 2**20), F(1, 2), F(1), F(7, 4), F(4), F(131, 32)]:
         kinks = {F(0), w, -w, F(1), F(-1)} | {s + t for s in (1, -1) for t in (w, -w)}
-        ds = set(kinks) | {d + F(e, _SNAP) for d in kinks for e in (-1, 1)}
+        ds = set(kinks) | {d + F(e, _GRID) for d in kinks for e in (-1, 1)}
         ds |= {F(int(rng.integers(-8 * 2**20, 8 * 2**20)), 2**20) for _ in range(20)}
         deltas += sorted(ds)
         omegas += [w] * len(ds)
-    enc = _hat_product_enclosure(np.array([float(d) for d in deltas]),
-                                 np.array([float(w) for w in omegas]))
-    for d, w, lo, hi in zip(deltas, omegas, enc.lo.tolist(), enc.hi.tolist()):
+    d = np.array([float(d) for d in deltas])
+    w = np.array([float(w) for w in omegas])
+    enc = _hat_product_enclosure(IntervalArray(d), IntervalArray(w))
+    r = 2.0 ** -40  # bracket half-widths, as node enclosures have
+    wide = _hat_product_enclosure(IntervalArray(d - r, d + r),
+                                  IntervalArray(w - r, w + r))
+    for d, w, lo, hi, wlo, whi in zip(deltas, omegas, enc.lo.tolist(),
+                                       enc.hi.tolist(), wide.lo.tolist(),
+                                       wide.hi.tolist()):
         exact = hat_product_integral(d, w)
         assert F(lo) <= exact <= F(hi)
+        assert wlo <= lo and hi <= whi
         if w >= 1:  # expanding maps: the width ratio is |T'| > 1
             assert hi - lo <= 1e-13
+            assert whi - wlo <= 1e-9
         if exact == 0:
             assert lo == hi == 0.0
 
@@ -193,3 +204,47 @@ def test_assembly_matches_scalar_reference(sinmap, k):
     assert np.abs(fast.csr.data - ref.csr.data).max() <= fast.eps
     assert ref.eps <= fast.eps <= ref.eps + 1e-12
     assert (fast.lin_err, fast.m_sup) == (ref.lin_err, ref.m_sup)
+
+
+def _mp_hat_product(delta, omega):
+    """Integral of tri(t;1) * tri(t-delta;omega) in mpmath: Simpson on the
+    pieces between the kinks, on each of which the product is quadratic."""
+    lo, hi = max(-1, delta - omega), min(1, delta + omega)
+    if hi <= lo:
+        return mpmath.mpf(0)
+    pts = sorted({lo, hi} | {p for p in (mpmath.mpf(0), delta) if lo < p < hi})
+
+    def f(t):
+        return max(0, 1 - abs(t)) * max(0, 1 - abs(t - delta) / omega)
+
+    return sum((q - p) * (f(p) + 4 * f((p + q) / 2) + f(q)) / 6
+               for p, q in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("k", [8, 64, 257])
+def test_sinmap_entries_match_mpmath_oracle(sinmap, k):
+    """Independent 50-digit oracle for SINMAP, T(x) = 4x + sin(8 pi x)/100
+    (mod 1): T(a_i), T'(a_i) and the hat-product integrals.  Every stored
+    entry is within eps of it, and the stored columns are exactly those
+    with |k T(a_i) - j| < |T'(a_i)| + 1, away from that boundary."""
+    lm = assemble_linearized(sinmap, k)
+    with mpmath.workdps(50):
+        amp = mpmath.mpf(1) / 100
+        for i in range(k):
+            a = mpmath.mpf(i) / k
+            u = k * (4 * a + amp * mpmath.sin(8 * mpmath.pi * a))
+            omega = abs(4 + 8 * mpmath.pi * amp * mpmath.cos(8 * mpmath.pi * a))
+            oracle, boundary = {}, set()
+            for j in range(int(mpmath.floor(u - omega)) - 1,
+                           int(mpmath.ceil(u + omega)) + 2):
+                if abs(abs(u - j) - (omega + 1)) < 1e-9:
+                    boundary.add(j % k)
+                if abs(u - j) < omega + 1:
+                    oracle[j % k] = oracle.get(j % k, 0) + \
+                        _mp_hat_product(u - j, omega) / omega
+            lo, hi = lm.csr.indptr[i], lm.csr.indptr[i + 1]
+            stored = dict(zip(lm.csr.indices[lo:hi].tolist(),
+                              lm.csr.data[lo:hi].tolist()))
+            assert set(stored) - boundary == set(oracle) - boundary
+            for j, v in stored.items():
+                assert abs(mpmath.mpf(v) - oracle.get(j, 0)) <= lm.eps

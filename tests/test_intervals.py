@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -85,6 +86,16 @@ def test_from_fraction_contains():
         r = from_fraction(q)
         assert Fraction(r.lo) <= q <= Fraction(r.hi)
         assert r.width <= 2 * ulp(float(q) or 1e-300)
+
+
+def test_from_fraction_range():
+    # the largest double is its own interval; anything beyond it, however
+    # far, raises the function's own OverflowError
+    top = Fraction(sys.float_info.max)
+    assert from_fraction(-top) == Interval(-sys.float_info.max, -sys.float_info.max)
+    for q in (top + Fraction(1, 3), Fraction(10**320), Fraction(-10**320, 7)):
+        with pytest.raises(OverflowError, match="out of double range"):
+            from_fraction(q)
 
 
 def _rand_float(rng):
