@@ -38,7 +38,7 @@ print("row sums after markovization:", set(matrix.row_sums().tolist()))
 print("max nonzeros per row:", nnz_bound(matrix, m), " (structural cap 3+4)")
 
 contraction, density = contraction_sweep(matrix, 1e-6)
-print(f"\nenclosure: l = {density.l} iterations, diameter = {density.diameter}")
+print(f"\nenclosure: l = {density.l} power steps, radius = {density.radius:.3g}")
 print(f"contraction: N_eps = {contraction.n_eps}, N = {contraction.n_true}")
 print("density values (cell mass * k):",
       [round(float(k * v), 9) for v in density.values])

@@ -1,8 +1,9 @@
 """Certified invariant densities of piecewise expanding interval maps.
 
 The pipeline discretizes the transfer operator (mass-norm Ulam cells or
-sup-norm hat functions), encloses the stationary vector of the resulting
-row-stochastic matrix by simplex contraction, and assembles an explicit
+sup-norm hat functions), certifies that the resulting row-stochastic
+matrix contracts, encloses its stationary vector from the certified
+residual of a power iterate, and assembles an explicit
 a-posteriori bound on the distance to the true invariant density, from
 which a certified Lyapunov-exponent interval follows.
 """
@@ -43,6 +44,16 @@ from .certify import (
     lyapunov,
     report,
 )
-from .cli import MapSpec, RunConfig, parse_map, run
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("MapSpec", "RunConfig", "parse_map", "run")
+
+
+def __getattr__(name):
+    # the CLI module loads on first use, so that `python -m rigdens.cli`
+    # runs it as __main__ without finding it imported already
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

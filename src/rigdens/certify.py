@@ -6,8 +6,11 @@ bounded by three nonnegative components, summed with upward rounding:
   * discretization error   2 N (2B/k)                    (mass norm), or the
     sup-norm analogue (2/k) N M ((4/k)D + 2(M+1)M(1+B1/(1-a))) (B+1);
   * matrix error           4 N_eps NNZ eps, respectively
-    2 N M^2 (eps + 4D/k^2) (||v||_inf + eps_num);
-  * numeric error          eps_num plus the float ledger of the enclosure.
+    2 N M^2 (eps + 4D/k^2) (||v||_inf + rho);
+  * numeric error          rho, the radius of the fixed-vector enclosure:
+    M/|sum v| (||r|| + |sum r|) sum_{i<N_eps} C_i / (1 - C_{N_eps} - ...)
+    plus the mass defect, from the certified residual r = v Pi - v
+    (``rigdens.enclosure``; at most eps_num, in practice about 1e-14).
 
 The Lyapunov exponent integral log|T'| d(mu) is then enclosed against the
 computed density: one interval array of per-cell products (the hull of
@@ -91,7 +94,8 @@ def _up_sum(*terms: float) -> float:
 def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
                contraction: ContractionCertificate, density: EnclosedDensity,
                eps_num: float, map_id: str = "map") -> Certificate:
-    """Mass-norm certificate: ||f - v|| <= 2N(2B/k) + 4 N_eps NNZ eps + eps_num."""
+    """Mass-norm certificate: ||f - v|| <= 2N(2B/k) + 4 N_eps NNZ eps + rho,
+    rho = density.radius; eps_num is recorded as the target rho had to meet."""
     if matrix.norm_kind != "L1" or contraction.norm_kind != "L1":
         raise ValueError("certify_l1 needs L1-mode inputs")
     two_lam = (iv(2) * ly.lam).hi
@@ -104,7 +108,7 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
     k = matrix.k
     err_disc = (iv(2) * iv(n_true) * (iv(2) * ly.b / iv(k))).hi
     err_mat = (iv(4) * iv(n_eps) * iv(matrix.nnz_max) * iv(matrix.eps)).hi
-    err_num = _up_sum(eps_num, density.float_err)
+    err_num = density.radius
     eps_rig = _up_sum(err_disc, err_mat, err_num)
     return Certificate(
         mode="L1", map_id=map_id, ly=ly, k=k, eps=matrix.eps,
@@ -118,7 +122,8 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
 def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  eps_num: float, map_id: str = "map") -> Certificate:
-    """Sup-norm certificate with the linearized-operator error terms."""
+    """Sup-norm certificate with the linearized-operator error terms; the
+    numeric term is density.radius, as in certify_l1."""
     if matrix.norm_kind != "Linf" or contraction.norm_kind != "Linf":
         raise ValueError("certify_linf needs sup-norm inputs")
     if not ly.alpha.hi < 1.0:
@@ -135,9 +140,9 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
     v_sup = float(np.abs(density.values).max())
     err_mat = (
         iv(2) * iv(n_true) * m * m * (iv(matrix.eps) + iv(matrix.lin_err))
-        * (iv(v_sup) + iv(eps_num))
+        * (iv(v_sup) + iv(density.radius))
     ).hi
-    err_num = _up_sum(eps_num, density.float_err)
+    err_num = density.radius
     eps_rig = _up_sum(err_disc, err_mat, err_num)
     return Certificate(
         mode="Linf", map_id=map_id, ly=ly, k=k, eps=matrix.eps,

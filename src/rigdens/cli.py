@@ -21,11 +21,12 @@ Exit codes: 0 success, 1 bad configuration (including command line usage
 errors, an output path that cannot be written, maps with a branch whose
 length enclosure reaches 0, maps the assembly rejects and maps whose
 |T'| enclosure touches 0 in the Lyapunov stage), 2 failed expansion
-check, 3 no observed contraction.  The output directory and the
+check, 3 no observed contraction (or a fixed-vector enclosure still wider
+than eps_num after the step budget).  The output directory and the
 --dump-matrix file's directory are created once the map is built, before
 any certification work, so an unwritable path fails at once.  --verbose
-sends the package's INFO log records (one per contraction step) to
-stderr.
+sends the package's INFO log records (one per contraction step, then one
+for the power steps of the fixed vector) to stderr.
 """
 
 from __future__ import annotations
@@ -636,7 +637,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--map", help="map description file (grammar in module docs)")
     ap.add_argument("--mode", choices=["L1", "Linf"])
     ap.add_argument("--k", type=int)
-    ap.add_argument("--eps-num", dest="eps_num", type=float)
+    ap.add_argument("--eps-num", dest="eps_num", type=float,
+                    help="largest fixed-vector enclosure radius accepted "
+                         "(default 1e-4 in L1, 1e-5 in Linf); eps_rig charges "
+                         "the certified radius, usually far smaller")
     ap.add_argument("--iterate", type=int)
     ap.add_argument("--out-dir", dest="out_dir")
     ap.add_argument("--dump-matrix", dest="dump_matrix")

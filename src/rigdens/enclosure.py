@@ -1,25 +1,54 @@
-"""Certified fixed-vector enclosure by simplex contraction.
+"""Contraction certificate and a-posteriori fixed-vector enclosure.
 
-The stationary vector of a row-stochastic matrix Pi is enclosed by iterating
-the zero-sum anchor vectors (e_0 - e_j)/2 under the row action v -> v Pi and
-watching their norms: once every anchor norm is at most half the numeric
-threshold eps_num, the iterated simplex has diameter at most eps_num (for
-probability vectors p, q, p - q = sum_j (q_j - p_j)(e_0 - e_j) with
-sum_j |q_j - p_j| <= 2), the amount the certificate charges, and any
-iterated start vector lies inside it together with the true fixed
-vector.  The same sweep certifies the contraction step counts used by the
-a-posteriori error bound: N_eps for the computed matrix itself and N for
-the exact discretized operator, whose extra distance is charged linearly
-per step ("inflation").
+Both jobs concern a row-stochastic matrix Pi acting on row vectors
+v -> v Pi, in the active norm ||.|| (L1, or sup at density scale).
 
-Norm evaluations are upward-rounded and every floating-point matrix-vector
-product is covered by an explicit error ledger, so all reported bounds are
-rigorous upper bounds.  In L1 mode the matrix is first checked to be
-exactly row-stochastic (nonnegative entries, correctly rounded row sums
-equal to 1), the property the ledger and the anchor argument rest on.
+Contraction.  The zero-sum anchors (e_0 - e_j) are iterated under the row
+action and their norms watched: every zero-sum vector is a combination of
+anchors with coefficients of total size at most its norm (for the 1-norm,
+p - q = sum_j (q_j - p_j)(e_0 - e_j)), so the largest anchor norm after t
+steps bounds C_t = ||Pi^t|_V|| on the zero-sum subspace V.  Norms are
+upward-rounded and every float product is covered by an explicit drift
+ledger.  The sweep certifies N_eps, the first t with C_t <= 1/2 for the
+computed matrix, and N, which also charges t times the per-step
+"inflation" that bounds the distance to the exact discretized operator.
+It steps only as far as N needs: each block of anchors stops at the first
+step where its own bound (its own maxima, drift and inflation) passes N's
+test, and the blocks that stopped before the largest such step are
+stepped again to it.  Block bounds never exceed the global ones, so N is
+at least every block's stop; where the global test fails at the largest
+stop, the whole sweep restarts with doubled step budgets up to j_max.
 
-The anchors are stepped in cache-sized blocks of columns (about 2^20
-doubles each), and the blocks are spread over a thread pool with one
+Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
+until the one-step change reaches rounding level, and the exact residual
+r = v Pi - v is then enclosed by a gamma-ledger over the column counts
+of Pi.  Let f be the fixed vector of Pi with mass M (sum f = M; M = 1 in
+L1 mode, M = k at density scale).  The stored rows sum to 1 only to
+within an ulp, so f is taken as any such vector with f Pi - f = c e_j for
+one j and some c: the exact fixed vector when the rows sum to exactly 1,
+otherwise k - 1 of the k fixed-point equations hold exactly.  With
+v' = v M / sum(v) and w = v' - f (zero-sum), telescoping gives
+w = w Pi^n - sum_{i<n} (w Pi - w) Pi^i, where w Pi - w =
+(r' - (sum r') e_j) + s e_j, r' = r M / sum(v), and s = sum_i w_i d_i for
+the row-sum defects d_i with |d_i| <= delta (likewise sum r =
+sum_i v_i d_i, at most delta ||v||_1).  Hence, with C_0 = 1 and
+n = N_eps,
+
+    ||v - f|| <= M/|sum v| (||r|| + |sum r|) sum_{i<n} C_i
+                 / (1 - C_n - delta K sum_{i<n} R^i)
+                 + |sum v - M| ||v|| / |sum v|,
+
+where R bounds the norm of Pi on all vectors (the largest row sum in L1,
+the largest column sum in the sup norm; C_i <= R^i as well, which caps the
+leading C_i near 1 in L1) and K bounds ||w||_1 / ||w|| (1, respectively
+k).  That amount, the radius of the returned enclosure, is what the
+certificate charges as its numeric error; power steps continue until it
+is at most eps_num.  In L1 mode the matrix is first checked to be
+entrywise nonnegative with correctly rounded row sums equal to 1, which
+gives delta <= 2^-52 and R <= 1 + delta.
+
+The anchors are stepped in blocks of columns (about 2^20 doubles each, and
+at least as many blocks as threads) spread over a thread pool with one
 thread per CPU this process may use; scipy's sparse product and numpy's
 reductions release the GIL.  Each anchor column sees the same arithmetic
 in the same order whatever the block width or thread count, so every
@@ -36,12 +65,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .intervals import EPS_MACH, iv
+from .intervals import Interval, iv
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -52,6 +81,7 @@ __all__ = [
 ]
 
 _U = 2.0 ** -53  # unit roundoff of binary64
+_ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _BLOCK_ENTRIES = 1 << 20  # doubles per anchor block (8 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 
@@ -59,7 +89,8 @@ _log = logging.getLogger(__name__)
 
 
 class NotContractingError(RuntimeError):
-    """Raised when no contraction is observed within the step budget."""
+    """Raised when no contraction is observed within the step budget, or
+    the fixed-vector enclosure stays wider than eps_num."""
 
 
 @dataclass(frozen=True)
@@ -81,19 +112,14 @@ class ContractionCertificate:
 
 @dataclass(frozen=True)
 class EnclosedDensity:
-    """Fixed-vector enclosure: the true fixed vector of the swept matrix
-    lies within diameter + float_err of values in the active norm."""
+    """Fixed-vector enclosure: the fixed vector of the swept matrix lies
+    within radius of values in the active norm (module docstring); l is
+    the number of power steps v -> v Pi computed."""
 
     values: np.ndarray
-    diameter: float
+    radius: float
     l: int
-    float_err: float
     norm_kind: str
-
-
-def _float_ledger(l: int, k: int) -> float:
-    """Accumulated matrix-vector roundoff estimate l * k * eps_mach."""
-    return l * k * EPS_MACH
 
 
 def _up(x: float) -> float:
@@ -113,71 +139,243 @@ def _upper_abs_col_sums(v: np.ndarray) -> np.ndarray:
     return np.nextafter(s * infl, math.inf)
 
 
-def _block_columns(k: int) -> int:
-    """Default anchors per block: about _BLOCK_ENTRIES doubles of k rows."""
-    return min(k - 1, max(_MIN_BLOCK_COLUMNS, _BLOCK_ENTRIES // k))
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _run_batch(at: sparse.csr_matrix, ids: np.ndarray, steps: int,
-               scale: float, norm_kind: str) -> np.ndarray:
-    """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
-    of a (k x len(ids)) block stepped by v -> at @ v (at is the transposed
-    matrix, so each column follows the row action); return the
-    (steps x len(ids)) array of upward-rounded full-anchor norms."""
-    k = at.shape[0]
-    v = np.zeros((k, len(ids)))
-    v[ids, np.arange(len(ids))] = -0.5 * scale
-    v[0, :] += 0.5 * scale
-    out = np.empty((steps, len(ids)))
-    for t in range(steps):
-        v = at @ v
-        if norm_kind == "L1":
-            out[t] = 2.0 * _upper_abs_col_sums(v)
-        else:
-            out[t] = 2.0 * np.abs(v).max(axis=0)
-    return out
+def _block_columns(k: int) -> int:
+    """Default anchors per block: about _BLOCK_ENTRIES doubles of k rows,
+    and narrow enough that every usable CPU gets a block."""
+    per_cpu = -(-(k - 1) // _usable_cpus())
+    return min(k - 1, max(_MIN_BLOCK_COLUMNS, min(_BLOCK_ENTRIES // k, per_cpu)))
 
 
-def _anchor_norms(at: sparse.csr_matrix, steps: int, scale: float,
-                  norm_kind: str, batch_size: int) -> np.ndarray:
-    """(steps x (k - 1)) anchor norms from _run_batch on blocks of
-    batch_size anchors, spread over one thread per usable CPU."""
-    ids_all = np.arange(1, at.shape[0])
-    starts = range(0, len(ids_all), batch_size)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-        blocks = pool.map(
-            lambda s: _run_batch(at, ids_all[s:s + batch_size], steps,
-                                 scale, norm_kind),
-            starts)
-        return np.concatenate(list(blocks), axis=1)
-
-
-def _drift_sequence(norm_max: np.ndarray, scale: float, col_count: int,
-                    colsum_up: float, norm_kind: str) -> np.ndarray:
-    """Cumulative float-error bounds (full-anchor scale) per step.
+@dataclass(frozen=True)
+class _Ledger:
+    """What turns per-step anchor maxima into certified bounds.
 
     One product of a float vector v with the nonnegative matrix A obeys
     ||fl(vA) - vA|| <= gamma_C * ||v||_1 (1-norm, row sums 1) respectively
     gamma_C * ||v||_inf * S (sup norm, S = max column sum); accumulated
     error additionally rides through A, which expands the 1-norm by at most
-    1 and the sup norm by at most S.
+    1 and the sup norm by at most S.  The drift is that cumulative float
+    error (full-anchor scale), and a step's bound is its largest norm plus
+    twice the drift, rounded up.
     """
-    gamma = 1.01 * col_count * _U
-    expand = 1.0 if norm_kind == "L1" else colsum_up
-    drift = 0.0
-    prev_norm = scale  # full-anchor norm before the first multiply
-    out = np.empty(len(norm_max))
-    for t in range(len(norm_max)):
-        drift = drift * expand + gamma * expand * (prev_norm + drift)
-        out[t] = drift
-        prev_norm = norm_max[t]
-    return out
+
+    scale: float
+    col_count: int
+    colsum_up: float
+    norm_kind: str
+    inflation: float
+
+    def next_drift(self, drift: float, prev_norm: float) -> float:
+        """Drift after one more product of anchors of norm prev_norm."""
+        gamma = 1.01 * self.col_count * _U
+        expand = 1.0 if self.norm_kind == "L1" else self.colsum_up
+        return drift * expand + gamma * expand * (prev_norm + drift)
+
+    def bounds(self, norm_max: Sequence[float]) -> List[float]:
+        out = []
+        drift, prev = 0.0, self.scale  # full-anchor norm before step 1
+        for m in norm_max:
+            drift = self.next_drift(drift, prev)
+            out.append(_up(m + 2.0 * drift))
+            prev = m
+        return out
+
+    def passes_n_true(self, bound: float, t: int) -> bool:
+        """N's test at step t: bound plus t inflations at most 1/2."""
+        return (iv(bound) + iv(t) * iv(self.inflation)).hi <= 0.5
+
+
+def _run_batch(at: sparse.csr_matrix, ids: np.ndarray, steps: int,
+               scale: float, norm_kind: str,
+               ledger: Optional[_Ledger] = None) -> Optional[np.ndarray]:
+    """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
+    of a (k x len(ids)) block stepped by v -> at @ v (at is the transposed
+    matrix, so each column follows the row action); return the
+    (t x len(ids)) array of upward-rounded full-anchor norms.
+
+    Without ledger, t = steps.  With ledger, t is the first step at which
+    the block's own bound passes N's test; None if no step up to steps
+    does."""
+    k = at.shape[0]
+    v = np.zeros((k, len(ids)))
+    v[ids, np.arange(len(ids))] = -0.5 * scale
+    v[0, :] += 0.5 * scale
+    # one buffer for all rows: small allocations between the block-sized
+    # products fragment the heap and raise peak RSS by a block
+    out = np.empty((steps, len(ids)))
+    drift, prev = 0.0, scale
+    for t in range(1, steps + 1):
+        v = at @ v
+        if norm_kind == "L1":
+            out[t - 1] = 2.0 * _upper_abs_col_sums(v)
+        else:
+            # max |v| without a block-sized temporary
+            out[t - 1] = 2.0 * np.maximum(v.max(axis=0), -v.min(axis=0))
+        if ledger is None:
+            continue
+        drift, prev = ledger.next_drift(drift, prev), out[t - 1].max()
+        if ledger.passes_n_true(_up(prev + 2.0 * drift), t):
+            return out[:t]
+    return out if ledger is None else None
+
+
+def _anchor_norms(at: sparse.csr_matrix, steps: int, scale: float,
+                  norm_kind: str, batch_size: int,
+                  ledger: Optional[_Ledger] = None) -> Optional[np.ndarray]:
+    """(t x (k - 1)) anchor norms from _run_batch on blocks of batch_size
+    anchors, spread over one thread per usable CPU.
+
+    Without ledger, t = steps.  With it, each block stops at its own first
+    step whose bound passes N's test, t is the largest of those stops, and
+    the blocks that stopped earlier are stepped again to t; None if some
+    block has not passed within steps."""
+    ids_all = np.arange(1, at.shape[0])
+    starts = range(0, len(ids_all), batch_size)
+
+    def block(start, steps, ledger=None):
+        return _run_batch(at, ids_all[start:start + batch_size], steps,
+                          scale, norm_kind, ledger)
+
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+        blocks = list(pool.map(lambda s: block(s, steps, ledger), starts))
+        if ledger is not None:
+            if any(b is None for b in blocks):
+                return None
+            t = max(len(b) for b in blocks)
+            short = [i for i, b in enumerate(blocks) if len(b) < t]
+            for i, b in zip(short, pool.map(lambda i: block(starts[i], t),
+                                            short)):
+                blocks[i] = b
+    return np.concatenate(blocks, axis=1)
+
+
+def _first_passing(bounds: List[float], ledger: _Ledger):
+    """(n_eps, n_true) from the bounds of steps 1, 2, ...; None where no
+    step passes."""
+    n_eps = next((t + 1 for t, b in enumerate(bounds) if b <= 0.5), None)
+    n_true = next((t + 1 for t, b in enumerate(bounds)
+                   if ledger.passes_n_true(b, t + 1)), None)
+    return n_eps, n_true
+
+
+def _max_col_sum_up(at: sparse.csr_matrix) -> float:
+    """Upper bound of the largest absolute column sum of Pi (rows of at)."""
+    k = at.shape[0]
+    return _up(float(abs(at).sum(axis=1).max()) * (1.0 + 1.02 * k * _U))
+
+
+@dataclass(frozen=True)
+class _ResidualBound:
+    """The certified radius ||v - f|| of the module docstring, from one
+    float product p = fl(v Pi)."""
+
+    at: sparse.csr_matrix  # Pi transposed
+    at_abs: sparse.csr_matrix
+    col_counts: np.ndarray  # nonzeros per column of Pi
+    c_i: List[float]  # C_1 .. C_{n-1}
+    c_n: float
+    mass: float  # M
+    row_defect: float  # delta
+    op_norm: float  # R
+    norm_kind: str
+
+    def radius(self, v: np.ndarray, p: np.ndarray) -> float:
+        """inf where the bound's denominator is not positive."""
+        k = len(v)
+        r = p - v
+        # fl(v Pi)_j errs by at most gamma_j (|v| |Pi|)_j plus the underflow
+        # of its products; the subtraction adds at most 2u |r_j|.  The
+        # ledger is evaluated in float and moved up by its own rounding.
+        gamma = 1.01 * self.col_counts * _U
+        a = self.at_abs @ np.abs(v)
+        ledger = (gamma * (1.0 + 2.0 * gamma) * a + 2.0 * _U * np.abs(r)
+                  + 4.0 * self.col_counts * _ETA) * (1.0 + 8.0 * _U)
+        mag = np.abs(r) + ledger
+        v_1 = _up(float(np.abs(v).sum()) * (1.0 + 1.02 * k * _U))
+        if self.norm_kind == "L1":
+            r_norm = _up(float(mag.sum()) * (1.0 + 1.02 * (k + 1) * _U))
+            v_norm, k_factor = v_1, 1.0
+        else:
+            r_norm = _up(float(mag.max()) * (1.0 + _U))
+            v_norm, k_factor = float(np.abs(v).max()), float(k)
+        # sum r = sum_i v_i (row sum i - 1) exactly
+        r_sum = iv(self.row_defect) * iv(v_1)
+        s = math.fsum(v.tolist())
+        v_sum = Interval(math.nextafter(s, -math.inf), _up(s))
+        if v_sum.contains_zero():
+            return math.inf
+
+        step, power = iv(self.op_norm), iv(1)
+        s_c, s_r = iv(1), iv(1)  # the i = 0 terms: C_0 = R^0 = 1
+        for c in self.c_i:
+            power = power * step
+            s_r = s_r + power
+            s_c = s_c + iv(min(c, power.hi))
+        denom = (iv(1) - iv(self.c_n)
+                 - iv(self.row_defect) * iv(k_factor) * s_r)
+        if denom.lo <= 0.0:
+            return math.inf
+        mass = iv(self.mass)
+        inner = mass / abs(v_sum) * (iv(r_norm) + r_sum) * s_c / denom
+        outer = abs(v_sum - mass) * iv(v_norm) / abs(v_sum)
+        return (inner + outer).hi
+
+
+def _residual_bound(matrix: TransitionMatrix, at: sparse.csr_matrix,
+                    cert: ContractionCertificate,
+                    row_sums: np.ndarray) -> _ResidualBound:
+    """The residual bound of matrix (at its transpose, row_sums its fsum
+    row sums), with C_i from cert and n = cert.n_eps."""
+    n = cert.n_eps
+    # |row sum - 1| from the correctly rounded sums, one ulp added
+    row_defect = _up(float((np.abs(row_sums - 1.0) + np.spacing(row_sums)).max()))
+    if matrix.norm_kind == "L1":
+        # entries are nonnegative: the largest row sum
+        op_norm = _up(1.0 + row_defect)
+    else:
+        op_norm = _max_col_sum_up(at)
+    return _ResidualBound(
+        at=at, at_abs=at if matrix.norm_kind == "L1" else abs(at),
+        col_counts=np.diff(at.indptr).astype(np.float64),
+        c_i=list(cert.per_step_bounds[:n - 1]), c_n=cert.per_step_bounds[n - 1],
+        mass=1.0 if matrix.norm_kind == "L1" else float(matrix.k),
+        row_defect=row_defect, op_norm=op_norm, norm_kind=matrix.norm_kind)
+
+
+def _fixed_vector(bound: _ResidualBound, eps_num: float,
+                  j_max: int) -> EnclosedDensity:
+    """Power iteration from the uniform vector until the one-step change
+    is at rounding level, then the certified radius; more steps while the
+    radius exceeds eps_num, NotContractingError after j_max."""
+    at = bound.at
+    k = at.shape[0]
+
+    def norm(x: np.ndarray) -> float:
+        return float(np.abs(x).sum() if bound.norm_kind == "L1"
+                     else np.abs(x).max())
+
+    rounding = bound.col_counts.max() * _U
+    v = np.full(k, bound.mass / k)
+    radius = math.inf
+    for l in range(1, j_max + 1):
+        p = at @ v
+        if norm(p - v) <= rounding * norm(v) or l == j_max:
+            radius = bound.radius(v, p)
+            if radius <= eps_num:
+                _log.info("fixed vector: %d power steps, radius=%.6g",
+                          l, radius, extra={"power_steps": l, "radius": radius})
+                return EnclosedDensity(values=v, radius=radius, l=l,
+                                       norm_kind=bound.norm_kind)
+        v = p
+    raise NotContractingError(
+        f"fixed-vector enclosure radius {radius:.3g} still above eps_num "
+        f"{eps_num:.3g} after {j_max} power steps")
 
 
 def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
@@ -185,29 +383,32 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     """Certify contraction of Pi on V and enclose its fixed vector.
 
     Returns (ContractionCertificate, EnclosedDensity).  L1 mode works at
-    mass scale (anchors e_0 - e_j); sup mode at density scale (anchors
-    k*(e_0 - e_j)), so eps_num means the same thing the certificate's
-    numeric-error term does in both cases.  A sup-norm matrix is a
-    LinfMatrix, whose m_sup and lin_err enter the per-step inflation.
+    mass scale (anchors e_0 - e_j, density of mass 1); sup mode at density
+    scale (anchors k*(e_0 - e_j), density of mean 1).  A sup-norm matrix
+    is a LinfMatrix, whose m_sup and lin_err enter the per-step inflation.
+    eps_num is the largest enclosure radius accepted: power steps go on
+    until the certified radius is at most eps_num, and they stop near
+    rounding level, where the radius is about 1e-14 (L1) in practice.
 
     batch_size is the number of anchors per block (default: about
-    _BLOCK_ENTRIES doubles per block, at least _MIN_BLOCK_COLUMNS anchors);
-    it changes speed and memory, not results.  Each step's bounds are
-    logged at INFO level.
+    _BLOCK_ENTRIES doubles per block, at least _MIN_BLOCK_COLUMNS anchors,
+    and at least one block per usable CPU); it changes speed and memory,
+    not results.  Each anchor step's bounds are logged at INFO level, then
+    the power steps and radius.
 
-    Raises NotContractingError if j_max steps pass without the certified
-    bound dropping below 1/2 or some anchor staying above eps_num/2, and
-    ValueError for a nonpositive eps_num or an L1 matrix that is not
-    exactly row-stochastic.
+    Raises NotContractingError if j_max anchor steps pass without the
+    certified bound dropping below 1/2, or j_max power steps without the
+    radius dropping to eps_num; ValueError for a nonpositive eps_num or an
+    L1 matrix that is not exactly row-stochastic.
     """
     if eps_num <= 0:
         raise ValueError("eps_num must be positive")
+    row_sums = matrix.row_sums()
     if matrix.norm_kind == "L1" and (
-            (matrix.csr.data < 0).any() or (matrix.row_sums() != 1.0).any()):
+            (matrix.csr.data < 0).any() or (row_sums != 1.0).any()):
         # exact: the 1-norm ledger needs entries >= 0 and fsum row sums of 1
         raise ValueError("matrix is not row-stochastic: a negative entry or "
                          "a row sum other than 1")
-    a = matrix.csr
     k = matrix.k
     norm_kind = matrix.norm_kind
     scale = 1.0 if norm_kind == "L1" else float(k)
@@ -219,42 +420,36 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
 
     if batch_size is None:
         batch_size = _block_columns(k)
-    at = a.T.tocsr()
-    # the rows of at are the columns of a
-    col_count = int(np.diff(at.indptr).max())
-    colsum_up = _up(float(np.abs(at).sum(axis=1).max()) * (1.0 + 1.02 * k * _U))
+    at = matrix.csr.T.tocsr()
+    # the rows of at are the columns of the matrix
+    ledger = _Ledger(scale, int(np.diff(at.indptr).max()), _max_col_sum_up(at),
+                     norm_kind, inflation)
 
-    steps = min(j_max, 16)
-    while True:
-        norms_steps = _anchor_norms(at, steps, scale, norm_kind, batch_size)
-        norm_max = norms_steps.max(axis=1)
-        drift = _drift_sequence(norm_max, scale, col_count, colsum_up, norm_kind)
-        bounds = [_up(norm_max[t] + 2.0 * drift[t]) for t in range(steps)]
-
-        n_eps = next((t + 1 for t in range(steps) if bounds[t] <= 0.5), None)
-        n_true = next(
-            (t + 1 for t in range(steps)
-             if (iv(bounds[t]) + iv(t + 1) * iv(inflation)).hi <= 0.5),
-            None,
-        )
-        below = norms_steps <= eps_num / 2
-        l_per_anchor = np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0)
-        l_ok = bool((l_per_anchor > 0).all())
-        for t in range(steps):
-            _log.info("step %d: max_norm=%.6g bound=%.6g",
-                      t + 1, norm_max[t], bounds[t],
-                      extra={"step": t + 1, "max_norm": float(norm_max[t]),
-                             "bound": bounds[t]})
-        if n_eps is not None and n_true is not None and l_ok:
-            break
+    norms_steps = _anchor_norms(at, j_max, scale, norm_kind, batch_size,
+                                ledger)
+    if norms_steps is None:
+        steps, n_true = j_max, None
+    else:
+        steps = len(norms_steps)
+        bounds = ledger.bounds(norms_steps.max(axis=1))
+        n_eps, n_true = _first_passing(bounds, ledger)
+    while n_true is None:
+        # the global drift can fail a step that every block passed alone:
+        # step everything again with doubled budgets
         if steps >= j_max:
             raise NotContractingError(
-                "matrix not observed to contract within "
-                f"{j_max} steps; map may not be mixing"
-            )
+                f"matrix not observed to contract within {j_max} steps (no "
+                "certified anchor bound below 1/2); map may not be mixing")
         steps = min(j_max, steps * 2)
-
-    l = int(l_per_anchor.max())
+        norms_steps = _anchor_norms(at, steps, scale, norm_kind, batch_size)
+        bounds = ledger.bounds(norms_steps.max(axis=1))
+        n_eps, n_true = _first_passing(bounds, ledger)
+    norm_max = norms_steps.max(axis=1)
+    for t in range(len(bounds)):
+        _log.info("step %d: max_norm=%.6g bound=%.6g",
+                  t + 1, norm_max[t], bounds[t],
+                  extra={"step": t + 1, "max_norm": float(norm_max[t]),
+                         "bound": bounds[t]})
     cert = ContractionCertificate(
         n_eps=n_eps,
         n_true=n_true,
@@ -262,21 +457,6 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         inflation_per_step=inflation,
         norm_kind=norm_kind,
     )
-
-    v = np.full(k, scale / k) if norm_kind == "L1" else np.ones(k)
-    for _ in range(l):
-        v = v @ a
-    if norm_kind == "L1":
-        # restore unit mass; the scaling perturbs each entry by at most the
-        # accumulated drift, which the float_err budget below absorbs
-        v = v / math.fsum(v)
-    density_drift = float(drift[min(l, steps) - 1]) if l > 0 else 0.0
-    float_err = 3.0 * _float_ledger(l, k) + 6.0 * density_drift
-    dens = EnclosedDensity(
-        values=v,
-        diameter=eps_num,
-        l=l,
-        float_err=float_err,
-        norm_kind=norm_kind,
-    )
+    dens = _fixed_vector(_residual_bound(matrix, at, cert, row_sums),
+                         eps_num, j_max)
     return cert, dens

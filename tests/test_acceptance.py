@@ -116,8 +116,9 @@ def test_criterion_3_error_formula():
                                              per_step_bounds=[0.4],
                                              inflation_per_step=0.0,
                                              norm_kind="L1")
-        density = EnclosedDensity(values=np.array([1.0]), diameter=0.0, l=0,
-                                  float_err=0.0, norm_kind="L1")
+        # the table's eps_rig includes eps_num as its numeric term
+        density = EnclosedDensity(values=np.array([1.0]), radius=eps_num, l=0,
+                                  norm_kind="L1")
         cert = certify_l1(ly, matrix, contraction, density,
                           eps_num=eps_num, map_id=name)
         rel = abs(cert.eps_rig - expected) / expected
@@ -155,10 +156,8 @@ def test_criterion_4_exact_matrix(tripling_runs):
             for key in oracle
         )
         # Lebesgue is the exact fixed vector: the enclosure must contain it
-        uniform = (
-            np.abs(density.values - 1.0 / k).sum()
-            <= 1e-4 + density.float_err  # eps_num + ledger, as charged
-        )
+        err = sum(abs(F(float(v)) - F(1, k)) for v in density.values)
+        uniform = err <= F(density.radius)  # the radius, as charged
         ok = ok and exact and matrix.eps < 1e-15 and uniform
         details.append(f"k={k}: exact={exact} eps={matrix.eps:.2g}")
     n_eps_3 = runs[3][1].n_eps
@@ -179,7 +178,7 @@ def test_criterion_5_enclosure_soundness():
         cert, dens = contraction_sweep(tm, 1e-6, j_max=5000)
         exact = exact_fixed_vector(tm.csr.toarray())
         err = sum(abs(F(float(v)) - e) for v, e in zip(dens.values, exact))
-        if float(err) > 1e-6 + dens.float_err:  # eps_num + ledger, as charged
+        if err > F(dens.radius):  # the radius, as charged
             failures += 1
     _verdict("5 (1000 random 8x8 enclosures)", failures == 0,
              f"{failures} containment failures")

@@ -47,9 +47,9 @@ def synthetic_contraction(n_eps, n_true, norm_kind="L1"):
                                   norm_kind=norm_kind)
 
 
-def synthetic_density(values, norm_kind="L1", float_err=0.0):
-    return EnclosedDensity(values=np.asarray(values, dtype=float), diameter=0.0,
-                           l=0, float_err=float_err, norm_kind=norm_kind)
+def synthetic_density(values, norm_kind="L1", radius=0.0):
+    return EnclosedDensity(values=np.asarray(values, dtype=float),
+                           radius=radius, l=0, norm_kind=norm_kind)
 
 
 TABLE_L1 = [
@@ -66,8 +66,10 @@ def test_certify_l1_reproduces_reference_bounds(name, b, n, n_eps, nnz, eps,
                                                eps_num, expected):
     k = 2**20
     ly = synthetic_bv(0.32, b)
+    # the table's numeric term is eps_num: the density charges it
     cert = certify_l1(ly, synthetic_matrix(k, eps, nnz),
-                      synthetic_contraction(n_eps, n), synthetic_density([1.0]),
+                      synthetic_contraction(n_eps, n),
+                      synthetic_density([1.0], radius=eps_num),
                       eps_num=eps_num, map_id=name)
     direct = 2 * n * (2 * b / k) + 4 * n_eps * nnz * eps + eps_num
     assert math.isclose(cert.eps_rig, direct, rel_tol=1e-9)
@@ -97,7 +99,7 @@ def test_certify_l1_component_sum():
     ly = synthetic_bv(0.3, 25.0)
     cert = certify_l1(ly, synthetic_matrix(4096, 1e-9, 6),
                       synthetic_contraction(7, 8),
-                      synthetic_density([1.0], float_err=1e-12),
+                      synthetic_density([1.0], radius=1e-12),
                       eps_num=1e-4)
     s = cert.err_discretization + cert.err_matrix + cert.err_numeric
     assert cert.eps_rig >= s * (1 - 1e-12)
@@ -105,12 +107,13 @@ def test_certify_l1_component_sum():
 
 
 def test_certify_l1_monotone_in_eps_num():
+    # a density enclosed to within eps_num, charged as such
     ly = synthetic_bv(0.3, 25.0)
-    args = (ly, synthetic_matrix(4096, 1e-9, 6), synthetic_contraction(7, 8),
-            synthetic_density([1.0]))
+    args = (ly, synthetic_matrix(4096, 1e-9, 6), synthetic_contraction(7, 8))
     prev = -1.0
     for eps_num in (1e-6, 1e-5, 1e-4, 1e-3):
-        cert = certify_l1(*args, eps_num=eps_num)
+        cert = certify_l1(*args, synthetic_density([1.0], radius=eps_num),
+                          eps_num=eps_num)
         assert cert.eps_rig >= prev
         prev = cert.eps_rig
 
@@ -154,7 +157,8 @@ def test_certify_linf_reference_scale():
     mat = synthetic_matrix(131072, 2**-50, 12, norm_kind="Linf",
                            lin_err=4e-10, m_sup=1.62)
     cert = certify_linf(ly, mat, synthetic_contraction(2, 3, "Linf"),
-                        synthetic_density([1.0], "Linf"), eps_num=1e-5)
+                        synthetic_density([1.0], "Linf", radius=1e-5),
+                        eps_num=1e-5)
     assert abs(cert.eps_rig - 0.004) / 0.004 < 0.20
 
 

@@ -1,7 +1,11 @@
 """Map grammar, config handling, exit codes, and artifact formats."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +205,16 @@ def test_non_mixing_exits_3(tmp_path, capsys):
     assert "contract" in capsys.readouterr().err
 
 
+def test_wide_fixed_vector_enclosure_exits_3(tmp_path, capsys):
+    # tripling contracts, but no enclosure radius reaches eps_num = 1e-300
+    mp = tmp_path / "t.map"
+    mp.write_text("linear 3 mod 1\n")
+    code = main(["--map", str(mp), "--k", "27", "--eps-num", "1e-300",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "above eps_num" in capsys.readouterr().err
+
+
 def test_full_run_artifacts(tmp_path, capsys):
     mp = tmp_path / "t.map"
     mp.write_text("linear 3 mod 1\n")
@@ -326,10 +340,16 @@ def test_verbose_logs_one_record_per_step(verbose, tmp_path, capsys, caplog):
     captured = capsys.readouterr()
     assert "step 1:" not in captured.out
     if verbose:
-        # the first 16-step budget certifies the tripling map
-        assert [r.step for r in records] == list(range(1, 17))
-        assert all(r.levelname == "INFO" and r.bound >= r.max_norm for r in records)
+        # the sweep stops at N = 3 for the tripling map at k = 27; one more
+        # record gives the power steps of the fixed vector (one: the
+        # uniform start is exactly fixed)
+        steps, fixed = records[:-1], records[-1]
+        assert [r.step for r in steps] == [1, 2, 3]
+        assert all(r.levelname == "INFO" and r.bound >= r.max_norm for r in steps)
+        assert (fixed.power_steps, fixed.levelname) == (1, "INFO")
+        assert fixed.radius < 1e-13
         assert "rigdens.enclosure: step 1: max_norm=" in captured.err
+        assert "rigdens.enclosure: fixed vector: 1 power steps" in captured.err
     else:
         assert records == []
         assert captured.err == ""
@@ -380,3 +400,21 @@ def test_plot_files_match_point_loop(text, mode, k, tmp_path):
     for name in ("density_plot.dat", "map_graph.dat", "density.csv"):
         assert (tmp_path / "fast" / name).read_bytes() == \
             (tmp_path / "ref" / name).read_bytes()
+
+
+def test_module_entry_point_runs_clean(tmp_path):
+    # `python -m rigdens.cli` with RuntimeWarnings as errors: importing the
+    # package must not import rigdens.cli before runpy executes it
+    mp = tmp_path / "m.map"
+    mp.write_text("linear 3 mod 1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rigdens.cli",
+         "--map", str(mp), "--k", "9", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "certificate.json").is_file()

@@ -1,12 +1,14 @@
 """Fixed-vector enclosure soundness and contraction-certificate semantics."""
 
-import math
+import logging
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from rigdens import enclosure
@@ -14,8 +16,7 @@ from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
 )
-from rigdens.hatbasis import assemble_linearized
-from rigdens.intervals import EPS_MACH
+from rigdens.hatbasis import LinfMatrix, assemble_linearized
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 
 
@@ -66,24 +67,19 @@ def test_rank_one_contracts_immediately():
     assert cert.n_eps == 1
     assert cert.n_true == 1
     assert np.allclose(dens.values, 1 / 3, atol=1e-15)
-    assert dens.diameter == 1e-4  # eps_num: what certify_* charges
 
 
-def test_anchors_swept_to_half_eps_num():
+def test_sweep_stops_at_n_true(caplog):
     # the anchor (e_0 - e_1) of [[3/4, 1/4], [1/4, 3/4]] has norm 2^(1-t)
-    # after t steps: the first t with 2^(1-t) <= 0.03/2 is 8 (and 7 for a
-    # threshold of 0.03, which only proves a diameter of 0.06)
+    # after t steps: 1/2 plus a positive drift fails at t = 2, 1/4 passes
+    # at t = 3, and the sweep runs no step beyond that
     tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[0.75, 0.25], [0.25, 0.75]]),
                           eps=0.0, nnz_max=2)
-    _, dens = contraction_sweep(tm, 0.03)
-    assert (dens.l, dens.diameter) == (8, 0.03)
-
-
-def test_float_ledger_values():
-    assert enclosure._float_ledger(0, 100) == 0.0
-    assert math.isclose(enclosure._float_ledger(25, 2**20), 5.82e-9, rel_tol=1e-2)
-    assert enclosure._float_ledger(25, 2**20) == 25 * 2**20 * EPS_MACH
-    assert math.isclose(enclosure._float_ledger(10, 4096), 9.1e-12, rel_tol=1e-2)
+    with caplog.at_level(logging.INFO, logger="rigdens.enclosure"):
+        cert, _ = contraction_sweep(tm, 0.03)
+    steps = [r for r in caplog.records if hasattr(r, "step")]
+    assert cert.n_true == 3
+    assert [r.step for r in steps] == [1, 2, 3]
 
 
 def test_zero_sum_bound_vs_bruteforce():
@@ -159,9 +155,9 @@ def test_enclosure_soundness_sample():
         cert, dens = contraction_sweep(mk, 1e-6, j_max=5000)
         exact = exact_fixed_vector(mk.csr.toarray())
         err = sum(abs(F(float(v)) - e) for v, e in zip(dens.values, exact))
-        # the charged numeric error: eps_num plus the float ledger
-        assert dens.diameter == 1e-6
-        assert float(err) <= 1e-6 + dens.float_err
+        # the charged numeric error is the enclosure radius
+        assert dens.radius <= 1e-6
+        assert err <= F(dens.radius)
 
 
 def assert_same_sweep(a, b):
@@ -170,7 +166,7 @@ def assert_same_sweep(a, b):
     assert cert1.n_true == cert2.n_true
     assert cert1.per_step_bounds == cert2.per_step_bounds
     assert dens1.l == dens2.l
-    assert dens1.float_err == dens2.float_err
+    assert dens1.radius == dens2.radius
     assert (dens1.values == dens2.values).all()
 
 
@@ -183,8 +179,9 @@ def test_batch_size_determinism(eq6):
         assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=batch_size))
 
 
-def test_blocked_sweep_matches_one_block(eq6):
+def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
     # the default rule cuts 2047 anchors into blocks of 512, 512, 512, 511
+    monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
     k = 2048
     assert enclosure._block_columns(k) == 512
     mk = markovize(assemble_ulam(eq6, k))
@@ -193,10 +190,63 @@ def test_blocked_sweep_matches_one_block(eq6):
     assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=7))
 
 
-def test_block_rule():
+def test_block_rule(monkeypatch):
+    monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
     assert enclosure._block_columns(8192) == 128
-    assert enclosure._block_columns(1024) == 1023
+    # one block per CPU below the cache cap
+    assert enclosure._block_columns(1024) == 512
     assert enclosure._block_columns(1 << 17) == 16
+    assert enclosure._block_columns(20) == 16
+    monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 64)
+    assert enclosure._block_columns(1024) == 16
+
+
+def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
+    # at k = 256 LANFORD2's blocks of 16 anchors stop at 5 and at 6; those
+    # that stop at 5 are stepped again to 6, to the same certificate as one
+    # block
+    mk = markovize(assemble_ulam(lanford2, 256))
+    one_block = contraction_sweep(mk, 1e-4, batch_size=255)
+    run_batch = enclosure._run_batch
+    stops, fixed_steps = [], []
+
+    def spy(at, ids, steps, scale, norm_kind, ledger=None):
+        out = run_batch(at, ids, steps, scale, norm_kind, ledger)
+        (stops if ledger is not None else fixed_steps).append(len(out))
+        return out
+
+    monkeypatch.setattr(enclosure, "_run_batch", spy)
+    assert_same_sweep(one_block, contraction_sweep(mk, 1e-4, batch_size=16))
+    assert one_block[0].n_true == 6
+    assert sorted(set(stops)) == [5, 6]
+    assert fixed_steps == [6] * stops.count(5)
+
+
+def test_global_fallback_matches_one_block(eq6, monkeypatch):
+    # every block passes N's test alone but the global test (global drift)
+    # fails at the largest stop: the doubled-budget restart must give the
+    # one-block certificate
+    mk = markovize(assemble_ulam(eq6, 64))
+    one_block = contraction_sweep(mk, 1e-4, batch_size=63)
+    first_passing = enclosure._first_passing
+    calls = []
+
+    def fail_first(bounds, ledger):
+        calls.append(len(bounds))
+        n_eps, n_true = first_passing(bounds, ledger)
+        return (n_eps, None) if len(calls) == 1 else (n_eps, n_true)
+
+    monkeypatch.setattr(enclosure, "_first_passing", fail_first)
+    assert_same_sweep(one_block, contraction_sweep(mk, 1e-4, batch_size=7))
+    assert calls == [one_block[0].n_true, 2 * one_block[0].n_true]
+
+
+def test_radius_above_eps_num_raises(tripling):
+    # the tripling matrix contracts at once, but no enclosure radius is
+    # as small as 1e-300: j_max power steps, then NotContractingError
+    mk = markovize(assemble_ulam(tripling, 27))
+    with pytest.raises(NotContractingError, match="radius .* above eps_num"):
+        contraction_sweep(mk, 1e-300, j_max=20)
 
 
 def test_block_error_reaches_caller_unchanged(eq6, monkeypatch):
@@ -250,3 +300,91 @@ def test_row_stochastic_check_is_exact(rows):
                           eps=0.0, nnz_max=2)
     with pytest.raises(ValueError, match="not row-stochastic"):
         contraction_sweep(tm, 1e-4)
+
+
+_DENOM_BITS = 20
+
+
+@st.composite
+def _stochastic_cases(draw):
+    """(rows, norm_kind): a small row-stochastic matrix of exact floats.
+
+    Kinds: a mixture of the identity, the cyclic shift and a random
+    permutation with dyadic weights (doubly stochastic, so the sup-norm
+    sweep certifies it too), or random dyadic rows in L1; two such blocks
+    joined by a leak of 2^-e per row (near-reducible, mixing over about
+    2^e steps); either of the first plus one row of three float(1/3)
+    entries, whose exact sum is 1 - 2^-54 while its fsum is 1.  The sup
+    norm runs at density scale."""
+    norm_kind = draw(st.sampled_from(["L1", "Linf"]))
+    kind = draw(st.sampled_from(["mixed", "leaky", "thirds"]))
+    d = 1 << _DENOM_BITS
+
+    def parts(n, total):
+        # n positive parts on a grid of total/16: every weight is at least
+        # 1/16 of the total, which keeps mixing within the step budget
+        cuts = draw(st.lists(st.integers(1, 15), min_size=n - 1,
+                             max_size=n - 1, unique=True))
+        return np.diff([0, *sorted(c * (total // 16) for c in cuts), total])
+
+    def mixture(k, total):
+        if norm_kind == "L1" and draw(st.booleans()):
+            return np.array([parts(k, total) for _ in range(k)])
+        perm = draw(st.permutations(range(k)))
+        out = np.zeros((k, k), dtype=np.int64)
+        for w, cols in zip(parts(3, total),
+                           (range(k), [(i + 1) % k for i in range(k)], perm)):
+            out[np.arange(k), list(cols)] += w
+        return out
+
+    if kind == "leaky":
+        m = draw(st.integers(1, 3))
+        leak = d >> draw(st.integers(1, 7))
+        ints = np.zeros((2 * m, 2 * m), dtype=np.int64)
+        ints[:m, :m] = mixture(m, d - leak) if m > 1 else d - leak
+        ints[m:, m:] = mixture(m, d - leak) if m > 1 else d - leak
+        ints[np.arange(2 * m), (np.arange(2 * m) + m) % (2 * m)] = leak
+        return ints / d, norm_kind
+    k = draw(st.integers(3 if kind == "thirds" else 2, 6))
+    rows = mixture(k, d) / d
+    if kind == "thirds":
+        rows[draw(st.integers(0, k - 1))] = [1 / 3] * 3 + [0.0] * (k - 3)
+    return rows, norm_kind
+
+
+def _exact_distance(values, exact, norm_kind):
+    k = len(values)
+    if norm_kind == "L1":
+        return sum(abs(F(float(v)) - e) for v, e in zip(values, exact))
+    return max(abs(F(float(v)) - k * e) for v, e in zip(values, exact))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stochastic_cases(), st.integers(0, 40), st.data())
+def test_residual_radius_contains_exact_fixed_vector(case, t, data):
+    rows, norm_kind = case
+    k = len(rows)
+    csr = sparse.csr_matrix(rows)
+    if norm_kind == "L1":
+        tm = TransitionMatrix(k=k, csr=csr, eps=0.0, nnz_max=k)
+    else:
+        tm = LinfMatrix(k=k, csr=csr, eps=0.0, nnz_max=k, norm_kind="Linf")
+    # k - 1 fixed-point equations plus mass 1: the target of the bound when
+    # a row's exact sum is not 1
+    exact = exact_fixed_vector(rows)
+    cert, dens = contraction_sweep(tm, 1e-6, j_max=5000)
+    assert dens.radius <= 1e-6
+    assert _exact_distance(dens.values, exact, norm_kind) <= F(dens.radius)
+
+    # the same bound for t power steps from a random start, still far from
+    # the fixed vector: there the radius is not a rounding ledger, and on
+    # two states it equals ||r|| / (1 - C_1), the exact distance
+    at = csr.T.tocsr()
+    bound = enclosure._residual_bound(tm, at, cert, tm.row_sums())
+    start = np.array(data.draw(st.lists(st.integers(1, 8), min_size=k,
+                                        max_size=k)), dtype=float)
+    v = start * (bound.mass / start.sum())
+    for _ in range(t):
+        v = at @ v
+    radius = bound.radius(v, at @ v)
+    assert _exact_distance(v, exact, norm_kind) <= F(radius)

@@ -79,8 +79,8 @@ def test_zigzag_uniform_density():
     assert matrix.eps < 1e-15
     contraction, density = contraction_sweep(matrix, 1e-6)
     # the zigzag preserves Lebesgue: the enclosure must contain uniform
-    err = np.abs(density.values - 1 / 27).sum()
-    assert err <= 1e-6 + density.float_err  # eps_num + ledger, as charged
+    err = sum(abs(F(float(v)) - F(1, 27)) for v in density.values)
+    assert err <= F(density.radius)  # the radius, as charged
     cert = certify_l1(ly, matrix, contraction, density, eps_num=1e-6)
     lr = lyapunov(m, density, cert)
     with mpmath.workdps(30):
