@@ -5,8 +5,10 @@ bounded by three nonnegative components, summed with upward rounding:
 
   * discretization error   2 N (2B/k)                    (mass norm), or the
     sup-norm analogue (2/k) N M ((4/k)D + 2(M+1)M(1+B1/(1-a))) (B+1);
-  * matrix error           4 N_eps NNZ eps, respectively
-    2 N M^2 (eps + 4D/k^2) (||v||_inf + rho);
+  * matrix error           2 N_eps ||P - Pi|| = 4 N_eps NNZ eps, respectively
+    N ||P - Pi|| (||v||_inf + rho) with ||P - Pi|| charged as
+    2 M^2 (eps + 4D/k^2); ||P - Pi|| is the matrix's step_error, the
+    contraction sweep's per-step inflation;
   * numeric error          rho, the radius of the fixed-vector enclosure:
     M/|sum v| (||r|| + |sum r|) sum_{i<N_eps} C_i / (1 - C_{N_eps} - ...)
     plus the mass defect, from the certified residual r = v Pi - v
@@ -107,7 +109,7 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
         raise ValueError("contraction certificate incomplete")
     k = matrix.k
     err_disc = (iv(2) * iv(n_true) * (iv(2) * ly.b / iv(k))).hi
-    err_mat = (iv(4) * iv(n_eps) * iv(matrix.nnz_max) * iv(matrix.eps)).hi
+    err_mat = (iv(2) * iv(n_eps) * iv(matrix.step_error)).hi
     err_num = density.radius
     eps_rig = _up_sum(err_disc, err_mat, err_num)
     return Certificate(
@@ -123,7 +125,8 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  eps_num: float, map_id: str = "map") -> Certificate:
     """Sup-norm certificate with the linearized-operator error terms; the
-    numeric term is density.radius, as in certify_l1."""
+    power bound M in the matrix term is matrix.m_sup, and the numeric term
+    is density.radius, as in certify_l1."""
     if matrix.norm_kind != "Linf" or contraction.norm_kind != "Linf":
         raise ValueError("certify_linf needs sup-norm inputs")
     if not ly.alpha.hi < 1.0:
@@ -138,10 +141,8 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
     )
     err_disc = ((iv(2) / iv(k)) * iv(n_true) * m * bracket * (ly.b_var + iv(1))).hi
     v_sup = float(np.abs(density.values).max())
-    err_mat = (
-        iv(2) * iv(n_true) * m * m * (iv(matrix.eps) + iv(matrix.lin_err))
-        * (iv(v_sup) + iv(density.radius))
-    ).hi
+    err_mat = (iv(n_true) * iv(matrix.step_error)
+               * (iv(v_sup) + iv(density.radius))).hi
     err_num = density.radius
     eps_rig = _up_sum(err_disc, err_mat, err_num)
     return Certificate(

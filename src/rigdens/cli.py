@@ -17,16 +17,19 @@ command line flags (mode, k, eps_num, iterate, out_dir, dump_matrix,
 verbose, no_lyap; any other key is rejected) and a [map] section with
 either text= or file=.  Flags override config values.
 
-Exit codes: 0 success, 1 bad configuration (including command line usage
-errors, an output path that cannot be written, maps with a branch whose
-length enclosure reaches 0, maps the assembly rejects and maps whose
-|T'| enclosure touches 0 in the Lyapunov stage), 2 failed expansion
-check, 3 no observed contraction (or a fixed-vector enclosure still wider
-than eps_num after the step budget).  The output directory and the
---dump-matrix file's directory are created once the map is built, before
-any certification work, so an unwritable path fails at once.  --verbose
-sends the package's INFO log records (one per contraction step, then one
-for the power steps of the fixed vector) to stderr.
+Exit codes: 0 success; 1 bad configuration or input: a command line usage
+error, any stage's ValueError or OverflowError (a map the parser, the
+assembly or the Lyapunov stage rejects, a branch whose length enclosure
+reaches 0, a number beyond the double range, a nonpositive eps_num) and
+any path that cannot be read or written; 2 failed expansion check; 3 no
+observed contraction (or a fixed-vector enclosure still wider than
+eps_num after the step budget).  ``run`` maps the exceptions to these
+codes in one place and prints one "error:" line.  The output directory
+and the --dump-matrix file's directory are created once the map is
+built, before any certification work, so an unwritable path fails at
+once.  --verbose sends the package's INFO log records (one per
+contraction step, then one for the power steps of the fixed vector) to
+stderr.
 """
 
 from __future__ import annotations
@@ -439,6 +442,12 @@ class RunConfig:
             raise ValueError("k must be at least 8")
 
 
+def _density_scale(density, k: int) -> float:
+    """Factor from stored values to density values: k for L1 mass
+    vectors, 1 at the sup norm's density scale."""
+    return k if density.norm_kind == "L1" else 1.0
+
+
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
     """Write plot-ready files: density at cell midpoints and the map graph.
 
@@ -447,10 +456,9 @@ def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
     points in one interval-array call.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    scale = k if density.norm_kind == "L1" else 1.0
     mids = (np.arange(k) + 0.5) / k
     _write_lines(out_dir / "density_plot.dat", "{!r} {!r}\n",
-                 mids, scale * density.values)
+                 mids, _density_scale(density, k) * density.values)
     n = max(k, 512)
     xs = np.arange(n + 1) / n
     at, ys = [], []
@@ -476,8 +484,8 @@ def _write_lines(path: Path, fmt: str, *columns: np.ndarray,
 
 def _write_density_csv(density, k: int, path: Path) -> None:
     i = np.arange(k)
-    vals = k * density.values if density.norm_kind == "L1" else density.values
-    _write_lines(path, "{},{!r},{!r},{!r}\n", i, i / k, (i + 1) / k, vals,
+    _write_lines(path, "{},{!r},{!r},{!r}\n", i, i / k, (i + 1) / k,
+                 _density_scale(density, k) * density.values,
                  header="i,left,right,value\n")
 
 
@@ -501,27 +509,31 @@ def _log_to_stderr(enabled: bool):
 
 
 def run(config: RunConfig) -> int:
-    """Execute the full pipeline; returns the process exit code."""
+    """Execute the full pipeline; returns the process exit code (module
+    docstring), printing one error line for a failure."""
     try:
-        return _run(config)
-    except OSError as exc:
-        # an output path that cannot be written
+        with _log_to_stderr(config.verbose):
+            return _run(config)
+    except ExpansionError as exc:
+        print(f"error: {exc} (try --iterate)", file=sys.stderr)
+        return 2
+    except NotContractingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a coefficient beyond the double range; OSError: an
+        # output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _run(config: RunConfig) -> int:
-    try:
-        spec = parse_map(config.map_text)
-        if config.iterate is not None:
-            spec = dataclasses.replace(spec, iterate=config.iterate)
-        if config.mode == "Linf":
-            spec = dataclasses.replace(spec, circle=True)
-        mapped = spec.build()
-    except (MapParseError, ValueError, OverflowError) as exc:
-        # OverflowError: a coefficient beyond the double range
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = parse_map(config.map_text)
+    if config.iterate is not None:
+        spec = dataclasses.replace(spec, iterate=config.iterate)
+    if config.mode == "Linf":
+        spec = dataclasses.replace(spec, circle=True)
+    mapped = spec.build()
     # fail on an unwritable output path before any certification work
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -531,61 +543,28 @@ def _run(config: RunConfig) -> int:
     eps_num = config.eps_num if config.eps_num is not None else (
         1e-4 if config.mode == "L1" else 1e-5
     )
-    try:
-        if config.mode == "L1":
-            ly = ly_coefficients_bv(mapped)
-        else:
-            ly = ly_coefficients_lip(mapped)
-            if ly.k_iter != 1:
-                raise ExpansionError(
-                    f"Lipschitz contraction needs iterate {ly.k_iter}; "
-                    "rerun with --iterate on a polynomial map"
-                )
-    except ExpansionError as exc:
-        print(f"error: {exc} (try --iterate)", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # a branch whose length enclosure reaches 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if config.mode == "L1":
-            matrix = markovize(assemble_ulam(mapped, config.k))
-        else:
-            matrix = markovize(assemble_linearized(mapped, config.k))
-    except ValueError as exc:
-        # maps the assembly rejects, singular rows
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if config.mode == "L1":
+        ly = ly_coefficients_bv(mapped)
+        matrix = markovize(assemble_ulam(mapped, config.k))
+    else:
+        ly = ly_coefficients_lip(mapped)
+        if ly.k_iter != 1:
+            raise ExpansionError(
+                f"Lipschitz contraction needs iterate {ly.k_iter}; "
+                "rerun with --iterate on a polynomial map"
+            )
+        matrix = markovize(assemble_linearized(mapped, config.k))
     if config.dump_matrix:
         dump_matrix(matrix, config.dump_matrix)
 
-    try:
-        with _log_to_stderr(config.verbose):
-            contraction, density = contraction_sweep(matrix, eps_num)
-    except NotContractingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # a nonpositive eps_num
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    contraction, density = contraction_sweep(matrix, eps_num)
     if config.mode == "L1":
         cert = certify_l1(ly, matrix, contraction, density,
                           eps_num=eps_num, map_id=config.map_id)
     else:
         cert = certify_linf(ly, matrix, contraction, density,
                             eps_num=eps_num, map_id=config.map_id)
-    lyap = None
-    if not config.no_lyap:
-        try:
-            lyap = lyapunov(mapped, density, cert)
-        except ValueError as exc:
-            # |T'| enclosure touches 0
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    lyap = None if config.no_lyap else lyapunov(mapped, density, cert)
 
     _write_density_csv(density, config.k, out_dir / "density.csv")
     rep = report(cert, lyap)

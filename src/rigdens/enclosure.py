@@ -11,13 +11,14 @@ steps bounds C_t = ||Pi^t|_V|| on the zero-sum subspace V.  Norms are
 upward-rounded and every float product is covered by an explicit drift
 ledger.  The sweep certifies N_eps, the first t with C_t <= 1/2 for the
 computed matrix, and N, which also charges t times the per-step
-"inflation" that bounds the distance to the exact discretized operator.
-It steps only as far as N needs: each block of anchors stops at the first
-step where its own bound (its own maxima, drift and inflation) passes N's
-test, and the blocks that stopped before the largest such step are
-stepped again to it.  Block bounds never exceed the global ones, so N is
-at least every block's stop; where the global test fails at the largest
-stop, the whole sweep restarts with doubled step budgets up to j_max.
+"inflation" ||P - Pi|| (the matrix's step_error) that bounds the distance
+to the exact discretized operator.  It steps only as far as N needs: each
+block of anchors stops at the first step where its own bound (its own
+maxima, drift and inflation) passes N's test, and the blocks that stopped
+before the largest such step are stepped again to their first pass from
+it on, until all stop at one step.  Block bounds never exceed the global
+ones, so N is at least every block's stop; where the global test fails
+up to that step, the search resumes after it.
 
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
@@ -65,12 +66,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .intervals import Interval, iv
+from .intervals import Interval, _up, iv
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -122,10 +123,6 @@ class EnclosedDensity:
     norm_kind: str
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
 def _upper_abs_col_sums(v: np.ndarray) -> np.ndarray:
     """Rigorous upper bounds of per-column 1-norms of a dense matrix."""
     k = v.shape[0]
@@ -146,7 +143,7 @@ def _usable_cpus() -> int:
 
 
 def _block_columns(k: int) -> int:
-    """Default anchors per block: about _BLOCK_ENTRIES doubles of k rows,
+    """Anchors per block: about _BLOCK_ENTRIES doubles of k rows,
     and narrow enough that every usable CPU gets a block."""
     per_cpu = -(-(k - 1) // _usable_cpus())
     return min(k - 1, max(_MIN_BLOCK_COLUMNS, min(_BLOCK_ENTRIES // k, per_cpu)))
@@ -191,68 +188,65 @@ class _Ledger:
         return (iv(bound) + iv(t) * iv(self.inflation)).hi <= 0.5
 
 
-def _run_batch(at: sparse.csr_matrix, ids: np.ndarray, steps: int,
-               scale: float, norm_kind: str,
-               ledger: Optional[_Ledger] = None) -> Optional[np.ndarray]:
+def _run_batch(at: sparse.csr_matrix, ids: np.ndarray, first: int, last: int,
+               ledger: _Ledger) -> np.ndarray | None:
     """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
     of a (k x len(ids)) block stepped by v -> at @ v (at is the transposed
     matrix, so each column follows the row action); return the
-    (t x len(ids)) array of upward-rounded full-anchor norms.
-
-    Without ledger, t = steps.  With ledger, t is the first step at which
-    the block's own bound passes N's test; None if no step up to steps
-    does."""
+    (t x len(ids)) array of upward-rounded full-anchor norms, where t is
+    the first step from first on at which the block's own bound passes
+    N's test; None if no step up to last does."""
     k = at.shape[0]
+    scale = ledger.scale
     v = np.zeros((k, len(ids)))
     v[ids, np.arange(len(ids))] = -0.5 * scale
     v[0, :] += 0.5 * scale
     # one buffer for all rows: small allocations between the block-sized
     # products fragment the heap and raise peak RSS by a block
-    out = np.empty((steps, len(ids)))
+    out = np.empty((last, len(ids)))
     drift, prev = 0.0, scale
-    for t in range(1, steps + 1):
+    for t in range(1, last + 1):
         v = at @ v
-        if norm_kind == "L1":
+        if ledger.norm_kind == "L1":
             out[t - 1] = 2.0 * _upper_abs_col_sums(v)
         else:
             # max |v| without a block-sized temporary
             out[t - 1] = 2.0 * np.maximum(v.max(axis=0), -v.min(axis=0))
-        if ledger is None:
-            continue
         drift, prev = ledger.next_drift(drift, prev), out[t - 1].max()
-        if ledger.passes_n_true(_up(prev + 2.0 * drift), t):
+        if t >= first and ledger.passes_n_true(_up(prev + 2.0 * drift), t):
             return out[:t]
-    return out if ledger is None else None
+    return None
 
 
-def _anchor_norms(at: sparse.csr_matrix, steps: int, scale: float,
-                  norm_kind: str, batch_size: int,
-                  ledger: Optional[_Ledger] = None) -> Optional[np.ndarray]:
-    """(t x (k - 1)) anchor norms from _run_batch on blocks of batch_size
-    anchors, spread over one thread per usable CPU.
+def _anchor_norms(at: sparse.csr_matrix, first: int, last: int,
+                  ledger: _Ledger) -> np.ndarray:
+    """(t x (k - 1)) anchor norms from _run_batch on blocks of
+    _block_columns(k) anchors, spread over one thread per usable CPU.
 
-    Without ledger, t = steps.  With it, each block stops at its own first
-    step whose bound passes N's test, t is the largest of those stops, and
-    the blocks that stopped earlier are stepped again to t; None if some
-    block has not passed within steps."""
+    Each block stops at its first step from first on whose bound passes
+    N's test, and the blocks that stopped before the largest stop t are
+    stepped again to their first pass from t on, until all stop at t.
+    Raises NotContractingError if some block has not passed by last."""
     ids_all = np.arange(1, at.shape[0])
-    starts = range(0, len(ids_all), batch_size)
+    width = _block_columns(at.shape[0])
+    starts = range(0, len(ids_all), width)
 
-    def block(start, steps, ledger=None):
-        return _run_batch(at, ids_all[start:start + batch_size], steps,
-                          scale, norm_kind, ledger)
+    def block(start, first):
+        return _run_batch(at, ids_all[start:start + width], first, last, ledger)
 
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-        blocks = list(pool.map(lambda s: block(s, steps, ledger), starts))
-        if ledger is not None:
+        blocks = list(pool.map(lambda s: block(s, first), starts))
+        while True:
             if any(b is None for b in blocks):
-                return None
+                raise NotContractingError(
+                    f"matrix not observed to contract within {last} steps (no "
+                    "certified anchor bound below 1/2); map may not be mixing")
             t = max(len(b) for b in blocks)
             short = [i for i, b in enumerate(blocks) if len(b) < t]
-            for i, b in zip(short, pool.map(lambda i: block(starts[i], t),
-                                            short)):
+            if not short:
+                return np.concatenate(blocks, axis=1)
+            for i, b in zip(short, pool.map(lambda i: block(starts[i], t), short)):
                 blocks[i] = b
-    return np.concatenate(blocks, axis=1)
 
 
 def _first_passing(bounds: List[float], ledger: _Ledger):
@@ -379,21 +373,17 @@ def _fixed_vector(bound: _ResidualBound, eps_num: float,
 
 
 def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
-                      j_max: int = 200, batch_size: Optional[int] = None):
+                      j_max: int = 200):
     """Certify contraction of Pi on V and enclose its fixed vector.
 
     Returns (ContractionCertificate, EnclosedDensity).  L1 mode works at
     mass scale (anchors e_0 - e_j, density of mass 1); sup mode at density
-    scale (anchors k*(e_0 - e_j), density of mean 1).  A sup-norm matrix
-    is a LinfMatrix, whose m_sup and lin_err enter the per-step inflation.
-    eps_num is the largest enclosure radius accepted: power steps go on
-    until the certified radius is at most eps_num, and they stop near
-    rounding level, where the radius is about 1e-14 (L1) in practice.
-
-    batch_size is the number of anchors per block (default: about
-    _BLOCK_ENTRIES doubles per block, at least _MIN_BLOCK_COLUMNS anchors,
-    and at least one block per usable CPU); it changes speed and memory,
-    not results.  Each anchor step's bounds are logged at INFO level, then
+    scale (anchors k*(e_0 - e_j), density of mean 1).  The per-step
+    inflation is matrix.step_error (for a LinfMatrix it holds m_sup and
+    lin_err).  eps_num is the largest enclosure radius accepted: power
+    steps go on until the certified radius is at most eps_num, and they
+    stop near rounding level, where the radius is about 1e-14 (L1) in
+    practice.  Each anchor step's bounds are logged at INFO level, then
     the power steps and radius.
 
     Raises NotContractingError if j_max anchor steps pass without the
@@ -409,42 +399,22 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
         # exact: the 1-norm ledger needs entries >= 0 and fsum row sums of 1
         raise ValueError("matrix is not row-stochastic: a negative entry or "
                          "a row sum other than 1")
-    k = matrix.k
     norm_kind = matrix.norm_kind
-    scale = 1.0 if norm_kind == "L1" else float(k)
-    if norm_kind == "L1":
-        inflation = (iv(2) * iv(matrix.nnz_max) * iv(matrix.eps)).hi
-    else:
-        inflation = (iv(2) * iv(matrix.m_sup) * iv(matrix.m_sup)
-                     * (iv(matrix.eps) + iv(matrix.lin_err))).hi
-
-    if batch_size is None:
-        batch_size = _block_columns(k)
+    scale = 1.0 if norm_kind == "L1" else float(matrix.k)
+    inflation = matrix.step_error
     at = matrix.csr.T.tocsr()
     # the rows of at are the columns of the matrix
     ledger = _Ledger(scale, int(np.diff(at.indptr).max()), _max_col_sum_up(at),
                      norm_kind, inflation)
 
-    norms_steps = _anchor_norms(at, j_max, scale, norm_kind, batch_size,
-                                ledger)
-    if norms_steps is None:
-        steps, n_true = j_max, None
-    else:
-        steps = len(norms_steps)
-        bounds = ledger.bounds(norms_steps.max(axis=1))
-        n_eps, n_true = _first_passing(bounds, ledger)
+    # every block passes N's test by the global first pass, so a round
+    # whose global test fails rules out every step it covered
+    first, n_true = 1, None
     while n_true is None:
-        # the global drift can fail a step that every block passed alone:
-        # step everything again with doubled budgets
-        if steps >= j_max:
-            raise NotContractingError(
-                f"matrix not observed to contract within {j_max} steps (no "
-                "certified anchor bound below 1/2); map may not be mixing")
-        steps = min(j_max, steps * 2)
-        norms_steps = _anchor_norms(at, steps, scale, norm_kind, batch_size)
-        bounds = ledger.bounds(norms_steps.max(axis=1))
+        norm_max = _anchor_norms(at, first, j_max, ledger).max(axis=1)
+        bounds = ledger.bounds(norm_max)
         n_eps, n_true = _first_passing(bounds, ledger)
-    norm_max = norms_steps.max(axis=1)
+        first = len(bounds) + 1
     for t in range(len(bounds)):
         _log.info("step %d: max_norm=%.6g bound=%.6g",
                   t + 1, norm_max[t], bounds[t],
@@ -453,7 +423,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float,
     cert = ContractionCertificate(
         n_eps=n_eps,
         n_true=n_true,
-        per_step_bounds=[float(b) for b in bounds[: max(n_eps, n_true)]],
+        per_step_bounds=[float(b) for b in bounds[:n_true]],
         inflation_per_step=inflation,
         norm_kind=norm_kind,
     )

@@ -40,6 +40,12 @@ class LinfMatrix(TransitionMatrix):
     lin_err: float = 0.0
     m_sup: float = 1.0
 
+    @property
+    def step_error(self) -> float:
+        """The sup-norm step charge 2 M^2 (eps + lin_err), rounded up."""
+        return (iv(2) * iv(self.m_sup) * iv(self.m_sup)
+                * (iv(self.eps) + iv(self.lin_err))).hi
+
 
 def _check_circle(m: PiecewiseMap) -> None:
     """Certify that the map is C^1 on the circle: the endpoint values differ

@@ -71,8 +71,9 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def _two_sum(a: float, b: float):
-    """Knuth's TwoSum: returns (s, e) with s = fl(a+b) and a+b = s+e exactly."""
+def _two_sum(a, b):
+    """Knuth's TwoSum: returns (s, e) with s = fl(a+b) and a+b = s+e exactly;
+    elementwise on arrays."""
     s = a + b
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
@@ -97,8 +98,9 @@ def _sum_hi(a: float, b: float) -> float:
     return _up(s) if e > 0 else s
 
 
-def _two_prod(a: float, b: float):
-    """Dekker's TwoProd: (p, e) with p = fl(a*b), a*b = p+e exactly.
+def _two_prod(a, b):
+    """Dekker's TwoProd: (p, e) with p = fl(a*b), a*b = p+e exactly;
+    elementwise on arrays.
 
     Only valid away from overflow/underflow; callers guard magnitudes.
     """
@@ -347,14 +349,8 @@ def _v_up(x):
     return np.nextafter(x, _INF)
 
 
-def _v_two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _v_sum_lo(a, b):
-    s, e = _v_two_sum(a, b)
+    s, e = _two_sum(a, b)
     out = np.where(e < 0, _v_down(s), s)
     finite = np.isfinite(s)
     if not finite.all():
@@ -363,23 +359,12 @@ def _v_sum_lo(a, b):
 
 
 def _v_sum_hi(a, b):
-    s, e = _v_two_sum(a, b)
+    s, e = _two_sum(a, b)
     out = np.where(e > 0, _v_up(s), s)
     finite = np.isfinite(s)
     if not finite.all():
         out = np.where(finite, out, np.where(s > 0, _INF, -_MAX_FLOAT))
     return out
-
-
-def _v_two_prod(a, b):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
 def _v_prod_safe(a, b):
@@ -390,7 +375,7 @@ def _v_prod_safe(a, b):
 
 def _v_prod_bounds(a, b):
     """Elementwise (_prod_lo(a, b), _prod_hi(a, b))."""
-    p, e = _v_two_prod(a, b)
+    p, e = _two_prod(a, b)
     safe = _v_prod_safe(a, b)
     lo = np.where(safe & ~(e < 0), p, _v_down(p))
     hi = np.where(safe & ~(e > 0), p, _v_up(p))
@@ -404,7 +389,7 @@ def _v_prod_bounds(a, b):
 def _v_div_bounds(a, b):
     """Elementwise _div_bounds(a, b)."""
     q = a / b
-    p, e = _v_two_prod(q, b)
+    p, e = _two_prod(q, b)
     safe = _v_prod_safe(q, b) & np.isfinite(p)
     r = (a - p) - e
     exact = safe & (r == 0.0)

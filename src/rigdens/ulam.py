@@ -39,8 +39,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .intervals import (Interval, IntervalArray, _v_two_prod, exact_int_dtype, from_fraction,
-                        ratio_array)
+from .intervals import (Interval, IntervalArray, _two_prod, exact_int_dtype, from_fraction,
+                        iv, ratio_array)
 from .maps import Branch, Endpoint, PiecewiseMap, level_crossing
 from .polys import poly_is_linear
 
@@ -60,7 +60,9 @@ class TransitionMatrix:
 
     eps bounds max_ij |stored_ij - P_ij| before markovization; after
     markovization the guarantee is |Pi_ij - P_ij| <= 2*eps per entry, hence
-    ||P_k - Pi||_1 < 2 * nnz_max * eps in the operator norm on row vectors.
+    ||P_k - Pi||_1 <= step_error = 2 * nnz_max * eps in the operator norm on
+    row vectors: the per-step inflation of the contraction sweep, and half
+    the certificate's matrix error per step of N_eps.
     """
 
     k: int
@@ -68,6 +70,11 @@ class TransitionMatrix:
     eps: float
     nnz_max: int
     norm_kind: str = "L1"
+
+    @property
+    def step_error(self) -> float:
+        """||P - Pi|| in the active norm, rounded up."""
+        return (iv(2) * iv(self.nnz_max) * iv(self.eps)).hi
 
     def row_sums(self) -> np.ndarray:
         """Correctly rounded row sums (fsum), the markovization guarantee."""
@@ -336,7 +343,7 @@ def _rounding_excess(num: np.ndarray, den: int, val: np.ndarray) -> Fraction:
     # num and den are exact doubles, so the residual num - val * den of a
     # correctly rounded quotient is itself a double: TwoProd gives val * den
     # as p + e exactly and num - p is exact (Sterbenz)
-    p, e = _v_two_prod(val, np.float64(den))
+    p, e = _two_prod(val, np.float64(den))
     resid = np.abs((num.astype(np.float64) - p) - e)
     return Fraction(float(resid.max())) / den
 

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigdens.certify import (
     certify_l1,
@@ -85,6 +87,34 @@ def test_certify_l1_lanford_direct_arithmetic():
     assert math.isclose(cert.err_discretization, 2 * 18 * 2 * 19.88 / 2**20,
                         rel_tol=1e-9)
     assert math.isclose(cert.err_matrix, 4 * 17 * 10 * 3e-11, rel_tol=1e-9)
+
+
+_TINY = st.floats(min_value=1e-300, max_value=1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=_TINY, nnz=st.integers(1, 1000), n_eps=st.integers(1, 200))
+def test_certify_l1_matrix_term_not_below_paper(eps, nnz, n_eps):
+    # 2 N_eps step_error rounds twice; it must still cover 4 N_eps NNZ eps
+    cert = certify_l1(synthetic_bv(0.25, 1.0), synthetic_matrix(1024, eps, nnz),
+                      synthetic_contraction(n_eps, n_eps),
+                      synthetic_density([1.0]), eps_num=1e-4)
+    assert F(cert.err_matrix) >= 4 * n_eps * nnz * F(eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=_TINY, lin_err=_TINY, m_sup=st.floats(1.0, 10.0),
+       n=st.integers(1, 200), v_sup=st.floats(0.5, 2.0), rho=_TINY)
+def test_certify_linf_matrix_term_not_below_paper(eps, lin_err, m_sup, n,
+                                                  v_sup, rho):
+    mat = synthetic_matrix(128, eps, 4, norm_kind="Linf", lin_err=lin_err,
+                           m_sup=m_sup)
+    cert = certify_linf(synthetic_lip(0.25, m_sup - 1.0, 0.0, 0.5, 0.0), mat,
+                        synthetic_contraction(n, n, "Linf"),
+                        synthetic_density([v_sup, -0.5], "Linf", radius=rho),
+                        eps_num=1e-5)
+    assert F(cert.err_matrix) >= (2 * n * F(m_sup) ** 2 * (F(eps) + F(lin_err))
+                                  * (F(v_sup) + F(rho)))
 
 
 def test_certify_l1_zero_errors_vanish():

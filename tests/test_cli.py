@@ -308,6 +308,21 @@ def test_lyapunov_error_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("exc_type", [ValueError, OverflowError])
+def test_late_stage_error_exits_1(exc_type, tmp_path, capsys, monkeypatch):
+    # a failure after certification reaches the one exit-code map
+    import rigdens.cli as cli
+
+    def boom(*args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "report", boom)
+    cfg = RunConfig(map_text="linear 3 mod 1", k=27,
+                    out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 @pytest.mark.parametrize("flag,path", [("--out-dir", "/dev/null/x"),
                                        ("--dump-matrix", "/dev/null/m.txt")])
 def test_unwritable_output_path_exits_1(flag, path, tmp_path, capsys, monkeypatch):

@@ -118,19 +118,21 @@ def test_threshold_semantics(eq6):
 def test_inflation_rounded_up(tripling):
     # 2 * nnz_max * eps with nnz_max = 3 rounds below 6 eps to nearest
     eps = 6.405920704482397e-11
-    mk = markovize(assemble_ulam(tripling, 9))
-    cert, _ = contraction_sweep(replace(mk, eps=eps), 1e-4)
+    mk = replace(markovize(assemble_ulam(tripling, 9)), eps=eps)
+    cert, _ = contraction_sweep(mk, 1e-4)
     assert mk.nnz_max == 3
-    assert F(cert.inflation_per_step) >= 6 * F(eps)
+    assert F(mk.step_error) >= 6 * F(eps)
+    assert cert.inflation_per_step == mk.step_error
 
 
 def test_sup_inflation_rounded_up(quadrupling):
     # 2 M^2 (eps + lin_err) rounds below its exact value to nearest
     m_sup, eps, lin_err = 1.652, 7.31e-11, 1.751e-13
-    mk = markovize(assemble_linearized(quadrupling, 8))
-    cert, _ = contraction_sweep(
-        replace(mk, m_sup=m_sup, eps=eps, lin_err=lin_err), 1e-5)
-    assert F(cert.inflation_per_step) >= 2 * F(m_sup) ** 2 * (F(eps) + F(lin_err))
+    mk = replace(markovize(assemble_linearized(quadrupling, 8)),
+                 m_sup=m_sup, eps=eps, lin_err=lin_err)
+    cert, _ = contraction_sweep(mk, 1e-5)
+    assert F(mk.step_error) >= 2 * F(m_sup) ** 2 * (F(eps) + F(lin_err))
+    assert cert.inflation_per_step == mk.step_error
 
 
 def test_norm_monotone_under_stochastic_action():
@@ -170,13 +172,19 @@ def assert_same_sweep(a, b):
     assert (dens1.values == dens2.values).all()
 
 
-def test_batch_size_determinism(eq6):
+def sweep_in_blocks(monkeypatch, matrix, width):
+    """contraction_sweep(matrix, 1e-4) with blocks of width anchors."""
+    monkeypatch.setattr(enclosure, "_block_columns", lambda k: width)
+    return contraction_sweep(matrix, 1e-4)
+
+
+def test_block_width_determinism(eq6, monkeypatch):
     mk = markovize(assemble_ulam(eq6, 64))
     default = contraction_sweep(mk, 1e-4)
     # 63 anchors: blocks of 7 divide them, blocks of 2 leave a one-column
     # block at the end, blocks of 1 are all one column wide
-    for batch_size in (7, 2, 1):
-        assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=batch_size))
+    for width in (7, 2, 1):
+        assert_same_sweep(default, sweep_in_blocks(monkeypatch, mk, width))
 
 
 def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
@@ -186,8 +194,8 @@ def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
     assert enclosure._block_columns(k) == 512
     mk = markovize(assemble_ulam(eq6, k))
     default = contraction_sweep(mk, 1e-4)
-    assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=k - 1))
-    assert_same_sweep(default, contraction_sweep(mk, 1e-4, batch_size=7))
+    assert_same_sweep(default, sweep_in_blocks(monkeypatch, mk, k - 1))
+    assert_same_sweep(default, sweep_in_blocks(monkeypatch, mk, 7))
 
 
 def test_block_rule(monkeypatch):
@@ -206,28 +214,50 @@ def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
     # that stop at 5 are stepped again to 6, to the same certificate as one
     # block
     mk = markovize(assemble_ulam(lanford2, 256))
-    one_block = contraction_sweep(mk, 1e-4, batch_size=255)
+    one_block = sweep_in_blocks(monkeypatch, mk, 255)
     run_batch = enclosure._run_batch
-    stops, fixed_steps = [], []
+    stops, restepped = [], []
 
-    def spy(at, ids, steps, scale, norm_kind, ledger=None):
-        out = run_batch(at, ids, steps, scale, norm_kind, ledger)
-        (stops if ledger is not None else fixed_steps).append(len(out))
+    def spy(at, ids, first, last, ledger):
+        out = run_batch(at, ids, first, last, ledger)
+        (stops if first == 1 else restepped).append(len(out))
         return out
 
     monkeypatch.setattr(enclosure, "_run_batch", spy)
-    assert_same_sweep(one_block, contraction_sweep(mk, 1e-4, batch_size=16))
+    assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
     assert one_block[0].n_true == 6
     assert sorted(set(stops)) == [5, 6]
-    assert fixed_steps == [6] * stops.count(5)
+    assert restepped == [6] * stops.count(5)
+
+
+def test_late_restep_pulls_blocks_along(lanford2, monkeypatch):
+    # a re-stepped block that passes only after the largest stop (forced
+    # here by asking it for a pass from 7 on instead of 6) sends the other
+    # blocks round again to its stop, to the same certificate as one block
+    mk = markovize(assemble_ulam(lanford2, 256))
+    one_block = sweep_in_blocks(monkeypatch, mk, 255)
+    run_batch = enclosure._run_batch
+    lock = threading.Lock()
+    firsts = []
+
+    def late_once(at, ids, first, last, ledger):
+        with lock:
+            firsts.append(first)
+            if first == 6 and firsts.count(6) == 1:
+                first = 7
+        return run_batch(at, ids, first, last, ledger)
+
+    monkeypatch.setattr(enclosure, "_run_batch", late_once)
+    assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
+    assert 7 in firsts
 
 
 def test_global_fallback_matches_one_block(eq6, monkeypatch):
     # every block passes N's test alone but the global test (global drift)
-    # fails at the largest stop: the doubled-budget restart must give the
-    # one-block certificate
+    # fails at the largest stop: the search resumes one step later and
+    # must give the one-block certificate
     mk = markovize(assemble_ulam(eq6, 64))
-    one_block = contraction_sweep(mk, 1e-4, batch_size=63)
+    one_block = sweep_in_blocks(monkeypatch, mk, 63)
     first_passing = enclosure._first_passing
     calls = []
 
@@ -237,8 +267,8 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
         return (n_eps, None) if len(calls) == 1 else (n_eps, n_true)
 
     monkeypatch.setattr(enclosure, "_first_passing", fail_first)
-    assert_same_sweep(one_block, contraction_sweep(mk, 1e-4, batch_size=7))
-    assert calls == [one_block[0].n_true, 2 * one_block[0].n_true]
+    assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 7))
+    assert calls == [one_block[0].n_true, one_block[0].n_true + 1]
 
 
 def test_radius_above_eps_num_raises(tripling):
@@ -266,7 +296,7 @@ def test_block_error_reaches_caller_unchanged(eq6, monkeypatch):
 
     monkeypatch.setattr(enclosure, "_run_batch", failing_third)
     with pytest.raises(RuntimeError) as excinfo:
-        contraction_sweep(mk, 1e-4, batch_size=7)
+        sweep_in_blocks(monkeypatch, mk, 7)
     assert excinfo.value is boom
 
 
