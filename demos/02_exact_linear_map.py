@@ -16,7 +16,6 @@ from rigdens import (
     lyapunov,
     ly_coefficients_bv,
     markovize,
-    nnz_bound,
     parse_map,
     report,
 )
@@ -35,7 +34,7 @@ print(f"\nassembled k={k}: per-entry error bound eps = {raw.eps:.3g} "
       "(representation only: rational preimages are exact)")
 matrix = markovize(raw)
 print("row sums after markovization:", set(matrix.row_sums().tolist()))
-print("max nonzeros per row:", nnz_bound(matrix, m), " (structural cap 3+4)")
+print("max nonzeros per row:", matrix.nnz_max, " (structural cap 3+4)")
 
 contraction, density = contraction_sweep(matrix, 1e-6)
 print(f"\nenclosure: l = {density.l} power steps, radius = {density.radius:.3g}")

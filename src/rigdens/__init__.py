@@ -26,7 +26,6 @@ from .ulam import (
     assemble_ulam,
     dump_matrix,
     markovize,
-    nnz_bound,
 )
 from .hatbasis import LinfMatrix, assemble_linearized
 from .enclosure import (

@@ -440,6 +440,8 @@ class RunConfig:
             raise ValueError(f"mode must be L1 or Linf, got {self.mode!r}")
         if self.k < 8:
             raise ValueError("k must be at least 8")
+        if self.iterate is not None and self.iterate < 1:
+            raise ValueError("iterate needs a positive integer")
 
 
 def _density_scale(density, k: int) -> float:

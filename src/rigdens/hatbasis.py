@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +38,7 @@ class LinfMatrix(TransitionMatrix):
     per-basis-function linearization error 4/k^2 sup|T''/(T')^2| and the
     sup-norm power bound needed by the certificate."""
 
+    norm_kind: ClassVar[str] = "Linf"
     lin_err: float = 0.0
     m_sup: float = 1.0
 
@@ -155,4 +157,4 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     csr = sparse.csr_matrix(
         (data, key % k, np.r_[0, np.cumsum(counts)]), shape=(k, k))
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()),
-                      norm_kind="Linf", lin_err=lin_err, m_sup=m_sup)
+                      lin_err=lin_err, m_sup=m_sup)

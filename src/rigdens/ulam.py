@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -49,7 +49,6 @@ __all__ = [
     "assemble_row",
     "assemble_ulam",
     "markovize",
-    "nnz_bound",
     "dump_matrix",
 ]
 
@@ -69,7 +68,7 @@ class TransitionMatrix:
     csr: sparse.csr_matrix
     eps: float
     nnz_max: int
-    norm_kind: str = "L1"
+    norm_kind: ClassVar[str] = "L1"  # the sweep's norm, fixed by the type
 
     @property
     def step_error(self) -> float:
@@ -412,8 +411,7 @@ def assemble_ulam(m: PiecewiseMap, k: int) -> TransitionMatrix:
         raise ValueError(f"row {empty[0]} has no nonzero entries; map is singular there")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     csr = sparse.csr_matrix((data, (keys % k).astype(np.int64), indptr), shape=(k, k))
-    return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()),
-                            norm_kind="L1")
+    return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()))
 
 
 def markovize(raw: TransitionMatrix) -> TransitionMatrix:
@@ -445,19 +443,6 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
     data[jmax] += 1.0 - _row_fsums(data, indptr)
     extra = max(clamped, float(np.abs(residue).max()))
     return replace(raw, csr=csr, eps=raw.eps + extra)
-
-
-def nnz_bound(matrix: TransitionMatrix, m: PiecewiseMap) -> int:
-    """Max nonzeros per row; raises RuntimeError above the sup|T'| + 4
-    structural bound."""
-    counts = np.diff(matrix.csr.indptr)
-    observed = int(counts.max())
-    cap = math.ceil(m.abs_deriv_sup.hi) + 4
-    if observed > cap:
-        raise RuntimeError(
-            f"row sparsity {observed} exceeds structural bound {cap}; assembly bug"
-        )
-    return observed
 
 
 def dump_matrix(matrix: TransitionMatrix, path: str) -> None:

@@ -167,5 +167,5 @@ def assemble_reference(m: PiecewiseMap, k: int) -> LinfMatrix:
          np.array(indptr, dtype=np.int64)),
         shape=(k, k),
     )
-    return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max, norm_kind="Linf",
+    return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max,
                       lin_err=lin_err, m_sup=coeffs.m_sup.hi)

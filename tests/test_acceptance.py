@@ -16,6 +16,7 @@ from scipy import sparse
 
 from rigdens.cli import parse_map
 from rigdens.certify import certify_l1, certify_linf, lyapunov
+from rigdens import enclosure
 from rigdens.enclosure import contraction_sweep
 from rigdens.hatbasis import assemble_linearized
 from rigdens.intervals import Interval, iv
@@ -168,14 +169,15 @@ def test_criterion_4_exact_matrix(tripling_runs):
 
 # -- criterion 5: enclosure soundness ----------------------------------------
 
-def test_criterion_5_enclosure_soundness():
+def test_criterion_5_enclosure_soundness(monkeypatch):
+    monkeypatch.setattr(enclosure, "_J_MAX", 5000)
     rng = np.random.default_rng(20240817)
     failures = 0
     for _ in range(1000):
         mat = dyadic_stochastic(rng)
         tm = markovize(TransitionMatrix(k=8, csr=sparse.csr_matrix(mat),
                                         eps=0.0, nnz_max=8))
-        cert, dens = contraction_sweep(tm, 1e-6, j_max=5000)
+        cert, dens = contraction_sweep(tm, 1e-6)
         exact = exact_fixed_vector(tm.csr.toarray())
         err = sum(abs(F(float(v)) - e) for v, e in zip(dens.values, exact))
         if err > F(dens.radius):  # the radius, as charged

@@ -40,7 +40,7 @@ def synthetic_matrix(k, eps, nnz, norm_kind="L1", **extra):
     csr = sparse.csr_matrix(np.eye(2))
     if norm_kind == "L1":
         return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz)
-    return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz, norm_kind="Linf", **extra)
+    return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz, **extra)
 
 
 def synthetic_contraction(n_eps, n_true, norm_kind="L1"):

@@ -108,6 +108,23 @@ def test_main_bad_k_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_nonpositive_iterate_exits_1(source, n, tmp_path, capsys):
+    # as the grammar's "iterate 0" does, rather than certifying the map itself
+    mp = tmp_path / "m.map"
+    mp.write_text("linear 3 mod 1\n")
+    if source == "flag":
+        argv = ["--map", str(mp), "--iterate", str(n)]
+    else:
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[run]\niterate = {n}\n")
+        argv = ["--config", str(cfgfile), "--map", str(mp)]
+    assert main(argv + ["--k", "27", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "iterate needs a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_missing_map_exits_1(capsys):
     assert main([]) == 1
 

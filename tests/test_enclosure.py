@@ -4,6 +4,7 @@ import logging
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,13 +149,14 @@ def test_norm_monotone_under_stochastic_action():
         prev = cur
 
 
-def test_enclosure_soundness_sample():
+def test_enclosure_soundness_sample(monkeypatch):
+    monkeypatch.setattr(enclosure, "_J_MAX", 5000)
     rng = np.random.default_rng(12345)
     for _ in range(100):
         mat = dyadic_stochastic(rng)
         tm = TransitionMatrix(k=8, csr=sparse.csr_matrix(mat), eps=0.0, nnz_max=8)
         mk = markovize(tm)
-        cert, dens = contraction_sweep(mk, 1e-6, j_max=5000)
+        cert, dens = contraction_sweep(mk, 1e-6)
         exact = exact_fixed_vector(mk.csr.toarray())
         err = sum(abs(F(float(v)) - e) for v, e in zip(dens.values, exact))
         # the charged numeric error is the enclosure radius
@@ -218,8 +220,8 @@ def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
     run_batch = enclosure._run_batch
     stops, restepped = [], []
 
-    def spy(at, ids, first, last, ledger):
-        out = run_batch(at, ids, first, last, ledger)
+    def spy(model, ids, first):
+        out = run_batch(model, ids, first)
         (stops if first == 1 else restepped).append(len(out))
         return out
 
@@ -240,12 +242,12 @@ def test_late_restep_pulls_blocks_along(lanford2, monkeypatch):
     lock = threading.Lock()
     firsts = []
 
-    def late_once(at, ids, first, last, ledger):
+    def late_once(model, ids, first):
         with lock:
             firsts.append(first)
             if first == 6 and firsts.count(6) == 1:
                 first = 7
-        return run_batch(at, ids, first, last, ledger)
+        return run_batch(model, ids, first)
 
     monkeypatch.setattr(enclosure, "_run_batch", late_once)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
@@ -261,9 +263,9 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
     first_passing = enclosure._first_passing
     calls = []
 
-    def fail_first(bounds, ledger):
+    def fail_first(bounds, model):
         calls.append(len(bounds))
-        n_eps, n_true = first_passing(bounds, ledger)
+        n_eps, n_true = first_passing(bounds, model)
         return (n_eps, None) if len(calls) == 1 else (n_eps, n_true)
 
     monkeypatch.setattr(enclosure, "_first_passing", fail_first)
@@ -271,12 +273,13 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
     assert calls == [one_block[0].n_true, one_block[0].n_true + 1]
 
 
-def test_radius_above_eps_num_raises(tripling):
+def test_radius_above_eps_num_raises(tripling, monkeypatch):
     # the tripling matrix contracts at once, but no enclosure radius is
-    # as small as 1e-300: j_max power steps, then NotContractingError
+    # as small as 1e-300: _J_MAX power steps, then NotContractingError
+    monkeypatch.setattr(enclosure, "_J_MAX", 20)
     mk = markovize(assemble_ulam(tripling, 27))
     with pytest.raises(NotContractingError, match="radius .* above eps_num"):
-        contraction_sweep(mk, 1e-300, j_max=20)
+        contraction_sweep(mk, 1e-300)
 
 
 def test_block_error_reaches_caller_unchanged(eq6, monkeypatch):
@@ -300,15 +303,16 @@ def test_block_error_reaches_caller_unchanged(eq6, monkeypatch):
     assert excinfo.value is boom
 
 
-def test_non_contracting_raises():
+def test_non_contracting_raises(monkeypatch):
     # two disjoint invariant blocks: anchors across blocks never contract
     block = np.full((2, 2), 0.5)
     m = np.zeros((4, 4))
     m[:2, :2] = block
     m[2:, 2:] = block
     tm = TransitionMatrix(k=4, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
+    monkeypatch.setattr(enclosure, "_J_MAX", 32)
     with pytest.raises(NotContractingError):
-        contraction_sweep(tm, 1e-4, j_max=32)
+        contraction_sweep(tm, 1e-4)
 
 
 def test_non_stochastic_matrix_raises():
@@ -343,11 +347,11 @@ def _stochastic_cases(draw):
     permutation with dyadic weights (doubly stochastic, so the sup-norm
     sweep certifies it too), or random dyadic rows in L1; two such blocks
     joined by a leak of 2^-e per row (near-reducible, mixing over about
-    2^e steps); either of the first plus one row of three float(1/3)
-    entries, whose exact sum is 1 - 2^-54 while its fsum is 1.  The sup
-    norm runs at density scale."""
+    2^e steps); either of the first plus one row whose fsum is 1 but whose
+    exact sum is not: three float(1/3) entries (1 - 2^-54), or
+    [0.1, 0.1, 0.8] (1 + 2^-54).  The sup norm runs at density scale."""
     norm_kind = draw(st.sampled_from(["L1", "Linf"]))
-    kind = draw(st.sampled_from(["mixed", "leaky", "thirds"]))
+    kind = draw(st.sampled_from(["mixed", "leaky", "thirds", "tenths"]))
     d = 1 << _DENOM_BITS
 
     def parts(n, total):
@@ -375,11 +379,19 @@ def _stochastic_cases(draw):
         ints[m:, m:] = mixture(m, d - leak) if m > 1 else d - leak
         ints[np.arange(2 * m), (np.arange(2 * m) + m) % (2 * m)] = leak
         return ints / d, norm_kind
-    k = draw(st.integers(3 if kind == "thirds" else 2, 6))
+    k = draw(st.integers(2 if kind == "mixed" else 3, 6))
     rows = mixture(k, d) / d
-    if kind == "thirds":
-        rows[draw(st.integers(0, k - 1))] = [1 / 3] * 3 + [0.0] * (k - 3)
+    if kind != "mixed":
+        odd = [1 / 3] * 3 if kind == "thirds" else [0.1, 0.1, 0.8]
+        rows[draw(st.integers(0, k - 1))] = odd + [0.0] * (k - 3)
     return rows, norm_kind
+
+
+def _matrix(rows, norm_kind):
+    """The transition matrix of rows, of the type of norm_kind."""
+    cls = TransitionMatrix if norm_kind == "L1" else LinfMatrix
+    k = len(rows)
+    return cls(k=k, csr=sparse.csr_matrix(rows), eps=0.0, nnz_max=k)
 
 
 def _exact_distance(values, exact, norm_kind):
@@ -394,27 +406,53 @@ def _exact_distance(values, exact, norm_kind):
 def test_residual_radius_contains_exact_fixed_vector(case, t, data):
     rows, norm_kind = case
     k = len(rows)
-    csr = sparse.csr_matrix(rows)
-    if norm_kind == "L1":
-        tm = TransitionMatrix(k=k, csr=csr, eps=0.0, nnz_max=k)
-    else:
-        tm = LinfMatrix(k=k, csr=csr, eps=0.0, nnz_max=k, norm_kind="Linf")
+    tm = _matrix(rows, norm_kind)
     # k - 1 fixed-point equations plus mass 1: the target of the bound when
     # a row's exact sum is not 1
     exact = exact_fixed_vector(rows)
-    cert, dens = contraction_sweep(tm, 1e-6, j_max=5000)
+    with mock.patch.object(enclosure, "_J_MAX", 5000):
+        cert, dens = contraction_sweep(tm, 1e-6)
     assert dens.radius <= 1e-6
     assert _exact_distance(dens.values, exact, norm_kind) <= F(dens.radius)
 
     # the same bound for t power steps from a random start, still far from
     # the fixed vector: there the radius is not a rounding ledger, and on
     # two states it equals ||r|| / (1 - C_1), the exact distance
-    at = csr.T.tocsr()
-    bound = enclosure._residual_bound(tm, at, cert, tm.row_sums())
+    model = enclosure._model(tm)
     start = np.array(data.draw(st.lists(st.integers(1, 8), min_size=k,
                                         max_size=k)), dtype=float)
-    v = start * (bound.mass / start.sum())
+    v = start * (model.scale / start.sum())
     for _ in range(t):
-        v = at @ v
-    radius = bound.radius(v, at @ v)
+        v = model.at @ v
+    radius = model.radius(v, model.at @ v, cert.per_step_bounds[:cert.n_eps])
     assert _exact_distance(v, exact, norm_kind) <= F(radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stochastic_cases())
+def test_sweep_bounds_dominate_exact_anchor_norms(case):
+    rows, norm_kind = case
+    k = len(rows)
+    tm = _matrix(rows, norm_kind)
+    with mock.patch.object(enclosure, "_J_MAX", 5000):
+        cert, _ = contraction_sweep(tm, 1e-6)
+
+    # R bounds the exact ||Pi||: the largest row sum in L1, the largest
+    # column sum in the sup norm
+    exact = [[F(x) for x in row] for row in rows.tolist()]
+    sums = exact if norm_kind == "L1" else zip(*exact)
+    assert F(enclosure._model(tm).op_norm) >= max(sum(map(abs, s)) for s in sums)
+
+    # the exact anchors (e_0 - e_j) Pi^t as integers over 2^(e t), where
+    # every entry of Pi is an integer over 2^e
+    e = max(x.denominator for row in exact for x in row).bit_length() - 1
+    pi = [[int(x * 2 ** e) for x in row] for row in exact]
+    anchors = [[(i == 0) - (i == j) for i in range(k)] for j in range(1, k)]
+    for t, bound in enumerate(cert.per_step_bounds, start=1):
+        anchors = [[sum(a[i] * pi[i][c] for i in range(k)) for c in range(k)]
+                   for a in anchors]
+        if norm_kind == "L1":
+            top = max(sum(map(abs, a)) for a in anchors)
+        else:  # at density scale
+            top = k * max(abs(x) for a in anchors for x in a)
+        assert F(bound) >= F(top, 2 ** (e * t))

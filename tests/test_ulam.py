@@ -18,7 +18,6 @@ from rigdens.ulam import (
     assemble_row,
     assemble_ulam,
     markovize,
-    nnz_bound,
 )
 
 
@@ -340,18 +339,12 @@ def test_markovize_rejects_empty_row():
 
 
 def test_nnz_bounds(tripling, eq6, lanford2):
-    assert nnz_bound(assemble_ulam(tripling, 9), tripling) == 3
-    assert nnz_bound(assemble_ulam(eq6, 64), eq6) <= 7
-    mk = assemble_ulam(lanford2, 32)
-    assert nnz_bound(mk, lanford2) <= 10
-
-
-def test_nnz_bound_raises_above_structural_cap(tripling):
-    # a dense 8x8 row exceeds sup|T'| + 4 = 7 for the tripling map
-    tm = TransitionMatrix(k=8, csr=sparse.csr_matrix(np.full((8, 8), 1 / 8)),
-                          eps=0.0, nnz_max=8)
-    with pytest.raises(RuntimeError, match="exceeds structural bound 7"):
-        nnz_bound(tm, tripling)
+    # a row meets at most ceil(sup|T'|) + 4 cells
+    cases = ((tripling, 9), (eq6, 64), (lanford2, 32))
+    nnz = [assemble_ulam(m, k).nnz_max for m, k in cases]
+    for (m, _), n in zip(cases, nnz):
+        assert n <= math.ceil(m.abs_deriv_sup.hi) + 4
+    assert nnz[0] == 3 and nnz[1] <= 7 and nnz[2] <= 10
 
 
 def test_quadratic_eps_from_preimage_brackets(eq4):
