@@ -9,8 +9,12 @@ starts a comment):
     circle                          treat [0,1] as the circle S^1
 
 <expr> is a polynomial in x with rational coefficients (decimals are exact),
-supporting + - * ^ and juxtaposition ("2x", "(1/2)x(1-x)"), plus at most one
-sinusoidal term "A sin(B pi x)" with rational A, B.
+supporting + - * / ^ and juxtaposition ("2x", "(1/2)x(1-x)"), plus at most one
+sinusoidal term "A sin(B pi x)" with rational A, B.  Binding tightest first:
+^, a unary sign, * / and juxtaposition, binary + -; so -x^2 is -(x^2)
+wherever it stands ("3x + -x^2", "2*-x^2"), and "2 -x" is a subtraction.
+Keywords are whole words ("iterates" is unknown); iterate takes one
+positive integer.
 
 Config files are INI style: a [run] section with the keys mirrored by the
 command line flags (mode, k, eps_num, iterate, out_dir, dump_matrix,
@@ -20,10 +24,10 @@ either text= or file=.  Flags override config values.
 Exit codes: 0 success; 1 bad configuration or input: a command line usage
 error, any stage's ValueError or OverflowError (a map the parser, the
 assembly or the Lyapunov stage rejects, a branch whose length enclosure
-reaches 0, a number beyond the double range, a nonpositive eps_num) and
-any path that cannot be read or written; 2 failed expansion check; 3 no
-observed contraction (or a fixed-vector enclosure still wider than
-eps_num after the step budget).  ``run`` maps the exceptions to these
+reaches 0, a number beyond the double range, a nonpositive or non-finite
+eps_num) and any path that cannot be read or written; 2 failed expansion
+check; 3 no observed contraction (or a fixed-vector enclosure still wider
+than eps_num after the step budget).  ``run`` maps the exceptions to these
 codes in one place and prints one "error:" line.  The output directory
 and the --dump-matrix file's directory are created once the map is
 built, before any certification work, so an unwritable path fails at
@@ -61,7 +65,7 @@ from .maps import (
     ly_coefficients_lip,
     split_mod_branches,
 )
-from .polys import Poly, poly_degree
+from .polys import Poly, poly_add, poly_degree, poly_mul, poly_scale
 from .ulam import assemble_ulam, dump_matrix, markovize
 
 __all__ = ["RunConfig", "MapSpec", "parse_map", "run", "emit_plot_data", "main"]
@@ -90,12 +94,7 @@ def _tokenize(s: str) -> List[Tuple[str, str]]:
                 break
             raise MapParseError(f"bad token at ...{s[pos:pos + 12]!r}")
         pos = m.end()
-        if m.group("num"):
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("sym", m.group("sym")))
+        out.append((m.lastgroup, m[m.lastgroup]))
     return out
 
 
@@ -121,7 +120,6 @@ class _PolyTrig:
     def __add__(self, other: "_PolyTrig") -> "_PolyTrig":
         if self.has_trig and other.has_trig:
             raise MapParseError("at most one sinusoidal term per branch")
-        from .polys import poly_add
         amp, freq = (self.amp, self.freq) if self.has_trig else (other.amp, other.freq)
         return _PolyTrig(poly_add(self.poly, other.poly), amp, freq)
 
@@ -129,7 +127,6 @@ class _PolyTrig:
         return _PolyTrig([-c for c in self.poly], -self.amp, self.freq)
 
     def __mul__(self, other: "_PolyTrig") -> "_PolyTrig":
-        from .polys import poly_mul, poly_scale
         if self.has_trig or other.has_trig:
             trig, factor = (self, other) if self.has_trig else (other, self)
             c = factor._const()
@@ -142,7 +139,6 @@ class _PolyTrig:
         c = other._const()
         if c is None or c == 0:
             raise MapParseError("division only by nonzero constants")
-        from .polys import poly_scale
         return _PolyTrig(poly_scale(self.poly, 1 / c), self.amp / c, self.freq)
 
     def power(self, n: int) -> "_PolyTrig":
@@ -152,6 +148,9 @@ class _PolyTrig:
         for _ in range(n):
             out = out * self
         return out
+
+
+_SIGNS = (("sym", "+"), ("sym", "-"))
 
 
 class _ExprParser:
@@ -174,37 +173,36 @@ class _ExprParser:
         return v
 
     def expr(self) -> _PolyTrig:
-        kind, val = self.peek()
-        neg = False
-        if (kind, val) == ("sym", "-"):
-            self.take()
-            neg = True
-        elif (kind, val) == ("sym", "+"):
-            self.take()
         v = self.term()
-        if neg:
-            v = -v
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
+        while self.peek() in _SIGNS:
             _, op = self.take()
             rhs = self.term()
             v = v + (-rhs if op == "-" else rhs)
         return v
 
     def term(self) -> _PolyTrig:
-        v = self.factor()
+        v = self.signed()
         while True:
             kind, val = self.peek()
             if (kind, val) == ("sym", "*"):
                 self.take()
-                v = v * self.factor()
+                v = v * self.signed()
             elif (kind, val) == ("sym", "/"):
                 self.take()
-                v = v.divide(self.factor())
+                v = v.divide(self.signed())
             elif kind == "num" or (kind == "name" and val in ("x", "sin")) or \
                     (kind, val) == ("sym", "("):
                 v = v * self.factor()  # juxtaposition
             else:
                 return v
+
+    def signed(self) -> _PolyTrig:
+        """The one sign rule: it binds looser than ^, so -x^2 is -(x^2)."""
+        if self.peek() in _SIGNS:
+            _, op = self.take()
+            v = self.signed()
+            return -v if op == "-" else v
+        return self.factor()
 
     def factor(self) -> _PolyTrig:
         base = self.atom()
@@ -229,8 +227,6 @@ class _ExprParser:
             if self.take() != ("sym", ")"):
                 raise MapParseError("unbalanced parentheses")
             return v
-        if (kind, val) == ("sym", "-"):
-            return -self.atom()
         raise MapParseError(f"unexpected token {val!r}")
 
     def sin_term(self) -> _PolyTrig:
@@ -350,23 +346,22 @@ def parse_map(text: str) -> MapSpec:
     iterate = 1
     circle = False
     for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw_line.split("#", 1)[0]
         for stmt in filter(None, (p.strip() for p in line.split(";"))):
+            word, rest = _KEYWORD_RE.match(stmt).groups()
             try:
-                parsed = _parse_statement(stmt)
+                if word == "iterate":
+                    if not re.fullmatch(r"[0-9]+", rest) or int(rest) < 1:
+                        raise MapParseError("iterate needs a positive integer")
+                    iterate = int(rest)
+                elif word == "circle" and not rest:
+                    circle = True
+                elif word in ("linear", "poly"):
+                    stmts.append(_parse_branch(word, rest))
+                else:
+                    raise MapParseError(f"unknown statement {stmt.split()[0]!r}")
             except MapParseError as exc:
                 raise MapParseError(f"line {lineno}: {exc}") from exc
-            if parsed is None:
-                continue
-            kind, payload = parsed
-            if kind == "branch":
-                stmts.append(payload)
-            elif kind == "iterate":
-                iterate = payload
-            elif kind == "circle":
-                circle = True
     if not stmts:
         raise MapParseError("no branches defined")
     stmts.sort(key=lambda s: s.lo)
@@ -381,41 +376,29 @@ def parse_map(text: str) -> MapSpec:
     return MapSpec(tuple(stmts), iterate=iterate, circle=circle)
 
 
-def _parse_statement(stmt: str):
-    if stmt.startswith("iterate"):
-        try:
-            n = int(stmt.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise MapParseError("iterate needs a positive integer") from exc
-        if n < 1:
-            raise MapParseError("iterate needs a positive integer")
-        return ("iterate", n)
-    if stmt == "circle":
-        return ("circle", True)
-    if stmt.startswith("linear"):
-        body = stmt[len("linear"):].strip()
-        mod = body.endswith("mod 1")
-        if mod:
-            body = body[: -len("mod 1")].strip()
-        slope = _parse_rational(body)
-        return ("branch", _BranchStmt(Fraction(0), Fraction(1),
-                                      (Fraction(0), slope),
-                                      Fraction(0), Fraction(0), mod))
-    if stmt.startswith("poly"):
-        m = re.match(r"poly\s*\[([^,\]]+),([^,\]]+)\]\s*:\s*(.+)$", stmt)
+_KEYWORD_RE = re.compile(r"(\w*)\s*(.*)")
+_DOMAIN_RE = re.compile(r"\[([^,\]]+),([^,\]]+)\]\s*:\s*(.+)$")
+_MOD_ONE_RE = re.compile(r"\bmod\s*1\s*$")
+
+
+def _parse_branch(keyword: str, rest: str) -> _BranchStmt:
+    """``linear R`` (the branch R x on [0,1]) or ``poly [a,b] : <expr>``,
+    either with an optional trailing ``mod 1``."""
+    lo, hi, body = Fraction(0), Fraction(1), rest
+    if keyword == "poly":
+        m = _DOMAIN_RE.match(rest)
         if not m:
-            raise MapParseError(f"cannot parse branch statement {stmt!r}")
-        lo = _parse_rational(m.group(1))
-        hi = _parse_rational(m.group(2))
+            raise MapParseError(
+                f"cannot parse branch statement {f'poly {rest}'.rstrip()!r}")
+        lo, hi, body = _parse_rational(m[1]), _parse_rational(m[2]), m[3]
         if not lo < hi:
             raise MapParseError(f"empty branch domain [{lo},{hi}]")
-        body = m.group(3).strip()
-        mod = bool(re.search(r"\bmod\s*1\s*$", body))
-        if mod:
-            body = re.sub(r"\bmod\s*1\s*$", "", body).strip()
+    body, mod = _MOD_ONE_RE.subn("", body)
+    if keyword == "linear":
+        pt = _PolyTrig([Fraction(0), _parse_rational(body)])
+    else:
         pt = _ExprParser(_tokenize(body)).parse()
-        return ("branch", _BranchStmt(lo, hi, tuple(pt.poly), pt.amp, pt.freq, mod))
-    raise MapParseError(f"unknown statement {stmt.split()[0]!r}")
+    return _BranchStmt(lo, hi, tuple(pt.poly), pt.amp, pt.freq, bool(mod))
 
 
 # ---------------------------------------------------------------------------

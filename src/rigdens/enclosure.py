@@ -366,11 +366,11 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
 
     Raises NotContractingError if _J_MAX anchor steps pass without the
     certified bound dropping below 1/2, or _J_MAX power steps without the
-    radius dropping to eps_num; ValueError for a nonpositive eps_num or an
-    L1 matrix that is not exactly row-stochastic.
+    radius dropping to eps_num; ValueError for an eps_num that is not
+    positive and finite, or an L1 matrix that is not exactly row-stochastic.
     """
-    if eps_num <= 0:
-        raise ValueError("eps_num must be positive")
+    if not 0 < eps_num < math.inf:  # NaN fails the comparison too
+        raise ValueError("eps_num must be positive and finite")
     model = _model(matrix)
 
     # every block passes N's test by the global first pass, so a round

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .intervals import IntervalArray, iv
 from .maps import PiecewiseMap, ly_coefficients_lip
-from .ulam import TransitionMatrix, _entry_sums
+from .ulam import TransitionMatrix, _entry_sums, _stored_midpoints
 
 __all__ = ["LinfMatrix", "assemble_linearized"]
 
@@ -39,8 +39,8 @@ class LinfMatrix(TransitionMatrix):
     sup-norm power bound needed by the certificate."""
 
     norm_kind: ClassVar[str] = "Linf"
-    lin_err: float = 0.0
-    m_sup: float = 1.0
+    lin_err: float
+    m_sup: float
 
     @property
     def step_error(self) -> float:
@@ -150,9 +150,7 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     key, entry = _entry_sums(row * k + j_real[kept] % k,
                              np.maximum(entry.lo, 0.0), np.minimum(entry.hi, 1.0))
 
-    data = entry.mid
-    eps = float(max(np.max(entry.hi - data, initial=0.0),
-                    np.max(data - entry.lo, initial=0.0)))
+    data, eps = _stored_midpoints(entry)
     counts = np.bincount(key // k, minlength=k)
     csr = sparse.csr_matrix(
         (data, key % k, np.r_[0, np.cumsum(counts)]), shape=(k, k))

@@ -331,6 +331,15 @@ def _entry_sums(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return keys[first], IntervalArray(s_lo, s_hi)
 
 
+def _stored_midpoints(enc: IntervalArray):
+    """(mid, err): the midpoints to store for the enclosures, and an upper
+    bound on the largest distance from one to its enclosure's ends; the
+    distances are interval differences, so their rounding is charged."""
+    mid = enc.mid
+    off = enc - mid
+    return mid, float(np.max(np.maximum(-off.lo, off.hi), initial=0.0))
+
+
 def _rounding_excess(num: np.ndarray, den: int, val: np.ndarray) -> Fraction:
     """Exact max over entries of |val - num / den|, where val holds the
     correctly rounded quotients."""
@@ -391,14 +400,10 @@ def assemble_ulam(m: PiecewiseMap, k: int) -> TransitionMatrix:
         f_hi = np.concatenate([f_hi, np.nextafter(q, np.inf)])
         e_keys, e_len = e_keys[~mixed], e_len[~mixed]
     f_keys, f_sum = _entry_sums(f_keys, f_lo, f_hi)
-    prob = f_sum * k
-    f_val = prob.mid
-    off = prob - f_val
-    f_err = np.maximum(-off.lo, off.hi)
+    f_val, f_err = _stored_midpoints(f_sum * k)
     e_num = e_len * k
     e_val = np.asarray(e_num / den, dtype=np.float64)
-    eps = max(from_fraction(_rounding_excess(e_num, den, e_val)).hi,
-              float(f_err.max(initial=0.0)))
+    eps = max(from_fraction(_rounding_excess(e_num, den, e_val)).hi, f_err)
 
     keys = np.concatenate([e_keys, f_keys])
     order = np.argsort(keys, kind="stable")

@@ -96,6 +96,71 @@ def test_parse_rejects_empty():
         parse_map("# nothing here\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("poly [0,1] : 3x + 0.1 sin(2 pi x) + 0.1 sin(4 pi x)",
+     "line 1: at most one sinusoidal term per branch"),
+    ("poly [0,1] : 3x + x sin(2 pi x)",
+     "line 1: sinusoidal terms admit constant factors only"),
+    ("poly [0,1] : 3x / x", "line 1: division only by nonzero constants"),
+    ("poly [0,1] : 3x / 0", "line 1: division only by nonzero constants"),
+    ("poly [0,1] : 3x + sin(2 pi x)^2",
+     "line 1: cannot raise sinusoidal terms to powers"),
+    ("poly [0,1] : x^1.5", "line 1: exponent must be a plain integer"),
+    ("poly [0,1] : (3x", "line 1: unbalanced parentheses"),
+    ("poly [0,1] : sin(2 pi x", "line 1: unbalanced sin parentheses"),
+    ("poly [0,1] : 3x + sin 2 pi x", "line 1: sin needs parenthesized argument"),
+    ("poly [0,1] : sin(2/pi x)", "line 1: bad rational in sin argument"),
+    ("poly [0,1] : sin(2 x)", "line 1: sin argument must be 'R pi x'"),
+    ("poly [0,1] : sin(2 pi y)", "line 1: sin argument must be 'R pi x'"),
+    ("poly [0,1] : 3x )", "line 1: trailing tokens near ')'"),
+    ("poly [0,1] : 3x + *", "line 1: unexpected token '*'"),
+    ("poly [0,1] : 3x $ 1", "line 1: bad token at ...' $ 1'"),
+    ("linear 3\npoly [1/2,1/2] : x", "line 2: empty branch domain [1/2,1/2]"),
+    ("poly 0,1 : x", "line 1: cannot parse branch statement 'poly 0,1 : x'"),
+    ("lineal 3", "line 1: unknown statement 'lineal'"),
+    ("linear 3/0", "line 1: bad rational literal '3/0'"),
+    ("poly [a,1] : x", "line 1: bad rational literal 'a'"),
+    ("linear 3; iterate 0", "line 1: iterate needs a positive integer"),
+    ("poly [0,1/2] : 2x", "branch domains must cover [0,1]"),
+])
+def test_parse_rejection_messages(text, message):
+    with pytest.raises(MapParseError) as exc:
+        parse_map(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,poly", [
+    # a sign binds looser than ^ wherever it stands
+    ("poly [0,1] : 3x + -x^2 mod 1", (0, 3, -1)),
+    ("poly [0,1] : 3x + 2*-x^2 mod 1", (0, 3, -2)),
+    ("poly [0,1] : 3x - -x^2 mod 1", (0, 3, 1)),
+    ("poly [0,1] : -x^2 + 4x mod 1", (0, 4, -1)),
+    ("poly [0,1] : 3x + (-x)^2 mod 1", (0, 3, 1)),
+    ("poly [0,1] : 3x + 2*+x mod 1", (0, 5)),
+    ("poly [0,1] : 2 -x + 3x", (2, 2)),  # juxtaposition takes no sign
+    ("linear 3 mod  1", (0, 3)),
+])
+def test_parse_sign_and_mod_forms(text, poly):
+    s = parse_map(text).stmts[0]
+    assert s.poly == tuple(F(c) for c in poly)
+    assert s.mod_one == text.endswith("1")
+
+
+@pytest.mark.parametrize("stmt,message", [
+    ("iterates 2", "unknown statement 'iterates'"),
+    ("iteratefoo 3", "unknown statement 'iteratefoo'"),
+    ("iterate 2 3", "iterate needs a positive integer"),
+    ("iterate +2", "iterate needs a positive integer"),
+    ("circle 2", "unknown statement 'circle'"),
+])
+def test_statement_keyword_is_whole_word(stmt, message, tmp_path, capsys):
+    mp = tmp_path / "m.map"
+    mp.write_text(f"linear 3 mod 1\n{stmt}\n")
+    assert main(["--map", str(mp), "--k", "27",
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
 def test_runconfig_rejects_bad_k():
     with pytest.raises(ValueError):
         RunConfig(map_text="linear 3 mod 1", k=0)
@@ -361,6 +426,17 @@ def test_nonpositive_eps_num_exits_1(tmp_path, capsys):
                     out_dir=str(tmp_path / "out"))
     assert run(cfg) == 1
     assert "error: eps_num must be positive" in capsys.readouterr().err
+    # non-finite values too: inf would write "eps_num": Infinity, which is
+    # not JSON, and nan would fail only after the whole power-step budget
+    mp = tmp_path / "m.map"
+    mp.write_text("linear 3 mod 1\n")
+    for value in ("nan", "inf", "1e400"):
+        out = tmp_path / value
+        assert main(["--map", str(mp), "--k", "27", "--eps-num", value,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: eps_num must be positive and finite\n"
+        assert not (out / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("verbose", [True, False])

@@ -388,10 +388,13 @@ def _stochastic_cases(draw):
 
 
 def _matrix(rows, norm_kind):
-    """The transition matrix of rows, of the type of norm_kind."""
-    cls = TransitionMatrix if norm_kind == "L1" else LinfMatrix
+    """The transition matrix of rows, of the type of norm_kind (a sup-norm
+    matrix with no linearization error and M = 1)."""
     k = len(rows)
-    return cls(k=k, csr=sparse.csr_matrix(rows), eps=0.0, nnz_max=k)
+    fields = dict(k=k, csr=sparse.csr_matrix(rows), eps=0.0, nnz_max=k)
+    if norm_kind == "L1":
+        return TransitionMatrix(**fields)
+    return LinfMatrix(**fields, lin_err=0.0, m_sup=1.0)
 
 
 def _exact_distance(values, exact, norm_kind):

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from scipy import sparse
 
-from rigdens.hatbasis import _hat_product_enclosure, assemble_linearized
+from rigdens.hatbasis import LinfMatrix, _hat_product_enclosure, assemble_linearized
 from rigdens.intervals import IntervalArray, iv
 from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
@@ -248,3 +249,10 @@ def test_sinmap_entries_match_mpmath_oracle(sinmap, k):
             assert set(stored) - boundary == set(oracle) - boundary
             for j, v in stored.items():
                 assert abs(mpmath.mpf(v) - oracle.get(j, 0)) <= lm.eps
+
+
+def test_linf_matrix_needs_its_map_constants():
+    """A sup-norm matrix without lin_err and m_sup would charge no
+    linearization error and M = 1 whatever the map, so both are required."""
+    with pytest.raises(TypeError):
+        LinfMatrix(k=2, csr=sparse.csr_matrix(np.eye(2)), eps=0.0, nnz_max=1)

@@ -11,10 +11,11 @@ from scipy import sparse
 from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
 
 from rigdens.cli import parse_map
-from rigdens.intervals import from_fraction
+from rigdens.intervals import IntervalArray, from_fraction
 from rigdens.maps import Branch, Endpoint, PiecewiseMap, level_crossing
 from rigdens.ulam import (
     TransitionMatrix,
+    _stored_midpoints,
     assemble_row,
     assemble_ulam,
     markovize,
@@ -416,3 +417,16 @@ def test_markovize_matches_row_loop_reference(eq4, lanford2):
         assert (mk.row_sums() == 1.0).all()
         assert mk.row_sums().tolist() == [math.fsum(csr.data[s:e]) for s, e
                                           in zip(csr.indptr, csr.indptr[1:])]
+
+
+def test_stored_midpoint_error_charges_the_rounded_gap():
+    """An enclosure [lo, hi] with lo far below its midpoint: the float
+    difference mid - lo rounds below the exact gap, and so does the
+    nearest-rounded max of the two float gaps; the interval difference
+    does not."""
+    lo, hi = 3 * 2.0**-55, 1 - 2.0**-53
+    mid, err = _stored_midpoints(IntervalArray(np.array([lo]), np.array([hi])))
+    assert mid.tolist() == [0.5]
+    exact = max(F(hi) - F(0.5), F(0.5) - F(lo))
+    assert F(max(hi - 0.5, 0.5 - lo)) < exact  # the nearest-rounded gap
+    assert F(err) >= exact
