@@ -43,6 +43,7 @@ import configparser
 import contextlib
 import dataclasses
 import logging
+import math
 import re
 import sys
 from fractions import Fraction
@@ -354,7 +355,9 @@ def parse_map(text: str) -> MapSpec:
                     if not re.fullmatch(r"[0-9]+", rest) or int(rest) < 1:
                         raise MapParseError("iterate needs a positive integer")
                     iterate = int(rest)
-                elif word == "circle" and not rest:
+                elif word == "circle":
+                    if rest:
+                        raise MapParseError("circle takes no arguments")
                     circle = True
                 elif word in ("linear", "poly"):
                     stmts.append(_parse_branch(word, rest))
@@ -425,6 +428,9 @@ class RunConfig:
             raise ValueError("k must be at least 8")
         if self.iterate is not None and self.iterate < 1:
             raise ValueError("iterate needs a positive integer")
+        # contraction_sweep checks it too, but only after assembly
+        if self.eps_num is not None and not 0 < self.eps_num < math.inf:
+            raise ValueError("eps_num must be positive and finite")
 
 
 def _density_scale(density, k: int) -> float:

@@ -4,11 +4,12 @@ Both jobs concern a row-stochastic matrix Pi acting on row vectors
 v -> v Pi, in the active norm ||.|| (L1, or sup at density scale).
 
 Both proofs read Pi through one model (_Model): the float error of a
-product with Pi and the growth of that error are bounded by R, a bound on
-||Pi|| on all vectors (the largest row sum in L1, the largest column sum
-in the sup norm), and one scale s (1 in L1, the partition size k in the
-sup norm) is the anchor scale, the mass of the fixed vector and the bound
-on ||w||_1 / ||w|| for every w.
+product with Pi is bounded through R, a bound on ||Pi|| on all vectors
+(the largest row sum in L1, the largest column sum in the sup norm), the
+growth of that error over m more steps by R^m in L1 and by the sharper
+rho_m = max_j (1 |Pi|^m)_j in the sup norm, and one scale s (1 in L1, the
+partition size k in the sup norm) is the anchor scale, the mass of the
+fixed vector and the bound on ||w||_1 / ||w|| for every w.
 
 Contraction.  The zero-sum anchors s (e_0 - e_j) are iterated under the
 row action and their norms watched: every zero-sum vector is a
@@ -46,7 +47,9 @@ C_0 = 1 and n = N_eps,
                  / (1 - C_n - delta s sum_{i<n} R^i)
                  + |sum v - s| ||v|| / |sum v|,
 
-where C_i <= R^i as well, which caps the leading C_i near 1 in L1.  That
+where R^i stands for any bound on ||Pi^i|| (the sharper rho_i in the sup
+norm, _Model) and C_i is at most that bound as well, which caps the
+leading C_i near 1 in L1.  That
 amount, the radius of the returned enclosure, is what the certificate
 charges as its numeric error; power steps continue until it is at most
 eps_num.  In L1 mode the matrix is first checked to be entrywise
@@ -56,16 +59,24 @@ delta <= 2^-52 and R <= 1 + delta.
 The anchors are stepped in blocks of columns (about 2^20 doubles each, and
 at least as many blocks as threads) spread over a thread pool with one
 thread per CPU this process may use; scipy's sparse product and numpy's
-reductions release the GIL.  Each anchor column sees the same arithmetic
-in the same order whatever the block width or thread count, so every
-result is independent of both.
+reductions release the GIL.  Until a cell's image under T^t covers
+[0, 1], (e_0 - e_j) Pi^t has small support, so each block starts as a
+sparse (CSR) matrix and turns dense before the first step at which more
+than _SPARSE_FILL of its entries are stored.  Each anchor column sees the
+same arithmetic in the same order whatever the block width, thread count
+or storage, so every result is independent of all three: both products
+add an entry's terms in the order of the stored row of Pi transposed,
+the sparse one skips only exact zeros, and the L1 column sums add a
+column's entries in row order either way.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -87,6 +98,7 @@ _U = 2.0 ** -53  # unit roundoff of binary64
 _ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _BLOCK_ENTRIES = 1 << 20  # doubles per anchor block (8 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
+_SPARSE_FILL = 0.1  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
 
 _log = logging.getLogger(__name__)
@@ -144,6 +156,33 @@ def _block_columns(k: int) -> int:
     return min(k - 1, max(_MIN_BLOCK_COLUMNS, min(_BLOCK_ENTRIES // k, per_cpu)))
 
 
+class _SupGrowth:
+    """rho_m >= ||Pi^m|| in the sup norm for m = 0, 1, ...: the largest
+    entry of 1 |Pi|^m enclosed upward (_Model), at most R^m.  Extended on
+    demand, one O(nnz) product per step, and shared by the threads."""
+
+    def __init__(self, at_abs: sparse.csr_matrix, col_count: float,
+                 op_norm: float):
+        self._at_abs, self._col_count, self._op_norm = at_abs, col_count, op_norm
+        self._u = np.ones(at_abs.shape[0])  # 1 |Pi|^m, enclosed upward
+        self._cap = 1.0  # R^m, rounded up
+        self._rho = [1.0]
+        self._lock = threading.Lock()
+
+    def upto(self, m: int) -> List[float]:
+        """[rho_0, ..., rho_m]."""
+        with self._lock:
+            while len(self._rho) <= m:
+                # each product may underflow by half the smallest subnormal,
+                # and the added term and the sum of C products round once
+                # each: C + 2 roundings
+                self._u = _sum_up(self._at_abs @ self._u
+                                  + self._col_count * _ETA, self._col_count + 2)
+                self._cap = _up(self._cap * self._op_norm)
+                self._rho.append(min(float(self._u.max()), self._cap))
+            return self._rho[:m + 1]
+
+
 @dataclass(frozen=True)
 class _Model:
     """The swept matrix Pi as both proofs read it, built once by _model.
@@ -151,10 +190,17 @@ class _Model:
     scale is s, op_norm R and row_defect delta of the module docstring;
     inflation is ||P - Pi||.  One product of a float vector v with Pi
     obeys ||fl(vPi) - vPi|| <= gamma_C R ||v|| in either norm (C the
-    largest column count), and accumulated error rides through Pi, which
-    expands the norm by at most R.  The drift is that cumulative float
-    error of the anchors, and a step's bound is its largest anchor norm
-    plus twice the drift, rounded up.
+    largest column count).  The drift is the cumulative float error of
+    the anchors, and a step's bound is its largest anchor norm plus twice
+    the drift, rounded up.  The computed anchor after t steps is the exact
+    one plus sum_s e_s Pi^(t-s), e_s the error of step s, so the drift is
+    sum_s ||Pi^(t-s)|| ||e_s||.  In L1, ||Pi^m|| <= R^m, and the drift is
+    that sum in Horner form.  In the sup norm, ||Pi^m|| is at most
+    rho_m = max_j (1 |Pi|^m)_j, 1 the all-ones row vector (growth), since
+    |(e Pi^m)_j| <= sum_i |e_i| (|Pi|^m)_ij <= ||e|| (1 |Pi|^m)_j.  rho_m is
+    enclosed upward and capped at R^m, so this drift never exceeds the
+    R^m one, and it stays bounded where R^m outgrows the anchors' own
+    ||Pi^m|| (a column sum above 1 next to row sums of 1).
     """
 
     norm_kind: str
@@ -166,9 +212,20 @@ class _Model:
     op_norm: float  # R
     row_defect: float  # delta
     inflation: float
+    growth: _SupGrowth | None  # rho_m in the sup norm; None in L1
 
-    def col_norms(self, v: np.ndarray) -> np.ndarray:
-        """Upper bounds of the norms of the columns of a dense block."""
+    def col_norms(self, v) -> np.ndarray:
+        """Upper bounds of the norms of the columns of a dense or CSR block."""
+        if sparse.issparse(v):
+            mag = np.abs(v.data)
+            if self.norm_kind == "Linf":
+                out = np.zeros(v.shape[1])
+                np.maximum.at(out, v.indices, mag)
+                return out
+            # adds each column's stored entries in row order, as the dense
+            # sum adds the whole column; the skipped entries are exact zeros
+            return _sum_up(np.bincount(v.indices, weights=mag,
+                                       minlength=v.shape[1]), v.shape[0])
         if self.norm_kind == "Linf":
             # max |v| without a block-sized temporary
             return np.maximum(v.max(axis=0), -v.min(axis=0))
@@ -178,16 +235,17 @@ class _Model:
             return _sum_up(np.cumsum(np.abs(v[:, 0]))[-1:], v.shape[0])
         return _sum_up(np.abs(v).sum(axis=0), v.shape[0])
 
-    def next_drift(self, drift: float, prev_norm: float) -> float:
-        """Drift after one more product of anchors of norm prev_norm."""
-        gamma = 1.01 * self.col_count * _U
-        return drift * self.op_norm + gamma * self.op_norm * (prev_norm + drift)
-
     def bounds(self, norm_max: Sequence[float]) -> List[float]:
-        out = []
+        gamma = 1.01 * self.col_count * _U
+        rho = None if self.growth is None else self.growth.upto(len(norm_max))
+        out, fresh = [], []
         drift, prev = 0.0, self.scale  # full-anchor norm before step 1
-        for m in norm_max:
-            drift = self.next_drift(drift, prev)
+        for t, m in enumerate(norm_max, 1):
+            fresh.append(gamma * self.op_norm * (prev + drift))
+            if rho is None:
+                drift = drift * self.op_norm + fresh[-1]
+            else:  # sum over s of rho_(t-s) times the fresh error of step s
+                drift = math.fsum(map(operator.mul, fresh, rho[t - 1::-1]))
             out.append(_up(m + 2.0 * drift))
             prev = m
         return out
@@ -223,10 +281,12 @@ class _Model:
         if v_sum.contains_zero():
             return math.inf
 
+        # power is R^i in L1 and rho_i in the sup norm: a bound on ||Pi^i||
+        rho = None if self.growth is None else self.growth.upto(len(c) - 1)
         step, power = iv(self.op_norm), iv(1)
-        s_c, s_r = iv(1), iv(1)  # the i = 0 terms: C_0 = R^0 = 1
-        for c_i in c[:-1]:
-            power = power * step
+        s_c, s_r = iv(1), iv(1)  # the i = 0 terms: C_0 = ||Pi^0|| = 1
+        for i, c_i in enumerate(c[:-1], 1):
+            power = power * step if rho is None else iv(rho[i])
             s_r = s_r + power
             s_c = s_c + iv(min(c_i, power.hi))
         scale = iv(self.scale)
@@ -250,6 +310,7 @@ def _model(matrix: TransitionMatrix) -> _Model:
     at = matrix.csr.T.tocsr()
     at_abs = at if l1 else abs(at)
     col_counts = np.diff(at.indptr).astype(np.float64)
+    col_count = float(col_counts.max())
     # |row sum - 1| from the correctly rounded sums, one ulp added
     row_defect = _up(float((np.abs(row_sums - 1.0) + np.spacing(row_sums)).max()))
     # R: the largest row sum in L1 (no entry is negative), the largest
@@ -258,9 +319,10 @@ def _model(matrix: TransitionMatrix) -> _Model:
                else float(_sum_up(at_abs.sum(axis=1).max(), matrix.k)))
     return _Model(
         norm_kind=matrix.norm_kind, at=at, at_abs=at_abs,
-        col_counts=col_counts, col_count=float(col_counts.max()),
+        col_counts=col_counts, col_count=col_count,
         scale=1.0 if l1 else float(matrix.k), op_norm=op_norm,
-        row_defect=row_defect, inflation=matrix.step_error)
+        row_defect=row_defect, inflation=matrix.step_error,
+        growth=None if l1 else _SupGrowth(at_abs, col_count, op_norm))
 
 
 def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
@@ -269,15 +331,24 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
     matrix, so each column follows the row action); return the
     (t x len(ids)) array of upward-rounded full-anchor norms, where t is
     the first step from first on at which the block's own bound passes
-    N's test; None if no step up to _J_MAX does."""
-    k = model.at.shape[0]
-    v = np.zeros((k, len(ids)))
-    v[ids, np.arange(len(ids))] = -0.5 * model.scale
-    v[0, :] += 0.5 * model.scale
+    N's test; None if no step up to _J_MAX does.
+
+    The block starts as a CSR matrix and turns dense before the first
+    product at which more than _SPARSE_FILL of its entries are stored.
+    Either product adds the terms of an entry in the order of at's row,
+    from 0, and the sparse one only skips exact zeros, so the norms are
+    those of a dense block bit for bit."""
+    k, width = model.at.shape[0], len(ids)
+    v = sparse.csr_matrix(
+        (np.repeat([0.5, -0.5], width) * model.scale,
+         (np.concatenate([np.zeros_like(ids), ids]),
+          np.tile(np.arange(width), 2))), shape=(k, width))
     # one buffer for all rows: small allocations between the block-sized
     # products fragment the heap and raise peak RSS by a block
-    out = np.empty((_J_MAX, len(ids)))
+    out = np.empty((_J_MAX, width))
     for t in range(1, _J_MAX + 1):
+        if sparse.issparse(v) and v.nnz > _SPARSE_FILL * k * width:
+            v = v.toarray()
         v = model.at @ v
         out[t - 1] = 2.0 * model.col_norms(v)
         if t >= first and model.passes_n_true(

@@ -151,7 +151,7 @@ def test_parse_sign_and_mod_forms(text, poly):
     ("iteratefoo 3", "unknown statement 'iteratefoo'"),
     ("iterate 2 3", "iterate needs a positive integer"),
     ("iterate +2", "iterate needs a positive integer"),
-    ("circle 2", "unknown statement 'circle'"),
+    ("circle 2", "circle takes no arguments"),
 ])
 def test_statement_keyword_is_whole_word(stmt, message, tmp_path, capsys):
     mp = tmp_path / "m.map"
@@ -421,22 +421,27 @@ def test_unwritable_output_path_exits_1(flag, path, tmp_path, capsys, monkeypatc
     assert "error: " in capsys.readouterr().err
 
 
-def test_nonpositive_eps_num_exits_1(tmp_path, capsys):
-    cfg = RunConfig(map_text="linear 3 mod 1", k=27, eps_num=0.0,
-                    out_dir=str(tmp_path / "out"))
-    assert run(cfg) == 1
-    assert "error: eps_num must be positive" in capsys.readouterr().err
+def test_nonpositive_eps_num_exits_1(tmp_path, capsys, monkeypatch):
+    import rigdens.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("the map was parsed before eps_num was checked")
+
+    with pytest.raises(ValueError, match="eps_num must be positive"):
+        RunConfig(map_text="linear 3 mod 1", k=27, eps_num=0.0)
     # non-finite values too: inf would write "eps_num": Infinity, which is
-    # not JSON, and nan would fail only after the whole power-step budget
+    # not JSON, and nan would fail only after the whole power-step budget.
+    # The check comes before any work: no map build, no output directory
+    monkeypatch.setattr(cli, "parse_map", must_not_run)
     mp = tmp_path / "m.map"
     mp.write_text("linear 3 mod 1\n")
-    for value in ("nan", "inf", "1e400"):
+    for value in ("nan", "inf", "1e400", "0", "-1"):
         out = tmp_path / value
         assert main(["--map", str(mp), "--k", "27", "--eps-num", value,
                      "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == \
             "error: eps_num must be positive and finite\n"
-        assert not (out / "certificate.json").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("verbose", [True, False])

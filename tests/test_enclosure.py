@@ -1,6 +1,8 @@
 """Fixed-vector enclosure soundness and contraction-certificate semantics."""
 
 import logging
+import math
+import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -211,6 +213,74 @@ def test_block_rule(monkeypatch):
     assert enclosure._block_columns(1024) == 16
 
 
+class _ProductKinds:
+    """Stand-in for a model's at that records, per product at @ v, whether
+    v was sparse."""
+
+    def __init__(self, at):
+        self.at, self.shape, self.sparse = at, at.shape, []
+
+    def __matmul__(self, v):
+        self.sparse.append(sparse.issparse(v))
+        return self.at @ v
+
+
+def record_product_kinds(monkeypatch):
+    """Patch _run_batch to record, per block run, whether each of its
+    products had a sparse operand; returns the list it fills."""
+    run_batch = enclosure._run_batch
+    blocks = []
+
+    def spy(model, ids, first):
+        kinds = _ProductKinds(model.at)
+        out = run_batch(replace(model, at=kinds), ids, first)
+        blocks.append(kinds.sparse)
+        return out
+
+    monkeypatch.setattr(enclosure, "_run_batch", spy)
+    return blocks
+
+
+def _family_matrix(request, name, k):
+    m = request.getfixturevalue(name)
+    if name == "sinmap":
+        return markovize(assemble_linearized(m, k))
+    return markovize(assemble_ulam(m, k))
+
+
+@pytest.mark.parametrize("name,k", [
+    ("eq4", 512), ("eq6", 512), ("eq7", 512), ("lanford2", 256),
+    ("sinmap", 512),
+])
+def test_sparse_phase_matches_dense(name, k, request, monkeypatch):
+    # some block switches from sparse to dense partway, and the anchor
+    # norms equal those of a sweep dense from step 1 and of one sparse
+    # throughout, anchor for anchor
+    model = enclosure._model(_family_matrix(request, name, k))
+    blocks = record_product_kinds(monkeypatch)
+    switched = enclosure._anchor_norms(model, 1)
+    assert any(kinds[0] and not kinds[-1] for kinds in blocks)
+    for fill, kind in ((-1.0, False), (math.inf, True)):
+        blocks.clear()
+        monkeypatch.setattr(enclosure, "_SPARSE_FILL", fill)
+        assert np.array_equal(enclosure._anchor_norms(model, 1), switched)
+        assert all(set(kinds) == {kind} for kinds in blocks)
+
+
+def test_eq6_blocks_start_sparse(eq6, monkeypatch):
+    # EQ6 at k = 2048 in blocks of 128 anchors, the width of eq6-k8192's
+    # blocks: every block steps sparse until its fill passes _SPARSE_FILL,
+    # then dense to its stop
+    monkeypatch.setattr(enclosure, "_block_columns", lambda k: 128)
+    blocks = record_product_kinds(monkeypatch)
+    contraction_sweep(markovize(assemble_ulam(eq6, 2048)), 1e-4)
+    assert len(blocks) == -(-2047 // 128)
+    for kinds in blocks:
+        n_sparse = kinds.count(True)
+        assert 1 <= n_sparse < len(kinds)
+        assert kinds == [True] * n_sparse + [False] * (len(kinds) - n_sparse)
+
+
 def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
     # at k = 256 LANFORD2's blocks of 16 anchors stop at 5 and at 6; those
     # that stop at 5 are stepped again to 6, to the same certificate as one
@@ -404,9 +474,27 @@ def _exact_distance(values, exact, norm_kind):
     return max(abs(F(float(v)) - k * e) for v, e in zip(values, exact))
 
 
+def _slow_sup(w):
+    """A 6-state sup-norm case: a cycle of (1 - w, w) rows with one row
+    [0.1, 0.1, 0.8].  Its largest column sum R = 1.7375 grows far faster
+    than ||Pi^t|| (about 1.3), so a drift or a radius carried by R^t never
+    lets it certify (w = 1/16 mixes in 57 steps, w = 1/32 in 108)."""
+    rows = np.zeros((6, 6))
+    rows[np.arange(6), np.arange(6)] = 1 - w
+    rows[np.arange(6), (np.arange(6) + 1) % 6] = w
+    rows[1] = [0.1, 0.1, 0.8, 0, 0, 0]
+    return rows, "Linf"
+
+
+_SLOW_SUP = _slow_sup(1 / 16)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_stochastic_cases(), st.integers(0, 40), st.data())
-def test_residual_radius_contains_exact_fixed_vector(case, t, data):
+@given(_stochastic_cases(), st.integers(0, 40),
+       st.lists(st.integers(1, 8), min_size=6, max_size=6))
+@example(_SLOW_SUP, 0, [1] * 6)
+@example(_slow_sup(1 / 32), 40, [1, 8, 1, 8, 1, 8])
+def test_residual_radius_contains_exact_fixed_vector(case, t, start):
     rows, norm_kind = case
     k = len(rows)
     tm = _matrix(rows, norm_kind)
@@ -422,8 +510,7 @@ def test_residual_radius_contains_exact_fixed_vector(case, t, data):
     # the fixed vector: there the radius is not a rounding ledger, and on
     # two states it equals ||r|| / (1 - C_1), the exact distance
     model = enclosure._model(tm)
-    start = np.array(data.draw(st.lists(st.integers(1, 8), min_size=k,
-                                        max_size=k)), dtype=float)
+    start = np.array(start[:k], dtype=float)  # k <= 6
     v = start * (model.scale / start.sum())
     for _ in range(t):
         v = model.at @ v
@@ -433,6 +520,8 @@ def test_residual_radius_contains_exact_fixed_vector(case, t, data):
 
 @settings(max_examples=150, deadline=None)
 @given(_stochastic_cases())
+@example(_SLOW_SUP)
+@example(_slow_sup(1 / 32))
 def test_sweep_bounds_dominate_exact_anchor_norms(case):
     rows, norm_kind = case
     k = len(rows)
@@ -459,3 +548,28 @@ def test_sweep_bounds_dominate_exact_anchor_norms(case):
         else:  # at density scale
             top = k * max(abs(x) for a in anchors for x in a)
         assert F(bound) >= F(top, 2 ** (e * t))
+
+
+def test_sup_growth_shared_by_threads():
+    # more threads than cores extend one model's rho table at once, with a
+    # short switch interval: each gets the table a lone caller builds
+    alone = enclosure._model(_matrix(*_SLOW_SUP)).growth.upto(64)
+    growth = enclosure._model(_matrix(*_SLOW_SUP)).growth
+    got = [None] * 8
+
+    def extend(i):
+        got[i] = growth.upto(8 + 7 * i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert all(g == alone[:9 + 7 * i] for i, g in enumerate(got))
+    assert growth.upto(64) == alone
