@@ -16,10 +16,13 @@ row action and their norms watched: every zero-sum vector is a
 combination of anchors with coefficients of total size at most its norm
 (for the 1-norm, p - q = sum_j (q_j - p_j)(e_0 - e_j)), so the largest
 anchor norm after t steps bounds C_t = ||Pi^t|_V||, at density scale in
-the sup norm.  Norms are upward-rounded and every float product is
-covered by an explicit drift ledger.  The sweep certifies N_eps, the
-first t with C_t <= 1/2 for the computed matrix, and N, which also
-charges t times the per-step "inflation" ||P - Pi|| (the matrix's
+the sup norm.  The proof needs a certified bound below 1/2, not 16
+digits, so the anchors step in float32 with a float32 copy of Pi.  Their
+norms are summed upward in float64, and an explicit drift ledger (_Model)
+covers every float32 product, the rounding of Pi's entries to float32
+and the products below float32's normal range.  The sweep certifies
+N_eps, the first t with C_t <= 1/2 for the computed matrix, and N, which
+also charges t times the per-step "inflation" ||P - Pi|| (the matrix's
 step_error) that bounds the distance to the exact discretized operator.
 It steps only as far as N needs: each block of anchors stops at the first
 step where its own bound (its own maxima, drift and inflation) passes N's
@@ -56,29 +59,30 @@ eps_num.  In L1 mode the matrix is first checked to be entrywise
 nonnegative with correctly rounded row sums equal to 1, which gives
 delta <= 2^-52 and R <= 1 + delta.
 
-The anchors are stepped in blocks of columns (about 2^20 doubles each, and
-at least as many blocks as threads) spread over a thread pool with one
-thread per CPU this process may use; scipy's sparse product and numpy's
-reductions release the GIL.  Until a cell's image under T^t covers
-[0, 1], (e_0 - e_j) Pi^t has small support, so each block starts as a
-sparse (CSR) matrix and turns dense before the first step at which more
-than _SPARSE_FILL of its entries are stored.  Each anchor column sees the
-same arithmetic in the same order whatever the block width, thread count
-or storage, so every result is independent of all three: both products
-add an entry's terms in the order of the stored row of Pi transposed,
-the sparse one skips only exact zeros, and the L1 column sums add a
-column's entries in row order either way.
+The anchors are stepped in blocks of columns (about 2^20 float32 entries,
+4 MiB, each, and at least as many blocks as threads) spread over a thread
+pool with one thread per CPU this process may use; scipy's sparse
+product and numpy's reductions release the GIL.  Until a cell's image
+under T^t covers [0, 1], (e_0 - e_j) Pi^t has small support, so each
+block starts as a sparse (CSR) matrix and turns dense before the first
+step at which more than _SPARSE_FILL of its entries are stored.  Each
+anchor column sees the same float32 arithmetic in the same order
+whatever the block width, thread count or storage, so every result is
+independent of all three: both products add an entry's terms in the
+order of the stored row of Pi transposed, the sparse one skips only
+exact zeros, and the L1 column sums add a column's entries in row order,
+in float64, either way.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
@@ -96,7 +100,9 @@ __all__ = [
 
 _U = 2.0 ** -53  # unit roundoff of binary64
 _ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
-_BLOCK_ENTRIES = 1 << 20  # doubles per anchor block (8 MiB)
+_U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
+_ETA32 = 2.0 ** -149  # smallest binary32 subnormal
+_BLOCK_ENTRIES = 1 << 20  # float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 _SPARSE_FILL = 0.1  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
@@ -150,7 +156,7 @@ def _usable_cpus() -> int:
 
 
 def _block_columns(k: int) -> int:
-    """Anchors per block: about _BLOCK_ENTRIES doubles of k rows,
+    """Anchors per block: about _BLOCK_ENTRIES entries of k rows,
     and narrow enough that every usable CPU gets a block."""
     per_cpu = -(-(k - 1) // _usable_cpus())
     return min(k - 1, max(_MIN_BLOCK_COLUMNS, min(_BLOCK_ENTRIES // k, per_cpu)))
@@ -188,11 +194,24 @@ class _Model:
     """The swept matrix Pi as both proofs read it, built once by _model.
 
     scale is s, op_norm R and row_defect delta of the module docstring;
-    inflation is ||P - Pi||.  One product of a float vector v with Pi
-    obeys ||fl(vPi) - vPi|| <= gamma_C R ||v|| in either norm (C the
-    largest column count).  The drift is the cumulative float error of
-    the anchors, and a step's bound is its largest anchor norm plus twice
-    the drift, rounded up.  The computed anchor after t steps is the exact
+    inflation is ||P - Pi||.  The anchors step with Pi32, Pi rounded to
+    float32 (at32), in float32 arithmetic, unit roundoff u = 2^-24 and
+    smallest subnormal eta = 2^-149.  With C the largest column count and
+    gamma_C = C u / (1 - C u) (inf when C u >= 1), one step of a float32
+    vector v obeys, in either norm,
+
+        ||fl(v Pi32) - v Pi|| <= (gamma_C (1 + u) + u) R ||v||
+                                 + (1 + gamma_C) eta/2 k (||v|| + C s),
+
+    the fresh error of the step (fresh): gamma_C |v| |Pi32| for the
+    products and sums, |Pi32| <= (1 + u) |Pi|, u |Pi| for rounding each
+    entry, and eta/2 for each entry or product that falls below float32's
+    normal range (at most k per row or column of Pi, nnz <= k C products,
+    s >= 1), grown by at most 1 + gamma_C in the sums.  The drift is the
+    cumulative float error of the half-anchors, each step's fresh error
+    charged on the previous step's largest full-anchor norm plus the
+    drift, and a step's bound is its largest anchor norm plus twice the
+    drift, rounded up.  The computed anchor after t steps is the exact
     one plus sum_s e_s Pi^(t-s), e_s the error of step s, so the drift is
     sum_s ||Pi^(t-s)|| ||e_s||.  In L1, ||Pi^m|| <= R^m, and the drift is
     that sum in Horner form.  In the sup norm, ||Pi^m|| is at most
@@ -205,6 +224,7 @@ class _Model:
 
     norm_kind: str
     at: sparse.csr_matrix  # Pi transposed: its rows are the columns of Pi
+    at32: sparse.csr_matrix  # at rounded to float32: steps the anchors
     at_abs: sparse.csr_matrix
     col_counts: np.ndarray  # nonzeros per column of Pi
     col_count: float  # their maximum
@@ -213,39 +233,49 @@ class _Model:
     row_defect: float  # delta
     inflation: float
     growth: _SupGrowth | None  # rho_m in the sup norm; None in L1
+    fresh_rate: float  # (gamma_C (1 + u) + u) R + (1 + gamma_C) eta/2 k
+    fresh_floor: float  # (1 + gamma_C) eta/2 k C s
 
     def col_norms(self, v) -> np.ndarray:
-        """Upper bounds of the norms of the columns of a dense or CSR block."""
+        """Float64 upper bounds of the norms of the columns of a dense or
+        CSR block of float32 or float64 entries; sums are taken in float64."""
         if sparse.issparse(v):
             mag = np.abs(v.data)
             if self.norm_kind == "Linf":
-                out = np.zeros(v.shape[1])
+                # exact in any dtype, and far slower into a wider one
+                out = np.zeros(v.shape[1], dtype=v.dtype)
                 np.maximum.at(out, v.indices, mag)
-                return out
+                return out.astype(np.float64)
             # adds each column's stored entries in row order, as the dense
             # sum adds the whole column; the skipped entries are exact zeros
             return _sum_up(np.bincount(v.indices, weights=mag,
                                        minlength=v.shape[1]), v.shape[0])
         if self.norm_kind == "Linf":
             # max |v| without a block-sized temporary
-            return np.maximum(v.max(axis=0), -v.min(axis=0))
+            return np.maximum(v.max(axis=0), -v.min(axis=0)).astype(np.float64)
         if v.shape[1] == 1:
             # numpy sums one contiguous column pairwise; a running sum adds it
             # in row order, as every column of a wider block is added
-            return _sum_up(np.cumsum(np.abs(v[:, 0]))[-1:], v.shape[0])
-        return _sum_up(np.abs(v).sum(axis=0), v.shape[0])
+            return _sum_up(np.cumsum(np.abs(v[:, 0]), dtype=np.float64)[-1:],
+                           v.shape[0])
+        return _sum_up(np.abs(v).sum(axis=0, dtype=np.float64), v.shape[0])
+
+    def fresh(self, norm: float) -> float:
+        """The fresh error of one anchor step from a vector of norm at most
+        norm, rounded up."""
+        return _up(_up(self.fresh_rate * norm) + self.fresh_floor)
 
     def bounds(self, norm_max: Sequence[float]) -> List[float]:
-        gamma = 1.01 * self.col_count * _U
         rho = None if self.growth is None else self.growth.upto(len(norm_max))
         out, fresh = [], []
         drift, prev = 0.0, self.scale  # full-anchor norm before step 1
         for t, m in enumerate(norm_max, 1):
-            fresh.append(gamma * self.op_norm * (prev + drift))
+            fresh.append(self.fresh(prev + drift))
             if rho is None:
-                drift = drift * self.op_norm + fresh[-1]
+                drift = _up(_up(drift * self.op_norm) + fresh[-1])
             else:  # sum over s of rho_(t-s) times the fresh error of step s
-                drift = math.fsum(map(operator.mul, fresh, rho[t - 1::-1]))
+                drift = _up(math.fsum(_up(f * r) for f, r in
+                                      zip(fresh, rho[t - 1::-1])))
             out.append(_up(m + 2.0 * drift))
             prev = m
         return out
@@ -300,7 +330,7 @@ class _Model:
 
 def _model(matrix: TransitionMatrix) -> _Model:
     """The model of matrix; ValueError for an L1 matrix that is not exactly
-    row-stochastic."""
+    row-stochastic, or a sup-norm one with k > 2^24."""
     row_sums = matrix.row_sums()
     l1 = matrix.norm_kind == "L1"
     if l1 and ((matrix.csr.data < 0).any() or (row_sums != 1.0).any()):
@@ -317,18 +347,34 @@ def _model(matrix: TransitionMatrix) -> _Model:
     # column sum in the sup norm
     op_norm = (_up(1.0 + row_defect) if l1
                else float(_sum_up(at_abs.sum(axis=1).max(), matrix.k)))
+    if not l1 and matrix.k > 1 << 24:
+        raise ValueError("the sup-norm sweep needs k <= 2^24: its float32 "
+                         "anchors start at k/2")
+    scale = 1.0 if l1 else float(matrix.k)
+    # the fresh-error constants of _Model, exact and then rounded up
+    c_u = Fraction(col_count) * Fraction(_U32)
+    if c_u >= 1:
+        fresh_rate = fresh_floor = math.inf
+    else:
+        gamma = c_u / (1 - c_u)
+        under = (1 + gamma) * Fraction(_ETA32) / 2 * matrix.k
+        fresh_rate = iv((gamma * (1 + Fraction(_U32)) + Fraction(_U32))
+                        * Fraction(op_norm) + under).hi
+        fresh_floor = iv(under * Fraction(col_count) * Fraction(scale)).hi
     return _Model(
-        norm_kind=matrix.norm_kind, at=at, at_abs=at_abs,
-        col_counts=col_counts, col_count=col_count,
-        scale=1.0 if l1 else float(matrix.k), op_norm=op_norm,
+        norm_kind=matrix.norm_kind, at=at, at32=at.astype(np.float32),
+        at_abs=at_abs, col_counts=col_counts, col_count=col_count,
+        scale=scale, op_norm=op_norm,
         row_defect=row_defect, inflation=matrix.step_error,
-        growth=None if l1 else _SupGrowth(at_abs, col_count, op_norm))
+        growth=None if l1 else _SupGrowth(at_abs, col_count, op_norm),
+        fresh_rate=fresh_rate, fresh_floor=fresh_floor)
 
 
 def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
     """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
-    of a (k x len(ids)) block stepped by v -> at @ v (at is the transposed
-    matrix, so each column follows the row action); return the
+    of a float32 (k x len(ids)) block stepped by v -> at32 @ v (at32 is the
+    transposed matrix, so each column follows the row action; the start is
+    exact in float32 for every k <= 2^24); return the
     (t x len(ids)) array of upward-rounded full-anchor norms, where t is
     the first step from first on at which the block's own bound passes
     N's test; None if no step up to _J_MAX does.
@@ -340,7 +386,7 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
     those of a dense block bit for bit."""
     k, width = model.at.shape[0], len(ids)
     v = sparse.csr_matrix(
-        (np.repeat([0.5, -0.5], width) * model.scale,
+        (np.repeat(np.float32([0.5, -0.5]), width) * np.float32(model.scale),
          (np.concatenate([np.zeros_like(ids), ids]),
           np.tile(np.arange(width), 2))), shape=(k, width))
     # one buffer for all rows: small allocations between the block-sized
@@ -349,7 +395,7 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
     for t in range(1, _J_MAX + 1):
         if sparse.issparse(v) and v.nnz > _SPARSE_FILL * k * width:
             v = v.toarray()
-        v = model.at @ v
+        v = model.at32 @ v
         out[t - 1] = 2.0 * model.col_norms(v)
         if t >= first and model.passes_n_true(
                 model.bounds(out[:t].max(axis=1))[-1], t):
@@ -438,7 +484,8 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
     Raises NotContractingError if _J_MAX anchor steps pass without the
     certified bound dropping below 1/2, or _J_MAX power steps without the
     radius dropping to eps_num; ValueError for an eps_num that is not
-    positive and finite, or an L1 matrix that is not exactly row-stochastic.
+    positive and finite, an L1 matrix that is not exactly row-stochastic,
+    or a sup-norm matrix with k > 2^24.
     """
     if not 0 < eps_num < math.inf:  # NaN fails the comparison too
         raise ValueError("eps_num must be positive and finite")

@@ -214,8 +214,8 @@ def test_block_rule(monkeypatch):
 
 
 class _ProductKinds:
-    """Stand-in for a model's at that records, per product at @ v, whether
-    v was sparse."""
+    """Stand-in for a model's at32 that records, per product at32 @ v,
+    whether v was sparse."""
 
     def __init__(self, at):
         self.at, self.shape, self.sparse = at, at.shape, []
@@ -232,8 +232,8 @@ def record_product_kinds(monkeypatch):
     blocks = []
 
     def spy(model, ids, first):
-        kinds = _ProductKinds(model.at)
-        out = run_batch(replace(model, at=kinds), ids, first)
+        kinds = _ProductKinds(model.at32)
+        out = run_batch(replace(model, at32=kinds), ids, first)
         blocks.append(kinds.sparse)
         return out
 
@@ -273,7 +273,18 @@ def test_eq6_blocks_start_sparse(eq6, monkeypatch):
     # then dense to its stop
     monkeypatch.setattr(enclosure, "_block_columns", lambda k: 128)
     blocks = record_product_kinds(monkeypatch)
-    contraction_sweep(markovize(assemble_ulam(eq6, 2048)), 1e-4)
+    radius = enclosure._Model.radius
+    read = []
+
+    def radius_spy(model, v, p, c):
+        read.append((model.at.dtype, model.at_abs.dtype, v.dtype, p.dtype))
+        return radius(model, v, p, c)
+
+    monkeypatch.setattr(enclosure._Model, "radius", radius_spy)
+    _, dens = contraction_sweep(markovize(assemble_ulam(eq6, 2048)), 1e-4)
+    # the anchors step in float32; the fixed vector and its radius do not
+    assert dens.values.dtype == np.float64
+    assert read and set(read) == {(np.dtype(np.float64),) * 4}
     assert len(blocks) == -(-2047 // 128)
     for kinds in blocks:
         n_sparse = kinds.count(True)
@@ -548,6 +559,81 @@ def test_sweep_bounds_dominate_exact_anchor_norms(case):
         else:  # at density scale
             top = k * max(abs(x) for a in anchors for x in a)
         assert F(bound) >= F(top, 2 ** (e * t))
+
+
+def _ledger_cases(eq6):
+    rng = np.random.default_rng(7)
+    yield enclosure._model(_matrix(dyadic_stochastic(rng, k=8), "L1"))
+    yield enclosure._model(markovize(assemble_ulam(eq6, 64)))
+    yield enclosure._model(_matrix(*_SLOW_SUP))
+
+
+def test_fresh_error_recomputed_exactly(eq6):
+    # the fresh error of a float32 anchor step and the drift built from it,
+    # recomputed in rationals: (gamma_C (1 + u) + u) R ||v|| for the
+    # product and the float32 entries, and (1 + gamma_C) eta/2 k (||v|| +
+    # C s) for entries and products below float32's normal range
+    u, eta = F(2) ** -24, F(2) ** -149
+    norm_max = [1.9, 1.2, 0.7, 0.3]
+    for model in _ledger_cases(eq6):
+        k = model.at.shape[0]
+        c, s, r = F(model.col_count), F(model.scale), F(model.op_norm)
+        gamma = c * u / (1 - c * u)
+        under = (1 + gamma) * eta / 2 * k
+        rate, floor = (gamma * (1 + u) + u) * r + under, under * c * s
+        for x in (0.0, 1e-3, 1.0, 2.5, model.scale):
+            assert F(model.fresh(x)) >= rate * F(x) + floor
+        rho = None if model.growth is None else model.growth.upto(len(norm_max))
+        drift, prev, steps = F(0), s, []
+        for t, (m, bound) in enumerate(zip(norm_max, model.bounds(norm_max)), 1):
+            steps.append(rate * (prev + drift) + floor)
+            if rho is None:
+                drift = drift * r + steps[-1]
+            else:
+                drift = sum(e * F(g) for e, g in zip(steps, rho[t - 1::-1]))
+            assert F(bound) >= F(m) + 2 * drift
+            prev = F(m)
+
+
+def test_fresh_error_infinite_when_c_u_reaches_one(monkeypatch):
+    # gamma_C = C u / (1 - C u) has no finite bound once C u >= 1: with u
+    # raised to 1/8, a dense 8-state matrix (C = 8) can never certify
+    monkeypatch.setattr(enclosure, "_U32", 1 / 8)
+    monkeypatch.setattr(enclosure, "_J_MAX", 4)
+    tm = _matrix(np.full((8, 8), 1 / 8), "L1")
+    model = enclosure._model(tm)
+    assert model.fresh_rate == model.fresh_floor == math.inf
+    with pytest.raises(NotContractingError):
+        contraction_sweep(tm, 1e-4)
+
+
+@pytest.mark.parametrize("norm_kind", ["L1", "Linf"])
+def test_col_norms_of_float32_blocks(norm_kind):
+    # float32 columns whose float32 sums would drop the small entries: the
+    # column norms are float64 upper bounds of the exact sums (maxima
+    # exact), equal bit for bit whether the block is dense, one column
+    # wide or CSR
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((40, 5)).astype(np.float32)
+    v[:, 0] = 2.0 ** -25
+    v[0, 0] = 1.0
+    v[::3, 1] = -(2.0 ** -26)
+    v[5:9, 2] = 0.0
+    model = enclosure._model(_matrix(np.full((2, 2), 0.5), norm_kind))
+    blocks = {
+        "dense": model.col_norms(v),
+        "one column": np.concatenate([model.col_norms(v[:, [j]])
+                                      for j in range(v.shape[1])]),
+        "CSR": model.col_norms(sparse.csr_matrix(v)),
+    }
+    for got in blocks.values():
+        assert got.dtype == np.float64
+        assert np.array_equal(got, blocks["dense"])
+    for j, col in enumerate(v.T.tolist()):
+        if norm_kind == "L1":
+            assert F(blocks["dense"][j]) >= sum(abs(F(x)) for x in col)
+        else:
+            assert blocks["dense"][j] == max(map(abs, col))
 
 
 def test_sup_growth_shared_by_threads():
