@@ -79,6 +79,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -87,6 +88,7 @@ from typing import List, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .intervals import Interval, _up, iv
 from .ulam import TransitionMatrix
@@ -104,7 +106,7 @@ _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
 _BLOCK_ENTRIES = 1 << 20  # float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
-_SPARSE_FILL = 0.1  # a block steps sparse while at most this share is nonzero
+_SPARSE_FILL = 0.03  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
 
 _log = logging.getLogger(__name__)
@@ -147,6 +149,15 @@ class EnclosedDensity:
 def _sum_up(s, n: int):
     """Upper bound of a float sum s of n nonnegative terms, elementwise."""
     return np.nextafter(s * (1.0 + 1.02 * n * _U), math.inf)
+
+
+def _in_bytes(buf, dtype, n: int) -> np.ndarray:
+    """n entries of dtype laid over the bytes of the contiguous array buf;
+    a new array where buf is None or too small."""
+    size = n * np.dtype(dtype).itemsize
+    if buf is None or buf.nbytes < size:
+        return np.empty(n, dtype)
+    return buf.reshape(-1).view(np.uint8)[:size].view(dtype)
 
 
 def _usable_cpus() -> int:
@@ -236,29 +247,37 @@ class _Model:
     fresh_rate: float  # (gamma_C (1 + u) + u) R + (1 + gamma_C) eta/2 k
     fresh_floor: float  # (1 + gamma_C) eta/2 k C s
 
-    def col_norms(self, v) -> np.ndarray:
+    def col_norms(self, v, spare=None) -> np.ndarray:
         """Float64 upper bounds of the norms of the columns of a dense or
-        CSR block of float32 or float64 entries; sums are taken in float64."""
+        CSR block of float32 or float64 entries; sums are taken in float64.
+        spare holds idle blocks of v's shape for the temporaries, the first
+        for a dense v and two for a CSR one; None allocates them."""
+        a, b = spare or (None, None)
         if sparse.issparse(v):
-            mag = np.abs(v.data)
             if self.norm_kind == "Linf":
                 # exact in any dtype, and far slower into a wider one
                 out = np.zeros(v.shape[1], dtype=v.dtype)
-                np.maximum.at(out, v.indices, mag)
+                np.maximum.at(out, v.indices, np.abs(v.data))
                 return out.astype(np.float64)
             # adds each column's stored entries in row order, as the dense
-            # sum adds the whole column; the skipped entries are exact zeros
-            return _sum_up(np.bincount(v.indices, weights=mag,
-                                       minlength=v.shape[1]), v.shape[0])
+            # sum adds the whole column; the skipped entries are exact
+            # zeros.  bincount converts int32 indices and float32 weights
+            # far slower than it counts, so they are widened here.
+            idx = _in_bytes(a, np.intp, v.nnz)
+            idx[...] = v.indices
+            mag = np.abs(v.data, out=_in_bytes(b, np.float64, v.nnz))
+            return _sum_up(np.bincount(idx, weights=mag, minlength=v.shape[1]),
+                           v.shape[0])
         if self.norm_kind == "Linf":
             # max |v| without a block-sized temporary
             return np.maximum(v.max(axis=0), -v.min(axis=0)).astype(np.float64)
+        mag = np.abs(v, out=a)
         if v.shape[1] == 1:
             # numpy sums one contiguous column pairwise; a running sum adds it
             # in row order, as every column of a wider block is added
-            return _sum_up(np.cumsum(np.abs(v[:, 0]), dtype=np.float64)[-1:],
+            return _sum_up(np.cumsum(mag[:, 0], dtype=np.float64)[-1:],
                            v.shape[0])
-        return _sum_up(np.abs(v).sum(axis=0, dtype=np.float64), v.shape[0])
+        return _sum_up(mag.sum(axis=0, dtype=np.float64), v.shape[0])
 
     def fresh(self, norm: float) -> float:
         """The fresh error of one anchor step from a vector of norm at most
@@ -370,7 +389,21 @@ def _model(matrix: TransitionMatrix) -> _Model:
         fresh_rate=fresh_rate, fresh_floor=fresh_floor)
 
 
-def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
+def _step(at32: sparse.csr_matrix, v, out: np.ndarray):
+    """at32 @ v: a new CSR block for a CSR v; for a dense v, written into
+    out, a C-contiguous block of v's shape and dtype, by the kernel that
+    at32 @ v runs (scipy's csr_matvecs, which adds into a zeroed target)."""
+    if sparse.issparse(v):
+        return at32 @ v
+    k, width = v.shape
+    out.fill(0)
+    _sparsetools.csr_matvecs(at32.shape[0], k, width, at32.indptr, at32.indices,
+                             at32.data, v.ravel(), out.ravel())
+    return out
+
+
+def _run_batch(model: _Model, ids: np.ndarray, first: int,
+               bufs: Sequence[np.ndarray]) -> np.ndarray | None:
     """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
     of a float32 (k x len(ids)) block stepped by v -> at32 @ v (at32 is the
     transposed matrix, so each column follows the row action; the start is
@@ -383,42 +416,62 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int) -> np.ndarray | None:
     product at which more than _SPARSE_FILL of its entries are stored.
     Either product adds the terms of an entry in the order of at's row,
     from 0, and the sparse one only skips exact zeros, so the norms are
-    those of a dense block bit for bit."""
+    those of a dense block bit for bit.  bufs are two float32 arrays of at
+    least k len(ids) entries: the dense block and each product alternate
+    between them, and the idle one holds the temporaries of the norms, so
+    a dense step allocates nothing block-sized."""
     k, width = model.at.shape[0], len(ids)
+    a, b = (buf[:k * width].reshape(k, width) for buf in bufs)
     v = sparse.csr_matrix(
         (np.repeat(np.float32([0.5, -0.5]), width) * np.float32(model.scale),
          (np.concatenate([np.zeros_like(ids), ids]),
           np.tile(np.arange(width), 2))), shape=(k, width))
     # one buffer for all rows: small allocations between the block-sized
-    # products fragment the heap and raise peak RSS by a block
+    # products fragment the heap and raise peak RSS by a block; the rows
+    # used are returned as a copy, since the sweep keeps every block's
+    # rows to its end
     out = np.empty((_J_MAX, width))
     for t in range(1, _J_MAX + 1):
         if sparse.issparse(v) and v.nnz > _SPARSE_FILL * k * width:
-            v = v.toarray()
-        v = model.at32 @ v
-        out[t - 1] = 2.0 * model.col_norms(v)
+            v = v.toarray(out=a)
+        y = _step(model.at32, v, b)
+        # a dense v sits in a, which the norms may now overwrite
+        out[t - 1] = 2.0 * model.col_norms(y, (a, b))
+        if y is b:
+            a, b = b, a
+        v = y
         if t >= first and model.passes_n_true(
                 model.bounds(out[:t].max(axis=1))[-1], t):
-            return out[:t]
+            return out[:t].copy()
     return None
 
 
 def _anchor_norms(model: _Model, first: int) -> np.ndarray:
     """(t x (k - 1)) anchor norms from _run_batch on blocks of
-    _block_columns(k) anchors, spread over one thread per usable CPU.
+    _block_columns(k) anchors, spread over one thread per usable CPU, each
+    with its own pair of block buffers for the whole sweep.
 
     Each block stops at its first step from first on whose bound passes
     N's test, and the blocks that stopped before the largest stop t are
     stepped again to their first pass from t on, until all stop at t.
     Raises NotContractingError if some block has not passed by _J_MAX."""
-    ids_all = np.arange(1, model.at.shape[0])
-    width = _block_columns(model.at.shape[0])
+    k = model.at.shape[0]
+    ids_all = np.arange(1, k)
+    width = _block_columns(k)
     starts = range(0, len(ids_all), width)
+    workers = min(_usable_cpus(), len(starts))
+    idle = queue.SimpleQueue()  # buffer pairs not in use by a block
+    for _ in range(workers):
+        idle.put([np.empty(k * width, np.float32) for _ in range(2)])
 
     def block(start, first):
-        return _run_batch(model, ids_all[start:start + width], first)
+        bufs = idle.get()
+        try:
+            return _run_batch(model, ids_all[start:start + width], first, bufs)
+        finally:
+            idle.put(bufs)
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(lambda s: block(s, first), starts))
         while True:
             if any(b is None for b in blocks):

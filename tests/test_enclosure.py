@@ -4,6 +4,7 @@ import logging
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
@@ -213,30 +214,25 @@ def test_block_rule(monkeypatch):
     assert enclosure._block_columns(1024) == 16
 
 
-class _ProductKinds:
-    """Stand-in for a model's at32 that records, per product at32 @ v,
-    whether v was sparse."""
-
-    def __init__(self, at):
-        self.at, self.shape, self.sparse = at, at.shape, []
-
-    def __matmul__(self, v):
-        self.sparse.append(sparse.issparse(v))
-        return self.at @ v
-
-
 def record_product_kinds(monkeypatch):
-    """Patch _run_batch to record, per block run, whether each of its
-    products had a sparse operand; returns the list it fills."""
-    run_batch = enclosure._run_batch
-    blocks = []
+    """Patch _run_batch and _step to record, per block run, whether each of
+    its products had a sparse operand; returns the list it fills.  A thread
+    runs one block at a time, so each block's products land in its own
+    thread's list."""
+    run_batch, step = enclosure._run_batch, enclosure._step
+    blocks, local = [], threading.local()
 
-    def spy(model, ids, first):
-        kinds = _ProductKinds(model.at32)
-        out = run_batch(replace(model, at32=kinds), ids, first)
-        blocks.append(kinds.sparse)
+    def step_spy(at32, v, out):
+        local.kinds.append(sparse.issparse(v))
+        return step(at32, v, out)
+
+    def spy(*args):
+        local.kinds = []
+        out = run_batch(*args)
+        blocks.append(local.kinds)
         return out
 
+    monkeypatch.setattr(enclosure, "_step", step_spy)
     monkeypatch.setattr(enclosure, "_run_batch", spy)
     return blocks
 
@@ -292,6 +288,42 @@ def test_eq6_blocks_start_sparse(eq6, monkeypatch):
         assert kinds == [True] * n_sparse + [False] * (len(kinds) - n_sparse)
 
 
+@pytest.mark.parametrize("name", ["eq4", "eq6", "eq7", "lanford2", "sinmap"])
+def test_step_matches_matmul(name, request):
+    # the dense product written into a buffer of stale values has exactly
+    # the bits of at32 @ v, one column wide or many
+    model = enclosure._model(_family_matrix(request, name, 256))
+    rng = np.random.default_rng(5)
+    for width in (1, 17, 128):
+        v = rng.standard_normal((256, width)).astype(np.float32)
+        v[rng.random(v.shape) < 0.5] = 0.0
+        out = np.full_like(v, np.nan)
+        out[::3] = 7.0
+        got = enclosure._step(model.at32, v, out)
+        assert got is out
+        assert np.array_equal(out.view(np.uint32),
+                              (model.at32 @ v).view(np.uint32))
+
+
+def test_dense_steps_allocate_no_block(eq6, monkeypatch):
+    # EQ6 at k = 2048 in one block of 128 anchors, dense from step 1: once
+    # warmed, a run of the block allocates less than one block's bytes
+    monkeypatch.setattr(enclosure, "_SPARSE_FILL", -1.0)
+    k, width = 2048, 128
+    model = enclosure._model(markovize(assemble_ulam(eq6, k)))
+    ids = np.arange(1, width + 1)
+    bufs = [np.empty(k * width, np.float32) for _ in range(2)]
+    warm = enclosure._run_batch(model, ids, 1, bufs)
+    tracemalloc.start()
+    try:
+        again = enclosure._run_batch(model, ids, 1, bufs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, warm)
+    assert peak < k * width * np.dtype(np.float32).itemsize
+
+
 def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
     # at k = 256 LANFORD2's blocks of 16 anchors stop at 5 and at 6; those
     # that stop at 5 are stepped again to 6, to the same certificate as one
@@ -301,8 +333,8 @@ def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
     run_batch = enclosure._run_batch
     stops, restepped = [], []
 
-    def spy(model, ids, first):
-        out = run_batch(model, ids, first)
+    def spy(model, ids, first, bufs):
+        out = run_batch(model, ids, first, bufs)
         (stops if first == 1 else restepped).append(len(out))
         return out
 
@@ -323,12 +355,12 @@ def test_late_restep_pulls_blocks_along(lanford2, monkeypatch):
     lock = threading.Lock()
     firsts = []
 
-    def late_once(model, ids, first):
+    def late_once(model, ids, first, bufs):
         with lock:
             firsts.append(first)
             if first == 6 and firsts.count(6) == 1:
                 first = 7
-        return run_batch(model, ids, first)
+        return run_batch(model, ids, first, bufs)
 
     monkeypatch.setattr(enclosure, "_run_batch", late_once)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
