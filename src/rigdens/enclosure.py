@@ -66,7 +66,13 @@ product and numpy's reductions release the GIL.  Until a cell's image
 under T^t covers [0, 1], (e_0 - e_j) Pi^t has small support, so each
 block starts as a sparse (CSR) matrix and turns dense before the first
 step at which more than _SPARSE_FILL of its entries are stored.  Each
-anchor column sees the same float32 arithmetic in the same order
+thread keeps two block buffers for the whole sweep: a dense block and its
+product alternate between them, and the idle one holds the temporaries
+of the norms.  A fresh block-sized array is a new mapping whose pages
+fault on first touch, about 3 us per 4 KiB page on a 2-core x86-64 host,
+which made a dense step that allocated its product, its dense copy and
+its |v| cost twice what the arithmetic does; so no dense step allocates one.
+Each anchor column sees the same float32 arithmetic in the same order
 whatever the block width, thread count or storage, so every result is
 independent of all three: both products add an entry's terms in the
 order of the stored row of Pi transposed, the sparse one skips only
@@ -219,12 +225,19 @@ class _Model:
     entry, and eta/2 for each entry or product that falls below float32's
     normal range (at most k per row or column of Pi, nnz <= k C products,
     s >= 1), grown by at most 1 + gamma_C in the sums.  The drift is the
-    cumulative float error of the half-anchors, each step's fresh error
-    charged on the previous step's largest full-anchor norm plus the
-    drift, and a step's bound is its largest anchor norm plus twice the
-    drift, rounded up.  The computed anchor after t steps is the exact
-    one plus sum_s e_s Pi^(t-s), e_s the error of step s, so the drift is
-    sum_s ||Pi^(t-s)|| ||e_s||.  In L1, ||Pi^m|| <= R^m, and the drift is
+    cumulative float error of the half-anchors, and a step's bound is its
+    largest full-anchor norm plus twice the drift, rounded up.  Let h_t be
+    a computed half-anchor after t steps, so h_t = fl(h_(t-1) Pi32) =
+    h_(t-1) Pi + e_t with ||e_t|| <= fresh(||h_(t-1)||), and the exact
+    half-anchor is h_0 Pi^t.  Then h_t - h_0 Pi^t = sum_s e_s Pi^(t-s), so
+    the drift is sum_s ||Pi^(t-s)|| ||e_s||.  Each e_s is charged on the
+    norm of the vector actually stepped: h_0 = s (e_0 - e_j)/2 exactly,
+    of norm s in L1 and s/2 in the sup norm, and for t >= 2 ||h_(t-1)|| is
+    at most half the measured full-anchor norm of step t - 1, a bound on
+    the computed vector itself, so no drift enters the charge (fresh is
+    increasing in the norm, so the block's largest norm covers every
+    anchor; the measured norms are twice a float, so halving them is
+    exact).  In L1, ||Pi^m|| <= R^m, and the drift is
     that sum in Horner form.  In the sup norm, ||Pi^m|| is at most
     rho_m = max_j (1 |Pi|^m)_j, 1 the all-ones row vector (growth), since
     |(e Pi^m)_j| <= sum_i |e_i| (|Pi|^m)_ij <= ||e|| (1 |Pi|^m)_j.  rho_m is
@@ -250,8 +263,9 @@ class _Model:
     def col_norms(self, v, spare=None) -> np.ndarray:
         """Float64 upper bounds of the norms of the columns of a dense or
         CSR block of float32 or float64 entries; sums are taken in float64.
-        spare holds idle blocks of v's shape for the temporaries, the first
-        for a dense v and two for a CSR one; None allocates them."""
+        spare is a pair of arrays whose contents may be overwritten, for
+        the temporaries: a dense v uses the first, of v's shape and dtype
+        (not v itself), a CSR one the bytes of both; None allocates them."""
         a, b = spare or (None, None)
         if sparse.issparse(v):
             if self.norm_kind == "Linf":
@@ -285,18 +299,22 @@ class _Model:
         return _up(_up(self.fresh_rate * norm) + self.fresh_floor)
 
     def bounds(self, norm_max: Sequence[float]) -> List[float]:
+        """The bounds of steps 1, 2, ... from the largest measured
+        full-anchor norm of each step, drift included (class docstring)."""
         rho = None if self.growth is None else self.growth.upto(len(norm_max))
         out, fresh = [], []
-        drift, prev = 0.0, self.scale  # full-anchor norm before step 1
+        drift = 0.0
+        # the norm of the half-anchor stepped next: s (e_0 - e_j)/2 first
+        half = self.scale if self.norm_kind == "L1" else self.scale / 2
         for t, m in enumerate(norm_max, 1):
-            fresh.append(self.fresh(prev + drift))
+            fresh.append(self.fresh(half))
             if rho is None:
                 drift = _up(_up(drift * self.op_norm) + fresh[-1])
             else:  # sum over s of rho_(t-s) times the fresh error of step s
                 drift = _up(math.fsum(_up(f * r) for f, r in
                                       zip(fresh, rho[t - 1::-1])))
             out.append(_up(m + 2.0 * drift))
-            prev = m
+            half = m / 2
         return out
 
     def passes_n_true(self, bound: float, t: int) -> bool:
@@ -391,13 +409,22 @@ def _model(matrix: TransitionMatrix) -> _Model:
 
 def _step(at32: sparse.csr_matrix, v, out: np.ndarray):
     """at32 @ v: a new CSR block for a CSR v; for a dense v, written into
-    out, a C-contiguous block of v's shape and dtype, by the kernel that
-    at32 @ v runs (scipy's csr_matvecs, which adds into a zeroed target)."""
+    out, a C-contiguous block of the product's shape and at32's dtype, by
+    the kernel that at32 @ v runs (scipy's csr_matvecs, which adds into a
+    zeroed target)."""
     if sparse.issparse(v):
         return at32 @ v
-    k, width = v.shape
+    n_row, n_col = at32.shape
+    width = v.shape[1]
+    # the kernel trusts these sizes, and a copy made to convert either
+    # array would take the product with it
+    if (v.shape[0] != n_col or out.shape != (n_row, width)
+            or not v.flags.c_contiguous or not out.flags.c_contiguous
+            or not out.dtype == v.dtype == at32.dtype):
+        raise ValueError("_step needs C-contiguous blocks of at32's dtype "
+                         "and the product's shape")
     out.fill(0)
-    _sparsetools.csr_matvecs(at32.shape[0], k, width, at32.indptr, at32.indices,
+    _sparsetools.csr_matvecs(n_row, n_col, width, at32.indptr, at32.indices,
                              at32.data, v.ravel(), out.ravel())
     return out
 

@@ -303,6 +303,12 @@ def test_step_matches_matmul(name, request):
         assert got is out
         assert np.array_equal(out.view(np.uint32),
                               (model.at32 @ v).view(np.uint32))
+    # a target the kernel could not write in place is refused
+    v = np.ones((256, 4), dtype=np.float32)
+    for out in (np.empty((256, 3), np.float32), np.empty((256, 4)),
+                np.empty((4, 256), np.float32).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            enclosure._step(model.at32, v, out)
 
 
 def test_dense_steps_allocate_no_block(eq6, monkeypatch):
@@ -604,7 +610,9 @@ def test_fresh_error_recomputed_exactly(eq6):
     # the fresh error of a float32 anchor step and the drift built from it,
     # recomputed in rationals: (gamma_C (1 + u) + u) R ||v|| for the
     # product and the float32 entries, and (1 + gamma_C) eta/2 k (||v|| +
-    # C s) for entries and products below float32's normal range
+    # C s) for entries and products below float32's normal range, each
+    # step charged on the half-anchor it steps: s (e_0 - e_j)/2 first (norm
+    # s in L1, s/2 in the sup norm), then half the last full-anchor norm
     u, eta = F(2) ** -24, F(2) ** -149
     norm_max = [1.9, 1.2, 0.7, 0.3]
     for model in _ledger_cases(eq6):
@@ -616,15 +624,43 @@ def test_fresh_error_recomputed_exactly(eq6):
         for x in (0.0, 1e-3, 1.0, 2.5, model.scale):
             assert F(model.fresh(x)) >= rate * F(x) + floor
         rho = None if model.growth is None else model.growth.upto(len(norm_max))
-        drift, prev, steps = F(0), s, []
+        drift, steps = F(0), []
+        half = s if model.norm_kind == "L1" else s / 2
         for t, (m, bound) in enumerate(zip(norm_max, model.bounds(norm_max)), 1):
-            steps.append(rate * (prev + drift) + floor)
+            steps.append(rate * half + floor)
             if rho is None:
                 drift = drift * r + steps[-1]
             else:
                 drift = sum(e * F(g) for e, g in zip(steps, rho[t - 1::-1]))
             assert F(bound) >= F(m) + 2 * drift
-            prev = F(m)
+            half = F(m) / 2
+
+
+@pytest.mark.parametrize("name", ["eq6", "sinmap"])
+def test_fresh_error_covers_float32_steps(name, request):
+    # executable oracle of the fresh error: float32 blocks of half-anchors
+    # s (e_0 - e_j)/2 stepped as the sweep steps them, and each column's
+    # exact error ||fl(v Pi32) - v Pi|| in rationals against fresh(||v||),
+    # with ||v|| the measured norm the drift ledger charges
+    k = 32
+    model = enclosure._model(_family_matrix(request, name, k))
+    at = model.at
+    rows = [[(int(c), F(float(x))) for c, x in
+             zip(at.indices[at.indptr[i]:at.indptr[i + 1]],
+                 at.data[at.indptr[i]:at.indptr[i + 1]])] for i in range(k)]
+    v = np.zeros((k, k - 1), dtype=np.float32)
+    v[0] = 0.5 * model.scale
+    v[np.arange(1, k), np.arange(k - 1)] = -0.5 * model.scale
+    for _ in range(6):
+        y = enclosure._step(model.at32, v, np.empty_like(v))
+        charged = model.col_norms(v)
+        for j in range(k - 1):
+            x = [F(float(e)) for e in v[:, j]]
+            err = [abs(F(float(y[i, j])) - sum(a * x[c] for c, a in rows[i]))
+                   for i in range(k)]
+            size = sum(err) if model.norm_kind == "L1" else max(err)
+            assert size <= F(model.fresh(float(charged[j])))
+        v = y
 
 
 def test_fresh_error_infinite_when_c_u_reaches_one(monkeypatch):
