@@ -1,18 +1,22 @@
 """Assembly of the final certified error bound and the Lyapunov interval.
 
-The distance between the computed density and the true invariant density is
-bounded by three nonnegative components, summed with upward rounding:
+eps_rig bounds the distance between the computed density and the true
+invariant density by the upward-rounded sum of three terms, each the
+fixed-point lemma rigdens.enclosure.fixed_point_bound,
+(defect sum_{i<N} c_i) / (1 - alpha), with these inputs:
 
-  * discretization error   2 N (2B/k)                    (mass norm), or the
-    sup-norm analogue (2/k) N M ((4/k)D + 2(M+1)M(1+B1/(1-a))) (B+1);
-  * matrix error           2 N_eps ||P - Pi|| = 4 N_eps NNZ eps, respectively
-    N ||P - Pi|| (||v||_inf + rho) with ||P - Pi|| charged as
-    2 M^2 (eps + 4D/k^2); ||P - Pi|| is the matrix's step_error, the
-    contraction sweep's per-step inflation;
-  * numeric error          rho, the radius of the fixed-vector enclosure:
-    M/|sum v| (||r|| + |sum r|) sum_{i<N_eps} C_i / (1 - C_{N_eps} - ...)
-    plus the mass defect, from the certified residual r = v Pi - v
-    (``rigdens.enclosure``; at most eps_num, in practice about 1e-14).
+  mode  term            N      c_i            alpha  defect
+  L1    discretization  N      1              1/2    2B/k
+  L1    matrix          N_eps  1              1/2    step_error
+  Linf  discretization  N      M              1/2    (B + 1) X / k
+  Linf  matrix          N      M^2            1/2    (eps + lin_err) |f|
+  both  numeric         N_eps  min(C_i, R^i)  A      s (|r| + |sum r|)/|sum v|
+
+X = (4/k) D + 2(M + 1)M(1 + B1/(1 - a)), |f| = ||v||_inf + rho and
+A = C_n + delta s sum_{i<n} R^i: the paper's 2N(2B/k), 2 N_eps ||P - Pi||,
+(2/k) N M X (B + 1) and N step_error |f|.  The numeric term is the radius
+rho of the fixed-vector enclosure (rigdens.enclosure defines its symbols
+and adds the mass defect of v): at most eps_num, about 1e-14 in practice.
 
 The Lyapunov exponent integral log|T'| d(mu) is then enclosed against the
 computed density: one interval array of per-cell products (the hull of
@@ -34,7 +38,7 @@ import numpy as np
 
 from .intervals import IntervalArray, iv
 from .maps import LYCoefficientsBV, LYCoefficientsLip, PiecewiseMap
-from .enclosure import ContractionCertificate, EnclosedDensity
+from .enclosure import ContractionCertificate, EnclosedDensity, fixed_point_bound
 from .hatbasis import LinfMatrix
 from .ulam import TransitionMatrix
 
@@ -93,65 +97,57 @@ def _up_sum(*terms: float) -> float:
     return acc.hi
 
 
+def _certificate(mode: str, ly, matrix: TransitionMatrix,
+                 contraction: ContractionCertificate, density: EnclosedDensity,
+                 eps_num: float, map_id: str, terms) -> Certificate:
+    """The certificate of mode: terms(n_eps, n_true) gives the
+    discretization and matrix terms, and density.radius is the numeric."""
+    if matrix.norm_kind != mode or contraction.norm_kind != mode:
+        raise ValueError(f"certify_{mode.lower()} needs {mode}-mode inputs")
+    n_eps, n_true = contraction.n_eps, contraction.n_true
+    if n_true is None or n_eps is None:
+        raise ValueError("contraction certificate incomplete")
+    err_disc, err_mat = terms(n_eps, n_true)
+    return Certificate(
+        mode=mode, map_id=map_id, ly=ly, k=matrix.k, eps=matrix.eps,
+        eps_num=eps_num, nnz_max=matrix.nnz_max, l=density.l,
+        n_eps=n_eps, n_true=n_true, err_discretization=err_disc,
+        err_matrix=err_mat, err_numeric=density.radius,
+        eps_rig=_up_sum(err_disc, err_mat, density.radius),
+    )
+
+
 def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
                contraction: ContractionCertificate, density: EnclosedDensity,
                eps_num: float, map_id: str = "map") -> Certificate:
-    """Mass-norm certificate: ||f - v|| <= 2N(2B/k) + 4 N_eps NNZ eps + rho,
-    rho = density.radius; eps_num is recorded as the target rho had to meet."""
-    if matrix.norm_kind != "L1" or contraction.norm_kind != "L1":
-        raise ValueError("certify_l1 needs L1-mode inputs")
-    two_lam = (iv(2) * ly.lam).hi
-    if not two_lam < 1.0:
+    """Mass-norm certificate, the L1 rows of the module docstring's table;
+    eps_num is recorded as the target density.radius had to meet."""
+    if not (iv(2) * ly.lam).hi < 1.0:
         raise ValueError("2/inf|T'| must stay below 1 for the mass-norm bound")
-    n_true = contraction.n_true
-    n_eps = contraction.n_eps
-    if n_true is None or n_eps is None:
-        raise ValueError("contraction certificate incomplete")
-    k = matrix.k
-    err_disc = (iv(2) * iv(n_true) * (iv(2) * ly.b / iv(k))).hi
-    err_mat = (iv(2) * iv(n_eps) * iv(matrix.step_error)).hi
-    err_num = density.radius
-    eps_rig = _up_sum(err_disc, err_mat, err_num)
-    return Certificate(
-        mode="L1", map_id=map_id, ly=ly, k=k, eps=matrix.eps,
-        eps_num=eps_num, nnz_max=matrix.nnz_max, l=density.l,
-        n_eps=n_eps, n_true=n_true,
-        err_discretization=err_disc, err_matrix=err_mat, err_numeric=err_num,
-        eps_rig=eps_rig,
-    )
+    return _certificate(
+        "L1", ly, matrix, contraction, density, eps_num, map_id,
+        lambda n_eps, n_true: (
+            fixed_point_bound([1] * n_true, 0.5, iv(2) * ly.b / iv(matrix.k)),
+            fixed_point_bound([1] * n_eps, 0.5, matrix.step_error)))
 
 
 def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  eps_num: float, map_id: str = "map") -> Certificate:
-    """Sup-norm certificate with the linearized-operator error terms; the
-    power bound M in the matrix term is matrix.m_sup, and the numeric term
-    is density.radius, as in certify_l1."""
-    if matrix.norm_kind != "Linf" or contraction.norm_kind != "Linf":
-        raise ValueError("certify_linf needs sup-norm inputs")
+    """Sup-norm certificate, the Linf rows of the module docstring's table;
+    the M of the matrix term is matrix.m_sup."""
     if not ly.alpha.hi < 1.0:
         raise ValueError("Lipschitz contraction alpha must stay below 1")
-    n_true = contraction.n_true
-    n_eps = contraction.n_eps
-    k = matrix.k
-    m = ly.m_sup
-    d = ly.distortion
-    bracket = (iv(4) / iv(k)) * d + iv(2) * (m + iv(1)) * m * (
-        iv(1) + ly.b_one / (iv(1) - ly.alpha)
-    )
-    err_disc = ((iv(2) / iv(k)) * iv(n_true) * m * bracket * (ly.b_var + iv(1))).hi
-    v_sup = float(np.abs(density.values).max())
-    err_mat = (iv(n_true) * iv(matrix.step_error)
-               * (iv(v_sup) + iv(density.radius))).hi
-    err_num = density.radius
-    eps_rig = _up_sum(err_disc, err_mat, err_num)
-    return Certificate(
-        mode="Linf", map_id=map_id, ly=ly, k=k, eps=matrix.eps,
-        eps_num=eps_num, nnz_max=matrix.nnz_max, l=density.l,
-        n_eps=n_eps, n_true=n_true,
-        err_discretization=err_disc, err_matrix=err_mat, err_numeric=err_num,
-        eps_rig=eps_rig,
-    )
+    k, m, m_mat = iv(matrix.k), ly.m_sup, iv(matrix.m_sup)
+    x = (iv(4) / k) * ly.distortion + iv(2) * (m + iv(1)) * m * (
+        iv(1) + ly.b_one / (iv(1) - ly.alpha))
+    f_sup = iv(float(np.abs(density.values).max())) + iv(density.radius)
+    return _certificate(
+        "Linf", ly, matrix, contraction, density, eps_num, map_id,
+        lambda n_eps, n_true: (
+            fixed_point_bound([m] * n_true, 0.5, x * (ly.b_var + iv(1)) / k),
+            fixed_point_bound([m_mat * m_mat] * n_true, 0.5,
+                              (iv(matrix.eps) + iv(matrix.lin_err)) * f_sup)))
 
 
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,

@@ -537,6 +537,7 @@ def _run(config: RunConfig) -> int:
     if config.mode == "L1":
         ly = ly_coefficients_bv(mapped)
         matrix = markovize(assemble_ulam(mapped, config.k))
+        certify = certify_l1
     else:
         ly = ly_coefficients_lip(mapped)
         if ly.k_iter != 1:
@@ -545,16 +546,13 @@ def _run(config: RunConfig) -> int:
                 "rerun with --iterate on a polynomial map"
             )
         matrix = markovize(assemble_linearized(mapped, config.k))
+        certify = certify_linf
     if config.dump_matrix:
         dump_matrix(matrix, config.dump_matrix)
 
     contraction, density = contraction_sweep(matrix, eps_num)
-    if config.mode == "L1":
-        cert = certify_l1(ly, matrix, contraction, density,
-                          eps_num=eps_num, map_id=config.map_id)
-    else:
-        cert = certify_linf(ly, matrix, contraction, density,
-                            eps_num=eps_num, map_id=config.map_id)
+    cert = certify(ly, matrix, contraction, density,
+                   eps_num=eps_num, map_id=config.map_id)
     lyap = None if config.no_lyap else lyapunov(mapped, density, cert)
 
     _write_density_csv(density, config.k, out_dir / "density.csv")

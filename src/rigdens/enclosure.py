@@ -24,40 +24,25 @@ and the products below float32's normal range.  The sweep certifies
 N_eps, the first t with C_t <= 1/2 for the computed matrix, and N, which
 also charges t times the per-step "inflation" ||P - Pi|| (the matrix's
 step_error) that bounds the distance to the exact discretized operator.
-It steps only as far as N needs: each block of anchors stops at the first
-step where its own bound (its own maxima, drift and inflation) passes N's
-test, and the blocks that stopped before the largest such step are
-stepped again to their first pass from it on, until all stop at one
-step.  Block bounds never exceed the global ones, so N is at least every
-block's stop; where the global test fails up to that step, the search
-resumes after it.
+It steps only as far as N needs (_anchor_norms).
 
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
 r = v Pi - v is then enclosed by a gamma-ledger over the column counts
-of Pi.  Let f be the fixed vector of Pi with mass s (sum f = s).  The
-stored rows sum to 1 only to within an ulp, so f is taken as any such
-vector with f Pi - f = c e_j for one j and some c: the exact fixed vector
-when the rows sum to exactly 1, otherwise k - 1 of the k fixed-point
-equations hold exactly.  With v' = v s / sum(v) and w = v' - f
-(zero-sum), telescoping gives w = w Pi^n - sum_{i<n} (w Pi - w) Pi^i,
-where w Pi - w = (r' - (sum r') e_j) + c' e_j, r' = r s / sum(v), and
-c' = sum_i w_i d_i for the row-sum defects d_i with |d_i| <= delta
-(likewise sum r = sum_i v_i d_i, at most delta ||v||_1).  Hence, with
-C_0 = 1 and n = N_eps,
-
-    ||v - f|| <= s/|sum v| (||r|| + |sum r|) sum_{i<n} C_i
-                 / (1 - C_n - delta s sum_{i<n} R^i)
-                 + |sum v - s| ||v|| / |sum v|,
-
-where R^i stands for any bound on ||Pi^i|| (the sharper rho_i in the sup
-norm, _Model) and C_i is at most that bound as well, which caps the
-leading C_i near 1 in L1.  That
-amount, the radius of the returned enclosure, is what the certificate
-charges as its numeric error; power steps continue until it is at most
-eps_num.  In L1 mode the matrix is first checked to be entrywise
-nonnegative with correctly rounded row sums equal to 1, which gives
-delta <= 2^-52 and R <= 1 + delta.
+of Pi.  The rows sum to 1 only to within delta, so the fixed vector f is
+any vector of mass s with f Pi - f = c e_j for one j and some c.  With
+v' = v s / sum(v) and r' = r s / sum(v), e = v' - f lies in V and
+e - e Pi = -(r' - (sum r') e_j) - c' e_j, where c' = sum_i e_i d_i for
+the row-sum defects |d_i| <= delta is at most delta s ||e|| and grows by
+at most R^i in i steps (likewise |sum r| <= delta ||v||_1).  So the
+radius of the returned enclosure, the certificate's numeric error, is
+fixed_point_bound with L_delta = Pi, n = N_eps, c = (1, min(C_i, R^i)
+for 0 < i < n), alpha = C_n + delta s sum_{i<n} R^i and defect
+s/|sum v| (||r|| + |sum r|), plus |sum v - s| ||v|| / |sum v| for
+||v - v'||; R^i stands for any bound on ||Pi^i|| (rho_i in the sup
+norm, _Model).  Power steps continue until it is at most eps_num.  In
+L1 mode the matrix is first checked to be entrywise nonnegative with
+correctly rounded row sums equal to 1, so delta <= 2^-52, R <= 1 + delta.
 
 The anchors are stepped in blocks of columns (about 2^20 float32 entries,
 4 MiB, each, and at least as many blocks as threads) spread over a thread
@@ -66,12 +51,8 @@ product and numpy's reductions release the GIL.  Until a cell's image
 under T^t covers [0, 1], (e_0 - e_j) Pi^t has small support, so each
 block starts as a sparse (CSR) matrix and turns dense before the first
 step at which more than _SPARSE_FILL of its entries are stored.  Each
-thread keeps two block buffers for the whole sweep: a dense block and its
-product alternate between them, and the idle one holds the temporaries
-of the norms.  A fresh block-sized array is a new mapping whose pages
-fault on first touch, about 3 us per 4 KiB page on a 2-core x86-64 host,
-which made a dense step that allocated its product, its dense copy and
-its |v| cost twice what the arithmetic does; so no dense step allocates one.
+thread keeps two block buffers for the whole sweep, so no dense step
+maps fresh pages (_run_batch).
 Each anchor column sees the same float32 arithmetic in the same order
 whatever the block width, thread count or storage, so every result is
 independent of all three: both products add an entry's terms in the
@@ -104,6 +85,7 @@ __all__ = [
     "EnclosedDensity",
     "NotContractingError",
     "contraction_sweep",
+    "fixed_point_bound",
 ]
 
 _U = 2.0 ** -53  # unit roundoff of binary64
@@ -123,6 +105,32 @@ class NotContractingError(RuntimeError):
     the fixed-vector enclosure stays wider than eps_num."""
 
 
+def fixed_point_bound(c: Sequence[float | Interval], alpha: float | Interval,
+                      defect: float | Interval) -> float:
+    """(defect sum_{i<N} c_i) / (1 - alpha), N = len(c), rounded up: the
+    fixed-point lemma behind every term of eps_rig (rigdens.certify
+    tabulates them).  inf where 1 - alpha is not certified positive;
+    ValueError for an empty c.
+
+    Lemma.  Let L_delta map the zero-mass subspace V into itself, with
+    ||L_delta^i|_V|| <= c_i for i < N (c_0 = 1 always holds) and
+    ||L_delta^N|_V|| <= alpha < 1.  Every e in V obeys ||e|| <=
+    ||e - L_delta e|| sum_{i<N} c_i / (1 - alpha), since the sum telescopes
+    in e = sum_{i<N} L_delta^i (e - L_delta e) + L_delta^N e.  For
+    e = f - f_delta, fixed vectors of L and L_delta of equal mass,
+    e - L_delta e = (L - L_delta) f: the paper's form.  Where a stored
+    matrix's row sums miss 1, e - L_delta e leaves V; the callers split
+    the excess off as a multiple of one unit vector and charge it in
+    defect, or in alpha where it is at most a multiple of ||e||.
+    """
+    if len(c) == 0:
+        raise ValueError("fixed_point_bound needs at least one c_i (N >= 1)")
+    room = iv(1) - iv(alpha)
+    if room.lo <= 0.0:
+        return math.inf
+    return (iv(defect) * sum(map(iv, c), iv(0)) / room).hi
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Certified contraction data for the zero-average subspace V.
@@ -136,7 +144,6 @@ class ContractionCertificate:
     n_eps: int
     n_true: int
     per_step_bounds: List[float]
-    inflation_per_step: float
     norm_kind: str
 
 
@@ -351,18 +358,17 @@ class _Model:
         # power is R^i in L1 and rho_i in the sup norm: a bound on ||Pi^i||
         rho = None if self.growth is None else self.growth.upto(len(c) - 1)
         step, power = iv(self.op_norm), iv(1)
-        s_c, s_r = iv(1), iv(1)  # the i = 0 terms: C_0 = ||Pi^0|| = 1
+        caps, s_r = [1.0], iv(1)  # the i = 0 terms: C_0 = ||Pi^0|| = 1
         for i, c_i in enumerate(c[:-1], 1):
             power = power * step if rho is None else iv(rho[i])
             s_r = s_r + power
-            s_c = s_c + iv(min(c_i, power.hi))
+            caps.append(min(c_i, power.hi))
         scale = iv(self.scale)
-        denom = iv(1) - iv(c[-1]) - iv(self.row_defect) * scale * s_r
-        if denom.lo <= 0.0:
-            return math.inf
-        inner = scale / abs(v_sum) * (iv(r_norm) + r_sum) * s_c / denom
+        inner = fixed_point_bound(
+            caps, iv(c[-1]) + iv(self.row_defect) * scale * s_r,
+            scale / abs(v_sum) * (iv(r_norm) + r_sum))
         outer = abs(v_sum - scale) * iv(v_norm) / abs(v_sum)
-        return (inner + outer).hi
+        return (iv(inner) + outer).hi
 
 
 def _model(matrix: TransitionMatrix) -> _Model:
@@ -440,11 +446,10 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int,
     N's test; None if no step up to _J_MAX does.
 
     The block starts as a CSR matrix and turns dense before the first
-    product at which more than _SPARSE_FILL of its entries are stored.
-    Either product adds the terms of an entry in the order of at's row,
-    from 0, and the sparse one only skips exact zeros, so the norms are
-    those of a dense block bit for bit.  bufs are two float32 arrays of at
-    least k len(ids) entries: the dense block and each product alternate
+    product at which more than _SPARSE_FILL of its entries are stored
+    (same norms bit for bit, module docstring).  bufs are two float32
+    arrays of at least k len(ids) entries: the dense block and each
+    product alternate
     between them, and the idle one holds the temporaries of the norms, so
     a dense step allocates nothing block-sized."""
     k, width = model.at.shape[0], len(ids)
@@ -481,6 +486,7 @@ def _anchor_norms(model: _Model, first: int) -> np.ndarray:
     Each block stops at its first step from first on whose bound passes
     N's test, and the blocks that stopped before the largest stop t are
     stepped again to their first pass from t on, until all stop at t.
+    Block bounds never exceed the global ones, so N is at least t.
     Raises NotContractingError if some block has not passed by _J_MAX."""
     k = model.at.shape[0]
     ids_all = np.arange(1, k)
@@ -554,12 +560,11 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
     Returns (ContractionCertificate, EnclosedDensity).  L1 mode works at
     mass scale (anchors e_0 - e_j, density of mass 1); sup mode at density
     scale (anchors k*(e_0 - e_j), density of mean 1).  The per-step
-    inflation is matrix.step_error (for a LinfMatrix it holds m_sup and
-    lin_err).  eps_num is the largest enclosure radius accepted: power
-    steps go on until the certified radius is at most eps_num, and they
-    stop near rounding level, where the radius is about 1e-14 (L1) in
-    practice.  Each anchor step's bounds are logged at INFO level, then
-    the power steps and radius.
+    inflation is matrix.step_error.  eps_num is the largest radius
+    accepted: power steps go on until the certified radius is at most
+    eps_num, and stop near rounding level, where the radius is about 1e-14
+    (L1) in practice.  Each anchor step's bounds are logged at INFO level,
+    then the power steps and radius.
 
     Raises NotContractingError if _J_MAX anchor steps pass without the
     certified bound dropping below 1/2, or _J_MAX power steps without the
@@ -588,7 +593,6 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
         n_eps=n_eps,
         n_true=n_true,
         per_step_bounds=[float(b) for b in bounds[:n_true]],
-        inflation_per_step=model.inflation,
         norm_kind=model.norm_kind,
     )
     return cert, _fixed_vector(model, cert.per_step_bounds[:n_eps], eps_num)

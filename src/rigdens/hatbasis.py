@@ -44,7 +44,9 @@ class LinfMatrix(TransitionMatrix):
 
     @property
     def step_error(self) -> float:
-        """The sup-norm step charge 2 M^2 (eps + lin_err), rounded up."""
+        """The sweep's per-step inflation 2 M^2 (eps + lin_err), rounded up;
+        the matrix term charges N step_error (||v||_inf + rho)
+        (rigdens.certify tabulates the terms)."""
         return (iv(2) * iv(self.m_sup) * iv(self.m_sup)
                 * (iv(self.eps) + iv(self.lin_err))).hi
 

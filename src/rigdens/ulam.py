@@ -59,9 +59,9 @@ class TransitionMatrix:
 
     eps bounds max_ij |stored_ij - P_ij| before markovization; after
     markovization the guarantee is |Pi_ij - P_ij| <= 2*eps per entry, hence
-    ||P_k - Pi||_1 <= step_error = 2 * nnz_max * eps in the operator norm on
-    row vectors: the per-step inflation of the contraction sweep, and half
-    the certificate's matrix error per step of N_eps.
+    ||P_k - Pi||_1 <= step_error = 2 * nnz_max * eps on row vectors: the
+    sweep's per-step inflation and the defect of the L1 matrix term
+    (rigdens.certify tabulates the terms).
     """
 
     k: int

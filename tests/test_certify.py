@@ -45,8 +45,7 @@ def synthetic_matrix(k, eps, nnz, norm_kind="L1", **extra):
 
 def synthetic_contraction(n_eps, n_true, norm_kind="L1"):
     return ContractionCertificate(n_eps=n_eps, n_true=n_true,
-                                  per_step_bounds=[0.4], inflation_per_step=0.0,
-                                  norm_kind=norm_kind)
+                                  per_step_bounds=[0.4], norm_kind=norm_kind)
 
 
 def synthetic_density(values, norm_kind="L1", radius=0.0):
@@ -115,6 +114,63 @@ def test_certify_linf_matrix_term_not_below_paper(eps, lin_err, m_sup, n,
                         eps_num=1e-5)
     assert F(cert.err_matrix) >= (2 * n * F(m_sup) ** 2 * (F(eps) + F(lin_err))
                                   * (F(v_sup) + F(rho)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(1e-3, 1e4), n=st.integers(1, 200),
+       k=st.integers(1, 2**24), nnz=st.integers(1, 1000),
+       eps=st.one_of(st.just(0.0), st.floats(1e-200, 1e-3)))
+def test_certify_l1_paper_instance_bit_for_bit(b, n, k, eps, nnz):
+    # the L1 rows of the lemma (c_i = 1, alpha = 1/2) are the paper's
+    # 2N(2B/k) and 2 N_eps step_error with the rounding of the inline
+    # formulas they replaced, so criterion 3 keeps its meaning.  (Below
+    # 2^-968 the interval layer cannot prove a product exact, and halving
+    # the denominator costs an ulp there.)
+    ly = synthetic_bv(0.25, b)
+    mat = synthetic_matrix(k, eps, nnz)
+    cert = certify_l1(ly, mat, synthetic_contraction(n, n),
+                      synthetic_density([1.0]), eps_num=1e-4)
+    assert cert.err_discretization == (iv(2) * iv(n)
+                                       * (iv(2) * ly.b / iv(k))).hi
+    assert cert.err_matrix == (iv(2) * iv(n) * iv(mat.step_error)).hi
+
+
+@pytest.mark.parametrize("mode", ["L1", "Linf"])
+def test_incomplete_contraction_rejected(mode):
+    contraction = ContractionCertificate(n_eps=1, n_true=None,
+                                         per_step_bounds=[0.4], norm_kind=mode)
+    if mode == "L1":
+        certify, ly = certify_l1, synthetic_bv(0.25, 1.0)
+        mat = synthetic_matrix(64, 0.0, 2)
+    else:
+        certify, ly = certify_linf, synthetic_lip(0.25, 0.0, 0.0, 0.5, 0.0)
+        mat = synthetic_matrix(64, 0.0, 2, "Linf", lin_err=0.0, m_sup=1.0)
+    with pytest.raises(ValueError, match="contraction certificate incomplete"):
+        certify(ly, mat, contraction, synthetic_density([1.0], mode),
+                eps_num=1e-4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.01, 0.9), b=st.floats(0.0, 10.0),
+       b_one=st.floats(0.0, 10.0), alpha=st.floats(0.0, 0.99),
+       dist=st.floats(0.0, 10.0), n=st.integers(1, 200),
+       k=st.integers(1, 2**20))
+def test_certify_linf_discretization_term_not_below_paper(lam, b, b_one,
+                                                          alpha, dist, n, k):
+    # (2/k) N M ((4/k) D + 2(M + 1)M(1 + B1/(1 - a))) (B + 1) in rationals,
+    # from the upper ends of the enclosures; above it by at most an ulp per
+    # rounding (n - 1 in the sum of the c_i = M, a dozen more)
+    ly = synthetic_lip(lam, b, b_one, alpha, dist)
+    cert = certify_linf(ly, synthetic_matrix(k, 0.0, 4, norm_kind="Linf",
+                                             lin_err=0.0, m_sup=1.0),
+                        synthetic_contraction(n, n, "Linf"),
+                        synthetic_density([1.0], "Linf"), eps_num=1e-5)
+    m, d, b1, a, bv = (F(x.hi) for x in (ly.m_sup, ly.distortion, ly.b_one,
+                                         ly.alpha, ly.b_var))
+    exact = (F(2, k) * n * m * (F(4, k) * d + 2 * (m + 1) * m * (1 + b1 / (1 - a)))
+             * (bv + 1))
+    assert exact <= F(cert.err_discretization) <= exact * (1 + (n + 16)
+                                                           * F(2) ** -52)
 
 
 def test_certify_l1_zero_errors_vanish():

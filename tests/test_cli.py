@@ -376,6 +376,26 @@ def test_linf_run(tmp_path):
     assert cert["eps_rig"] < float("inf")
 
 
+@pytest.mark.parametrize("mode", ["L1", "Linf"])
+def test_incomplete_contraction_exits_1(mode, tmp_path, capsys, monkeypatch):
+    # a certificate without n_true reaches the one exit-code map from
+    # either certify function (certify_linf raised a TypeError before)
+    import dataclasses
+
+    import rigdens.cli as cli
+    sweep = cli.contraction_sweep
+
+    def no_n_true(matrix, eps_num):
+        contraction, density = sweep(matrix, eps_num)
+        return dataclasses.replace(contraction, n_true=None), density
+
+    monkeypatch.setattr(cli, "contraction_sweep", no_n_true)
+    cfg = RunConfig(map_text=SINMAP if mode == "Linf" else "linear 3 mod 1",
+                    mode=mode, k=32, out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 1
+    assert capsys.readouterr().err == "error: contraction certificate incomplete\n"
+
+
 def test_lyapunov_error_exits_1(tmp_path, capsys, monkeypatch):
     import rigdens.cli as cli
 

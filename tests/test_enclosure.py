@@ -19,8 +19,10 @@ from rigdens import enclosure
 from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
+    fixed_point_bound,
 )
 from rigdens.hatbasis import LinfMatrix, assemble_linearized
+from rigdens.intervals import Interval, iv
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 
 
@@ -115,7 +117,7 @@ def test_threshold_semantics(eq6):
     if cert.n_eps > 1:
         assert bounds[cert.n_eps - 2] > 0.5
     assert cert.n_eps <= cert.n_true
-    infl = cert.inflation_per_step
+    infl = mk.step_error
     assert bounds[cert.n_true - 1] + cert.n_true * infl <= 0.5
 
 
@@ -123,10 +125,10 @@ def test_inflation_rounded_up(tripling):
     # 2 * nnz_max * eps with nnz_max = 3 rounds below 6 eps to nearest
     eps = 6.405920704482397e-11
     mk = replace(markovize(assemble_ulam(tripling, 9)), eps=eps)
-    cert, _ = contraction_sweep(mk, 1e-4)
+    contraction_sweep(mk, 1e-4)
     assert mk.nnz_max == 3
     assert F(mk.step_error) >= 6 * F(eps)
-    assert cert.inflation_per_step == mk.step_error
+    assert enclosure._model(mk).inflation == mk.step_error
 
 
 def test_sup_inflation_rounded_up(quadrupling):
@@ -134,9 +136,9 @@ def test_sup_inflation_rounded_up(quadrupling):
     m_sup, eps, lin_err = 1.652, 7.31e-11, 1.751e-13
     mk = replace(markovize(assemble_linearized(quadrupling, 8)),
                  m_sup=m_sup, eps=eps, lin_err=lin_err)
-    cert, _ = contraction_sweep(mk, 1e-5)
+    contraction_sweep(mk, 1e-5)
     assert F(mk.step_error) >= 2 * F(m_sup) ** 2 * (F(eps) + F(lin_err))
-    assert cert.inflation_per_step == mk.step_error
+    assert enclosure._model(mk).inflation == mk.step_error
 
 
 def test_norm_monotone_under_stochastic_action():
@@ -727,3 +729,41 @@ def test_sup_growth_shared_by_threads():
         sys.setswitchinterval(old)
     assert all(g == alone[:9 + 7 * i] for i, g in enumerate(got))
     assert growth.upto(64) == alone
+
+
+# -- the fixed-point lemma ---------------------------------------------------
+
+_LEMMA_FLOAT = st.one_of(st.just(0.0), st.floats(1e-100, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(_LEMMA_FLOAT, min_size=1, max_size=40),
+       alpha=st.floats(0.0, 1.5), defect=_LEMMA_FLOAT)
+@example(c=[1.0] * 7, alpha=0.5, defect=0.1)
+@example(c=[0.1] * 3, alpha=1.0, defect=1.0)
+@example(c=[0.1], alpha=math.nextafter(1.0, 0.0), defect=0.1)
+def test_fixed_point_bound_against_rationals(c, alpha, defect):
+    """At least (defect sum c)/(1 - alpha) in rationals and at most a few
+    ulps above it; inf once 1 - alpha is not positive."""
+    got = fixed_point_bound(c, alpha, defect)
+    if alpha >= 1.0:
+        assert got == math.inf
+        return
+    exact = F(defect) * sum(map(F, c)) / (1 - F(alpha))
+    assert F(got) >= exact
+    # one upward rounding per addition, product, difference and quotient
+    assert F(got) <= exact * (1 + (len(c) + 3) * F(2) ** -52)
+
+
+def test_fixed_point_bound_reads_upper_ends():
+    # interval inputs: the upper ends of c and the defect, the lower end
+    # of 1 - alpha
+    got = fixed_point_bound([Interval(0.5, 1.0), iv(1)], Interval(0.25, 0.5),
+                            Interval(0.0, 3.0))
+    assert got == 12.0
+    assert fixed_point_bound([1.0], Interval(0.5, 1.0), 1.0) == math.inf
+
+
+def test_fixed_point_bound_rejects_empty_c():
+    with pytest.raises(ValueError, match="at least one"):
+        fixed_point_bound([], 0.5, 1.0)
