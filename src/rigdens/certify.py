@@ -7,16 +7,32 @@ fixed-point lemma rigdens.enclosure.fixed_point_bound,
 
   mode  term            N      c_i            alpha  defect
   L1    discretization  N      1              1/2    2B/k
-  L1    matrix          N_eps  1              1/2    step_error
+  L1    matrix          N_eps  R^i            A'     step_error + delta
   Linf  discretization  N      M              1/2    (B + 1) X / k
-  Linf  matrix          N      M^2            1/2    (eps + lin_err) |f|
+  Linf  matrix          N      M^2            1/2    (eps + lin_err
+                                                     + delta s) |f|
   both  numeric         N_eps  min(C_i, R^i)  A      s (|r| + |sum r|)/|sum v|
 
-X = (4/k) D + 2(M + 1)M(1 + B1/(1 - a)), |f| = ||v||_inf + rho and
-A = C_n + delta s sum_{i<n} R^i: the paper's 2N(2B/k), 2 N_eps ||P - Pi||,
+X = (4/k) D + 2(M + 1)M(1 + B1/(1 - a)), |f| = ||v||_inf + rho,
+A = C_n + delta s sum_{i<n} R^i and A' = 1/2 + delta sum_{i<N_eps} R^i.
+With delta = 0 these are the paper's 2N(2B/k), 2 N_eps ||P - Pi||,
 (2/k) N M X (B + 1) and N step_error |f|.  The numeric term is the radius
 rho of the fixed-vector enclosure (rigdens.enclosure defines its symbols
 and adds the mass defect of v): at most eps_num, about 1e-14 in practice.
+
+Matrix terms.  P is the exact discretized operator (row-stochastic, as
+markovization assumes), Pi the stored matrix, whose row sums 1 + d_i
+have |d_i| <= delta, and f_Pi its fixed vector of rigdens.enclosure,
+f_Pi Pi - f_Pi = c e_j with |c| <= delta ||f_Pi||_1.  Let e = f_P - f_Pi.
+In L1 the lemma runs on Pi, whose N_eps certifies C_{N_eps} <= 1/2:
+e - e Pi = f_P (P - Pi) + c e_j has mass tau = -sum_i e_i d_i.  Its
+zero-sum part f_P (P - Pi) + (c - tau) e_j, where c - tau =
+sum_i (f_P)_i d_i and f_P >= 0 has mass 1, has norm at most
+step_error + delta; ||Pi^i|| <= R^i = (1 + delta)^i since Pi >= 0; and
+tau e_j Pi^i, at most delta R^i ||e||, is charged in alpha.  In the sup
+norm the lemma runs on P, whose N certifies ||P^N|_V|| <= 1/2:
+e - e P = f_Pi (P - Pi) + c e_j is zero-sum, and |c| ||e_j|| <=
+delta s ||f_Pi|| with s = k (||.||_1 <= k ||.||_inf at density scale).
 
 The Lyapunov exponent integral log|T'| d(mu) is then enclosed against the
 computed density: one interval array of per-cell products (the hull of
@@ -124,11 +140,19 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
     eps_num is recorded as the target density.radius had to meet."""
     if not (iv(2) * ly.lam).hi < 1.0:
         raise ValueError("2/inf|T'| must stay below 1 for the mass-norm bound")
-    return _certificate(
-        "L1", ly, matrix, contraction, density, eps_num, map_id,
-        lambda n_eps, n_true: (
+    delta = iv(contraction.row_defect)
+
+    def terms(n_eps, n_true):
+        powers = [iv(1)]  # R^i, R = 1 + delta
+        while len(powers) < n_eps:
+            powers.append(powers[-1] * (iv(1) + delta))
+        alpha = iv(0.5) + delta * sum(powers, iv(0))
+        return (
             fixed_point_bound([1] * n_true, 0.5, iv(2) * ly.b / iv(matrix.k)),
-            fixed_point_bound([1] * n_eps, 0.5, matrix.step_error)))
+            fixed_point_bound(powers, alpha, iv(matrix.step_error) + delta))
+
+    return _certificate("L1", ly, matrix, contraction, density, eps_num,
+                        map_id, terms)
 
 
 def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
@@ -147,7 +171,8 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
         lambda n_eps, n_true: (
             fixed_point_bound([m] * n_true, 0.5, x * (ly.b_var + iv(1)) / k),
             fixed_point_bound([m_mat * m_mat] * n_true, 0.5,
-                              (iv(matrix.eps) + iv(matrix.lin_err)) * f_sup)))
+                              (iv(matrix.eps) + iv(matrix.lin_err)
+                               + iv(contraction.row_defect) * k) * f_sup)))
 
 
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,

@@ -121,7 +121,8 @@ def fixed_point_bound(c: Sequence[float | Interval], alpha: float | Interval,
     e - L_delta e = (L - L_delta) f: the paper's form.  Where a stored
     matrix's row sums miss 1, e - L_delta e leaves V; the callers split
     the excess off as a multiple of one unit vector and charge it in
-    defect, or in alpha where it is at most a multiple of ||e||.
+    defect, or in alpha where it is at most a multiple of ||e|| (the
+    module docstring, and the matrix terms of rigdens.certify).
     """
     if len(c) == 0:
         raise ValueError("fixed_point_bound needs at least one c_i (N >= 1)")
@@ -138,12 +139,14 @@ class ContractionCertificate:
     per_step_bounds[t-1] is a rigorous upper bound on ||Pi^t|_V|| in the
     active norm, float ledger included.  n_eps is the first t with bound
     <= 1/2; n_true additionally charges the per-step inflation that bounds
-    the distance to the exact discretized operator.
+    the distance to the exact discretized operator.  row_defect is delta,
+    a bound on every |row sum - 1| of Pi (module docstring).
     """
 
     n_eps: int
     n_true: int
     per_step_bounds: List[float]
+    row_defect: float
     norm_kind: str
 
 
@@ -593,6 +596,7 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
         n_eps=n_eps,
         n_true=n_true,
         per_step_bounds=[float(b) for b in bounds[:n_true]],
+        row_defect=model.row_defect,
         norm_kind=model.norm_kind,
     )
     return cert, _fixed_vector(model, cert.per_step_bounds[:n_eps], eps_num)

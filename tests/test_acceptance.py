@@ -115,6 +115,7 @@ def test_criterion_3_error_formula():
                                   eps=eps, nnz_max=nnz)
         contraction = ContractionCertificate(n_eps=n_eps, n_true=n,
                                              per_step_bounds=[0.4],
+                                             row_defect=0.0,
                                              norm_kind="L1")
         # the table's eps_rig includes eps_num as its numeric term
         density = EnclosedDensity(values=np.array([1.0]), radius=eps_num, l=0,
