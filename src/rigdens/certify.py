@@ -166,13 +166,16 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
     x = (iv(4) / k) * ly.distortion + iv(2) * (m + iv(1)) * m * (
         iv(1) + ly.b_one / (iv(1) - ly.alpha))
     f_sup = iv(float(np.abs(density.values).max())) + iv(density.radius)
-    return _certificate(
-        "Linf", ly, matrix, contraction, density, eps_num, map_id,
-        lambda n_eps, n_true: (
+
+    def terms(n_eps, n_true):
+        rate = (iv(matrix.eps) + iv(matrix.lin_err)
+                + iv(contraction.row_defect) * k)
+        return (
             fixed_point_bound([m] * n_true, 0.5, x * (ly.b_var + iv(1)) / k),
-            fixed_point_bound([m_mat * m_mat] * n_true, 0.5,
-                              (iv(matrix.eps) + iv(matrix.lin_err)
-                               + iv(contraction.row_defect) * k) * f_sup)))
+            fixed_point_bound([m_mat * m_mat] * n_true, 0.5, rate * f_sup))
+
+    return _certificate("Linf", ly, matrix, contraction, density, eps_num,
+                        map_id, terms)
 
 
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,

@@ -452,9 +452,9 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int,
     product at which more than _SPARSE_FILL of its entries are stored
     (same norms bit for bit, module docstring).  bufs are two float32
     arrays of at least k len(ids) entries: the dense block and each
-    product alternate
-    between them, and the idle one holds the temporaries of the norms, so
-    a dense step allocates nothing block-sized."""
+    product alternate between them, and the idle one holds the
+    temporaries of the norms, so a dense step allocates nothing
+    block-sized (a fresh block would fault in its pages)."""
     k, width = model.at.shape[0], len(ids)
     a, b = (buf[:k * width].reshape(k, width) for buf in bufs)
     v = sparse.csr_matrix(

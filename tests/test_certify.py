@@ -93,29 +93,45 @@ def test_certify_l1_lanford_direct_arithmetic():
 _TINY = st.floats(min_value=1e-300, max_value=1e-3)
 
 
+# a row-sum defect delta of the stored matrix: 0 (the paper's terms), the
+# 2^-52 of a markovized matrix, or larger
+_DELTA = st.one_of(st.just(0.0), st.just(2.0 ** -52), st.floats(1e-300, 1e-6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(eps=_TINY, nnz=st.integers(1, 1000), n_eps=st.integers(1, 200))
-def test_certify_l1_matrix_term_not_below_paper(eps, nnz, n_eps):
-    # 2 N_eps step_error rounds twice; it must still cover 4 N_eps NNZ eps
+@given(eps=_TINY, nnz=st.integers(1, 1000), n_eps=st.integers(1, 200),
+       delta=_DELTA)
+def test_certify_l1_matrix_term_not_below_paper(eps, nnz, n_eps, delta):
+    # (4 NNZ eps + 2 delta) S / (1 - 2 delta S), S = sum_{i<N_eps}
+    # (1 + delta)^i, in rationals (4 N_eps NNZ eps at delta = 0): at or
+    # above it, and above it by at most an ulp per rounding (about 2 N_eps
+    # in the powers and their sums)
     cert = certify_l1(synthetic_bv(0.25, 1.0), synthetic_matrix(1024, eps, nnz),
-                      synthetic_contraction(n_eps, n_eps),
+                      synthetic_contraction(n_eps, n_eps, row_defect=delta),
                       synthetic_density([1.0]), eps_num=1e-4)
-    assert F(cert.err_matrix) >= 4 * n_eps * nnz * F(eps)
+    d = F(delta)
+    s = sum((1 + d) ** i for i in range(n_eps))
+    exact = (2 * nnz * F(eps) + d) * s / (F(1, 2) - d * s)
+    assert exact <= F(cert.err_matrix) <= exact * (1 + (2 * n_eps + 8)
+                                                   * F(2) ** -52)
 
 
 @settings(max_examples=200, deadline=None)
 @given(eps=_TINY, lin_err=_TINY, m_sup=st.floats(1.0, 10.0),
-       n=st.integers(1, 200), v_sup=st.floats(0.5, 2.0), rho=_TINY)
-def test_certify_linf_matrix_term_not_below_paper(eps, lin_err, m_sup, n,
-                                                  v_sup, rho):
-    mat = synthetic_matrix(128, eps, 4, norm_kind="Linf", lin_err=lin_err,
+       n=st.integers(1, 200), k=st.integers(1, 2**24),
+       v_sup=st.floats(0.5, 2.0), rho=_TINY, delta=_DELTA)
+def test_certify_linf_matrix_term_not_below_paper(eps, lin_err, m_sup, n, k,
+                                                  v_sup, rho, delta):
+    # 2 N M^2 (eps + lin_err + delta k) (||v||_inf + rho) in rationals
+    mat = synthetic_matrix(k, eps, 4, norm_kind="Linf", lin_err=lin_err,
                            m_sup=m_sup)
     cert = certify_linf(synthetic_lip(0.25, m_sup - 1.0, 0.0, 0.5, 0.0), mat,
-                        synthetic_contraction(n, n, "Linf"),
+                        synthetic_contraction(n, n, "Linf", row_defect=delta),
                         synthetic_density([v_sup, -0.5], "Linf", radius=rho),
                         eps_num=1e-5)
-    assert F(cert.err_matrix) >= (2 * n * F(m_sup) ** 2 * (F(eps) + F(lin_err))
-                                  * (F(v_sup) + F(rho)))
+    exact = (2 * n * F(m_sup) ** 2 * (F(eps) + F(lin_err) + F(delta) * k)
+             * (F(v_sup) + F(rho)))
+    assert exact <= F(cert.err_matrix) <= exact * (1 + (n + 16) * F(2) ** -52)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,45 +190,6 @@ def test_certify_linf_discretization_term_not_below_paper(lam, b, b_one,
              * (bv + 1))
     assert exact <= F(cert.err_discretization) <= exact * (1 + (n + 16)
                                                            * F(2) ** -52)
-
-
-_DELTA = st.one_of(st.just(0.0), st.just(2.0 ** -52), st.floats(1e-300, 1e-6))
-
-
-@settings(max_examples=200, deadline=None)
-@given(eps=st.one_of(st.just(0.0), st.floats(1e-200, 1e-3)),
-       nnz=st.integers(1, 1000), n_eps=st.integers(1, 200), delta=_DELTA)
-def test_certify_l1_matrix_term_charges_row_defect(eps, nnz, n_eps, delta):
-    # (2 NNZ eps + delta) S / (1/2 - delta S), S = sum_{i<N_eps} (1 + delta)^i,
-    # in rationals: at or above it, and above it by at most an ulp per
-    # rounding (about 2 N_eps in the powers and their sums)
-    mat = synthetic_matrix(1024, eps, nnz)
-    cert = certify_l1(synthetic_bv(0.25, 1.0), mat,
-                      synthetic_contraction(n_eps, n_eps, row_defect=delta),
-                      synthetic_density([1.0]), eps_num=1e-4)
-    d = F(delta)
-    s = sum((1 + d) ** i for i in range(n_eps))
-    exact = (2 * nnz * F(eps) + d) * s / (F(1, 2) - d * s)
-    assert exact <= F(cert.err_matrix) <= exact * (1 + (2 * n_eps + 8)
-                                                   * F(2) ** -52)
-
-
-@settings(max_examples=200, deadline=None)
-@given(eps=_TINY, lin_err=_TINY, m_sup=st.floats(1.0, 10.0),
-       n=st.integers(1, 200), k=st.integers(1, 2**24),
-       v_sup=st.floats(0.5, 2.0), rho=_TINY, delta=_DELTA)
-def test_certify_linf_matrix_term_charges_row_defect(eps, lin_err, m_sup, n,
-                                                     k, v_sup, rho, delta):
-    # 2 N M^2 (eps + lin_err + delta k) (||v||_inf + rho) in rationals
-    mat = synthetic_matrix(k, eps, 4, norm_kind="Linf", lin_err=lin_err,
-                           m_sup=m_sup)
-    cert = certify_linf(synthetic_lip(0.25, m_sup - 1.0, 0.0, 0.5, 0.0), mat,
-                        synthetic_contraction(n, n, "Linf", row_defect=delta),
-                        synthetic_density([v_sup, -0.5], "Linf", radius=rho),
-                        eps_num=1e-5)
-    exact = (2 * n * F(m_sup) ** 2 * (F(eps) + F(lin_err) + F(delta) * k)
-             * (F(v_sup) + F(rho)))
-    assert exact <= F(cert.err_matrix) <= exact * (1 + (n + 16) * F(2) ** -52)
 
 
 def test_certify_l1_zero_errors_vanish():
