@@ -26,6 +26,21 @@ also charges t times the per-step "inflation" ||P - Pi|| (the matrix's
 step_error) that bounds the distance to the exact discretized operator.
 It steps only as far as N needs (_anchor_norms).
 
+In L1 the sweep sums its anchors' columns only from measured_from on.  A
+witness block of _WITNESS evenly spaced anchors first steps alone, with
+full norms, and measured_from is the first step t at which its largest
+full-anchor norm is at most R^t, the radius's cap (_measured_from).  At
+every earlier step the largest norm of all anchors exceeds R^t as well,
+so that step fails both tests and the radius caps C_t at R^t, whatever
+the other anchors measure.  The blocks still compute those steps'
+products but record the a-priori norm 2 h^_t, a bound on every computed
+anchor that needs no sum (_Model); both tests fail on it too and the
+caps stay R^t, so the certificate reads the same steps and caps, and only
+the drift of the later steps, charged on h^_t, can grow.  measured_from
+is fixed per sweep, so it does not depend on where a block stops.  The
+sup-norm sweep measures every step: there h^_0 is k/2, so the a-priori
+norms would raise the drift, and its norms are two plain reductions.
+
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
 r = v Pi - v is then enclosed by a gamma-ledger over the column counts
@@ -52,7 +67,7 @@ under T^t covers [0, 1], (e_0 - e_j) Pi^t has small support, so each
 block starts as a sparse (CSR) matrix and turns dense before the first
 step at which more than _SPARSE_FILL of its entries are stored.  Each
 thread keeps two block buffers for the whole sweep, so no dense step
-maps fresh pages (_run_batch).
+maps fresh pages (_half_anchors).
 Each anchor column sees the same float32 arithmetic in the same order
 whatever the block width, thread count or storage, so every result is
 independent of all three: both products add an entry's terms in the
@@ -63,6 +78,7 @@ in float64, either way.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -71,7 +87,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -96,6 +112,7 @@ _BLOCK_ENTRIES = 1 << 20  # float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 _SPARSE_FILL = 0.03  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
+_WITNESS = 16  # evenly spaced anchors that set an L1 sweep's measured_from
 
 _log = logging.getLogger(__name__)
 
@@ -141,6 +158,9 @@ class ContractionCertificate:
     <= 1/2; n_true additionally charges the per-step inflation that bounds
     the distance to the exact discretized operator.  row_defect is delta,
     a bound on every |row sum - 1| of Pi (module docstring).
+    measured_from is the first step whose anchor norms were measured; the
+    bounds of the steps before it are a priori, and at least 2 in L1
+    (_Model), where both tests fail and the radius caps them at R^t.
     """
 
     n_eps: int
@@ -148,6 +168,7 @@ class ContractionCertificate:
     per_step_bounds: List[float]
     row_defect: float
     norm_kind: str
+    measured_from: int = 1
 
 
 @dataclass(frozen=True)
@@ -243,10 +264,10 @@ class _Model:
     the drift is sum_s ||Pi^(t-s)|| ||e_s||.  Each e_s is charged on the
     norm of the vector actually stepped: h_0 = s (e_0 - e_j)/2 exactly,
     of norm s in L1 and s/2 in the sup norm, and for t >= 2 ||h_(t-1)|| is
-    at most half the measured full-anchor norm of step t - 1, a bound on
-    the computed vector itself, so no drift enters the charge (fresh is
-    increasing in the norm, so the block's largest norm covers every
-    anchor; the measured norms are twice a float, so halving them is
+    at most half the full-anchor norm of step t - 1, measured or a priori
+    (below), a bound on the computed vector itself, so no drift enters the
+    charge (fresh is increasing in the norm, so the block's largest norm
+    covers every anchor; these norms are twice a float, so halving them is
     exact).  In L1, ||Pi^m|| <= R^m, and the drift is
     that sum in Horner form.  In the sup norm, ||Pi^m|| is at most
     rho_m = max_j (1 |Pi|^m)_j, 1 the all-ones row vector (growth), since
@@ -254,6 +275,18 @@ class _Model:
     enclosed upward and capped at R^m, so this drift never exceeds the
     R^m one, and it stays bounded where R^m outgrows the anchors' own
     ||Pi^m|| (a column sum above 1 next to row sums of 1).
+
+    A-priori norms (a_priori_norms).  Let h^_0 = ||h_0|| and h^_t =
+    up(R h^_(t-1) + fresh(h^_(t-1))).  Every computed half-anchor obeys
+    ||h_t|| <= h^_t: by induction, ||h_t|| <= ||h_(t-1) Pi|| + ||e_t|| <=
+    R ||h_(t-1)|| + fresh(||h_(t-1)||), and both terms increase in
+    ||h_(t-1)||.  So 2 h^_t bounds every full-anchor norm after t steps
+    without reading one, and bounds charges it as it charges a measured
+    norm, the next step on half = h^_t.  In L1, h^_t >= R^t h^_0 = R^t
+    exactly, so the bound of such a step is at least 2 R^t >= 2: it fails
+    both tests (bound <= 1/2, and bound plus t inflations <= 1/2), and the
+    radius caps it at R^t (powers), as it caps any measured bound above
+    R^t.
     """
 
     norm_kind: str
@@ -308,14 +341,40 @@ class _Model:
         norm, rounded up."""
         return _up(_up(self.fresh_rate * norm) + self.fresh_floor)
 
+    def half_start(self) -> float:
+        """||h_0||, the norm of the half-anchor s (e_0 - e_j)/2."""
+        return self.scale if self.norm_kind == "L1" else self.scale / 2
+
+    def powers(self) -> Iterator[float]:
+        """Bounds on ||Pi^i|| for i = 0, 1, ..., rounded up: R^i in L1,
+        rho_i in the sup norm; the caps of the radius and of the witness."""
+        if self.growth is not None:
+            for i in itertools.count():
+                yield self.growth.upto(i)[i]
+        else:
+            power = iv(1)
+            while True:
+                yield power.hi
+                power = power * iv(self.op_norm)
+
+    def a_priori_norms(self, n: int) -> List[float]:
+        """2 h^_t for t = 1, ..., n, bounds on the full-anchor norms of
+        every computed anchor after t steps (class docstring); no product
+        is read."""
+        h, out = self.half_start(), []
+        for _ in range(n):
+            h = _up(_up(self.op_norm * h) + self.fresh(h))
+            out.append(2.0 * h)
+        return out
+
     def bounds(self, norm_max: Sequence[float]) -> List[float]:
-        """The bounds of steps 1, 2, ... from the largest measured
-        full-anchor norm of each step, drift included (class docstring)."""
+        """The bounds of steps 1, 2, ... from the largest full-anchor norm
+        of each step, measured or a priori, drift included (class
+        docstring)."""
         rho = None if self.growth is None else self.growth.upto(len(norm_max))
         out, fresh = [], []
         drift = 0.0
-        # the norm of the half-anchor stepped next: s (e_0 - e_j)/2 first
-        half = self.scale if self.norm_kind == "L1" else self.scale / 2
+        half = self.half_start()  # the norm of the half-anchor stepped next
         for t, m in enumerate(norm_max, 1):
             fresh.append(self.fresh(half))
             if rho is None:
@@ -358,14 +417,10 @@ class _Model:
         if v_sum.contains_zero():
             return math.inf
 
-        # power is R^i in L1 and rho_i in the sup norm: a bound on ||Pi^i||
-        rho = None if self.growth is None else self.growth.upto(len(c) - 1)
-        step, power = iv(self.op_norm), iv(1)
-        caps, s_r = [1.0], iv(1)  # the i = 0 terms: C_0 = ||Pi^0|| = 1
-        for i, c_i in enumerate(c[:-1], 1):
-            power = power * step if rho is None else iv(rho[i])
-            s_r = s_r + power
-            caps.append(min(c_i, power.hi))
+        # the i = 0 terms are C_0 = ||Pi^0|| = 1
+        powers = list(itertools.islice(self.powers(), len(c)))
+        caps = [1.0] + [min(c_i, p) for c_i, p in zip(c[:-1], powers[1:])]
+        s_r = sum(map(iv, powers[1:]), iv(1))
         scale = iv(self.scale)
         inner = fixed_point_bound(
             caps, iv(c[-1]) + iv(self.row_defect) * scale * s_r,
@@ -438,15 +493,13 @@ def _step(at32: sparse.csr_matrix, v, out: np.ndarray):
     return out
 
 
-def _run_batch(model: _Model, ids: np.ndarray, first: int,
-               bufs: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Iterate half-anchors scale*(e_0 - e_j)/2 for j in ids, one per column
-    of a float32 (k x len(ids)) block stepped by v -> at32 @ v (at32 is the
-    transposed matrix, so each column follows the row action; the start is
-    exact in float32 for every k <= 2^24); return the
-    (t x len(ids)) array of upward-rounded full-anchor norms, where t is
-    the first step from first on at which the block's own bound passes
-    N's test; None if no step up to _J_MAX does.
+def _half_anchors(model: _Model, ids: np.ndarray, bufs: Sequence[np.ndarray]):
+    """Yield (t, y, spare) for t = 1, ..., _J_MAX: y is the float32
+    (k x len(ids)) block of half-anchors scale*(e_0 - e_j)/2, j in ids,
+    after t steps v -> at32 @ v (at32 is the transposed matrix, so each
+    column follows the row action; the start is exact in float32 for every
+    k <= 2^24), and spare the pair of arrays col_norms(y, spare) may
+    overwrite.
 
     The block starts as a CSR matrix and turns dense before the first
     product at which more than _SPARSE_FILL of its entries are stored
@@ -461,30 +514,70 @@ def _run_batch(model: _Model, ids: np.ndarray, first: int,
         (np.repeat(np.float32([0.5, -0.5]), width) * np.float32(model.scale),
          (np.concatenate([np.zeros_like(ids), ids]),
           np.tile(np.arange(width), 2))), shape=(k, width))
-    # one buffer for all rows: small allocations between the block-sized
-    # products fragment the heap and raise peak RSS by a block; the rows
-    # used are returned as a copy, since the sweep keeps every block's
-    # rows to its end
-    out = np.empty((_J_MAX, width))
     for t in range(1, _J_MAX + 1):
         if sparse.issparse(v) and v.nnz > _SPARSE_FILL * k * width:
             v = v.toarray(out=a)
         y = _step(model.at32, v, b)
         # a dense v sits in a, which the norms may now overwrite
-        out[t - 1] = 2.0 * model.col_norms(y, (a, b))
+        yield t, y, (a, b)
         if y is b:
             a, b = b, a
         v = y
+
+
+def _no_contraction() -> NotContractingError:
+    return NotContractingError(
+        f"matrix not observed to contract within {_J_MAX} steps (no "
+        "certified anchor bound below 1/2); map may not be mixing")
+
+
+def _measured_from(model: _Model, bufs: Sequence[np.ndarray]) -> int:
+    """The first step whose anchor norms the sweep measures: 1 in the sup
+    norm; in L1 the first step t at which the largest full-anchor norm of
+    _WITNESS evenly spaced anchors, stepped in bufs (as in _half_anchors),
+    is at most the cap R^t of powers.  Every earlier step fails both tests
+    and is capped at R^t whatever the other anchors measure (class
+    docstring).  Raises NotContractingError if no step up to _J_MAX is."""
+    if model.norm_kind != "L1":
+        return 1
+    k = model.at.shape[0]
+    ids = np.unique(np.linspace(1, k - 1, _WITNESS).round().astype(np.intp))
+    caps = itertools.islice(model.powers(), 1, None)
+    for (t, y, spare), cap in zip(_half_anchors(model, ids, bufs), caps):
+        if 2.0 * model.col_norms(y, spare).max() <= cap:
+            return t
+    raise _no_contraction()
+
+
+def _run_batch(model: _Model, ids: np.ndarray, first: int, measured_from: int,
+               bufs: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Step the half-anchors of ids in bufs (_half_anchors) and return the
+    (t x len(ids)) array of full-anchor norms, where t is the first step
+    from first on at which the block's own bound passes N's test; None if
+    no step up to _J_MAX does.  Steps from measured_from on are measured
+    (upward-rounded norms); the earlier ones take the a-priori norms, and
+    their products are computed but not summed."""
+    # one buffer for all rows: small allocations between the block-sized
+    # products fragment the heap and raise peak RSS by a block; the rows
+    # used are returned as a copy, since the sweep keeps every block's
+    # rows to its end
+    out = np.empty((_J_MAX, len(ids)))
+    out[:measured_from - 1] = np.c_[model.a_priori_norms(measured_from - 1)]
+    for t, y, spare in _half_anchors(model, ids, bufs):
+        if t >= measured_from:
+            out[t - 1] = 2.0 * model.col_norms(y, spare)
         if t >= first and model.passes_n_true(
                 model.bounds(out[:t].max(axis=1))[-1], t):
             return out[:t].copy()
     return None
 
 
-def _anchor_norms(model: _Model, first: int) -> np.ndarray:
-    """(t x (k - 1)) anchor norms from _run_batch on blocks of
-    _block_columns(k) anchors, spread over one thread per usable CPU, each
-    with its own pair of block buffers for the whole sweep.
+def _anchor_norms(model: _Model, first: int, measured_from: int | None = None):
+    """(norms, measured_from): the (t x (k - 1)) anchor norms from
+    _run_batch on blocks of _block_columns(k) anchors, spread over one
+    thread per usable CPU, each with its own pair of block buffers for the
+    whole sweep; measured_from None is set by _measured_from, in a buffer
+    pair before any block runs.
 
     Each block stops at its first step from first on whose bound passes
     N's test, and the blocks that stopped before the largest stop t are
@@ -496,14 +589,20 @@ def _anchor_norms(model: _Model, first: int) -> np.ndarray:
     width = _block_columns(k)
     starts = range(0, len(ids_all), width)
     workers = min(_usable_cpus(), len(starts))
+    # room for the witness's anchors as well as a block's
+    pairs = [[np.empty(k * max(width, _WITNESS), np.float32) for _ in range(2)]
+             for _ in range(workers)]
+    if measured_from is None:
+        measured_from = _measured_from(model, pairs[0])
     idle = queue.SimpleQueue()  # buffer pairs not in use by a block
-    for _ in range(workers):
-        idle.put([np.empty(k * width, np.float32) for _ in range(2)])
+    for bufs in pairs:
+        idle.put(bufs)
 
     def block(start, first):
         bufs = idle.get()
         try:
-            return _run_batch(model, ids_all[start:start + width], first, bufs)
+            return _run_batch(model, ids_all[start:start + width], first,
+                              measured_from, bufs)
         finally:
             idle.put(bufs)
 
@@ -511,13 +610,11 @@ def _anchor_norms(model: _Model, first: int) -> np.ndarray:
         blocks = list(pool.map(lambda s: block(s, first), starts))
         while True:
             if any(b is None for b in blocks):
-                raise NotContractingError(
-                    f"matrix not observed to contract within {_J_MAX} steps (no "
-                    "certified anchor bound below 1/2); map may not be mixing")
+                raise _no_contraction()
             t = max(len(b) for b in blocks)
             short = [i for i, b in enumerate(blocks) if len(b) < t]
             if not short:
-                return np.concatenate(blocks, axis=1)
+                return np.concatenate(blocks, axis=1), measured_from
             for i, b in zip(short, pool.map(lambda i: block(starts[i], t), short)):
                 blocks[i] = b
 
@@ -580,23 +677,27 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
     model = _model(matrix)
 
     # every block passes N's test by the global first pass, so a round
-    # whose global test fails rules out every step it covered
-    first, n_true = 1, None
+    # whose global test fails rules out every step it covered; every round
+    # measures from the step the first one found
+    first, n_true, measured_from = 1, None, None
     while n_true is None:
-        norm_max = _anchor_norms(model, first).max(axis=1)
+        norms, measured_from = _anchor_norms(model, first, measured_from)
+        norm_max = norms.max(axis=1)
         bounds = model.bounds(norm_max)
         n_eps, n_true = _first_passing(bounds, model)
         first = len(bounds) + 1
     for t in range(len(bounds)):
-        _log.info("step %d: max_norm=%.6g bound=%.6g",
-                  t + 1, norm_max[t], bounds[t],
+        measured = t + 1 >= measured_from
+        _log.info("step %d: max_norm=%.6g bound=%.6g measured=%s",
+                  t + 1, norm_max[t], bounds[t], measured,
                   extra={"step": t + 1, "max_norm": float(norm_max[t]),
-                         "bound": bounds[t]})
+                         "bound": bounds[t], "measured": measured})
     cert = ContractionCertificate(
         n_eps=n_eps,
         n_true=n_true,
         per_step_bounds=[float(b) for b in bounds[:n_true]],
         row_defect=model.row_defect,
         norm_kind=model.norm_kind,
+        measured_from=measured_from,
     )
     return cert, _fixed_vector(model, cert.per_step_bounds[:n_eps], eps_num)

@@ -1,5 +1,6 @@
 """Fixed-vector enclosure soundness and contraction-certificate semantics."""
 
+import itertools
 import logging
 import math
 import sys
@@ -78,14 +79,26 @@ def test_rank_one_contracts_immediately():
 def test_sweep_stops_at_n_true(caplog):
     # the anchor (e_0 - e_1) of [[3/4, 1/4], [1/4, 3/4]] has norm 2^(1-t)
     # after t steps: 1/2 plus a positive drift fails at t = 2, 1/4 passes
-    # at t = 3, and the sweep runs no step beyond that
-    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[0.75, 0.25], [0.25, 0.75]]),
-                          eps=0.0, nnz_max=2)
-    with caplog.at_level(logging.INFO, logger="rigdens.enclosure"):
-        cert, _ = contraction_sweep(tm, 0.03)
-    steps = [r for r in caplog.records if hasattr(r, "step")]
-    assert cert.n_true == 3
-    assert [r.step for r in steps] == [1, 2, 3]
+    # at t = 3, and the sweep runs no step beyond that.  With 7/8 in place
+    # of 3/4 the norm is 2 (3/4)^t: above R^t up to t = 2, so the witness
+    # sets measured_from = 3, and 0.47 passes at t = 5.  Each step's record
+    # says whether its norm was measured; an unmeasured step logs the
+    # a-priori norm 2 h^_t
+    for p, n_true, measured_from in ((0.75, 3, 1), (0.875, 5, 3)):
+        caplog.clear()
+        tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[p, 1 - p], [1 - p, p]]),
+                              eps=0.0, nnz_max=2)
+        with caplog.at_level(logging.INFO, logger="rigdens.enclosure"):
+            cert, _ = contraction_sweep(tm, 0.03)
+        steps = [r for r in caplog.records if hasattr(r, "step")]
+        assert cert.n_true == n_true
+        assert cert.measured_from == measured_from
+        assert [r.step for r in steps] == list(range(1, n_true + 1))
+        assert [r.measured for r in steps] == [r.step >= measured_from
+                                               for r in steps]
+        a_priori = enclosure._model(tm).a_priori_norms(measured_from - 1)
+        assert [r.max_norm for r in steps if not r.measured] == a_priori
+        assert all(r.max_norm >= 2.0 for r in steps if not r.measured)
 
 
 def test_zero_sum_bound_vs_bruteforce():
@@ -220,18 +233,23 @@ def record_product_kinds(monkeypatch):
     """Patch _run_batch and _step to record, per block run, whether each of
     its products had a sparse operand; returns the list it fills.  A thread
     runs one block at a time, so each block's products land in its own
-    thread's list."""
+    thread's list; the witness's products, outside any block, are not
+    recorded."""
     run_batch, step = enclosure._run_batch, enclosure._step
     blocks, local = [], threading.local()
 
     def step_spy(at32, v, out):
-        local.kinds.append(sparse.issparse(v))
+        if getattr(local, "kinds", None) is not None:
+            local.kinds.append(sparse.issparse(v))
         return step(at32, v, out)
 
     def spy(*args):
         local.kinds = []
-        out = run_batch(*args)
-        blocks.append(local.kinds)
+        try:
+            out = run_batch(*args)
+        finally:
+            blocks.append(local.kinds)
+            local.kinds = None
         return out
 
     monkeypatch.setattr(enclosure, "_step", step_spy)
@@ -256,12 +274,12 @@ def test_sparse_phase_matches_dense(name, k, request, monkeypatch):
     # throughout, anchor for anchor
     model = enclosure._model(_family_matrix(request, name, k))
     blocks = record_product_kinds(monkeypatch)
-    switched = enclosure._anchor_norms(model, 1)
+    switched, _ = enclosure._anchor_norms(model, 1)
     assert any(kinds[0] and not kinds[-1] for kinds in blocks)
     for fill, kind in ((-1.0, False), (math.inf, True)):
         blocks.clear()
         monkeypatch.setattr(enclosure, "_SPARSE_FILL", fill)
-        assert np.array_equal(enclosure._anchor_norms(model, 1), switched)
+        assert np.array_equal(enclosure._anchor_norms(model, 1)[0], switched)
         assert all(set(kinds) == {kind} for kinds in blocks)
 
 
@@ -321,10 +339,10 @@ def test_dense_steps_allocate_no_block(eq6, monkeypatch):
     model = enclosure._model(markovize(assemble_ulam(eq6, k)))
     ids = np.arange(1, width + 1)
     bufs = [np.empty(k * width, np.float32) for _ in range(2)]
-    warm = enclosure._run_batch(model, ids, 1, bufs)
+    warm = enclosure._run_batch(model, ids, 1, 1, bufs)
     tracemalloc.start()
     try:
-        again = enclosure._run_batch(model, ids, 1, bufs)
+        again = enclosure._run_batch(model, ids, 1, 1, bufs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -333,22 +351,22 @@ def test_dense_steps_allocate_no_block(eq6, monkeypatch):
 
 
 def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
-    # at k = 256 LANFORD2's blocks of 16 anchors stop at 5 and at 6; those
-    # that stop at 5 are stepped again to 6, to the same certificate as one
-    # block
-    mk = markovize(assemble_ulam(lanford2, 256))
-    one_block = sweep_in_blocks(monkeypatch, mk, 255)
+    # at k = 128 LANFORD2's blocks of 16 anchors stop at 5 and at 6 (the
+    # witness sets measured_from = 5); those that stop at 5 are stepped
+    # again to 6, to the same certificate as one block
+    mk = markovize(assemble_ulam(lanford2, 128))
+    one_block = sweep_in_blocks(monkeypatch, mk, 127)
     run_batch = enclosure._run_batch
     stops, restepped = [], []
 
-    def spy(model, ids, first, bufs):
-        out = run_batch(model, ids, first, bufs)
+    def spy(model, ids, first, measured_from, bufs):
+        out = run_batch(model, ids, first, measured_from, bufs)
         (stops if first == 1 else restepped).append(len(out))
         return out
 
     monkeypatch.setattr(enclosure, "_run_batch", spy)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
-    assert one_block[0].n_true == 6
+    assert (one_block[0].measured_from, one_block[0].n_true) == (5, 6)
     assert sorted(set(stops)) == [5, 6]
     assert restepped == [6] * stops.count(5)
 
@@ -357,18 +375,18 @@ def test_late_restep_pulls_blocks_along(lanford2, monkeypatch):
     # a re-stepped block that passes only after the largest stop (forced
     # here by asking it for a pass from 7 on instead of 6) sends the other
     # blocks round again to its stop, to the same certificate as one block
-    mk = markovize(assemble_ulam(lanford2, 256))
-    one_block = sweep_in_blocks(monkeypatch, mk, 255)
+    mk = markovize(assemble_ulam(lanford2, 128))
+    one_block = sweep_in_blocks(monkeypatch, mk, 127)
     run_batch = enclosure._run_batch
     lock = threading.Lock()
     firsts = []
 
-    def late_once(model, ids, first, bufs):
+    def late_once(model, ids, first, measured_from, bufs):
         with lock:
             firsts.append(first)
             if first == 6 and firsts.count(6) == 1:
                 first = 7
-        return run_batch(model, ids, first, bufs)
+        return run_batch(model, ids, first, measured_from, bufs)
 
     monkeypatch.setattr(enclosure, "_run_batch", late_once)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
@@ -392,6 +410,32 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
     monkeypatch.setattr(enclosure, "_first_passing", fail_first)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 7))
     assert calls == [one_block[0].n_true, one_block[0].n_true + 1]
+
+
+@pytest.mark.parametrize("name", ["tripling", "eq4", "eq6", "eq7", "lanford",
+                                  "lanford2"])
+def test_witness_only_saves_time(name, request, monkeypatch):
+    # against a sweep that measures every step, the witness's steps keep
+    # n_eps, n_true, l and the radius caps R^t of the steps before
+    # measured_from; a measured bound is at or above the all-measured one
+    # (its drift is charged on the a-priori norms), by at most 1e-5
+    m = request.getfixturevalue(name)
+    for k in (64, 128, 256, 512, 1024, 2048):
+        mk = markovize(assemble_ulam(m, k))
+        cert, dens = contraction_sweep(mk, 1e-4)
+        with monkeypatch.context() as every_step:
+            every_step.setattr(enclosure, "_measured_from", lambda model, bufs: 1)
+            measured, measured_dens = contraction_sweep(mk, 1e-4)
+        assert measured.measured_from == 1 < cert.measured_from
+        assert (cert.n_eps, cert.n_true, dens.l) == (
+            measured.n_eps, measured.n_true, measured_dens.l)
+        powers = itertools.islice(enclosure._model(mk).powers(), 1, None)
+        for t, (b, b_all, power) in enumerate(zip(
+                cert.per_step_bounds, measured.per_step_bounds, powers), 1):
+            if t < cert.measured_from:
+                assert min(b, power) == min(b_all, power) == power
+            else:
+                assert 0.0 <= b - b_all <= 1e-5
 
 
 def test_radius_above_eps_num_raises(tripling, monkeypatch):
@@ -573,6 +617,9 @@ def test_residual_radius_contains_exact_fixed_vector(case, t, start):
 @given(_stochastic_cases())
 @example(_SLOW_SUP)
 @example(_slow_sup(1 / 32))
+# in L1 the witness sets measured_from = 23 (n_eps = 40): the a-priori
+# bounds of steps 1 to 22 against the exact anchors
+@example((_SLOW_SUP[0], "L1"))
 def test_sweep_bounds_dominate_exact_anchor_norms(case):
     rows, norm_kind = case
     k = len(rows)
