@@ -57,7 +57,7 @@ s/|sum v| (||r|| + |sum r|), plus |sum v - s| ||v|| / |sum v| for
 ||v - v'||; R^i stands for any bound on ||Pi^i|| (rho_i in the sup
 norm, _Model).  Power steps continue until it is at most eps_num.  In
 L1 mode the matrix is first checked to be entrywise nonnegative with
-correctly rounded row sums equal to 1, so delta <= 2^-52, R <= 1 + delta.
+correctly rounded row sums equal to 1, so delta <= 2^-53, R <= 1 + delta.
 
 The anchors are stepped in blocks of columns (about 2^20 float32 entries,
 4 MiB, each, and at least as many blocks as threads) spread over a thread
@@ -442,8 +442,16 @@ def _model(matrix: TransitionMatrix) -> _Model:
     at_abs = at if l1 else abs(at)
     col_counts = np.diff(at.indptr).astype(np.float64)
     col_count = float(col_counts.max())
-    # |row sum - 1| from the correctly rounded sums, one ulp added
-    row_defect = _up(float((np.abs(row_sums - 1.0) + np.spacing(row_sums)).max()))
+    # |row sum - 1| from the correctly rounded sums, half an ulp added.
+    # Each s is the float nearest to its exact sum S, so S lies within half
+    # the gap between s and its neighbour on S's side.  That gap is at most
+    # |spacing(s)|, the gap away from 0 (a power of two has the smaller gap
+    # towards 0), so |S - 1| <= |s - 1| + |spacing(s)|/2.  The halving is
+    # exact, and for s in the subnormal range S = s.  The difference and
+    # the sum round to nearest at most once each, each by at most half the
+    # gap above the result, so the one ulp that _up adds covers both
+    row_defect = _up(float((np.abs(row_sums - 1.0)
+                            + np.abs(np.spacing(row_sums)) / 2).max()))
     # R: the largest row sum in L1 (no entry is negative), the largest
     # column sum in the sup norm
     op_norm = (_up(1.0 + row_defect) if l1

@@ -501,6 +501,27 @@ def test_row_stochastic_check_is_exact(rows):
         contraction_sweep(tm, 1e-4)
 
 
+@pytest.mark.parametrize("name,markov", [
+    ("eq4", True), ("eq6", True), ("eq7", True), ("lanford2", True),
+    ("sinmap", True), ("sinmap", False),
+])
+def test_row_defect_bounds_exact_row_sums(name, markov, request):
+    # delta = |s - 1| + spacing(s)/2 rounded up, from the correctly rounded
+    # row sums s, is at least every exact |row sum - 1|: on markovized rows
+    # (s = 1, delta = 2^-53 rounded up; SINMAP's exact sums miss 1 by up to
+    # 1.006e-16 at k = 256) and on a raw sup-norm matrix's (s != 1)
+    m = request.getfixturevalue(name)
+    matrix = (assemble_linearized if name == "sinmap" else assemble_ulam)(m, 256)
+    if markov:
+        matrix = markovize(matrix)
+    delta = F(enclosure._model(matrix).row_defect)
+    csr = matrix.csr
+    exact = [sum(map(F, csr.data[a:b].tolist()))
+             for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
+    assert max(abs(x - 1) for x in exact) <= delta
+    assert (delta == F(math.nextafter(2.0 ** -53, 1.0))) == markov
+
+
 _DENOM_BITS = 20
 
 
