@@ -93,8 +93,8 @@ def test_certify_l1_lanford_direct_arithmetic():
 _TINY = st.floats(min_value=1e-300, max_value=1e-3)
 
 
-# a row-sum defect delta of the stored matrix: 0 (the paper's terms), the
-# 2^-52 of a markovized matrix, or larger
+# a row-sum defect delta of the stored matrix: 0 (the paper's terms), 2^-52
+# (about twice a markovized matrix's), or larger
 _DELTA = st.one_of(st.just(0.0), st.just(2.0 ** -52), st.floats(1e-300, 1e-6))
 
 

@@ -417,8 +417,9 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
 def test_witness_only_saves_time(name, request, monkeypatch):
     # against a sweep that measures every step, the witness's steps keep
     # n_eps, n_true, l and the radius caps R^t of the steps before
-    # measured_from; a measured bound is at or above the all-measured one
-    # (its drift is charged on the a-priori norms), by at most 1e-5
+    # measured_from, whose a-priori bounds lie above the measured ones; a
+    # measured bound is at or above the all-measured one (its drift is
+    # charged on the a-priori norms), by at most 1e-5
     m = request.getfixturevalue(name)
     for k in (64, 128, 256, 512, 1024, 2048):
         mk = markovize(assemble_ulam(m, k))
@@ -433,6 +434,7 @@ def test_witness_only_saves_time(name, request, monkeypatch):
         for t, (b, b_all, power) in enumerate(zip(
                 cert.per_step_bounds, measured.per_step_bounds, powers), 1):
             if t < cert.measured_from:
+                assert b >= b_all
                 assert min(b, power) == min(b_all, power) == power
             else:
                 assert 0.0 <= b - b_all <= 1e-5
