@@ -440,16 +440,23 @@ def _density_scale(density, k: int) -> float:
 
 
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
-    """Write plot-ready files: density at cell midpoints and the map graph.
+    """Write the density files and the map graph.
 
-    The graph samples x = i/n for n = max(k, 512) and writes one line per
-    branch whose outer domain holds x; each branch evaluates all its sample
-    points in one interval-array call.
+    density.csv holds each cell's index, edges i/k and (i+1)/k and density
+    value; density_plot.dat the value at the cell midpoint; map_graph.dat
+    samples x = i/n for n = max(k, 512) and writes one line per branch
+    whose outer domain holds x, each branch evaluating all its sample
+    points in one interval-array call.  Floats are written by repr, each
+    distinct column once: the cell edges serve as left, right and, at
+    n = k, the graph's x column, and the values serve both density files.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    mids = (np.arange(k) + 0.5) / k
-    _write_lines(out_dir / "density_plot.dat", "{!r} {!r}\n",
-                 mids, _density_scale(density, k) * density.values)
+    edges = _reprs(np.arange(k + 1) / k)
+    values = _reprs(_density_scale(density, k) * density.values)
+    _write_lines(out_dir / "density.csv", ",", map(str, range(k)),
+                 edges[:-1], edges[1:], values, header="i,left,right,value\n")
+    _write_lines(out_dir / "density_plot.dat", " ",
+                 _reprs((np.arange(k) + 0.5) / k), values)
     n = max(k, 512)
     xs = np.arange(n + 1) / n
     at, ys = [], []
@@ -460,24 +467,20 @@ def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
         ys.append(np.broadcast_to(br.value_iv(IntervalArray(xs[on])).mid, on.shape))
     at = np.concatenate(at)
     order = np.argsort(at, kind="stable")  # by x, then in branch order
-    _write_lines(out_dir / "map_graph.dat", "{!r} {!r}\n",
-                 xs[at[order]], np.concatenate(ys)[order])
+    x_text = edges if n == k else _reprs(xs)
+    _write_lines(out_dir / "map_graph.dat", " ",
+                 [x_text[i] for i in at[order].tolist()],
+                 _reprs(np.concatenate(ys)[order]))
 
 
-def _write_lines(path: Path, fmt: str, *columns: np.ndarray,
-                 header: str = "") -> None:
-    """The header, then one formatted line per row of the columns (floats
-    written by repr)."""
+def _reprs(column: np.ndarray) -> List[str]:
+    return list(map(repr, column.tolist()))
+
+
+def _write_lines(path: Path, sep: str, *columns, header: str = "") -> None:
+    """The header, then one line per row of the text columns."""
     with open(path, "w") as fh:
-        fh.write(header + "".join(fmt.format(*row) for row in
-                                  zip(*(c.tolist() for c in columns))))
-
-
-def _write_density_csv(density, k: int, path: Path) -> None:
-    i = np.arange(k)
-    _write_lines(path, "{},{!r},{!r},{!r}\n", i, i / k, (i + 1) / k,
-                 _density_scale(density, k) * density.values,
-                 header="i,left,right,value\n")
+        fh.write(header + "\n".join(map(sep.join, zip(*columns))) + "\n")
 
 
 @contextlib.contextmanager
@@ -555,7 +558,6 @@ def _run(config: RunConfig) -> int:
                    eps_num=eps_num, map_id=config.map_id)
     lyap = None if config.no_lyap else lyapunov(mapped, density, cert)
 
-    _write_density_csv(density, config.k, out_dir / "density.csv")
     rep = report(cert, lyap)
     (out_dir / "certificate.json").write_text(rep.to_json(indent=2) + "\n")
     (out_dir / "report.txt").write_text(rep.text + "\n")

@@ -81,19 +81,38 @@ def _hat_product_enclosure(d: IntervalArray, w: IntervalArray) -> IntervalArray:
     cubes, their weighted sum and the division run on interval arrays, so
     the enclosure charges their rounding and the widths of d and w;
     certainly disjoint supports, |delta| >= omega + 1, give exactly 0.
+    Shifts by 0 and weights of 1 are exact, so they are skipped.
     """
-    shift = {-1: -w, 0: 0, 1: w}
-    sums = {1: 0, -1: 0}  # sums of the terms of positive and negative weight
+    shifted = {-1: d - w, 0: d, 1: d + w}  # delta + q omega
+    sums = {}  # sums of the terms of positive (True) and negative weight
     for p, cp in _SECOND_DIFF:
         for q, cq in _SECOND_DIFF:
-            t = d + shift[q] + p
+            t = shifted[q] + p if p else shifted[q]
             t = IntervalArray(np.maximum(t.lo, 0.0), np.maximum(t.hi, 0.0))
-            sign = 1 if cp * cq > 0 else -1
-            sums[sign] = t * t * t * abs(cp * cq) + sums[sign]
-    f = (sums[1] - sums[-1]) / (w * 6)
+            term = t * t * t
+            if abs(cp * cq) != 1:
+                term = term * abs(cp * cq)
+            sign = cp * cq > 0
+            sums[sign] = term + sums[sign] if sign in sums else term
+    f = (sums[True] - sums[False]) / (w * 6)
     disjoint = abs(d).lo >= (w + 1).hi
     return IntervalArray(np.where(disjoint, 0.0, f.lo),
                          np.where(disjoint, 0.0, f.hi))
+
+
+def _column_window(u_enc: IntervalArray, omega_enc: IntervalArray):
+    """(first, count) per node: the columns j = first .. first + count - 1
+    at which _hat_product_enclosure(u_enc - j, omega_enc) need not be 0.
+
+    It is exactly 0 where |u_enc - j| >= reach = (omega_enc + 1).hi, a
+    float; its interval subtraction rounds u - j outward, so that holds for
+    every j <= u.lo - reach and every j >= u.hi + reach.  The ends of the
+    window round those bounds outward too, so it holds every column whose
+    entry can be nonzero and at most one more on each side."""
+    reach = (omega_enc + 1).hi
+    first = np.floor((u_enc - reach).lo).astype(np.int64) + 1
+    last = np.ceil((u_enc + reach).hi).astype(np.int64) - 1
+    return first, last - first + 1
 
 
 def _node_enclosures(m: PiecewiseMap, k: int):
@@ -121,7 +140,7 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     Row i holds the projection coefficients of the image of phi_i; exact
     row sums are 1, so the stored float rows sum to 1 up to the recorded
     per-entry error bound eps.  All nodes and all entries of their column
-    windows j_center(i) +- span(i) are enclosed in one interval-array pass.
+    windows (_column_window) are enclosed in one interval-array pass.
     The linearization error and the power bound M come from the map's
     cached distortion and |T'| enclosures.
     """
@@ -137,15 +156,12 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     u_enc = k * c_enc                             # image position, t units
     omega_enc = abs(s_enc)                        # image half-width, t units
 
-    # each node's own window of columns j_center - span .. j_center + span:
-    # |u - j_center| <= 1/2 + width(u_enc), so it holds every j with
-    # |u - j| < omega + 1
-    span = np.ceil(omega_enc.hi + u_enc.width).astype(np.int64) + 2
-    j_center = np.rint(u_enc.mid).astype(np.int64)
-    width = 2 * span + 1
-    row = np.repeat(np.arange(k), width)
-    j_real = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width) \
-        + (j_center - span)[row]
+    # each node's own window, the columns j with |u - j| < omega + 1 up to
+    # outward rounding; the entries outside it are exactly 0
+    first, count = _column_window(u_enc, omega_enc)
+    row = np.repeat(np.arange(k), count)
+    j_real = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) \
+        + first[row]
     entry = h_enc[row] * _hat_product_enclosure(u_enc[row] - j_real, omega_enc[row])
     kept = entry.hi > 0.0
     row, entry = row[kept], entry[kept]

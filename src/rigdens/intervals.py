@@ -6,18 +6,26 @@ mathematical result whenever the operand intervals contain the operands
 
 Rounding strategy: CPython's float arithmetic is IEEE-754 round-to-nearest,
 so a computed endpoint is at most one representable step away from the exact
-value.  Endpoints are nudged outward with ``math.nextafter`` except where an
-error-free transformation (TwoSum / Dekker's TwoProd) proves the float result
-exact, in which case no widening happens at all.  This keeps exact dyadic
-arithmetic exact (e.g. [1,1]+[2,2] == [3,3]).
+value.  Each end is computed from the one operation that sets it -- the
+sign table picks the corner product or quotient of each end of ``*``, ``/``
+and ``sqr``, so only operands that both straddle 0 compare two products --
+and is stepped outward once only where an error-free transformation
+(TwoSum / Dekker's TwoProd, or the residual of a quotient) shows that the
+float result missed to that side, or cannot show that it did not (near
+underflow and overflow).  This keeps exact dyadic arithmetic exact (e.g.
+[1,1]+[2,2] == [3,3]).  A corner 0 * inf counts as 0.
 
 ``IntervalArray`` runs the same rules on whole float64 arrays of lower
-and upper ends: every element of an array result equals the scalar
-``Interval`` operation on that element.  Transcendental ends come from the
-same ``math`` libm calls plus the same ``_LIBM_SLACK`` ulps, and ``sin``/
-``cos`` reduce with the same ``PI`` enclosure, so the array layer adds no
-accuracy assumption (a round-to-nearest result is within half an ulp of
-the exact one; Rump, Acta Numerica 2010).  ``Branch.value_iv`` and
+and upper ends, stepping only the elements the TwoSum/TwoProd test marks,
+one step of the bit pattern each: every element of an array result equals
+the scalar ``Interval`` operation on that element, except that a product
+of two arrays that both hold negative elements takes the hull of all four
+corners, which near underflow can be wider.  Transcendental ends come
+from the same ``math`` libm calls, once per end, plus the same
+``_LIBM_SLACK`` ulps, and ``sin``/``cos`` reduce with the same ``PI``
+enclosure, so the array layer adds no accuracy assumption (a
+round-to-nearest result is within half an ulp of the exact one; Rump,
+Acta Numerica 2010).  ``Branch.value_iv`` and
 ``polys.poly_eval_iv`` take either kind unchanged, so a formula is written
 once; the per-node and per-cell loops of the pipeline use the arrays.
 
@@ -123,9 +131,10 @@ def _prod_safe(a: float, b: float) -> bool:
 
 
 def _prod_lo(a: float, b: float) -> float:
+    """Largest float known to be <= a*b; 0 for 0 * inf."""
     p = a * b
     if not math.isfinite(p):
-        return -_INF if p < 0 else math.nextafter(_INF, 0.0)
+        return -_INF if p < 0 else _MAX_FLOAT if p > 0 else 0.0
     if _prod_safe(a, b):
         _, e = _two_prod(a, b)
         return _down(p) if e < 0 else p
@@ -133,9 +142,10 @@ def _prod_lo(a: float, b: float) -> float:
 
 
 def _prod_hi(a: float, b: float) -> float:
+    """Smallest float known to be >= a*b; 0 for 0 * inf."""
     p = a * b
     if not math.isfinite(p):
-        return _INF if p > 0 else -math.nextafter(_INF, 0.0)
+        return _INF if p > 0 else -_MAX_FLOAT if p < 0 else 0.0
     if _prod_safe(a, b):
         _, e = _two_prod(a, b)
         return _up(p) if e > 0 else p
@@ -143,16 +153,19 @@ def _prod_hi(a: float, b: float) -> float:
 
 
 def _div_bounds(a: float, b: float):
-    """Rigorous (lo, hi) bracket of the real quotient a/b, b != 0."""
+    """Rigorous (lo, hi) bracket of the real quotient a/b, b != 0; the
+    whole line when the float quotient is not finite."""
     q = a / b
     if not math.isfinite(q):
         return (-_INF, _INF)
     # Residual a - q*b decides the rounding direction; q*b is within a few
     # ulps of a, so Sterbenz makes (a - p) exact and the residual sign true.
+    # A residual that is not finite proves nothing: TwoProd's splitting of
+    # a b near the top of the range overflows even when q is 0.
     if _prod_safe(q, b):
         p, e = _two_prod(q, b)
-        if math.isfinite(p):
-            r = (a - p) - e
+        r = (a - p) - e
+        if math.isfinite(r):
             if r == 0.0:
                 return (q, q)
             exact_above = (r > 0) == (b > 0)  # true quotient above q
@@ -168,9 +181,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("NaN endpoint in interval")
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # a NaN end fails this too
+            if math.isnan(self.lo) or math.isnan(self.hi):
+                raise ValueError("NaN endpoint in interval")
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
     # -- constructors -------------------------------------------------
@@ -229,16 +242,21 @@ class Interval:
         if isinstance(other, IntervalArray):
             return NotImplemented
         other = _coerce(other)
-        pairs = (
-            (self.lo, other.lo),
-            (self.lo, other.hi),
-            (self.hi, other.lo),
-            (self.hi, other.hi),
-        )
-        return Interval(
-            min(_prod_lo(a, b) for a, b in pairs),
-            max(_prod_hi(a, b) for a, b in pairs),
-        )
+        # the sign table: the corner product that sets each end; only
+        # when both operands straddle 0 are there two candidates per end
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0.0:
+            return Interval(_prod_lo(a if c >= 0.0 else b, c),
+                            _prod_hi(b if d >= 0.0 else a, d))
+        if b <= 0.0:
+            return Interval(_prod_lo(a if d >= 0.0 else b, d),
+                            _prod_hi(b if c >= 0.0 else a, c))
+        if c >= 0.0:
+            return Interval(_prod_lo(a, d), _prod_hi(b, d))
+        if d <= 0.0:
+            return Interval(_prod_lo(b, c), _prod_hi(a, c))
+        return Interval(min(_prod_lo(a, d), _prod_lo(b, c)),
+                        max(_prod_hi(a, c), _prod_hi(b, d)))
 
     __rmul__ = __mul__
 
@@ -248,13 +266,11 @@ class Interval:
         other = _coerce(other)
         if other.contains_zero():
             raise ZeroDivisionError(f"division by interval containing 0: {other}")
-        bounds = [
-            _div_bounds(self.lo, other.lo),
-            _div_bounds(self.lo, other.hi),
-            _div_bounds(self.hi, other.lo),
-            _div_bounds(self.hi, other.hi),
-        ]
-        return Interval(min(b[0] for b in bounds), max(b[1] for b in bounds))
+        # the sign table: the numerators of the lower and the upper end, each
+        # over the divisor end that pushes it outward
+        a, b = (self.lo, self.hi) if other.lo > 0.0 else (self.hi, self.lo)
+        return Interval(_div_bounds(a, other.hi if a >= 0.0 else other.lo)[0],
+                        _div_bounds(b, other.lo if b >= 0.0 else other.hi)[1])
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other) / self
@@ -270,8 +286,14 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def sqr(self) -> "Interval":
-        a = abs(self)
-        return Interval(_prod_lo(a.lo, a.lo), _prod_hi(a.hi, a.hi))
+        lo, hi = self.lo, self.hi
+        if lo >= 0.0:
+            near, far = lo, hi
+        elif hi <= 0.0:
+            near, far = -hi, -lo
+        else:
+            near, far = 0.0, max(-lo, hi)
+        return Interval(_prod_lo(near, near), _prod_hi(far, far))
 
     # -- transcendental ------------------------------------------------
 
@@ -279,7 +301,7 @@ class Interval:
         """Natural log; requires lo > 0."""
         if self.lo <= 0.0:
             raise ValueError(f"log of interval touching 0: {self}")
-        return Interval(_libm_down(math.log, self.lo), _libm_up(math.log, self.hi))
+        return Interval(_libm_down(math.log(self.lo)), _libm_up(math.log(self.hi)))
 
     def sin(self) -> "Interval":
         return _iv_sin(self)
@@ -341,17 +363,28 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-def _v_down(x):
-    return np.nextafter(x, -_INF)
+def _v_up(x, where):
+    """np.nextafter(x, inf) where ``where`` holds and x elsewhere, by one
+    step of the bit pattern: read as int64, the bits of x >= +0 grow with
+    x and those of x < 0 shrink as x grows, so the step adds 1 or -1 by
+    the sign bit (and takes -0, like +0, to the least subnormal)."""
+    where = where & (x < _INF)
+    bits = x.view(np.int64)
+    out = bits + ((bits >> 63) | 1) * where
+    zero = where & (x == 0.0)
+    if zero.any():
+        out = np.where(zero, 1, out)
+    return out.view(np.float64)
 
 
-def _v_up(x):
-    return np.nextafter(x, _INF)
+def _v_down(x, where):
+    """np.nextafter(x, -inf) where ``where`` holds and x elsewhere."""
+    return -_v_up(-x, where)
 
 
 def _v_sum_lo(a, b):
     s, e = _two_sum(a, b)
-    out = np.where(e < 0, _v_down(s), s)
+    out = _v_down(s, e < 0)
     finite = np.isfinite(s)
     if not finite.all():
         out = np.where(finite, out, np.where(s > 0, _MAX_FLOAT, -_INF))
@@ -360,51 +393,66 @@ def _v_sum_lo(a, b):
 
 def _v_sum_hi(a, b):
     s, e = _two_sum(a, b)
-    out = np.where(e > 0, _v_up(s), s)
+    out = _v_up(s, e > 0)
     finite = np.isfinite(s)
     if not finite.all():
         out = np.where(finite, out, np.where(s > 0, _INF, -_MAX_FLOAT))
     return out
 
 
-def _v_prod_safe(a, b):
-    aa, ab = np.abs(a), np.abs(b)
-    return (aa == 0.0) | (ab == 0.0) | (
-        (aa < _PROD_HI) & (ab < _PROD_HI) & (aa * ab >= _PROD_MIN))
-
-
-def _v_prod_bounds(a, b):
-    """Elementwise (_prod_lo(a, b), _prod_hi(a, b))."""
+def _v_prod(a, b):
+    """(p, e, unsafe) elementwise: p = fl(a*b), its TwoProd error e, and
+    where e cannot be trusted (the negation of _prod_safe)."""
     p, e = _two_prod(a, b)
-    safe = _v_prod_safe(a, b)
-    lo = np.where(safe & ~(e < 0), p, _v_down(p))
-    hi = np.where(safe & ~(e > 0), p, _v_up(p))
+    aa, ab = np.abs(a), np.abs(b)
+    unsafe = (aa != 0.0) & (ab != 0.0) & (
+        (aa >= _PROD_HI) | (ab >= _PROD_HI) | (np.abs(p) < _PROD_MIN))
+    return p, e, unsafe
+
+
+def _v_prod_lo(p, e, unsafe):
+    """Elementwise _prod_lo(a, b) from _v_prod(a, b)."""
+    lo = _v_down(p, unsafe | (e < 0))
     finite = np.isfinite(p)
     if not finite.all():
-        lo = np.where(finite, lo, np.where(p < 0, -_INF, _MAX_FLOAT))
-        hi = np.where(finite, hi, np.where(p > 0, _INF, -_MAX_FLOAT))
-    return lo, hi
+        lo = np.where(finite, lo, np.where(p < 0, -_INF,
+                                           np.where(p > 0, _MAX_FLOAT, 0.0)))
+    return lo
+
+
+def _v_prod_hi(p, e, unsafe):
+    """Elementwise _prod_hi(a, b) from _v_prod(a, b)."""
+    hi = _v_up(p, unsafe | (e > 0))
+    finite = np.isfinite(p)
+    if not finite.all():
+        hi = np.where(finite, hi, np.where(p > 0, _INF,
+                                           np.where(p < 0, -_MAX_FLOAT, 0.0)))
+    return hi
 
 
 def _v_div_bounds(a, b):
     """Elementwise _div_bounds(a, b)."""
     q = a / b
-    p, e = _two_prod(q, b)
-    safe = _v_prod_safe(q, b) & np.isfinite(p)
+    p, e, unsafe = _v_prod(q, b)
     r = (a - p) - e
-    exact = safe & (r == 0.0)
-    above = (r > 0) == (b > 0)  # true quotient above q
-    lo = np.where(exact | (safe & above), q, _v_down(q))
-    hi = np.where(exact | (safe & ~above), q, _v_up(q))
+    unsafe |= ~np.isfinite(r)
+    exact, above = r == 0.0, (r > 0) == (b > 0)  # true quotient above q
+    lo = _v_down(q, unsafe | ~(exact | above))
+    hi = _v_up(q, unsafe | (~exact & above))
     finite = np.isfinite(q)
-    return np.where(finite, lo, -_INF), np.where(finite, hi, _INF)
+    if not finite.all():
+        lo, hi = np.where(finite, lo, -_INF), np.where(finite, hi, _INF)
+    return lo, hi
 
 
-def _v_libm(fn, x, toward):
-    """fn at every element of x by the scalar layer's libm, then _LIBM_SLACK
-    steps toward -inf or +inf."""
+def _v_libm(fn, x):
+    """fn at every element of x by the scalar layer's libm."""
     y = np.fromiter(map(fn, x.ravel().tolist()), np.float64, count=x.size)
-    y = y.reshape(x.shape)
+    return y.reshape(x.shape)
+
+
+def _v_slack(y, toward):
+    """_LIBM_SLACK steps of every element of y toward -inf or +inf."""
     for _ in range(_LIBM_SLACK):
         y = np.nextafter(y, toward)
     return y
@@ -414,11 +462,13 @@ class IntervalArray:
     """Elementwise closed intervals: float64 arrays lo <= hi of one shape.
 
     Each operation applies the scalar layer's rounding rules to whole
-    arrays (TwoSum/TwoProd exactness tests, one outward ``nextafter`` step
-    otherwise, the same ``PI`` enclosure and libm slack), so every element
-    of a result equals the scalar ``Interval`` operation on that element
-    (a zero end may differ in sign).  Scalars (``Interval``, ints, floats, rationals) and
-    float arrays combine with an interval array by broadcasting.
+    arrays (the sign table, TwoSum/TwoProd exactness tests and one outward
+    step where they fail, the same ``PI`` enclosure and libm slack), so
+    every element of a result equals the scalar ``Interval`` operation on
+    that element (a zero end may differ in sign; the module docstring has
+    the one other exception).  Scalars (``Interval``, ints, floats,
+    rationals) and float arrays combine with an interval array by
+    broadcasting.
     """
 
     __slots__ = ("lo", "hi")
@@ -427,10 +477,11 @@ class IntervalArray:
     def __init__(self, lo, hi=None):
         lo = np.asarray(lo, dtype=np.float64)
         hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
-        lo, hi = np.broadcast_arrays(lo, hi)
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("NaN endpoint in interval array")
-        if (lo > hi).any():
+        if lo.shape != hi.shape:
+            lo, hi = np.broadcast_arrays(lo, hi)
+        if not (lo <= hi).all():  # a NaN end fails this too
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("NaN endpoint in interval array")
             raise ValueError("inverted interval in interval array")
         self.lo, self.hi = lo, hi
 
@@ -496,13 +547,13 @@ class IntervalArray:
         other = _as_array(other)
         if other.contains_zero().any():
             raise ZeroDivisionError("division by interval containing 0")
-        lo = hi = None
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                q_lo, q_hi = _v_div_bounds(a, b)
-                lo = q_lo if lo is None else _min(lo, q_lo)
-                hi = q_hi if hi is None else _max(hi, q_hi)
-        return IntervalArray(lo, hi)
+        # Interval.__truediv__'s sign table, element by element
+        pos = other.lo > 0.0
+        a = np.where(pos, self.lo, self.hi)
+        b = np.where(pos, self.hi, self.lo)
+        return IntervalArray(
+            _v_div_bounds(a, np.where(a >= 0.0, other.hi, other.lo))[0],
+            _v_div_bounds(b, np.where(b >= 0.0, other.lo, other.hi))[1])
 
     def __rtruediv__(self, other) -> "IntervalArray":
         return _as_array(other) / self
@@ -521,8 +572,8 @@ class IntervalArray:
         """Natural log; requires lo > 0 everywhere."""
         if (self.lo <= 0.0).any():
             raise ValueError("log of interval touching 0")
-        return IntervalArray(_v_libm(math.log, self.lo, -_INF),
-                             _v_libm(math.log, self.hi, _INF))
+        return IntervalArray(_v_slack(_v_libm(math.log, self.lo), -_INF),
+                             _v_slack(_v_libm(math.log, self.hi), _INF))
 
     def sin(self) -> "IntervalArray":
         """Elementwise ``_iv_sin``: endpoint values, widened to +-1 where a
@@ -531,10 +582,12 @@ class IntervalArray:
         lo, hi = self.lo, self.hi
         finite = np.isfinite(lo) & np.isfinite(hi)
         lo, hi = np.where(finite, lo, 0.0), np.where(finite, hi, 0.0)
-        n_lo = np.floor((IntervalArray(lo) / HALF_PI).lo)
-        n_hi = np.floor((IntervalArray(hi) / HALF_PI).hi)
-        out_lo = _min(_v_libm(math.sin, lo, -_INF), _v_libm(math.sin, hi, -_INF))
-        out_hi = _max(_v_libm(math.sin, lo, _INF), _v_libm(math.sin, hi, _INF))
+        h_lo, h_hi = HALF_PI.lo, HALF_PI.hi
+        n_lo = np.floor(_v_div_bounds(lo, np.where(lo >= 0.0, h_hi, h_lo))[0])
+        n_hi = np.floor(_v_div_bounds(hi, np.where(hi >= 0.0, h_lo, h_hi))[1])
+        s_lo, s_hi = _v_libm(math.sin, lo), _v_libm(math.sin, hi)
+        out_lo = _v_slack(_min(s_lo, s_hi), -_INF)
+        out_hi = _v_slack(_max(s_lo, s_hi), _INF)
 
         def boundaries(m):  # count of b = m mod 4 with n_lo < b <= n_hi
             return np.floor((n_hi - m) / 4) > np.floor((n_lo - m) / 4)
@@ -550,17 +603,22 @@ class IntervalArray:
 
 
 def _mul(x: IntervalArray, y: IntervalArray) -> IntervalArray:
-    if (x.lo >= 0.0).all() and (y.lo >= 0.0).all():
-        # the corner products are monotone: the extreme ones are the ends
-        return IntervalArray(_v_prod_bounds(x.lo, y.lo)[0],
-                             _v_prod_bounds(x.hi, y.hi)[1])
-    lo = hi = None
-    for a in (x.lo, x.hi):
-        for b in (y.lo, y.hi):
-            p_lo, p_hi = _v_prod_bounds(a, b)
-            lo = p_lo if lo is None else _min(lo, p_lo)
-            hi = p_hi if hi is None else _max(hi, p_hi)
-    return IntervalArray(lo, hi)
+    if (x.lo >= 0.0).all():
+        x, y = y, x
+    elif not (y.lo >= 0.0).all():
+        lo = hi = None
+        for a in (x.lo, x.hi):
+            for b in (y.lo, y.hi):
+                p = _v_prod(a, b)
+                p_lo, p_hi = _v_prod_lo(*p), _v_prod_hi(*p)
+                lo = p_lo if lo is None else _min(lo, p_lo)
+                hi = p_hi if hi is None else _max(hi, p_hi)
+        return IntervalArray(lo, hi)
+    # y >= 0: Interval.__mul__'s sign table gives each end one corner, the
+    # end of x times the end of y that pushes it outward
+    return IntervalArray(
+        _v_prod_lo(*_v_prod(x.lo, np.where(x.lo >= 0.0, y.lo, y.hi))),
+        _v_prod_hi(*_v_prod(x.hi, np.where(x.hi >= 0.0, y.hi, y.lo))))
 
 
 def _as_array(x) -> IntervalArray:
@@ -604,15 +662,14 @@ def ratio_array(nums, den: int) -> IntervalArray:
 _LIBM_SLACK = 2
 
 
-def _libm_down(fn, x: float) -> float:
-    y = fn(x)
+def _libm_down(y: float) -> float:
+    """A libm result y, _LIBM_SLACK steps toward -inf."""
     for _ in range(_LIBM_SLACK):
         y = _down(y)
     return y
 
 
-def _libm_up(fn, x: float) -> float:
-    y = fn(x)
+def _libm_up(y: float) -> float:
     for _ in range(_LIBM_SLACK):
         y = _up(y)
     return y
@@ -633,26 +690,24 @@ def _iv_sin(x: Interval) -> Interval:
     """
     if x.width >= TWO_PI.lo:
         return Interval(-1.0, 1.0)
-    # Outer quadrant indices: conservative floor of the lower end, ceiling
-    # choice of the upper end, so boundary ambiguity only widens the result.
-    q_lo = iv(x.lo) / HALF_PI
-    q_hi = iv(x.hi) / HALF_PI
-    n_lo = math.floor(q_lo.lo)
-    n_hi = math.floor(q_hi.hi)
+    # Outer quadrant indices: the floors of a lower bound of x.lo / (pi/2)
+    # and of an upper bound of x.hi / (pi/2), the ends of those interval
+    # quotients, so boundary ambiguity only widens the result.
+    n_lo = math.floor(_div_bounds(x.lo, HALF_PI.hi if x.lo >= 0.0 else HALF_PI.lo)[0])
+    n_hi = math.floor(_div_bounds(x.hi, HALF_PI.lo if x.hi >= 0.0 else HALF_PI.hi)[1])
     if n_hi - n_lo > 5:
         return Interval(-1.0, 1.0)
-    s_lo = Interval(_libm_down(math.sin, x.lo), _libm_up(math.sin, x.lo))
-    s_hi = Interval(_libm_down(math.sin, x.hi), _libm_up(math.sin, x.hi))
-    out = Interval.hull(s_lo, s_hi)
+    s_lo, s_hi = math.sin(x.lo), math.sin(x.hi)
+    lo, hi = _libm_down(min(s_lo, s_hi)), _libm_up(max(s_lo, s_hi))
     # Quadrant boundary b*pi/2 may lie inside x for b in (n_lo, n_hi];
     # b = 1 mod 4 is a peak of sin, b = 3 mod 4 a trough.
     for b in range(n_lo + 1, n_hi + 1):
         m = b % 4
         if m == 1:
-            out = Interval(out.lo, 1.0)
+            hi = 1.0
         elif m == 3:
-            out = Interval(-1.0, out.hi)
-    return out.intersect(Interval(-1.0, 1.0))
+            lo = -1.0
+    return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
 def _iv_cos(x: Interval) -> Interval:

@@ -110,7 +110,7 @@ def test_certify_l1_matrix_term_not_below_paper(eps, nnz, n_eps, delta):
                       synthetic_contraction(n_eps, n_eps, row_defect=delta),
                       synthetic_density([1.0]), eps_num=1e-4)
     d = F(delta)
-    s = sum((1 + d) ** i for i in range(n_eps))
+    s = n_eps if d == 0 else ((1 + d) ** n_eps - 1) / d  # sum_{i<N_eps} (1+d)^i
     exact = (2 * nnz * F(eps) + d) * s / (F(1, 2) - d * s)
     assert exact <= F(cert.err_matrix) <= exact * (1 + (2 * n_eps + 8)
                                                    * F(2) ** -52)

@@ -513,23 +513,73 @@ def _plot_files_point_loop(density, m, k, out_dir):
             fh.write(f"{i},{i / k!r},{(i + 1) / k!r},{v!r}\n")
 
 
-@pytest.mark.parametrize("text,mode,k", [
-    (SINMAP, "Linf", 64),
-    ("poly [0,1] : 3 - 3x mod 1", "L1", 27),
-    (LANFORD2, "L1", 32),
-])
-def test_plot_files_match_point_loop(text, mode, k, tmp_path):
-    from rigdens.cli import _write_density_csv, emit_plot_data
+def _density(text, mode, k):
     from rigdens.enclosure import contraction_sweep
     from rigdens.hatbasis import assemble_linearized
     from rigdens.ulam import assemble_ulam, markovize
 
     m = parse_map(text).build()
     raw = assemble_ulam(m, k) if mode == "L1" else assemble_linearized(m, k)
-    _, density = contraction_sweep(markovize(raw), 1e-5)
+    return m, contraction_sweep(markovize(raw), 1e-5)[1]
+
+
+@pytest.mark.parametrize("text,mode,k", [
+    (SINMAP, "Linf", 64),
+    ("poly [0,1] : 3 - 3x mod 1", "L1", 27),
+    (LANFORD2, "L1", 32),
+])
+def test_plot_files_match_point_loop(text, mode, k, tmp_path):
+    from rigdens.cli import emit_plot_data
+
+    m, density = _density(text, mode, k)
     emit_plot_data(density, m, k, tmp_path / "fast")
-    _write_density_csv(density, k, tmp_path / "fast" / "density.csv")
     _plot_files_point_loop(density, m, k, tmp_path / "ref")
+    for name in ("density_plot.dat", "map_graph.dat", "density.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes()
+
+
+def _plot_files_formatter(density, m, k, out_dir):
+    """The artifact files as a str.format per row writes them."""
+    import numpy as np
+
+    from rigdens.intervals import IntervalArray
+
+    def write_lines(path, fmt, *columns, header=""):
+        with open(path, "w") as fh:
+            fh.write(header + "".join(fmt.format(*row) for row in
+                                      zip(*(c.tolist() for c in columns))))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scale = k if density.norm_kind == "L1" else 1.0
+    write_lines(out_dir / "density_plot.dat", "{!r} {!r}\n",
+                (np.arange(k) + 0.5) / k, scale * density.values)
+    n = max(k, 512)
+    xs = np.arange(n + 1) / n
+    at, ys = [], []
+    for br in m.branches:
+        dom = br.domain_outer()
+        on = np.flatnonzero((dom.lo <= xs) & (xs <= dom.hi))
+        at.append(on)
+        ys.append(np.broadcast_to(br.value_iv(IntervalArray(xs[on])).mid, on.shape))
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")
+    write_lines(out_dir / "map_graph.dat", "{!r} {!r}\n",
+                xs[at[order]], np.concatenate(ys)[order])
+    i = np.arange(k)
+    write_lines(out_dir / "density.csv", "{},{!r},{!r},{!r}\n", i, i / k,
+                (i + 1) / k, scale * density.values, header="i,left,right,value\n")
+
+
+@pytest.mark.parametrize("k", [17, 64, 1024])
+@pytest.mark.parametrize("text,mode", [(SINMAP, "Linf"), (EQ4, "L1")])
+def test_artifact_text_matches_row_formatter(text, mode, k, tmp_path):
+    # below k = 512 the graph samples n = 512 points, not the cell edges
+    from rigdens.cli import emit_plot_data
+
+    m, density = _density(text, mode, k)
+    emit_plot_data(density, m, k, tmp_path / "fast")
+    _plot_files_formatter(density, m, k, tmp_path / "ref")
     for name in ("density_plot.dat", "map_graph.dat", "density.csv"):
         assert (tmp_path / "fast" / name).read_bytes() == \
             (tmp_path / "ref" / name).read_bytes()

@@ -256,3 +256,27 @@ def test_linf_matrix_needs_its_map_constants():
     linearization error and M = 1 whatever the map, so both are required."""
     with pytest.raises(TypeError):
         LinfMatrix(k=2, csr=sparse.csr_matrix(np.eye(2)), eps=0.0, nnz_max=1)
+
+
+@pytest.mark.parametrize("k", [8, 17, 64, 1024])
+@pytest.mark.parametrize("amp", ["0.00995", "0.01", "0.01005"])
+def test_trimmed_window_drops_only_zero_entries(amp, k, monkeypatch):
+    # the SINMAP family; at small k a window wraps onto columns twice
+    from rigdens import hatbasis
+    from rigdens.cli import parse_map
+
+    m = parse_map(f"circle\npoly [0,1] : 4x + {amp} sin(8 pi x) mod 1").build()
+    trimmed = assemble_linearized(m, k)
+    window = hatbasis._column_window
+
+    def wider(u_enc, omega_enc):
+        first, count = window(u_enc, omega_enc)
+        return first - 3, count + 6
+
+    monkeypatch.setattr(hatbasis, "_column_window", wider)
+    wide = assemble_linearized(m, k)
+    for a, b in ((trimmed.csr.indptr, wide.csr.indptr),
+                 (trimmed.csr.indices, wide.csr.indices),
+                 (trimmed.csr.data.view(np.int64), wide.csr.data.view(np.int64))):
+        assert np.array_equal(a, b)
+    assert (trimmed.eps, trimmed.nnz_max) == (wide.eps, wide.nnz_max)
