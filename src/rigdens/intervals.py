@@ -282,9 +282,6 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
     def sqr(self) -> "Interval":
         lo, hi = self.lo, self.hi
         if lo >= 0.0:

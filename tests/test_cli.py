@@ -572,7 +572,8 @@ def _plot_files_formatter(density, m, k, out_dir):
 
 
 @pytest.mark.parametrize("k", [17, 64, 1024])
-@pytest.mark.parametrize("text,mode", [(SINMAP, "Linf"), (EQ4, "L1")])
+@pytest.mark.parametrize("text,mode", [(SINMAP, "Linf"), (EQ4, "L1")],
+                         ids=["sinmap-Linf", "eq4-L1"])
 def test_artifact_text_matches_row_formatter(text, mode, k, tmp_path):
     # below k = 512 the graph samples n = 512 points, not the cell edges
     from rigdens.cli import emit_plot_data
