@@ -24,22 +24,21 @@ and the products below float32's normal range.  The sweep certifies
 N_eps, the first t with C_t <= 1/2 for the computed matrix, and N, which
 also charges t times the per-step "inflation" ||P - Pi|| (the matrix's
 step_error) that bounds the distance to the exact discretized operator.
-It steps only as far as N needs (_anchor_norms).
+Every anchor steps once to a horizon, the step at which the witness
+below passes N's test, at most N (_witness, _anchor_norms).
 
-In L1 the sweep sums its anchors' columns only from measured_from on.  A
-witness block of _WITNESS evenly spaced anchors first steps alone, with
-full norms, and measured_from is the first step t at which its largest
-full-anchor norm is at most R^t, the radius's cap (_measured_from).  At
+In L1 the sweep sums its anchors' columns only from measured_from on, the
+first step t at which the largest full-anchor norm of a witness block of
+_WITNESS evenly spaced anchors is at most R^t, the radius's cap.  At
 every earlier step the largest norm of all anchors exceeds R^t as well,
 so that step fails both tests and the radius caps C_t at R^t, whatever
 the other anchors measure.  The blocks still compute those steps'
 products but record the a-priori norm 2 h^_t, a bound on every computed
 anchor that needs no sum (_Model); both tests fail on it too and the
 caps stay R^t, so the certificate reads the same steps and caps, and only
-the drift of the later steps, charged on h^_t, can grow.  measured_from
-is fixed per sweep, so it does not depend on where a block stops.  The
-sup-norm sweep measures every step: there h^_0 is k/2, so the a-priori
-norms would raise the drift, and its norms are two plain reductions.
+the drift of the later steps, charged on h^_t, can grow.  The sup-norm
+sweep measures every step: there h^_0 is k/2, so the a-priori norms
+would raise the drift, and its norms are two plain reductions.
 
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
@@ -539,59 +538,68 @@ def _no_contraction() -> NotContractingError:
         "certified anchor bound below 1/2); map may not be mixing")
 
 
-def _measured_from(model: _Model, bufs: Sequence[np.ndarray]) -> int:
-    """The first step whose anchor norms the sweep measures: 1 in the sup
-    norm; in L1 the first step t at which the largest full-anchor norm of
-    _WITNESS evenly spaced anchors, stepped in bufs (as in _half_anchors),
-    is at most the cap R^t of powers.  Every earlier step fails both tests
-    and is capped at R^t whatever the other anchors measure (class
-    docstring).  Raises NotContractingError if no step up to _J_MAX is."""
-    if model.norm_kind != "L1":
-        return 1
+def _witness(model: _Model, bufs: Sequence[np.ndarray]):
+    """(horizon, measured_from) from _WITNESS evenly spaced anchors stepped
+    in bufs (as in _half_anchors).  measured_from is 1 in the sup norm, and
+    in L1 the first step t at which their largest full-anchor norm is at
+    most the cap R^t of powers: every earlier step fails both tests and is
+    capped at R^t whatever the other anchors measure (class docstring).
+    horizon is the first step at which the bound of their record passes
+    N's test, with the a-priori norms before measured_from, as the blocks
+    record them; NotContractingError if no step up to _J_MAX does.
+
+    The horizon is at most N.  _Model.bounds is increasing in the norm
+    record, entry by entry: fresh increases in the norm it charges, and
+    each drift and bound is built from fresh errors and norms by sums,
+    products with the fixed R or rho_m and upward roundings, which all
+    increase.  The witness's anchors are among the blocks', with the same
+    norms (module docstring), and both records hold the same a-priori
+    norms before measured_from, so the witness's record and bounds are at
+    most the joined ones at every step; N's test is a threshold on the
+    bound, so the witness passes by N."""
     k = model.at.shape[0]
     ids = np.unique(np.linspace(1, k - 1, _WITNESS).round().astype(np.intp))
+    measured_from = None if model.norm_kind == "L1" else 1
+    norms = []
     caps = itertools.islice(model.powers(), 1, None)
     for (t, y, spare), cap in zip(_half_anchors(model, ids, bufs), caps):
-        if 2.0 * model.col_norms(y, spare).max() <= cap:
-            return t
+        norms.append(2.0 * model.col_norms(y, spare).max())
+        if measured_from is None and norms[-1] <= cap:
+            measured_from = t
+        if measured_from is not None:
+            record = (model.a_priori_norms(measured_from - 1)
+                      + norms[measured_from - 1:])
+            if model.passes_n_true(model.bounds(record)[-1], t):
+                return t, measured_from
     raise _no_contraction()
 
 
-def _run_batch(model: _Model, ids: np.ndarray, first: int, measured_from: int,
-               bufs: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Step the half-anchors of ids in bufs (_half_anchors) and return the
-    (t x len(ids)) array of full-anchor norms, where t is the first step
-    from first on at which the block's own bound passes N's test; None if
-    no step up to _J_MAX does.  Steps from measured_from on are measured
-    (upward-rounded norms); the earlier ones take the a-priori norms, and
-    their products are computed but not summed."""
-    # one buffer for all rows: small allocations between the block-sized
-    # products fragment the heap and raise peak RSS by a block; the rows
-    # used are returned as a copy, since the sweep keeps every block's
-    # rows to its end
-    out = np.empty((_J_MAX, len(ids)))
+def _run_batch(model: _Model, ids: np.ndarray, horizon: int,
+               measured_from: int, bufs: Sequence[np.ndarray]) -> np.ndarray:
+    """Step the half-anchors of ids in bufs (_half_anchors) horizon times
+    and return the (horizon x len(ids)) array of full-anchor norms.  Steps
+    from measured_from on are measured (upward-rounded norms); the earlier
+    ones take the a-priori norms, and their products are computed but not
+    summed."""
+    # one record for all steps, allocated before the block-sized products:
+    # small allocations between them fragment the heap and raise peak RSS
+    out = np.empty((horizon, len(ids)))
     out[:measured_from - 1] = np.c_[model.a_priori_norms(measured_from - 1)]
-    for t, y, spare in _half_anchors(model, ids, bufs):
+    for t, y, spare in itertools.islice(_half_anchors(model, ids, bufs), horizon):
         if t >= measured_from:
             out[t - 1] = 2.0 * model.col_norms(y, spare)
-        if t >= first and model.passes_n_true(
-                model.bounds(out[:t].max(axis=1))[-1], t):
-            return out[:t].copy()
-    return None
+    return out
 
 
-def _anchor_norms(model: _Model, first: int, measured_from: int | None = None):
-    """(norms, measured_from): the (t x (k - 1)) anchor norms from
-    _run_batch on blocks of _block_columns(k) anchors, spread over one
-    thread per usable CPU, each with its own pair of block buffers for the
-    whole sweep; measured_from None is set by _measured_from, in a buffer
-    pair before any block runs.
-
-    Each block stops at its first step from first on whose bound passes
-    N's test, and the blocks that stopped before the largest stop t are
-    stepped again to their first pass from t on, until all stop at t.
-    Block bounds never exceed the global ones, so N is at least t.
-    Raises NotContractingError if some block has not passed by _J_MAX."""
+def _anchor_norms(model: _Model):
+    """(norms, measured_from): the (t x (k - 1)) anchor norms of the first
+    round whose record passes N's test.  _witness sets the horizon and
+    measured_from; then every block of _block_columns(k) anchors steps
+    once to the horizon (_run_batch) on the thread pool.  The horizon is
+    at most N, so a failing round rules out every step it covered.  The
+    next round steps one step further, and each retry after that doubles
+    the horizon, up to _J_MAX: an anchor steps fewer than 4 _J_MAX times
+    in all, the witness's steps included, before NotContractingError."""
     k = model.at.shape[0]
     ids_all = np.arange(1, k)
     width = _block_columns(k)
@@ -600,31 +608,28 @@ def _anchor_norms(model: _Model, first: int, measured_from: int | None = None):
     # room for the witness's anchors as well as a block's
     pairs = [[np.empty(k * max(width, _WITNESS), np.float32) for _ in range(2)]
              for _ in range(workers)]
-    if measured_from is None:
-        measured_from = _measured_from(model, pairs[0])
+    horizon, measured_from = _witness(model, pairs[0])
     idle = queue.SimpleQueue()  # buffer pairs not in use by a block
     for bufs in pairs:
         idle.put(bufs)
 
-    def block(start, first):
+    def block(start):
         bufs = idle.get()
         try:
-            return _run_batch(model, ids_all[start:start + width], first,
+            return _run_batch(model, ids_all[start:start + width], horizon,
                               measured_from, bufs)
         finally:
             idle.put(bufs)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(lambda s: block(s, first), starts))
-        while True:
-            if any(b is None for b in blocks):
+        for retry in itertools.count():
+            norms = np.concatenate(list(pool.map(block, starts)), axis=1)
+            if _first_passing(model.bounds(norms.max(axis=1)),
+                              model)[1] is not None:
+                return norms, measured_from
+            if horizon == _J_MAX:
                 raise _no_contraction()
-            t = max(len(b) for b in blocks)
-            short = [i for i, b in enumerate(blocks) if len(b) < t]
-            if not short:
-                return np.concatenate(blocks, axis=1), measured_from
-            for i, b in zip(short, pool.map(lambda i: block(starts[i], t), short)):
-                blocks[i] = b
+            horizon = min(_J_MAX, 2 * horizon if retry else horizon + 1)
 
 
 def _first_passing(bounds: List[float], model: _Model):
@@ -683,17 +688,10 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
     if not 0 < eps_num < math.inf:  # NaN fails the comparison too
         raise ValueError("eps_num must be positive and finite")
     model = _model(matrix)
-
-    # every block passes N's test by the global first pass, so a round
-    # whose global test fails rules out every step it covered; every round
-    # measures from the step the first one found
-    first, n_true, measured_from = 1, None, None
-    while n_true is None:
-        norms, measured_from = _anchor_norms(model, first, measured_from)
-        norm_max = norms.max(axis=1)
-        bounds = model.bounds(norm_max)
-        n_eps, n_true = _first_passing(bounds, model)
-        first = len(bounds) + 1
+    norms, measured_from = _anchor_norms(model)
+    norm_max = norms.max(axis=1)
+    bounds = model.bounds(norm_max)
+    n_eps, n_true = _first_passing(bounds, model)
     for t in range(len(bounds)):
         measured = t + 1 >= measured_from
         _log.info("step %d: max_norm=%.6g bound=%.6g measured=%s",

@@ -132,31 +132,33 @@ class Branch:
 
     @cached_property
     def _enclosed(self):
-        """Enclosed coefficients of poly, poly' and poly'', and of A and B*pi."""
+        """Enclosed coefficients of poly, poly' and poly'', and of A, B*pi,
+        A*B*pi and A*(B*pi)^2 (the products taken left to right)."""
         d1 = poly_derivative(self.poly)
         polys = (self.poly, d1, poly_derivative(d1))
+        amp, w = from_fraction(self.trig_amp), from_fraction(self.trig_freq) * PI
         return (tuple(tuple(from_fraction(c) for c in p) for p in polys),
-                from_fraction(self.trig_amp), from_fraction(self.trig_freq) * PI)
+                amp, w, amp * w, amp * w * w)
 
     def value_iv(self, x: Interval) -> Interval:
-        (p, _, _), amp, w = self._enclosed
+        (p, _, _), amp, w, _, _ = self._enclosed
         out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
             out = out + amp * (w * x).sin()
         return out
 
     def deriv_iv(self, x: Interval) -> Interval:
-        (_, p, _), amp, w = self._enclosed
+        (_, p, _), _, w, aw, _ = self._enclosed
         out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
-            out = out + amp * w * (w * x).cos()
+            out = out + aw * (w * x).cos()
         return out
 
     def second_iv(self, x: Interval) -> Interval:
-        (_, _, p), amp, w = self._enclosed
+        (_, _, p), _, w, _, aww = self._enclosed
         out = poly_eval_iv(p, x)
         if self.trig_amp != 0:
-            out = out - amp * w * w * (w * x).sin()
+            out = out - aww * (w * x).sin()
         return out
 
     def distortion_iv(self, x: Interval) -> Interval:

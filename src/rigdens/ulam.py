@@ -39,8 +39,8 @@ from typing import ClassVar, Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .intervals import (Interval, IntervalArray, _two_prod, exact_int_dtype, from_fraction,
-                        iv, ratio_array)
+from .intervals import (Interval, IntervalArray, _two_prod, _two_sum, exact_int_dtype,
+                        from_fraction, iv, ratio_array)
 from .maps import Branch, Endpoint, PiecewiseMap, level_crossing
 from .polys import poly_is_linear
 
@@ -80,21 +80,50 @@ class TransitionMatrix:
         return _row_fsums(self.csr.data, self.csr.indptr)
 
 
-_FSUM_ROWS = 1024  # rows whose entries become Python floats at a time
+_FSUM_ROWS = 1 << 16  # rows summed at a time, so temporaries stay small
 
 
 def _row_fsums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """math.fsum of every CSR row: each sum correctly rounded.  The rows go
-    to Python floats in chunks, so no list of the whole matrix raises the
-    process's peak memory."""
+    """math.fsum of every CSR row: each sum correctly rounded.
+
+    A chunk of rows is summed column by column, as if padded with zeros to
+    its longest row, by one error-free TwoSum cascade (VecSum of Ogita,
+    Rump & Oishi, Accurate sum and dot product, SIAM J. Sci. Comput. 2005):
+    the float sum s and the errors e_i of the m additions of a row of m
+    entries have its exact sum S = s + sum e_i.  The float sum r of the e_i
+    misses sum e_i by at most gamma_(m-1) sum |e_i| <= b, where b is 2 m u
+    times the float sum of the |e_i|, rounded up (additions are exact below
+    the normal range).  TwoSum gives c + d = s + r, so S - c = d +
+    (sum e_i - r) lies in [d - b, d + b].  c is the nearest float to S, the
+    one fsum returns, where that range lies strictly inside (-g_lo/2,
+    g_hi/2), g_lo and g_hi the gaps from c to its neighbours (halved
+    exactly, or to 0 below 2^-1073, which only tightens the test); rounding
+    is monotone, so d + b and b - d rounded still decide it.  Rows the test
+    cannot decide (a tie, heavy cancellation, a zero sum whose sign fsum
+    sets, or a non-finite value) take math.fsum."""
     k = len(indptr) - 1
-    out = np.empty(k)
+    out = np.zeros(k)
+    if not len(data):
+        return out
     for first in range(0, k, _FSUM_ROWS):
-        ends = indptr[first:first + _FSUM_ROWS + 1].tolist()
-        base = ends[0]
-        vals = data[base:ends[-1]].tolist()
-        out[first:first + len(ends) - 1] = [
-            math.fsum(vals[s - base:e - base]) for s, e in zip(ends, ends[1:])]
+        starts = indptr[first:first + _FSUM_ROWS + 1]
+        counts, last = np.diff(starts), np.maximum(starts[1:] - 1, 0)
+        starts = starts[:-1]
+        m = int(counts.max())
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = r = mag = np.zeros(len(counts))
+            for j in range(m):
+                s, e = _two_sum(s, np.where(
+                    counts > j, data[np.minimum(starts + j, last)], 0.0))
+                r, mag = r + e, mag + np.abs(e)
+            b = np.nextafter(mag * (2.0 * m * 2.0 ** -53), np.inf)
+            c, d = _two_sum(s, r)
+            ok = ((d + b < (np.nextafter(c, np.inf) - c) / 2)
+                  & (b - d < (c - np.nextafter(c, -np.inf)) / 2)
+                  & (c != 0) & (np.abs(c) < np.finfo(np.float64).max))
+        out[first:first + len(counts)] = c
+        for i in np.flatnonzero(~ok) + first:
+            out[i] = math.fsum(data[indptr[i]:indptr[i + 1]].tolist())
     return out
 
 
@@ -391,15 +420,18 @@ def assemble_ulam(m: PiecewiseMap, k: int) -> TransitionMatrix:
     first = _group_starts(e_keys)
     if len(first):
         e_keys, e_len = e_keys[first], np.add.reduceat(e_len, first)
-    # an entry with float terms takes its exact terms as enclosures
-    mixed = np.isin(e_keys, f_keys)
-    if mixed.any():
-        q = np.asarray(e_len[mixed] / den, dtype=np.float64)
-        f_keys = np.concatenate([f_keys, e_keys[mixed]])
-        f_lo = np.concatenate([f_lo, np.nextafter(q, -np.inf)])
-        f_hi = np.concatenate([f_hi, np.nextafter(q, np.inf)])
-        e_keys, e_len = e_keys[~mixed], e_len[~mixed]
     f_keys, f_sum = _entry_sums(f_keys, f_lo, f_hi)
+    # an entry with float terms takes its exact terms as one enclosure,
+    # added after the float terms; f_keys is sorted and unique
+    if len(e_keys) and len(f_keys):
+        at = np.minimum(np.searchsorted(f_keys, e_keys), len(f_keys) - 1)
+        mixed = f_keys[at] == e_keys
+        at = at[mixed]
+        q = np.asarray(e_len[mixed] / den, dtype=np.float64)
+        add = f_sum[at] + IntervalArray(np.nextafter(q, -np.inf),
+                                        np.nextafter(q, np.inf))
+        f_sum.lo[at], f_sum.hi[at] = add.lo, add.hi
+        e_keys, e_len = e_keys[~mixed], e_len[~mixed]
     f_val, f_err = _stored_midpoints(f_sum * k)
     e_num = e_len * k
     e_val = np.asarray(e_num / den, dtype=np.float64)

@@ -274,12 +274,12 @@ def test_sparse_phase_matches_dense(name, k, request, monkeypatch):
     # throughout, anchor for anchor
     model = enclosure._model(_family_matrix(request, name, k))
     blocks = record_product_kinds(monkeypatch)
-    switched, _ = enclosure._anchor_norms(model, 1)
+    switched, _ = enclosure._anchor_norms(model)
     assert any(kinds[0] and not kinds[-1] for kinds in blocks)
     for fill, kind in ((-1.0, False), (math.inf, True)):
         blocks.clear()
         monkeypatch.setattr(enclosure, "_SPARSE_FILL", fill)
-        assert np.array_equal(enclosure._anchor_norms(model, 1)[0], switched)
+        assert np.array_equal(enclosure._anchor_norms(model)[0], switched)
         assert all(set(kinds) == {kind} for kinds in blocks)
 
 
@@ -333,16 +333,17 @@ def test_step_matches_matmul(name, request):
 
 def test_dense_steps_allocate_no_block(eq6, monkeypatch):
     # EQ6 at k = 2048 in one block of 128 anchors, dense from step 1: once
-    # warmed, a run of the block allocates less than one block's bytes
+    # warmed, a run of the block to step 8 allocates less than one block's
+    # bytes
     monkeypatch.setattr(enclosure, "_SPARSE_FILL", -1.0)
     k, width = 2048, 128
     model = enclosure._model(markovize(assemble_ulam(eq6, k)))
     ids = np.arange(1, width + 1)
     bufs = [np.empty(k * width, np.float32) for _ in range(2)]
-    warm = enclosure._run_batch(model, ids, 1, 1, bufs)
+    warm = enclosure._run_batch(model, ids, 8, 1, bufs)
     tracemalloc.start()
     try:
-        again = enclosure._run_batch(model, ids, 1, 1, bufs)
+        again = enclosure._run_batch(model, ids, 8, 1, bufs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,53 +351,82 @@ def test_dense_steps_allocate_no_block(eq6, monkeypatch):
     assert peak < k * width * np.dtype(np.float32).itemsize
 
 
-def test_blocks_restepped_to_largest_stop(lanford2, monkeypatch):
-    # at k = 128 LANFORD2's blocks of 16 anchors stop at 5 and at 6 (the
-    # witness sets measured_from = 5); those that stop at 5 are stepped
-    # again to 6, to the same certificate as one block
-    mk = markovize(assemble_ulam(lanford2, 128))
-    one_block = sweep_in_blocks(monkeypatch, mk, 127)
-    run_batch = enclosure._run_batch
-    stops, restepped = [], []
+def spy_block_runs(monkeypatch):
+    """Patch _run_batch to record (first anchor, steps) of each block run;
+    returns the list it fills."""
+    run_batch, runs = enclosure._run_batch, []
 
-    def spy(model, ids, first, measured_from, bufs):
-        out = run_batch(model, ids, first, measured_from, bufs)
-        (stops if first == 1 else restepped).append(len(out))
+    def spy(*args):
+        out = run_batch(*args)
+        runs.append((int(args[1][0]), len(out)))
         return out
 
     monkeypatch.setattr(enclosure, "_run_batch", spy)
-    assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
-    assert (one_block[0].measured_from, one_block[0].n_true) == (5, 6)
-    assert sorted(set(stops)) == [5, 6]
-    assert restepped == [6] * stops.count(5)
+    return runs
 
 
-def test_late_restep_pulls_blocks_along(lanford2, monkeypatch):
-    # a re-stepped block that passes only after the largest stop (forced
-    # here by asking it for a pass from 7 on instead of 6) sends the other
-    # blocks round again to its stop, to the same certificate as one block
+def test_blocks_step_once_to_the_horizon(lanford2, monkeypatch):
+    # at k = 128 LANFORD2's witness sets measured_from = 5 and the horizon
+    # N = 6: each block of 16 anchors steps once to 6, to the certificate
+    # of one block, also the blocks whose own bound passes at 5
     mk = markovize(assemble_ulam(lanford2, 128))
     one_block = sweep_in_blocks(monkeypatch, mk, 127)
-    run_batch = enclosure._run_batch
-    lock = threading.Lock()
-    firsts = []
-
-    def late_once(model, ids, first, measured_from, bufs):
-        with lock:
-            firsts.append(first)
-            if first == 6 and firsts.count(6) == 1:
-                first = 7
-        return run_batch(model, ids, first, measured_from, bufs)
-
-    monkeypatch.setattr(enclosure, "_run_batch", late_once)
+    runs = spy_block_runs(monkeypatch)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
-    assert 7 in firsts
+    assert (one_block[0].measured_from, one_block[0].n_true) == (5, 6)
+    assert sorted(runs) == [(start, 6) for start in range(1, 128, 16)]
+
+
+def test_under_read_horizon_costs_one_round(lanford2, monkeypatch):
+    # a witness that reads N - 1 (forced here) sends every block round
+    # once more, one step further, to the certificate of one block
+    mk = markovize(assemble_ulam(lanford2, 128))
+    one_block = sweep_in_blocks(monkeypatch, mk, 127)
+    witness = enclosure._witness
+
+    def early(model, bufs):
+        horizon, measured_from = witness(model, bufs)
+        return horizon - 1, measured_from
+
+    monkeypatch.setattr(enclosure, "_witness", early)
+    runs = spy_block_runs(monkeypatch)
+    assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 16))
+    assert sorted(steps for _, steps in runs) == [5] * 8 + [6] * 8
+
+
+def test_anchor_outside_the_witness_never_contracts(monkeypatch):
+    # every state but 2 maps uniformly onto 32 states that leave out 2, and
+    # 2 maps to itself: the anchors e_0 - e_j, j != 2, vanish at step 1,
+    # where the witness (2 is not among its anchors) passes, but e_0 - e_2
+    # keeps norm 2.  After one more step the horizon doubles up to _J_MAX,
+    # and each anchor steps fewer than 4 _J_MAX times in all
+    k, j_max = 64, 40
+    monkeypatch.setattr(enclosure, "_J_MAX", j_max)
+    rows = np.zeros((k, k))
+    rows[:, [0, 1, *range(3, 33)]] = 1 / 32
+    rows[2] = np.eye(k)[2]
+    witness, horizons = enclosure._witness, []
+
+    def spy(model, bufs):
+        horizons.append(witness(model, bufs))
+        return horizons[-1]
+
+    monkeypatch.setattr(enclosure, "_witness", spy)
+    runs = spy_block_runs(monkeypatch)
+    with pytest.raises(NotContractingError):
+        sweep_in_blocks(monkeypatch, _matrix(rows, "L1"), 16)
+    assert horizons == [(1, 1)]
+    rounds = sorted({steps for _, steps in runs})
+    assert rounds == [1, 2, 4, 8, 16, 32, 40]
+    assert sorted(runs) == sorted((start, steps) for start in range(1, k, 16)
+                                  for steps in rounds)
+    # the witness's one step, and every round
+    assert 1 + sum(rounds) < 4 * j_max
 
 
 def test_global_fallback_matches_one_block(eq6, monkeypatch):
-    # every block passes N's test alone but the global test (global drift)
-    # fails at the largest stop: the search resumes one step later and
-    # must give the one-block certificate
+    # the global test fails at the horizon (forced here): every block steps
+    # one step further in one more round, to the one-block certificate
     mk = markovize(assemble_ulam(eq6, 64))
     one_block = sweep_in_blocks(monkeypatch, mk, 63)
     first_passing = enclosure._first_passing
@@ -409,7 +439,9 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
 
     monkeypatch.setattr(enclosure, "_first_passing", fail_first)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 7))
-    assert calls == [one_block[0].n_true, one_block[0].n_true + 1]
+    # two rounds, and the sweep's read of the record the second one passed
+    n = one_block[0].n_true
+    assert calls == [n, n + 1, n + 1]
 
 
 @pytest.mark.parametrize("name", ["tripling", "eq4", "eq6", "eq7", "lanford",
@@ -421,11 +453,13 @@ def test_witness_only_saves_time(name, request, monkeypatch):
     # measured bound is at or above the all-measured one (its drift is
     # charged on the a-priori norms), by at most 1e-5
     m = request.getfixturevalue(name)
+    witness = enclosure._witness
     for k in (64, 128, 256, 512, 1024, 2048):
         mk = markovize(assemble_ulam(m, k))
         cert, dens = contraction_sweep(mk, 1e-4)
         with monkeypatch.context() as every_step:
-            every_step.setattr(enclosure, "_measured_from", lambda model, bufs: 1)
+            every_step.setattr(enclosure, "_witness", lambda model, bufs: (
+                witness(model, bufs)[0], 1))
             measured, measured_dens = contraction_sweep(mk, 1e-4)
         assert measured.measured_from == 1 < cert.measured_from
         assert (cert.n_eps, cert.n_true, dens.l) == (
@@ -669,6 +703,25 @@ def test_sweep_bounds_dominate_exact_anchor_norms(case):
         else:  # at density scale
             top = k * max(abs(x) for a in anchors for x in a)
         assert F(bound) >= F(top, 2 ** (e * t))
+
+
+_NORM = st.floats(0.0, 64.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stochastic_cases(), st.lists(st.tuples(_NORM, _NORM), min_size=1,
+                                     max_size=24))
+@example((_SLOW_SUP[0], "L1"), [(0.0, 0.0), (2.0, 0.0), (0.25, 1e-300)])
+@example(_SLOW_SUP, [(6.0, 0.0), (0.5, 2.0 ** -40), (0.0, 64.0)])
+def test_bounds_increase_with_the_norm_record(case, steps):
+    # the lemma that puts the witness's horizon at or before N: a record
+    # at least as large at every step gives bounds at least as large at
+    # every step, in L1 and in the sup norm
+    model = enclosure._model(_matrix(*case))
+    low = [a for a, _ in steps]
+    high = [a + d for a, d in steps]  # rounds to at least a
+    for lo, hi in zip(model.bounds(low), model.bounds(high)):
+        assert lo <= hi
 
 
 def _ledger_cases(eq6):

@@ -2,15 +2,20 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
 
+from rigdens import ulam
 from rigdens.cli import parse_map
+from rigdens.hatbasis import assemble_linearized
 from rigdens.intervals import IntervalArray, from_fraction
 from rigdens.maps import Branch, Endpoint, PiecewiseMap, level_crossing
 from rigdens.ulam import (
@@ -430,3 +435,53 @@ def test_stored_midpoint_error_charges_the_rounded_gap():
     exact = max(F(hi) - F(0.5), F(0.5) - F(lo))
     assert F(max(hi - 0.5, 0.5 - lo)) < exact  # the nearest-rounded gap
     assert F(err) >= exact
+
+
+_TIE = 2.0 ** -53  # half an ulp of 1
+_SUM_TERM = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1.0, -1.0, 0.1, _TIE, -_TIE, 1e16, -1e16, 0.0, -0.0]),
+    st.integers(-(1 << 20), 1 << 20).map(lambda n: n * 2.0 ** -1074),
+    st.integers(-(1 << 53), 1 << 53).map(lambda n: n * 2.0 ** -60),
+)
+
+
+def _fsum_rows(rows):
+    data = np.array([x for row in rows for x in row], dtype=np.float64)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    # chunks of 3 rows, so that some rows sit in a chunk with a longer row
+    with mock.patch.object(ulam, "_FSUM_ROWS", 3):
+        got = ulam._row_fsums(data, indptr)
+    return got, np.array([math.fsum(row) for row in rows], dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_SUM_TERM, max_size=12), min_size=1, max_size=20))
+# ties to even (down to 1, up to 1 + 2^-51), a hair above a tie,
+# cancellation to 1 and to 0, subnormal sums, signed zeros, an empty row,
+# and a row whose rounding errors add in float to below half an ulp of 1
+# while their exact sum is above it: S = 1 + 2^-53 + 2^-108
+@example([[1.0, _TIE], [1.0 + 2 * _TIE, _TIE], [1.0, _TIE, 2.0 ** -80],
+          [1e16, 1.0, -1e16], [0.1, -0.1], [-0.0], [-0.0, -0.0], [],
+          [2.0 ** -1074] * 3, [2.0 ** -1022, -(2.0 ** -1074)],
+          [1.0, _TIE, _TIE, -(2.0 ** -106)],
+          [1.0, _TIE - 2.0 ** -106] + [2.0 ** -108] * 5])
+def test_row_fsums_match_fsum(rows):
+    # correctly rounded sums bit for bit, the sign of a zero included
+    got, want = _fsum_rows(rows)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [EQ4, EQ6, EQ7, LANFORD2, SINMAP],
+                         ids=["eq4", "eq6", "eq7", "lanford2", "sinmap"])
+@pytest.mark.parametrize("k", [100, 1024])
+def test_row_fsums_of_family_matrices(text, k):
+    m = parse_map(text).build()
+    raw = (assemble_linearized if text == SINMAP else assemble_ulam)(m, k)
+    for matrix in (raw, markovize(raw)):
+        csr = matrix.csr
+        rows = [csr.data[a:b].tolist()
+                for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
+        got, want = _fsum_rows(rows)
+        assert got.tobytes() == want.tobytes()
+        assert matrix.row_sums().tobytes() == want.tobytes()
