@@ -40,7 +40,7 @@ contraction, density = contraction_sweep(matrix, 1e-6)
 print(f"\nenclosure: l = {density.l} power steps, radius = {density.radius:.3g}")
 print(f"contraction: N_eps = {contraction.n_eps}, N = {contraction.n_true}")
 print("density values (cell mass * k):",
-      [round(float(k * v), 9) for v in density.values])
+      [round(float(v), 9) for v in density.density_values])
 
 # the discretization term scales like B/k, so certify at a finer partition
 k = 243

@@ -43,7 +43,7 @@ print(f"certified interval [{lyap.lo:.7f}, {lyap.hi:.7f}]"
 
 print("\ndensity staircase (first plateau, around x = 5/17):")
 for i in range(int(5 / 17 * k) - 2, int(5 / 17 * k) + 3):
-    print(f"  cell {i}: density ~ {k * density.values[i]:.5f}")
+    print(f"  cell {i}: density ~ {density.density_values[i]:.5f}")
 
 try:
     import matplotlib
@@ -53,7 +53,7 @@ try:
 
     xs = [(i + 0.5) / k for i in range(k)]
     plt.figure(figsize=(7, 3))
-    plt.step(xs, [k * v for v in density.values], lw=0.8)
+    plt.step(xs, density.density_values, lw=0.8)
     plt.xlabel("x")
     plt.ylabel("density")
     plt.title("certified invariant density of 17x/5 mod 1")

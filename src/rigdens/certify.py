@@ -14,7 +14,8 @@ fixed-point lemma rigdens.enclosure.fixed_point_bound,
   both  numeric         N_eps  min(C_i, R^i)  A      s (|r| + |sum r|)/|sum v|
 
 X = (4/k) D + 2(M + 1)M(1 + B1/(1 - a)), |f| = ||v||_inf + rho,
-A = C_n + delta s sum_{i<n} R^i and A' = 1/2 + delta sum_{i<N_eps} R^i.
+A = C_n + delta s sum_{i<n} R^i and A' = 1/2 + delta sum_{i<N_eps} R^i,
+with R and R^i those of the sweep (rigdens.enclosure); M is ly.m_sup.
 With delta = 0 these are the paper's 2N(2B/k), 2 N_eps ||P - Pi||,
 (2/k) N M X (B + 1) and N step_error |f|.  The numeric term is the radius
 rho of the fixed-vector enclosure (rigdens.enclosure defines its symbols
@@ -28,23 +29,25 @@ In L1 the lemma runs on Pi, whose N_eps certifies C_{N_eps} <= 1/2:
 e - e Pi = f_P (P - Pi) + c e_j has mass tau = -sum_i e_i d_i.  Its
 zero-sum part f_P (P - Pi) + (c - tau) e_j, where c - tau =
 sum_i (f_P)_i d_i and f_P >= 0 has mass 1, has norm at most
-step_error + delta; ||Pi^i|| <= R^i = (1 + delta)^i since Pi >= 0; and
+step_error + delta; ||Pi^i|| <= R^i, R >= 1 + delta, since Pi >= 0; and
 tau e_j Pi^i, at most delta R^i ||e||, is charged in alpha.  In the sup
 norm the lemma runs on P, whose N certifies ||P^N|_V|| <= 1/2:
 e - e P = f_Pi (P - Pi) + c e_j is zero-sum, and |c| ||e_j|| <=
 delta s ||f_Pi|| with s = k (||.||_1 <= k ||.||_inf at density scale).
 
-The Lyapunov exponent integral log|T'| d(mu) is then enclosed against the
-computed density: one interval array of per-cell products (the hull of
-|T'| over each outward-rounded cell, its log, times the cell weight),
-summed by math.fsum of the lower and of the upper ends, each correctly
-rounded and then moved one float outward.  The result is inflated by
-sup|log|T'|| times the final error bound, which controls the difference
-against the true density.
+The Lyapunov exponent, the integral of g = log|T'| against the true
+density f, is enclosed against the computed f~ by the _fsum of per-cell
+products: log of the hull of |T'| over each outward-rounded cell, times
+its mass.  With [g_lo, g_hi] the hull of those logs (it holds g), c its
+midpoint and integral f = 1, integral g (f - f~) = integral (g - c)(f -
+f~) + c (1 - integral f~), so the slack is max(g_hi - c, c - g_lo)
+eps_rig + |c| |1 - integral f~| (_slack), integral f~ the _fsum of the
+masses, as ||f - f~||_1 <= eps_rig (also in the sup norm on [0, 1]).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -52,9 +55,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .intervals import IntervalArray, iv
+from .intervals import Interval, IntervalArray, iv, ratio_array
 from .maps import LYCoefficientsBV, LYCoefficientsLip, PiecewiseMap
-from .enclosure import ContractionCertificate, EnclosedDensity, fixed_point_bound
+from .enclosure import (ContractionCertificate, EnclosedDensity, _l1_norm,
+                        _leak, _powers, fixed_point_bound)
 from .hatbasis import LinfMatrix
 from .ulam import TransitionMatrix
 
@@ -140,16 +144,14 @@ def certify_l1(ly: LYCoefficientsBV, matrix: TransitionMatrix,
     eps_num is recorded as the target density.radius had to meet."""
     if not (iv(2) * ly.lam).hi < 1.0:
         raise ValueError("2/inf|T'| must stay below 1 for the mass-norm bound")
-    delta = iv(contraction.row_defect)
+    delta = contraction.row_defect
 
     def terms(n_eps, n_true):
-        powers = [iv(1)]  # R^i, R = 1 + delta
-        while len(powers) < n_eps:
-            powers.append(powers[-1] * (iv(1) + delta))
-        alpha = iv(0.5) + delta * sum(powers, iv(0))
+        powers = list(itertools.islice(_powers(_l1_norm(delta)), n_eps))
         return (
             fixed_point_bound([1] * n_true, 0.5, iv(2) * ly.b / iv(matrix.k)),
-            fixed_point_bound(powers, alpha, iv(matrix.step_error) + delta))
+            fixed_point_bound(powers, iv(0.5) + _leak(delta, 1, powers),
+                              iv(matrix.step_error) + iv(delta)))
 
     return _certificate("L1", ly, matrix, contraction, density, eps_num,
                         map_id, terms)
@@ -159,23 +161,39 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  eps_num: float, map_id: str = "map") -> Certificate:
     """Sup-norm certificate, the Linf rows of the module docstring's table;
-    the M of the matrix term is matrix.m_sup."""
+    M is ly.m_sup in both terms."""
     if not ly.alpha.hi < 1.0:
         raise ValueError("Lipschitz contraction alpha must stay below 1")
-    k, m, m_mat = iv(matrix.k), ly.m_sup, iv(matrix.m_sup)
+    k, m = iv(matrix.k), ly.m_sup
     x = (iv(4) / k) * ly.distortion + iv(2) * (m + iv(1)) * m * (
         iv(1) + ly.b_one / (iv(1) - ly.alpha))
-    f_sup = iv(float(np.abs(density.values).max())) + iv(density.radius)
+    f_sup = (iv(float(np.abs(density.density_values).max()))
+             + iv(density.radius))
 
     def terms(n_eps, n_true):
         rate = (iv(matrix.eps) + iv(matrix.lin_err)
                 + iv(contraction.row_defect) * k)
         return (
             fixed_point_bound([m] * n_true, 0.5, x * (ly.b_var + iv(1)) / k),
-            fixed_point_bound([m_mat * m_mat] * n_true, 0.5, rate * f_sup))
+            fixed_point_bound([m * m] * n_true, 0.5, rate * f_sup))
 
     return _certificate("Linf", ly, matrix, contraction, density, eps_num,
                         map_id, terms)
+
+
+def _fsum(x: IntervalArray) -> Interval:
+    """Sum of x: fsum of each end, correctly rounded, moved one float out."""
+    return Interval(math.nextafter(math.fsum(x.lo.tolist()), -math.inf),
+                    math.nextafter(math.fsum(x.hi.tolist()), math.inf))
+
+
+def _slack(g: Interval, err: float, mass: Interval) -> float:
+    """The module docstring's slack, rounded up: at least |integral g (f - f~)|
+    for values of g in g, ||f - f~||_1 <= err, f of mass 1, f~ of mass in mass."""
+    c = g.mid
+    half = max((iv(g.hi) - iv(c)).hi, (iv(c) - iv(g.lo)).hi)
+    return _up_sum((iv(half) * iv(err)).hi,
+                   (abs(iv(c)) * abs(iv(1) - mass)).hi)
 
 
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
@@ -183,35 +201,22 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     """Certified enclosure of the Lyapunov exponent of the certified run.
 
     Integrates the per-cell interval enclosure of log|T'| against the
-    enclosed density, then charges sup|log|T'|| times eps_rig for the
-    distance to the true invariant density (a sup-norm certificate also
-    controls the mass norm on [0,1]).  The k cells are one interval array,
-    and the products are summed as the module docstring describes.
+    density's cell masses, one interval array, and charges _slack for the
+    distance to the true invariant density (module docstring).
     """
-    k = cert.k
-    i = np.arange(k, dtype=np.float64)
+    edges = ratio_array(np.arange(cert.k + 1), cert.k)
     # outward-rounded cells so the true rational cells are fully covered
-    cells = IntervalArray((IntervalArray(i) / k).lo, (IntervalArray(i + 1) / k).hi)
-    dr = m.abs_deriv_range_over(cells)
+    dr = m.abs_deriv_range_over(IntervalArray(edges.lo[:-1], edges.hi[1:]))
     touching = dr.lo <= 0.0
     if touching.any():
         raise ValueError(f"|T'| enclosure touches 0 over cell {np.argmax(touching)}")
-    vals = IntervalArray(density.values)
-    if density.norm_kind == "L1":
-        weights = vals
-    else:
-        weights = (vals + IntervalArray(np.roll(density.values, -1))) / 2 / k
-    terms = dr.log() * weights
-    total_lo = math.nextafter(math.fsum(terms.lo.tolist()), -math.inf)
-    total_hi = math.nextafter(math.fsum(terms.hi.tolist()), math.inf)
-    sup_d = m.abs_deriv_sup
-    inf_d = m.abs_deriv_inf
-    if inf_d.lo <= 0.0:
-        raise ValueError("|T'| enclosure touches 0")
-    log_mag = max(abs(sup_d.log().hi), abs(inf_d.log().lo))
-    slack = (iv(log_mag) * iv(cert.eps_rig)).hi
-    estimate = 0.5 * (total_lo + total_hi)
-    half = max((iv(total_hi) - iv(estimate)).hi, (iv(estimate) - iv(total_lo)).hi)
+    log_d = dr.log()
+    masses = density.cell_masses
+    total = _fsum(log_d * masses)
+    slack = _slack(Interval(float(log_d.lo.min()), float(log_d.hi.max())),
+                   cert.eps_rig, _fsum(masses))
+    estimate = total.mid
+    half = max((iv(total.hi) - iv(estimate)).hi, (iv(estimate) - iv(total.lo)).hi)
     return LyapunovResult(estimate=estimate, radius=_up_sum(half, slack))
 
 

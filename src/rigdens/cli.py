@@ -433,12 +433,6 @@ class RunConfig:
             raise ValueError("eps_num must be positive and finite")
 
 
-def _density_scale(density, k: int) -> float:
-    """Factor from stored values to density values: k for L1 mass
-    vectors, 1 at the sup norm's density scale."""
-    return k if density.norm_kind == "L1" else 1.0
-
-
 def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
     """Write the density files and the map graph.
 
@@ -452,7 +446,7 @@ def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     edges = _reprs(np.arange(k + 1) / k)
-    values = _reprs(_density_scale(density, k) * density.values)
+    values = _reprs(density.density_values)
     _write_lines(out_dir / "density.csv", ",", map(str, range(k)),
                  edges[:-1], edges[1:], values, header="i,left,right,value\n")
     _write_lines(out_dir / "density_plot.dat", " ",

@@ -9,7 +9,10 @@ product with Pi is bounded through R, a bound on ||Pi|| on all vectors
 growth of that error over m more steps by R^m in L1 and by the sharper
 rho_m = max_j (1 |Pi|^m)_j in the sup norm, and one scale s (1 in L1, the
 partition size k in the sup norm) is the anchor scale, the mass of the
-fixed vector and the bound on ||w||_1 / ||w|| for every w.
+fixed vector and the bound on ||w||_1 / ||w|| for every w.  Only _model
+sets R (in L1 the upper end of the interval 1 + delta), and only _powers
+R^i: the caps of rho_m, the radius and the witness, and the c_i of
+rigdens.certify's L1 matrix term.
 
 Contraction.  The zero-sum anchors s (e_0 - e_j) are iterated under the
 row action and their norms watched: every zero-sum vector is a
@@ -29,16 +32,13 @@ below passes N's test, at most N (_witness, _anchor_norms).
 
 In L1 the sweep sums its anchors' columns only from measured_from on, the
 first step t at which the largest full-anchor norm of a witness block of
-_WITNESS evenly spaced anchors is at most R^t, the radius's cap.  At
-every earlier step the largest norm of all anchors exceeds R^t as well,
-so that step fails both tests and the radius caps C_t at R^t, whatever
-the other anchors measure.  The blocks still compute those steps'
-products but record the a-priori norm 2 h^_t, a bound on every computed
-anchor that needs no sum (_Model); both tests fail on it too and the
-caps stay R^t, so the certificate reads the same steps and caps, and only
-the drift of the later steps, charged on h^_t, can grow.  The sup-norm
-sweep measures every step: there h^_0 is k/2, so the a-priori norms
-would raise the drift, and its norms are two plain reductions.
+_WITNESS evenly spaced anchors is at most R^t.  At every earlier step the
+largest norm of all anchors exceeds R^t as well, so the step fails both
+tests and the radius caps C_t at R^t whatever the other anchors measure.
+The blocks record the a-priori norm 2 h^_t there (_Model), which needs no
+sum and fails both tests too, so only the drift of later steps, charged
+on h^_t, can grow.  The sup-norm sweep measures every step: there h^_0
+= k/2 would raise the drift, and its norms are two plain reductions.
 
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
@@ -54,25 +54,21 @@ fixed_point_bound with L_delta = Pi, n = N_eps, c = (1, min(C_i, R^i)
 for 0 < i < n), alpha = C_n + delta s sum_{i<n} R^i and defect
 s/|sum v| (||r|| + |sum r|), plus |sum v - s| ||v|| / |sum v| for
 ||v - v'||; R^i stands for any bound on ||Pi^i|| (rho_i in the sup
-norm, _Model).  Power steps continue until it is at most eps_num.  In
-L1 mode the matrix is first checked to be entrywise nonnegative with
-correctly rounded row sums equal to 1, so delta <= 2^-53, R <= 1 + delta.
+norm, _Model).  Power steps continue until it is at most eps_num.  In L1
+the matrix must be nonnegative with correctly rounded row sums of 1, so
+delta is 2^-53 rounded up and R = 1 + 2^-52.
 
-The anchors are stepped in blocks of columns (about 2^20 float32 entries,
-4 MiB, each, and at least as many blocks as threads) spread over a thread
-pool with one thread per CPU this process may use; scipy's sparse
-product and numpy's reductions release the GIL.  Until a cell's image
-under T^t covers [0, 1], (e_0 - e_j) Pi^t has small support, so each
-block starts as a sparse (CSR) matrix and turns dense before the first
-step at which more than _SPARSE_FILL of its entries are stored.  Each
-thread keeps two block buffers for the whole sweep, so no dense step
-maps fresh pages (_half_anchors).
-Each anchor column sees the same float32 arithmetic in the same order
-whatever the block width, thread count or storage, so every result is
-independent of all three: both products add an entry's terms in the
-order of the stored row of Pi transposed, the sparse one skips only
-exact zeros, and the L1 column sums add a column's entries in row order,
-in float64, either way.
+The anchors step in blocks of columns (_block_columns) on a thread pool
+with one thread per usable CPU; scipy's sparse product and numpy's
+reductions release the GIL.  A block starts sparse, as (e_0 - e_j) Pi^t
+has small support until a cell's image covers [0, 1], and turns dense
+once more than _SPARSE_FILL of its entries are stored, in one of the two
+buffers its thread keeps for the whole sweep (_half_anchors).  Each
+anchor column sees the same float32 arithmetic in the same order
+whatever the block width, thread count or storage, so no result depends
+on them: both products add an entry's terms in the order of the stored
+row of Pi transposed, the sparse one skipping only exact zeros, and the
+L1 column sums add a column's entries in row order, in float64.
 """
 
 from __future__ import annotations
@@ -92,7 +88,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .intervals import Interval, _up, iv
+from .intervals import Interval, IntervalArray, _up, iv
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -148,6 +144,24 @@ def fixed_point_bound(c: Sequence[float | Interval], alpha: float | Interval,
     return (iv(defect) * sum(map(iv, c), iv(0)) / room).hi
 
 
+def _powers(r: float) -> Iterator[float]:
+    """r^i for i = 0, 1, ..., the upper ends of interval powers."""
+    power = iv(1)
+    while True:
+        yield power.hi
+        power = power * iv(r)
+
+
+def _l1_norm(delta: float) -> float:
+    """R in L1, 1 + delta rounded up: no row of a nonnegative Pi sums above."""
+    return (iv(1) + iv(delta)).hi
+
+
+def _leak(delta: float, s: float, powers: Sequence[float]) -> Interval:
+    """delta s sum_{i<n} R^i, alpha's share of the row defects (module doc)."""
+    return iv(delta) * iv(s) * sum(map(iv, powers), iv(0))
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Certified contraction data for the zero-average subspace V.
@@ -181,6 +195,20 @@ class EnclosedDensity:
     l: int
     norm_kind: str
 
+    @property
+    def density_values(self) -> np.ndarray:
+        """The density on cell i (L1, values are masses) or at node i/k."""
+        return (len(self.values) if self.norm_kind == "L1" else 1) * self.values
+
+    @property
+    def cell_masses(self) -> IntervalArray:
+        """The mass on each cell: the values in L1, (v_i + v_(i+1)) / (2k) for
+        the sup norm's density, linear between its nodes around the circle."""
+        vals = IntervalArray(self.values)
+        if self.norm_kind == "L1":
+            return vals
+        return (vals + IntervalArray(np.roll(self.values, -1))) / 2 / len(self.values)
+
 
 def _sum_up(s, n: int):
     """Upper bound of a float sum s of n nonnegative terms, elementwise."""
@@ -211,15 +239,15 @@ def _block_columns(k: int) -> int:
 
 class _SupGrowth:
     """rho_m >= ||Pi^m|| in the sup norm for m = 0, 1, ...: the largest
-    entry of 1 |Pi|^m enclosed upward (_Model), at most R^m.  Extended on
-    demand, one O(nnz) product per step, and shared by the threads."""
+    entry of 1 |Pi|^m enclosed upward (_Model), capped at R^m.  Extended
+    on demand, one O(nnz) product per step, by one thread at a time."""
 
     def __init__(self, at_abs: sparse.csr_matrix, col_count: float,
                  op_norm: float):
-        self._at_abs, self._col_count, self._op_norm = at_abs, col_count, op_norm
+        self._at_abs, self._col_count = at_abs, col_count
         self._u = np.ones(at_abs.shape[0])  # 1 |Pi|^m, enclosed upward
-        self._cap = 1.0  # R^m, rounded up
-        self._rho = [1.0]
+        self._caps = _powers(op_norm)
+        self._rho = [next(self._caps)]
         self._lock = threading.Lock()
 
     def upto(self, m: int) -> List[float]:
@@ -231,8 +259,7 @@ class _SupGrowth:
                 # each: C + 2 roundings
                 self._u = _sum_up(self._at_abs @ self._u
                                   + self._col_count * _ETA, self._col_count + 2)
-                self._cap = _up(self._cap * self._op_norm)
-                self._rho.append(min(float(self._u.max()), self._cap))
+                self._rho.append(min(float(self._u.max()), next(self._caps)))
             return self._rho[:m + 1]
 
 
@@ -267,8 +294,8 @@ class _Model:
     (below), a bound on the computed vector itself, so no drift enters the
     charge (fresh is increasing in the norm, so the block's largest norm
     covers every anchor; these norms are twice a float, so halving them is
-    exact).  In L1, ||Pi^m|| <= R^m, and the drift is
-    that sum in Horner form.  In the sup norm, ||Pi^m|| is at most
+    exact).  In L1, ||Pi^m|| <= R^m, and the drift is that sum in Horner
+    form.  In the sup norm, ||Pi^m|| is at most
     rho_m = max_j (1 |Pi|^m)_j, 1 the all-ones row vector (growth), since
     |(e Pi^m)_j| <= sum_i |e_i| (|Pi|^m)_ij <= ||e|| (1 |Pi|^m)_j.  rho_m is
     enclosed upward and capped at R^m, so this drift never exceeds the
@@ -347,14 +374,9 @@ class _Model:
     def powers(self) -> Iterator[float]:
         """Bounds on ||Pi^i|| for i = 0, 1, ..., rounded up: R^i in L1,
         rho_i in the sup norm; the caps of the radius and of the witness."""
-        if self.growth is not None:
-            for i in itertools.count():
-                yield self.growth.upto(i)[i]
-        else:
-            power = iv(1)
-            while True:
-                yield power.hi
-                power = power * iv(self.op_norm)
+        if self.growth is None:
+            return _powers(self.op_norm)
+        return (self.growth.upto(i)[i] for i in itertools.count())
 
     def a_priori_norms(self, n: int) -> List[float]:
         """2 h^_t for t = 1, ..., n, bounds on the full-anchor norms of
@@ -419,10 +441,9 @@ class _Model:
         # the i = 0 terms are C_0 = ||Pi^0|| = 1
         powers = list(itertools.islice(self.powers(), len(c)))
         caps = [1.0] + [min(c_i, p) for c_i, p in zip(c[:-1], powers[1:])]
-        s_r = sum(map(iv, powers[1:]), iv(1))
         scale = iv(self.scale)
         inner = fixed_point_bound(
-            caps, iv(c[-1]) + iv(self.row_defect) * scale * s_r,
+            caps, iv(c[-1]) + _leak(self.row_defect, self.scale, powers),
             scale / abs(v_sum) * (iv(r_norm) + r_sum))
         outer = abs(v_sum - scale) * iv(v_norm) / abs(v_sum)
         return (iv(inner) + outer).hi
@@ -451,9 +472,8 @@ def _model(matrix: TransitionMatrix) -> _Model:
     # gap above the result, so the one ulp that _up adds covers both
     row_defect = _up(float((np.abs(row_sums - 1.0)
                             + np.abs(np.spacing(row_sums)) / 2).max()))
-    # R: the largest row sum in L1 (no entry is negative), the largest
-    # column sum in the sup norm
-    op_norm = (_up(1.0 + row_defect) if l1
+    # R: the largest row sum in L1, the largest column sum in the sup norm
+    op_norm = (_l1_norm(row_defect) if l1
                else float(_sum_up(at_abs.sum(axis=1).max(), matrix.k)))
     if not l1 and matrix.k > 1 << 24:
         raise ValueError("the sup-norm sweep needs k <= 2^24: its float32 "
@@ -577,29 +597,28 @@ def _witness(model: _Model, bufs: Sequence[np.ndarray]):
 def _run_batch(model: _Model, ids: np.ndarray, horizon: int,
                measured_from: int, bufs: Sequence[np.ndarray]) -> np.ndarray:
     """Step the half-anchors of ids in bufs (_half_anchors) horizon times
-    and return the (horizon x len(ids)) array of full-anchor norms.  Steps
-    from measured_from on are measured (upward-rounded norms); the earlier
-    ones take the a-priori norms, and their products are computed but not
+    and return the largest full-anchor norm of each step.  Steps from
+    measured_from on are measured (upward-rounded norms); the earlier ones
+    take the a-priori norms, and their products are computed but not
     summed."""
-    # one record for all steps, allocated before the block-sized products:
-    # small allocations between them fragment the heap and raise peak RSS
-    out = np.empty((horizon, len(ids)))
-    out[:measured_from - 1] = np.c_[model.a_priori_norms(measured_from - 1)]
+    out = np.empty(horizon)
+    out[:measured_from - 1] = model.a_priori_norms(measured_from - 1)
     for t, y, spare in itertools.islice(_half_anchors(model, ids, bufs), horizon):
         if t >= measured_from:
-            out[t - 1] = 2.0 * model.col_norms(y, spare)
+            out[t - 1] = 2.0 * model.col_norms(y, spare).max()
     return out
 
 
 def _anchor_norms(model: _Model):
-    """(norms, measured_from): the (t x (k - 1)) anchor norms of the first
-    round whose record passes N's test.  _witness sets the horizon and
-    measured_from; then every block of _block_columns(k) anchors steps
-    once to the horizon (_run_batch) on the thread pool.  The horizon is
-    at most N, so a failing round rules out every step it covered.  The
-    next round steps one step further, and each retry after that doubles
-    the horizon, up to _J_MAX: an anchor steps fewer than 4 _J_MAX times
-    in all, the witness's steps included, before NotContractingError."""
+    """(norm_max, bounds, n_eps, n_true, measured_from) of the first round
+    whose record passes N's test: each step's largest anchor norm and bound.
+    _witness sets the horizon and measured_from; then every block of
+    _block_columns(k) anchors steps once to the horizon (_run_batch) on the
+    thread pool.  The horizon is at most N, so a failing round rules out
+    every step it covered.  The next round steps one step further, and
+    each retry after that doubles the horizon, up to _J_MAX: an anchor
+    steps fewer than 4 _J_MAX times in all, the witness's steps included,
+    before NotContractingError."""
     k = model.at.shape[0]
     ids_all = np.arange(1, k)
     width = _block_columns(k)
@@ -623,10 +642,11 @@ def _anchor_norms(model: _Model):
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for retry in itertools.count():
-            norms = np.concatenate(list(pool.map(block, starts)), axis=1)
-            if _first_passing(model.bounds(norms.max(axis=1)),
-                              model)[1] is not None:
-                return norms, measured_from
+            norm_max = np.max(list(pool.map(block, starts)), axis=0)
+            bounds = model.bounds(norm_max)
+            n_eps, n_true = _first_passing(bounds, model)
+            if n_true is not None:
+                return norm_max, bounds, n_eps, n_true, measured_from
             if horizon == _J_MAX:
                 raise _no_contraction()
             horizon = min(_J_MAX, 2 * horizon if retry else horizon + 1)
@@ -688,22 +708,14 @@ def contraction_sweep(matrix: TransitionMatrix, eps_num: float):
     if not 0 < eps_num < math.inf:  # NaN fails the comparison too
         raise ValueError("eps_num must be positive and finite")
     model = _model(matrix)
-    norms, measured_from = _anchor_norms(model)
-    norm_max = norms.max(axis=1)
-    bounds = model.bounds(norm_max)
-    n_eps, n_true = _first_passing(bounds, model)
-    for t in range(len(bounds)):
-        measured = t + 1 >= measured_from
-        _log.info("step %d: max_norm=%.6g bound=%.6g measured=%s",
-                  t + 1, norm_max[t], bounds[t], measured,
-                  extra={"step": t + 1, "max_norm": float(norm_max[t]),
-                         "bound": bounds[t], "measured": measured})
+    norm_max, bounds, n_eps, n_true, measured_from = _anchor_norms(model)
+    for t, (top, bound) in enumerate(zip(norm_max, bounds), 1):
+        measured = t >= measured_from
+        _log.info("step %d: max_norm=%.6g bound=%.6g measured=%s", t, top,
+                  bound, measured, extra={"step": t, "max_norm": float(top),
+                                          "bound": bound, "measured": measured})
     cert = ContractionCertificate(
-        n_eps=n_eps,
-        n_true=n_true,
-        per_step_bounds=[float(b) for b in bounds[:n_true]],
-        row_defect=model.row_defect,
-        norm_kind=model.norm_kind,
-        measured_from=measured_from,
-    )
+        n_eps=n_eps, n_true=n_true, per_step_bounds=[float(b) for b in bounds[:n_true]],
+        row_defect=model.row_defect, norm_kind=model.norm_kind,
+        measured_from=measured_from)
     return cert, _fixed_vector(model, cert.per_step_bounds[:n_eps], eps_num)

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 
-from .intervals import IntervalArray, iv
+from .intervals import IntervalArray, iv, ratio_array
 from .maps import PiecewiseMap, ly_coefficients_lip
 from .ulam import TransitionMatrix, _entry_sums, _stored_midpoints
 
@@ -119,7 +119,7 @@ def _node_enclosures(m: PiecewiseMap, k: int):
     """Enclosures of T(a_i) and T'(a_i) at every node a_i = i/k, each node
     on the first branch whose endpoint brackets admit it."""
     nodes = np.arange(k)
-    x = IntervalArray(nodes.astype(np.float64)) / k
+    x = ratio_array(nodes, k)
     value = np.empty((2, k))
     deriv = np.empty((2, k))
     free = np.ones(k, dtype=bool)

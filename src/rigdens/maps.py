@@ -11,10 +11,10 @@ A branch works out each fact about itself once and caches it: its
 certified direction (``Branch.increasing``, which every reader of the
 direction uses; a mod-1 piece takes the one its expression certified)
 and the interval enclosures of the coefficients of its value, first and
-second derivative.  A map does the same for the facts
-every later stage reads: ``abs_deriv_inf``, ``abs_deriv_sup``,
-``min_branch_length`` and ``distortion_sup`` are cached enclosures, each
-one fold over the branches of a per-branch enclosure.
+second derivative.  A map does the same for its global facts:
+``abs_deriv_inf``, ``abs_deriv_sup``, ``min_branch_length`` and
+``distortion_sup`` are cached enclosures, each one fold over the
+branches of a per-branch enclosure, computed on first read.
 
 ``level_crossing`` is the one preimage routine: one array call brackets
 the preimages of many levels, exactly (integers over a common
@@ -64,6 +64,7 @@ __all__ = [
     "iterate_map",
     "level_crossing",
     "split_mod_branches",
+    "value_bracket",
 ]
 
 
@@ -530,29 +531,24 @@ def _float_crossings(b: Branch, y: IntervalArray):
     return ends[0], ends[1]
 
 
-def _value_at(b: Branch, e: Endpoint):
-    """b at an endpoint: the exact value when it is rational, otherwise the
-    enclosure over the endpoint's bracket."""
+def value_bracket(b: Branch, e: Endpoint) -> Tuple[Fraction, Fraction]:
+    """b at an endpoint as a rational bracket: (v, v) for an exact e where
+    b's value v is rational, otherwise b's enclosure over e's bracket."""
     if e.is_exact:
         v = b.value_exact(e.lo)
         if v is not None:
-            return v
-    return b.value_iv(e.enc)
+            return v, v
+    enc = b.value_iv(e.enc)
+    return Fraction(enc.lo), Fraction(enc.hi)
 
 
-def _order(x, y) -> Optional[int]:
-    """Certified sign of x - y, each an exact rational or an enclosing
-    Interval (float/rational comparisons are exact); None when the
-    enclosures overlap and so cannot decide it."""
-    x_lo, x_hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
-    y_lo, y_hi = (y.lo, y.hi) if isinstance(y, Interval) else (y, y)
-    if x_lo > y_hi:
-        return 1
-    if x_hi < y_lo:
-        return -1
-    if x_lo == x_hi == y_lo == y_hi:
-        return 0
-    return None
+def _order(x: Tuple[Fraction, Fraction],
+           y: Tuple[Fraction, Fraction]) -> Optional[int]:
+    """Certified sign of x - y for rational brackets (lo, hi) of each;
+    None when the brackets overlap and so cannot decide it."""
+    if x[0] > y[1] or x[1] < y[0]:
+        return 1 if x[0] > y[1] else -1
+    return 0 if x[0] == x[1] == y[0] == y[1] else None
 
 
 def _level_cuts(b: Branch, levels: Sequence[Endpoint], name: str,
@@ -561,7 +557,7 @@ def _level_cuts(b: Branch, levels: Sequence[Endpoint], name: str,
 
     Each level (exact, or a bracket) is compared with b's end values,
     exact where rational and enclosed otherwise; a level that the
-    comparison cannot place (its enclosure overlaps an end value's) raises
+    comparison cannot place (its bracket overlaps an end value's) raises
     ValueError, naming it as the ``name`` level and the cut as a ``cut``
     cut.  The levels strictly inside the image cut the domain at the
     bracket of their preimages.  Returns the pieces (left, right, j) in
@@ -569,12 +565,11 @@ def _level_cuts(b: Branch, levels: Sequence[Endpoint], name: str,
     j counts the levels at or below it.
     """
     a, c = b.lo.lo, b.hi.hi
-    ends = (_value_at(b, b.lo), _value_at(b, b.hi))
+    ends = (value_bracket(b, b.lo), value_bracket(b, b.hi))
     lower, upper = ends if b.increasing else ends[::-1]
     inside, below = [], 0
     for d in levels:
-        point = d.exact if d.is_exact else d.enc
-        signs = (_order(point, lower), _order(point, upper))
+        signs = (_order((d.lo, d.hi), lower), _order((d.lo, d.hi), upper))
         if None in signs:
             shown = d.exact if d.is_exact else f"[{d.lo}, {d.hi}]"
             raise ValueError(

@@ -41,7 +41,7 @@ from scipy import sparse
 
 from .intervals import (Interval, IntervalArray, _two_prod, _two_sum, exact_int_dtype,
                         from_fraction, iv, ratio_array)
-from .maps import Branch, Endpoint, PiecewiseMap, level_crossing
+from .maps import Branch, Endpoint, PiecewiseMap, level_crossing, value_bracket
 from .polys import poly_is_linear
 
 __all__ = [
@@ -127,14 +127,6 @@ def _row_fsums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value_bracket(br: Branch, x: Fraction) -> Tuple[Fraction, Fraction]:
-    v = br.value_exact(x)
-    if v is not None:
-        return v, v
-    enc = br.value_iv(from_fraction(x))
-    return Fraction(enc.lo), Fraction(enc.hi)
-
-
 def _piece_end(e: Endpoint, c_lo: Fraction, c_hi: Fraction) -> Tuple[Fraction, Fraction]:
     """Bracket of the endpoint clamped to the cell [c_lo, c_hi]."""
     return max(c_lo, min(c_hi, e.lo)), max(c_lo, min(c_hi, e.hi))
@@ -163,7 +155,8 @@ def assemble_row(m: PiecewiseMap, i: int,
         if right[1] == c_lo:
             continue
         a, b = left[0], right[1]
-        (u_lo, u_hi), (v_lo, v_hi) = _value_bracket(br, a), _value_bracket(br, b)
+        (u_lo, u_hi), (v_lo, v_hi) = (value_bracket(br, Endpoint.from_rational(x))
+                                      for x in (a, b))
         increasing = br.increasing
         # levels j/k strictly inside the image enclosure cut the piece
         j_first = math.floor(min(u_lo, v_lo) * k)
@@ -207,12 +200,12 @@ def _is_exact_linear(br: Branch) -> bool:
             and br.lo.is_exact and br.hi.is_exact)
 
 
-def _image_levels(br: Branch, k: int, a: Fraction, c: Fraction):
+def _image_levels(br: Branch, k: int, a: Endpoint, c: Endpoint):
     """(levels, base, step) for the branch over [a, c]: the levels j whose
     j/k lies strictly inside the enclosure of the image, ascending; the
     level cell of the image just right of a; and +-1, the change of that
     label at each crossing along the domain."""
-    (u_lo, u_hi), (v_lo, v_hi) = _value_bracket(br, a), _value_bracket(br, c)
+    (u_lo, u_hi), (v_lo, v_hi) = value_bracket(br, a), value_bracket(br, c)
     bottom, top = (u_lo, v_hi) if br.increasing else (v_lo, u_hi)
     first, last = math.floor(bottom * k) + 1, math.ceil(top * k) - 1
     levels = np.arange(first, last + 1, dtype=np.int64)
@@ -227,7 +220,7 @@ def _exact_segments(branches: List[Branch], k: int):
     exact integers over den, in the format of ``exact_int_dtype``."""
     found = []
     for br in branches:
-        levels, base, step = _image_levels(br, k, br.lo.exact, br.hi.exact)
+        levels, base, step = _image_levels(br, k, br.lo, br.hi)
         xs, _, scale = level_crossing(br, levels, k, br.lo.exact, br.hi.exact)
         found.append((br, xs, scale, base, step))
     den = math.lcm(k, *(f[2] for f in found))
@@ -265,7 +258,7 @@ def _float_segments(br: Branch, k: int):
     it, the bracket is clamped into both cells and charged in each."""
     increasing = br.increasing
     a, c = br.lo.lo, br.hi.hi
-    levels, base, step = _image_levels(br, k, a, c)
+    levels, base, step = _image_levels(br, k, *map(Endpoint.from_rational, (a, c)))
     lo, hi, scale = level_crossing(br, levels, k, a, c)
     if scale != 1:  # exact roots of a linear branch with bracketed ends
         lo, hi = ratio_array(lo, scale).lo, ratio_array(hi, scale).hi

@@ -1,5 +1,6 @@
 """Error-bound assembly and the certified Lyapunov interval."""
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -7,18 +8,21 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rigdens import enclosure
 from rigdens.certify import (
+    _slack,
     certify_l1,
     certify_linf,
     lyapunov,
     report,
 )
-from rigdens.enclosure import ContractionCertificate, EnclosedDensity, contraction_sweep
+from rigdens.enclosure import (ContractionCertificate, EnclosedDensity,
+                               contraction_sweep, fixed_point_bound)
 from rigdens.hatbasis import LinfMatrix, assemble_linearized
-from rigdens.intervals import Interval, iv
+from rigdens.intervals import Interval, from_fraction, iv
 from rigdens.maps import (
     LYCoefficientsBV,
     LYCoefficientsLip,
@@ -331,11 +335,12 @@ def test_report_without_lyapunov(tripling):
     assert "L_exp   -" in rep.text
 
 
-def _scalar_cell_terms(m, density, k):
-    """The per-cell scalar loop: hull of |T'| over each outward-rounded
-    cell, its log, times the cell weight, one scalar Interval each."""
+def _scalar_cells(m, density, k):
+    """The per-cell scalar loop: (log|T'|, weight) of each cell, the log of
+    the hull of |T'| over the outward-rounded cell and the cell's mass, one
+    scalar Interval each."""
     vals = density.values
-    terms = []
+    cells = []
     for i in range(k):
         cell = Interval((iv(i) / iv(k)).lo, (iv(i + 1) / iv(k)).hi)
         pieces = []
@@ -349,14 +354,16 @@ def _scalar_cell_terms(m, density, k):
             w = iv(float(vals[i]))
         else:
             w = (iv(float(vals[i])) + iv(float(vals[(i + 1) % k]))) / iv(2) / iv(k)
-        terms.append(log_d * w)
-    return terms
+        cells.append((log_d, w))
+    return cells
 
 
 @pytest.mark.parametrize("name,mode,k", [("eq6", "L1", 256), ("sinmap", "Linf", 128)])
 def test_lyapunov_contains_scalar_reference(request, name, mode, k):
     """The reference: the per-cell scalar products summed exactly, plus the
-    same slack; the certified interval must contain all of it."""
+    centred slack in rationals, (osc/2) eps_rig + |c| |1 - mass| with c the
+    midpoint of the cells' log|T'| hull and mass the exact sum of the cell
+    weights; the certified interval must contain all of it."""
     m = request.getfixturevalue(name)
     if mode == "L1":
         ly = ly_coefficients_bv(m)
@@ -369,11 +376,81 @@ def test_lyapunov_contains_scalar_reference(request, name, mode, k):
         contraction, density = contraction_sweep(mk, 1e-5)
         cert = certify_linf(ly, mk, contraction, density, eps_num=1e-5)
     lr = lyapunov(m, density, cert)
-    terms = _scalar_cell_terms(m, density, k)
-    log_mag = max(abs(m.abs_deriv_sup.log().hi), abs(m.abs_deriv_inf.log().lo))
-    slack = F((iv(log_mag) * iv(cert.eps_rig)).hi)
+    cells = _scalar_cells(m, density, k)
+    g = Interval.hull(*(log_d for log_d, _ in cells))
+    c = F(g.mid)
+    mass = [sum(F(getattr(w, end)) for _, w in cells) for end in ("lo", "hi")]
+    slack = (max(F(g.hi) - c, c - F(g.lo)) * F(cert.eps_rig)
+             + abs(c) * max(abs(1 - x) for x in mass))
+    terms = [log_d * w for log_d, w in cells]
     ref_lo = sum(F(t.lo) for t in terms) - slack
     ref_hi = sum(F(t.hi) for t in terms) + slack
     assert F(lr.lo) <= ref_lo and ref_hi <= F(lr.hi)
     # the fsum bound adds about one ulp per end, not one per cell
     assert F(lr.hi) - F(lr.lo) - (ref_hi - ref_lo) < 1e-13
+
+
+@pytest.mark.parametrize("name,slope,k", [("tripling", 3, 27), ("eq6", F(17, 5), 256)])
+def test_lyapunov_of_linear_map_is_narrow(request, name, slope, k):
+    # log|T'| is one value, so the slack is a few ulps of it and the
+    # interval is narrow, whatever eps_rig is
+    m = request.getfixturevalue(name)
+    mk = markovize(assemble_ulam(m, k))
+    contraction, density = contraction_sweep(mk, 1e-4)
+    cert = certify_l1(ly_coefficients_bv(m), mk, contraction, density,
+                      eps_num=1e-4)
+    lr = lyapunov(m, density, cert)
+    with mpmath.workdps(40):
+        target = mpmath.log(slope.numerator) - mpmath.log(slope.denominator)
+        assert mpmath.mpf(lr.lo) < target < mpmath.mpf(lr.hi)
+    assert cert.eps_rig > 0.01
+    assert lr.hi - lr.lo < 1e-13
+
+
+_G = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 64), st.integers(-8, 8), _G),
+                      min_size=1, max_size=12),
+       shift=st.integers(0, 60))
+@example(cells=[(1, 1, 2.5), (3, 0, 2.5)], shift=4)
+@example(cells=[(1, -8, -50.0), (0, 8, 50.0)], shift=0)
+def test_slack_bounds_exact_integral(cells, shift):
+    # step functions on n cells: f of masses w_i / sum w (mass 1), f~ =
+    # f + d_i 2^-shift on cell i (mass 1 + delta, delta = sum d_i 2^-shift)
+    # and g = g_i on cell i.  _slack, from the hull of g, ||f - f~||_1
+    # rounded up and the enclosed mass of f~, bounds the exact integral of
+    # g (f - f~); for a constant g (the first example) that integral is
+    # g delta and all of it is the |c| |1 - mass| term
+    weights = [w for w, _, _ in cells]
+    assume(any(weights))
+    f = [F(w, sum(weights)) for w in weights]
+    f_t = [x + d * F(1, 2 ** shift) for x, (_, d, _) in zip(f, cells)]
+    g = [gi for _, _, gi in cells]
+    exact = sum(F(gi) * (a - b) for gi, a, b in zip(g, f, f_t))
+    err = from_fraction(sum(abs(a - b) for a, b in zip(f, f_t))).hi
+    mass = from_fraction(sum(f_t))
+    got = _slack(Interval(min(g), max(g)), err, mass)
+    assert abs(exact) <= F(got)
+    if min(g) == max(g):  # up to the width of the mass's enclosure
+        assert F(got) <= (abs(exact) + abs(F(g[0])) * F(mass.width)) * (
+            1 + F(2) ** -50) + F(2) ** -1070
+
+
+@pytest.mark.parametrize("name,k", [("eq6", 256), ("lanford2", 128)])
+def test_l1_matrix_term_reads_the_model_powers(name, k, request):
+    # R in L1 is the tight upper end of 1 + delta, and the matrix term is
+    # the fixed-point bound fed from the model's own powers R^i
+    m = request.getfixturevalue(name)
+    mk = markovize(assemble_ulam(m, k))
+    model = enclosure._model(mk)
+    delta = model.row_defect
+    assert model.op_norm == (iv(1) + iv(delta)).hi
+    contraction, density = contraction_sweep(mk, 1e-4)
+    cert = certify_l1(ly_coefficients_bv(m), mk, contraction, density,
+                      eps_num=1e-4)
+    powers = list(itertools.islice(model.powers(), cert.n_eps))
+    alpha = iv(0.5) + iv(delta) * sum(map(iv, powers), iv(0))
+    assert cert.err_matrix == fixed_point_bound(
+        powers, alpha, iv(mk.step_error) + iv(delta))

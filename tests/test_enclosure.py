@@ -79,12 +79,13 @@ def test_rank_one_contracts_immediately():
 def test_sweep_stops_at_n_true(caplog):
     # the anchor (e_0 - e_1) of [[3/4, 1/4], [1/4, 3/4]] has norm 2^(1-t)
     # after t steps: 1/2 plus a positive drift fails at t = 2, 1/4 passes
-    # at t = 3, and the sweep runs no step beyond that.  With 7/8 in place
-    # of 3/4 the norm is 2 (3/4)^t: above R^t up to t = 2, so the witness
-    # sets measured_from = 3, and 0.47 passes at t = 5.  Each step's record
-    # says whether its norm was measured; an unmeasured step logs the
-    # a-priori norm 2 h^_t
-    for p, n_true, measured_from in ((0.75, 3, 1), (0.875, 5, 3)):
+    # at t = 3, and the sweep runs no step beyond that.  Its norm 1 at t = 1,
+    # summed upward to 1 + 2^-51, lies above R = 1 + 2^-52, so the witness
+    # sets measured_from = 2.  With 7/8 in place of 3/4 the norm is
+    # 2 (3/4)^t: above R^t up to t = 2, so the witness sets measured_from
+    # = 3, and 0.47 passes at t = 5.  Each step's record says whether its
+    # norm was measured; an unmeasured step logs the a-priori norm 2 h^_t
+    for p, n_true, measured_from in ((0.75, 3, 2), (0.875, 5, 3)):
         caplog.clear()
         tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[p, 1 - p], [1 - p, p]]),
                               eps=0.0, nnz_max=2)
@@ -257,6 +258,35 @@ def record_product_kinds(monkeypatch):
     return blocks
 
 
+def record_block_norms(monkeypatch):
+    """Patch _run_batch and _Model.col_norms to record, per block run, its
+    output (the largest norm of each step) and the column norms of each
+    measured step, one column per anchor, keyed by the block's first
+    anchor; returns the dict it fills.  As in record_product_kinds, the
+    witness's norms, outside any block, are not recorded."""
+    run_batch, col_norms = enclosure._run_batch, enclosure._Model.col_norms
+    runs, local = {}, threading.local()
+
+    def norms_spy(model, v, spare=None):
+        out = col_norms(model, v, spare)
+        if getattr(local, "norms", None) is not None:
+            local.norms.append(out.copy())
+        return out
+
+    def spy(model, ids, *args):
+        local.norms = []
+        try:
+            out = run_batch(model, ids, *args)
+            runs[int(ids[0])] = (out, np.array(local.norms))
+        finally:
+            local.norms = None
+        return out
+
+    monkeypatch.setattr(enclosure._Model, "col_norms", norms_spy)
+    monkeypatch.setattr(enclosure, "_run_batch", spy)
+    return runs
+
+
 def _family_matrix(request, name, k):
     m = request.getfixturevalue(name)
     if name == "sinmap":
@@ -271,15 +301,25 @@ def _family_matrix(request, name, k):
 def test_sparse_phase_matches_dense(name, k, request, monkeypatch):
     # some block switches from sparse to dense partway, and the anchor
     # norms equal those of a sweep dense from step 1 and of one sparse
-    # throughout, anchor for anchor
+    # throughout, anchor for anchor: each block's output and each measured
+    # step's column norms
     model = enclosure._model(_family_matrix(request, name, k))
     blocks = record_product_kinds(monkeypatch)
-    switched, _ = enclosure._anchor_norms(model)
+    runs = record_block_norms(monkeypatch)
+    switched = enclosure._anchor_norms(model)
+    switched_runs = dict(runs)
     assert any(kinds[0] and not kinds[-1] for kinds in blocks)
     for fill, kind in ((-1.0, False), (math.inf, True)):
         blocks.clear()
+        runs.clear()
         monkeypatch.setattr(enclosure, "_SPARSE_FILL", fill)
-        assert np.array_equal(enclosure._anchor_norms(model)[0], switched)
+        again = enclosure._anchor_norms(model)
+        assert np.array_equal(again[0], switched[0])
+        assert again[1:] == switched[1:]
+        assert runs.keys() == switched_runs.keys()
+        for start, (out, norms) in switched_runs.items():
+            assert np.array_equal(runs[start][0], out)
+            assert np.array_equal(runs[start][1], norms)
         assert all(set(kinds) == {kind} for kinds in blocks)
 
 
@@ -439,9 +479,9 @@ def test_global_fallback_matches_one_block(eq6, monkeypatch):
 
     monkeypatch.setattr(enclosure, "_first_passing", fail_first)
     assert_same_sweep(one_block, sweep_in_blocks(monkeypatch, mk, 7))
-    # two rounds, and the sweep's read of the record the second one passed
+    # two rounds; the sweep reads the second one's record as it passed
     n = one_block[0].n_true
-    assert calls == [n, n + 1, n + 1]
+    assert calls == [n, n + 1]
 
 
 @pytest.mark.parametrize("name", ["tripling", "eq4", "eq6", "eq7", "lanford",

@@ -293,15 +293,16 @@ def test_composition_cut_near_an_inner_end_value():
         compose_maps(outer, _identity_split_at(holding))
 
 
-@pytest.mark.parametrize("text,mode,calls", [(SINMAP, "Linf", 13), (EQ4, "L1", 16)])
+@pytest.mark.parametrize("text,mode,calls", [(SINMAP, "Linf", 9), (EQ4, "L1", 12)])
 def test_each_map_fact_refined_once(text, mode, calls, tmp_path, monkeypatch):
     """One cli.run refines each (branch, quantity) pair once: every stage
     reads the map's cached enclosures.  A refinement is identified by its
     domain, its tolerance and the enclosure of its function over the whole
     domain, which tells the direction check, |T'| and the distortion apart.
     SINMAP: 1 direction check (the expression; its 4 mod-1 pieces take
-    its direction), then inf |T'|, distortion and sup |T'| on 4 branches;
-    EQ4: 4 directions, then the same 3 facts on 4 branches."""
+    its direction), then inf |T'| and the distortion on 4 branches; EQ4:
+    4 directions, then the same 2 facts on 4 branches.  No stage reads
+    sup |T'|."""
     seen = []
     refine = maps._adaptive_sup
 
