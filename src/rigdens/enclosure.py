@@ -59,8 +59,12 @@ the matrix must be nonnegative with correctly rounded row sums of 1, so
 delta is 2^-53 rounded up and R = 1 + 2^-52.
 
 The anchors step in blocks of columns (_block_columns) on a thread pool
-with one thread per usable CPU; scipy's sparse product and numpy's
-reductions release the GIL.  A block starts sparse, as (e_0 - e_j) Pi^t
+with one thread per usable CPU, started while the witness runs; scipy's
+sparse product and numpy's reductions release the GIL.  A block is 128
+anchors wide, or a quarter of one CPU's share where that is wider, within
+an entry budget of 4 MiB, so a thread's buffers grow with k only where
+the blocks do, and each CPU gets several blocks to balance its load.  A
+block starts sparse, as (e_0 - e_j) Pi^t
 has small support until a cell's image covers [0, 1], and turns dense
 once more than _SPARSE_FILL of its entries are stored, in one of the two
 buffers its thread keeps for the whole sweep (_half_anchors).  Each
@@ -103,7 +107,8 @@ _U = 2.0 ** -53  # unit roundoff of binary64
 _ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
-_BLOCK_ENTRIES = 1 << 20  # float32 entries per anchor block (4 MiB)
+_BLOCK_COLUMNS = 128  # anchors per block where a dense step's cost flattens
+_BLOCK_ENTRIES = 1 << 20  # most float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 _SPARSE_FILL = 0.03  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
@@ -231,10 +236,16 @@ def _usable_cpus() -> int:
 
 
 def _block_columns(k: int) -> int:
-    """Anchors per block: about _BLOCK_ENTRIES entries of k rows,
-    and narrow enough that every usable CPU gets a block."""
-    per_cpu = -(-(k - 1) // _usable_cpus())
-    return min(k - 1, max(_MIN_BLOCK_COLUMNS, min(_BLOCK_ENTRIES // k, per_cpu)))
+    """Anchors per block, for the k - 1 anchors: _BLOCK_COLUMNS, or a
+    quarter of one CPU's share where that is wider, so that a thread's
+    buffers grow with k only where the blocks themselves do.  Never wider
+    than the entry budget of _BLOCK_ENTRIES entries of k rows (or the
+    _MIN_BLOCK_COLUMNS that the witness's buffers hold anyway), nor than
+    one CPU's share rounded down, so every usable CPU gets a block
+    wherever there are as many anchors as CPUs."""
+    share = max(1, (k - 1) // _usable_cpus())
+    budget = max(_MIN_BLOCK_COLUMNS, _BLOCK_ENTRIES // k)
+    return min(max(_BLOCK_COLUMNS, -(-share // 4)), budget, share)
 
 
 class _SupGrowth:
@@ -627,7 +638,6 @@ def _anchor_norms(model: _Model):
     # room for the witness's anchors as well as a block's
     pairs = [[np.empty(k * max(width, _WITNESS), np.float32) for _ in range(2)]
              for _ in range(workers)]
-    horizon, measured_from = _witness(model, pairs[0])
     idle = queue.SimpleQueue()  # buffer pairs not in use by a block
     for bufs in pairs:
         idle.put(bufs)
@@ -641,6 +651,13 @@ def _anchor_norms(model: _Model):
             idle.put(bufs)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the pool starts a thread per task it cannot hand to an idle one:
+        # one barrier task per worker starts them all while the witness
+        # runs, not while the first block's sparse phase holds the GIL
+        started = threading.Barrier(workers)
+        for _ in range(workers):
+            pool.submit(started.wait)
+        horizon, measured_from = _witness(model, pairs[0])
         for retry in itertools.count():
             norm_max = np.max(list(pool.map(block, starts)), axis=0)
             bounds = model.bounds(norm_max)

@@ -10,8 +10,12 @@ have a closed form (a second difference of cubes).  It is evaluated on
 the outward-rounded enclosures of T(a_i) and T'(a_i) themselves, in
 interval arrays, so every stored entry carries a rigorous error bound
 that charges both the node-value enclosures and the rounding of the
-cubes.  All k nodes and their column windows are one array pass; columns
-that a window wraps onto twice (only at tiny k) add their enclosures.
+cubes.  The nodes' column windows are enclosed and summed in blocks of
+_NODE_BLOCK nodes, one array pass each, so the working set is sized by
+the block and only the stored matrix grows with k; columns that a window
+wraps onto twice (only at tiny k) add their enclosures.  A row's terms
+all come from its own node, so the blocks give the matrix of one pass
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .ulam import TransitionMatrix, _entry_sums, _stored_midpoints
 __all__ = ["LinfMatrix", "assemble_linearized"]
 
 _SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
+_NODE_BLOCK = 1 << 12  # nodes whose entries are enclosed and summed at once
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,9 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
 
     Row i holds the projection coefficients of the image of phi_i; exact
     row sums are 1, so the stored float rows sum to 1 up to the recorded
-    per-entry error bound eps.  All nodes and all entries of their column
-    windows (_column_window) are enclosed in one interval-array pass.
+    per-entry error bound eps.  The entries of the nodes' column windows
+    (_column_window) are enclosed, summed and rounded to their stored
+    midpoints one block of _NODE_BLOCK nodes at a time.
     The linearization error and the power bound M come from the map's
     cached distortion and |T'| enclosures.
     """
@@ -159,18 +165,30 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
     # each node's own window, the columns j with |u - j| < omega + 1 up to
     # outward rounding; the entries outside it are exactly 0
     first, count = _column_window(u_enc, omega_enc)
-    row = np.repeat(np.arange(k), count)
-    j_real = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) \
-        + first[row]
-    entry = h_enc[row] * _hat_product_enclosure(u_enc[row] - j_real, omega_enc[row])
-    kept = entry.hi > 0.0
-    row, entry = row[kept], entry[kept]
-    key, entry = _entry_sums(row * k + j_real[kept] % k,
-                             np.maximum(entry.lo, 0.0), np.minimum(entry.hi, 1.0))
+    cols, data, counts, eps = [], [], [], 0.0
+    for start in range(0, k, _NODE_BLOCK):
+        # a row's terms all come from its own node, so a block of nodes
+        # holds its rows whole, and its rows follow the previous block's
+        n = count[start:start + _NODE_BLOCK]
+        row = np.repeat(np.arange(start, start + len(n)), n)
+        j_real = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n) \
+            + first[row]
+        entry = h_enc[row] * _hat_product_enclosure(u_enc[row] - j_real,
+                                                    omega_enc[row])
+        kept = entry.hi > 0.0
+        row, entry = row[kept], entry[kept]
+        key, entry = _entry_sums(row * k + j_real[kept] % k,
+                                 np.maximum(entry.lo, 0.0),
+                                 np.minimum(entry.hi, 1.0))
+        mid, err = _stored_midpoints(entry)
+        cols.append(key % k)
+        data.append(mid)
+        counts.append(np.bincount(key // k - start, minlength=len(n)))
+        eps = max(eps, err)
 
-    data, eps = _stored_midpoints(entry)
-    counts = np.bincount(key // k, minlength=k)
+    counts = np.concatenate(counts)
     csr = sparse.csr_matrix(
-        (data, key % k, np.r_[0, np.cumsum(counts)]), shape=(k, k))
+        (np.concatenate(data), np.concatenate(cols), np.r_[0, np.cumsum(counts)]),
+        shape=(k, k))
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()),
                       lin_err=lin_err, m_sup=m_sup)

@@ -12,9 +12,10 @@ certified direction (``Branch.increasing``, which every reader of the
 direction uses; a mod-1 piece takes the one its expression certified)
 and the interval enclosures of the coefficients of its value, first and
 second derivative.  A map does the same for its global facts:
-``abs_deriv_inf``, ``abs_deriv_sup``, ``min_branch_length`` and
-``distortion_sup`` are cached enclosures, each one fold over the
-branches of a per-branch enclosure, computed on first read.
+``abs_deriv_inf``, ``min_branch_length`` and ``distortion_sup`` are
+cached enclosures, each one fold over the branches of a per-branch
+enclosure, computed on first read; bounds on |T'| over a set come from
+``abs_deriv_range_over``.
 
 ``level_crossing`` is the one preimage routine: one array call brackets
 the preimages of many levels, exactly (integers over a common
@@ -222,12 +223,6 @@ class PiecewiseMap:
     def abs_deriv_inf(self) -> Interval:
         """Enclosure of inf over [0,1] of |T'|."""
         return self._fold(min, lambda b: _adaptive_inf(
-            lambda s: abs(b.deriv_iv(s)), b.domain_outer(), rel_tol=0.002))
-
-    @cached_property
-    def abs_deriv_sup(self) -> Interval:
-        """Enclosure of sup over [0,1] of |T'|."""
-        return self._fold(max, lambda b: _adaptive_sup(
             lambda s: abs(b.deriv_iv(s)), b.domain_outer(), rel_tol=0.002))
 
     @cached_property

@@ -209,10 +209,10 @@ def test_block_width_determinism(eq6, monkeypatch):
 
 
 def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
-    # the default rule cuts 2047 anchors into blocks of 512, 512, 512, 511
+    # the default rule cuts 2047 anchors into 7 blocks of 256 and one of 255
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
     k = 2048
-    assert enclosure._block_columns(k) == 512
+    assert enclosure._block_columns(k) == 256
     mk = markovize(assemble_ulam(eq6, k))
     default = contraction_sweep(mk, 1e-4)
     assert_same_sweep(default, sweep_in_blocks(monkeypatch, mk, k - 1))
@@ -221,13 +221,36 @@ def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
 
 def test_block_rule(monkeypatch):
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
+    # the entry budget of 4 MiB from k = 4096 on
     assert enclosure._block_columns(8192) == 128
-    # one block per CPU below the cache cap
-    assert enclosure._block_columns(1024) == 512
+    assert enclosure._block_columns(8193) == 127
+    assert enclosure._block_columns(4096) == 256
+    # a quarter of a CPU's share of 1023 anchors is 128 wide, and the
+    # floor of 128 holds at 512
+    assert enclosure._block_columns(2048) == 256
+    assert enclosure._block_columns(1024) == 128
+    assert enclosure._block_columns(512) == 128
+    # the witness's 16 columns where 16 of k rows pass the budget
     assert enclosure._block_columns(1 << 17) == 16
-    assert enclosure._block_columns(20) == 16
+    # one CPU's share of 19 anchors
+    assert enclosure._block_columns(20) == 9
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 64)
-    assert enclosure._block_columns(1024) == 16
+    assert enclosure._block_columns(1024) == 15
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_block_rule_invariants(cpus, monkeypatch):
+    # the blocks cover the anchors 1 .. k - 1 once each, every CPU gets one
+    # wherever there are as many anchors as CPUs, and a block stays in the
+    # entry budget, or in the witness's 16 columns where 16 of k rows pass it
+    monkeypatch.setattr(enclosure, "_usable_cpus", lambda: cpus)
+    for k in (9, 20, 100, 512, 1024, 2048, 4096, 8192, 8193, 1 << 17):
+        width = enclosure._block_columns(k)
+        blocks = [range(a, min(a + width, k)) for a in range(1, k, width)]
+        assert [j for b in blocks for j in b] == list(range(1, k))
+        assert len(blocks) >= min(cpus, k - 1)
+        assert 1 <= width <= max(enclosure._BLOCK_ENTRIES // k,
+                                 enclosure._WITNESS)
 
 
 def record_product_kinds(monkeypatch):
@@ -389,6 +412,25 @@ def test_dense_steps_allocate_no_block(eq6, monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(again, warm)
     assert peak < k * width * np.dtype(np.float32).itemsize
+
+
+def test_warm_sup_sweep_buffers_sized_by_blocks(sinmap, monkeypatch):
+    # SINMAP at k = 1024 on 2 CPUs steps blocks of 128 anchors, so each
+    # thread's pair of buffers holds 2 x 1024 x 128 float32 entries: a warm
+    # _anchor_norms allocates under 3 MiB in all (blocks of 512, one per
+    # CPU, took 8 MiB of buffers)
+    monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
+    model = enclosure._model(markovize(assemble_linearized(sinmap, 1024)))
+    warm = enclosure._anchor_norms(model)
+    tracemalloc.start()
+    try:
+        again = enclosure._anchor_norms(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again[0], warm[0])
+    assert again[1:] == warm[1:]
+    assert peak < 3 << 20
 
 
 def spy_block_runs(monkeypatch):

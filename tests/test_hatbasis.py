@@ -274,9 +274,26 @@ def test_trimmed_window_drops_only_zero_entries(amp, k, monkeypatch):
         return first - 3, count + 6
 
     monkeypatch.setattr(hatbasis, "_column_window", wider)
-    wide = assemble_linearized(m, k)
-    for a, b in ((trimmed.csr.indptr, wide.csr.indptr),
-                 (trimmed.csr.indices, wide.csr.indices),
-                 (trimmed.csr.data.view(np.int64), wide.csr.data.view(np.int64))):
-        assert np.array_equal(a, b)
-    assert (trimmed.eps, trimmed.nnz_max) == (wide.eps, wide.nnz_max)
+    assert_same_matrix(trimmed, assemble_linearized(m, k))
+
+
+def assert_same_matrix(a, b):
+    for x, y in ((a.csr.indptr, b.csr.indptr), (a.csr.indices, b.csr.indices),
+                 (a.csr.data.view(np.int64), b.csr.data.view(np.int64))):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+    assert (a.eps, a.nnz_max) == (b.eps, b.nnz_max)
+
+
+@pytest.mark.parametrize("k", [257, 1024])
+def test_node_blocks_match_one_pass(sinmap, k, monkeypatch):
+    # blocks of 64 nodes divide k = 1024 and leave a one-node block at
+    # k = 257; blocks of 100 divide neither: every blocked matrix has the
+    # bits of the single-block one
+    from rigdens import hatbasis
+
+    assert k <= hatbasis._NODE_BLOCK
+    one_pass = assemble_linearized(sinmap, k)
+    for block in (64, 100):
+        monkeypatch.setattr(hatbasis, "_NODE_BLOCK", block)
+        assert_same_matrix(one_pass, assemble_linearized(sinmap, k))
