@@ -64,10 +64,10 @@ sparse product and numpy's reductions release the GIL.  A block is 128
 anchors wide, or a quarter of one CPU's share where that is wider, within
 an entry budget of 4 MiB, so a thread's buffers grow with k only where
 the blocks do, and each CPU gets several blocks to balance its load.  A
-block starts sparse, as (e_0 - e_j) Pi^t
-has small support until a cell's image covers [0, 1], and turns dense
-once more than _SPARSE_FILL of its entries are stored, in one of the two
-buffers its thread keeps for the whole sweep (_half_anchors).  Each
+block starts sparse, as (e_0 - e_j) Pi^t has small support until a
+cell's image covers [0, 1], and turns dense once more than _SPARSE_FILL
+of its entries are stored, in one of the two buffers its thread keeps
+for the whole sweep (_half_anchors).  Each
 anchor column sees the same float32 arithmetic in the same order
 whatever the block width, thread count or storage, so no result depends
 on them: both products add an entry's terms in the order of the stored
@@ -77,6 +77,7 @@ L1 column sums add a column's entries in row order, in float64.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -92,7 +93,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .intervals import Interval, IntervalArray, _up, iv
+from .intervals import Interval, IntervalArray, _up, _v_prod, _v_prod_hi, iv
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -215,9 +216,25 @@ class EnclosedDensity:
         return (vals + IntervalArray(np.roll(self.values, -1))) / 2 / len(self.values)
 
 
+@functools.lru_cache(maxsize=None)
+def _sum_factor(n: int) -> float:
+    """1 + gamma_(n-1) rounded up, gamma_m = m u / (1 - m u); inf where
+    m u >= 1.  A float sum s of n nonnegative terms, added in any order,
+    obeys |s - S| <= (n - 1) u S for their exact sum S (Jeannerod and
+    Rump, 2013), so S <= s / (1 - (n - 1) u) = s (1 + gamma_(n-1))."""
+    m = max(int(n) - 1, 0)
+    if m * _U >= 1.0:
+        return math.inf
+    return (iv(1) + iv(m) * iv(_U) / (iv(1) - iv(m) * iv(_U))).hi
+
+
 def _sum_up(s, n: int):
-    """Upper bound of a float sum s of n nonnegative terms, elementwise."""
-    return np.nextafter(s * (1.0 + 1.02 * n * _U), math.inf)
+    """Upper bound of the exact sum behind each float sum s of n
+    nonnegative terms, elementwise: s _sum_factor(n), stepped up only
+    where the product missed (an exact sum of exact terms stays within
+    one ulp)."""
+    p, e, unsafe = _v_prod(np.asarray(s, np.float64), np.float64(_sum_factor(n)))
+    return _v_prod_hi(p, e, unsafe)
 
 
 def _in_bytes(buf, dtype, n: int) -> np.ndarray:
@@ -265,9 +282,11 @@ class _SupGrowth:
         """[rho_0, ..., rho_m]."""
         with self._lock:
             while len(self._rho) <= m:
-                # each product may underflow by half the smallest subnormal,
-                # and the added term and the sum of C products round once
-                # each: C + 2 roundings
+                # a rounded product is within gamma_1 of its true value,
+                # or at most eta/2 under it where it underflows; with the
+                # exact term C eta the sum of C of them is a float sum of
+                # C + 1 terms, so (1 + gamma_1)(1 + gamma_C) <= 1 +
+                # gamma_(C+1), the charge of C + 2 terms, covers it
                 self._u = _sum_up(self._at_abs @ self._u
                                   + self._col_count * _ETA, self._col_count + 2)
                 self._rho.append(min(float(self._u.max()), next(self._caps)))
@@ -375,7 +394,10 @@ class _Model:
 
     def fresh(self, norm: float) -> float:
         """The fresh error of one anchor step from a vector of norm at most
-        norm, rounded up."""
+        norm, rounded up; inf where gamma_C is unbounded, also for a norm
+        of 0 (a column of exact zeros sums to 0)."""
+        if self.fresh_rate == math.inf:
+            return math.inf
         return _up(_up(self.fresh_rate * norm) + self.fresh_floor)
 
     def half_start(self) -> float:
@@ -438,6 +460,8 @@ class _Model:
         mag = np.abs(r) + ledger
         v_1 = _sum_up(np.abs(v).sum(), k)
         if self.norm_kind == "L1":
+            # each of the k terms of mag rounded its own sum once, so
+            # (1 + gamma_1)(1 + gamma_(k-1)) <= 1 + gamma_k: k + 1 terms
             r_norm, v_norm = _sum_up(mag.sum(), k + 1), v_1
         else:
             r_norm = _up(float(mag.max()) * (1.0 + _U))
@@ -483,7 +507,8 @@ def _model(matrix: TransitionMatrix) -> _Model:
     # gap above the result, so the one ulp that _up adds covers both
     row_defect = _up(float((np.abs(row_sums - 1.0)
                             + np.abs(np.spacing(row_sums)) / 2).max()))
-    # R: the largest row sum in L1, the largest column sum in the sup norm
+    # R: the largest row sum in L1, the largest column sum in the sup norm,
+    # a float sum of at most k exact terms
     op_norm = (_l1_norm(row_defect) if l1
                else float(_sum_up(at_abs.sum(axis=1).max(), matrix.k)))
     if not l1 and matrix.k > 1 << 24:

@@ -80,12 +80,12 @@ def test_sweep_stops_at_n_true(caplog):
     # the anchor (e_0 - e_1) of [[3/4, 1/4], [1/4, 3/4]] has norm 2^(1-t)
     # after t steps: 1/2 plus a positive drift fails at t = 2, 1/4 passes
     # at t = 3, and the sweep runs no step beyond that.  Its norm 1 at t = 1,
-    # summed upward to 1 + 2^-51, lies above R = 1 + 2^-52, so the witness
-    # sets measured_from = 2.  With 7/8 in place of 3/4 the norm is
+    # an exact sum of two terms, is summed upward to R = 1 + 2^-52, so the
+    # witness sets measured_from = 1.  With 7/8 in place of 3/4 the norm is
     # 2 (3/4)^t: above R^t up to t = 2, so the witness sets measured_from
     # = 3, and 0.47 passes at t = 5.  Each step's record says whether its
     # norm was measured; an unmeasured step logs the a-priori norm 2 h^_t
-    for p, n_true, measured_from in ((0.75, 3, 2), (0.875, 5, 3)):
+    for p, n_true, measured_from in ((0.75, 3, 1), (0.875, 5, 3)):
         caplog.clear()
         tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[p, 1 - p], [1 - p, p]]),
                               eps=0.0, nnz_max=2)
@@ -880,6 +880,28 @@ def test_fresh_error_infinite_when_c_u_reaches_one(monkeypatch):
     assert model.fresh_rate == model.fresh_floor == math.inf
     with pytest.raises(NotContractingError):
         contraction_sweep(tm, 1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 128, 1000])
+def test_sum_up_encloses_row_order_and_pairwise_sums(n):
+    # nonnegative terms summed in row order (a running sum) and pairwise
+    # (numpy's sum of a contiguous array): in rationals, the exact sum is
+    # at most _sum_up, which is at most s (1 + gamma_(n-1)) two ulps up.
+    # 1 followed by n - 1 terms 2^-53 has the row-order sum 1, the case
+    # that meets the bound (n - 1) u S
+    rng = np.random.default_rng(n)
+    u = F(enclosure._U)
+    gamma = F(n - 1) * u / (1 - F(n - 1) * u)
+    for x in (rng.random(n), rng.random(n) * 2.0 ** rng.integers(-60, 60, n),
+              np.r_[1.0, np.full(n - 1, 2.0 ** -53)]):
+        exact = sum(map(F, x.tolist()), F(0))
+        for s in (np.cumsum(x)[-1], x.sum()):
+            bound = F(float(enclosure._sum_up(s, n)))
+            assert exact <= bound <= F(float(s)) * (1 + gamma) * (1 + 2 * u) ** 2
+    # an exact sum reads at most one ulp high, and a single term exactly
+    assert enclosure._sum_up(1.0, 2) == 1.0 + 2.0 ** -52
+    assert enclosure._sum_up(0.75, 1) == 0.75
+    assert enclosure._sum_up(0.0, n) == 0.0
 
 
 @pytest.mark.parametrize("norm_kind", ["L1", "Linf"])
