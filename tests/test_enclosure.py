@@ -417,8 +417,8 @@ def test_dense_steps_allocate_no_block(eq6, monkeypatch):
 def test_warm_sup_sweep_buffers_sized_by_blocks(sinmap, monkeypatch):
     # SINMAP at k = 1024 on 2 CPUs steps blocks of 128 anchors, so each
     # thread's pair of buffers holds 2 x 1024 x 128 float32 entries: a warm
-    # _anchor_norms allocates under 3 MiB in all (blocks of 512, one per
-    # CPU, took 8 MiB of buffers)
+    # _anchor_norms allocates under 3 MiB in all, where blocks of 512, one
+    # per CPU, would hold 8 MiB of buffers
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
     model = enclosure._model(markovize(assemble_linearized(sinmap, 1024)))
     warm = enclosure._anchor_norms(model)
