@@ -59,20 +59,19 @@ the matrix must be nonnegative with correctly rounded row sums of 1, so
 delta is 2^-53 rounded up and R = 1 + 2^-52.
 
 The anchors step in blocks of columns (_block_columns) on a thread pool
-with one thread per usable CPU, started while the witness runs; scipy's
-sparse product and numpy's reductions release the GIL.  A block is 128
-anchors wide, or a quarter of one CPU's share where that is wider, within
-an entry budget of 4 MiB, so a thread's buffers grow with k only where
-the blocks do, and each CPU gets several blocks to balance its load.  A
-block starts sparse, as (e_0 - e_j) Pi^t has small support until a
-cell's image covers [0, 1], and turns dense once more than _SPARSE_FILL
-of its entries are stored, in one of the two buffers its thread keeps
-for the whole sweep (_half_anchors).  Each
-anchor column sees the same float32 arithmetic in the same order
-whatever the block width, thread count or storage, so no result depends
-on them: both products add an entry's terms in the order of the stored
-row of Pi transposed, the sparse one skipping only exact zeros, and the
-L1 column sums add a column's entries in row order, in float64.
+with one thread per usable CPU; scipy's sparse product and numpy's
+reductions release the GIL.  A block is 128 anchors wide, not a CPU's
+share of them, within an entry budget of 4 MiB, so a thread's buffers
+grow with k only up to that budget, and each CPU gets several blocks to
+balance its load.  A block starts sparse, as (e_0 - e_j) Pi^t has small
+support until a cell's image covers [0, 1], and turns dense once more
+than _SPARSE_FILL of its entries are stored, in one of the two buffers
+its thread keeps for the whole sweep (_half_anchors).  Each anchor
+column sees the same float32 arithmetic in the same order whatever the
+block width, thread count or storage, so no result depends on them:
+both products add an entry's terms in the order of the stored row of Pi
+transposed, the sparse one skipping only exact zeros, and the L1 column
+sums add a column's entries in row order, in float64.
 """
 
 from __future__ import annotations
@@ -108,7 +107,11 @@ _U = 2.0 ** -53  # unit roundoff of binary64
 _ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
-_BLOCK_COLUMNS = 128  # anchors per block where a dense step's cost flattens
+# anchors per block where a dense step's cost flattens at large k; at
+# small k it trades time for memory: on two CPUs SINMAP at k = 1024
+# certifies about 5 ms (6 %) slower than in blocks of 512, each sparse
+# step paying scipy's fixed cost, for 6 MiB less of block buffers
+_BLOCK_COLUMNS = 128
 _BLOCK_ENTRIES = 1 << 20  # most float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 _SPARSE_FILL = 0.03  # a block steps sparse while at most this share is nonzero
@@ -253,16 +256,15 @@ def _usable_cpus() -> int:
 
 
 def _block_columns(k: int) -> int:
-    """Anchors per block, for the k - 1 anchors: _BLOCK_COLUMNS, or a
-    quarter of one CPU's share where that is wider, so that a thread's
-    buffers grow with k only where the blocks themselves do.  Never wider
-    than the entry budget of _BLOCK_ENTRIES entries of k rows (or the
-    _MIN_BLOCK_COLUMNS that the witness's buffers hold anyway), nor than
-    one CPU's share rounded down, so every usable CPU gets a block
-    wherever there are as many anchors as CPUs."""
+    """Anchors per block, for the k - 1 anchors: _BLOCK_COLUMNS, but
+    never wider than the entry budget of _BLOCK_ENTRIES entries of k rows
+    (or the _MIN_BLOCK_COLUMNS that the witness's buffers hold anyway),
+    nor than one CPU's share rounded down, so every usable CPU gets a
+    block wherever there are as many anchors as CPUs.  A thread's buffers
+    thus grow with k only up to the entry budget."""
     share = max(1, (k - 1) // _usable_cpus())
     budget = max(_MIN_BLOCK_COLUMNS, _BLOCK_ENTRIES // k)
-    return min(max(_BLOCK_COLUMNS, -(-share // 4)), budget, share)
+    return min(_BLOCK_COLUMNS, budget, share)
 
 
 class _SupGrowth:
@@ -663,6 +665,7 @@ def _anchor_norms(model: _Model):
     # room for the witness's anchors as well as a block's
     pairs = [[np.empty(k * max(width, _WITNESS), np.float32) for _ in range(2)]
              for _ in range(workers)]
+    horizon, measured_from = _witness(model, pairs[0])
     idle = queue.SimpleQueue()  # buffer pairs not in use by a block
     for bufs in pairs:
         idle.put(bufs)
@@ -676,13 +679,6 @@ def _anchor_norms(model: _Model):
             idle.put(bufs)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # the pool starts a thread per task it cannot hand to an idle one:
-        # one barrier task per worker starts them all while the witness
-        # runs, not while the first block's sparse phase holds the GIL
-        started = threading.Barrier(workers)
-        for _ in range(workers):
-            pool.submit(started.wait)
-        horizon, measured_from = _witness(model, pairs[0])
         for retry in itertools.count():
             norm_max = np.max(list(pool.map(block, starts)), axis=0)
             bounds = model.bounds(norm_max)

@@ -209,10 +209,10 @@ def test_block_width_determinism(eq6, monkeypatch):
 
 
 def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
-    # the default rule cuts 2047 anchors into 7 blocks of 256 and one of 255
+    # the default rule cuts 2047 anchors into 15 blocks of 128 and one of 127
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
     k = 2048
-    assert enclosure._block_columns(k) == 256
+    assert enclosure._block_columns(k) == 128
     mk = markovize(assemble_ulam(eq6, k))
     default = contraction_sweep(mk, 1e-4)
     assert_same_sweep(default, sweep_in_blocks(monkeypatch, mk, k - 1))
@@ -221,13 +221,12 @@ def test_blocked_sweep_matches_one_block(eq6, monkeypatch):
 
 def test_block_rule(monkeypatch):
     monkeypatch.setattr(enclosure, "_usable_cpus", lambda: 2)
-    # the entry budget of 4 MiB from k = 4096 on
+    # the entry budget of 4 MiB from k = 8192 on
     assert enclosure._block_columns(8192) == 128
     assert enclosure._block_columns(8193) == 127
-    assert enclosure._block_columns(4096) == 256
-    # a quarter of a CPU's share of 1023 anchors is 128 wide, and the
-    # floor of 128 holds at 512
-    assert enclosure._block_columns(2048) == 256
+    # 128 anchors below it, whatever a CPU's share
+    assert enclosure._block_columns(4096) == 128
+    assert enclosure._block_columns(2048) == 128
     assert enclosure._block_columns(1024) == 128
     assert enclosure._block_columns(512) == 128
     # the witness's 16 columns where 16 of k rows pass the budget
