@@ -109,7 +109,7 @@ _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
 # anchors per block where a dense step's cost flattens at large k; at
 # small k it trades time for memory: on two CPUs SINMAP at k = 1024
-# certifies about 5 ms (6 %) slower than in blocks of 512, each sparse
+# certifies about 5 ms (6-7 %) slower than in blocks of 512, each sparse
 # step paying scipy's fixed cost, for 6 MiB less of block buffers
 _BLOCK_COLUMNS = 128
 _BLOCK_ENTRIES = 1 << 20  # most float32 entries per anchor block (4 MiB)
