@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .intervals import Interval, IntervalArray, iv, ratio_array
+from .intervals import Interval, IntervalArray, _fsum, iv, ratio_array
 from .maps import LYCoefficientsBV, LYCoefficientsLip, PiecewiseMap
 from .enclosure import (ContractionCertificate, EnclosedDensity, _l1_norm,
                         _leak, _powers, fixed_point_bound)
@@ -181,17 +180,16 @@ def certify_linf(ly: LYCoefficientsLip, matrix: LinfMatrix,
                         map_id, terms)
 
 
-def _fsum(x: IntervalArray) -> Interval:
-    """Sum of x: fsum of each end, correctly rounded, moved one float out."""
-    return Interval(math.nextafter(math.fsum(x.lo.tolist()), -math.inf),
-                    math.nextafter(math.fsum(x.hi.tolist()), math.inf))
+def _mid_rad(x: Interval):
+    """(c, r): x's midpoint c and a radius r with x in [c - r, c + r]."""
+    c = x.mid
+    return c, max((iv(x.hi) - iv(c)).hi, (iv(c) - iv(x.lo)).hi)
 
 
 def _slack(g: Interval, err: float, mass: Interval) -> float:
     """The module docstring's slack, rounded up: at least |integral g (f - f~)|
     for values of g in g, ||f - f~||_1 <= err, f of mass 1, f~ of mass in mass."""
-    c = g.mid
-    half = max((iv(g.hi) - iv(c)).hi, (iv(c) - iv(g.lo)).hi)
+    c, half = _mid_rad(g)
     return _up_sum((iv(half) * iv(err)).hi,
                    (abs(iv(c)) * abs(iv(1) - mass)).hi)
 
@@ -215,8 +213,7 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     total = _fsum(log_d * masses)
     slack = _slack(Interval(float(log_d.lo.min()), float(log_d.hi.max())),
                    cert.eps_rig, _fsum(masses))
-    estimate = total.mid
-    half = max((iv(total.hi) - iv(estimate)).hi, (iv(estimate) - iv(total.lo)).hi)
+    estimate, half = _mid_rad(total)
     return LyapunovResult(estimate=estimate, radius=_up_sum(half, slack))
 
 

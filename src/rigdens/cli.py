@@ -437,20 +437,22 @@ def emit_plot_data(density, m: PiecewiseMap, k: int, out_dir: Path) -> None:
     """Write the density files and the map graph.
 
     density.csv holds each cell's index, edges i/k and (i+1)/k and density
-    value; density_plot.dat the value at the cell midpoint; map_graph.dat
-    samples x = i/n for n = max(k, 512) and writes one line per branch
-    whose outer domain holds x, each branch evaluating all its sample
-    points in one interval-array call.  Floats are written by repr, each
-    distinct column once: the cell edges serve as left, right and, at
-    n = k, the graph's x column, and the values serve both density files.
+    value; density_plot.dat each value where it lives, at the cell midpoint
+    in L1 and the node i/k in the sup norm; map_graph.dat samples x = i/n
+    for n = max(k, 512) and writes one line per branch whose outer domain
+    holds x, each branch evaluating all its sample points in one
+    interval-array call.  Floats are written by repr, each distinct column
+    once: the cell edges serve as left, right, the nodes and, at n = k,
+    the graph's x column, and the values serve both density files.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     edges = _reprs(np.arange(k + 1) / k)
     values = _reprs(density.density_values)
     _write_lines(out_dir / "density.csv", ",", map(str, range(k)),
                  edges[:-1], edges[1:], values, header="i,left,right,value\n")
-    _write_lines(out_dir / "density_plot.dat", " ",
-                 _reprs((np.arange(k) + 0.5) / k), values)
+    points = (_reprs((np.arange(k) + 0.5) / k) if density.norm_kind == "L1"
+              else edges[:-1])
+    _write_lines(out_dir / "density_plot.dat", " ", points, values)
     n = max(k, 512)
     xs = np.arange(n + 1) / n
     at, ys = [], []

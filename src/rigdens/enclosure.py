@@ -3,7 +3,8 @@
 Both jobs concern a row-stochastic matrix Pi acting on row vectors
 v -> v Pi, in the active norm ||.|| (L1, or sup at density scale).
 
-Both proofs read Pi through one model (_Model): the float error of a
+Both proofs read Pi through one model (_Model), which charges every
+rounding a gamma_n of intervals._gamma: the float error of a
 product with Pi is bounded through R, a bound on ||Pi|| on all vectors
 (the largest row sum in L1, the largest column sum in the sup norm), the
 growth of that error over m more steps by R^m in L1 and by the sharper
@@ -42,9 +43,9 @@ on h^_t, can grow.  The sup-norm sweep measures every step: there h^_0
 
 Fixed vector.  v is iterated in float (v <- fl(v Pi), O(nnz) per step)
 until the one-step change reaches rounding level, and the exact residual
-r = v Pi - v is then enclosed by a gamma-ledger over the column counts
-of Pi.  The rows sum to 1 only to within delta, so the fixed vector f is
-any vector of mass s with f Pi - f = c e_j for one j and some c.  With
+r = v Pi - v is then enclosed element by element (_Model.residual).  The
+rows sum to 1 only to within delta, so the fixed vector f is any vector
+of mass s with f Pi - f = c e_j for one j and some c.  With
 v' = v s / sum(v) and r' = r s / sum(v), e = v' - f lies in V and
 e - e Pi = -(r' - (sum r') e_j) - c' e_j, where c' = sum_i e_i d_i for
 the row-sum defects |d_i| <= delta is at most delta s ||e|| and grows by
@@ -54,9 +55,9 @@ fixed_point_bound with L_delta = Pi, n = N_eps, c = (1, min(C_i, R^i)
 for 0 < i < n), alpha = C_n + delta s sum_{i<n} R^i and defect
 s/|sum v| (||r|| + |sum r|), plus |sum v - s| ||v|| / |sum v| for
 ||v - v'||; R^i stands for any bound on ||Pi^i|| (rho_i in the sup
-norm, _Model).  Power steps continue until it is at most eps_num.  In L1
-the matrix must be nonnegative with correctly rounded row sums of 1, so
-delta is 2^-53 rounded up and R = 1 + 2^-52.
+norm, _Model).  Power steps continue until it is at most eps_num.  The
+matrix must be nonnegative with correctly rounded row sums of 1, so
+delta is 2^-53 rounded up and R = 1 + 2^-52 in L1.
 
 The anchors step in blocks of columns (_block_columns) on a thread pool
 with one thread per usable CPU; scipy's sparse product and numpy's
@@ -84,15 +85,15 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .intervals import Interval, IntervalArray, _up, _v_prod, _v_prod_hi, iv
+from .intervals import (Interval, IntervalArray, _fsum, _gamma, _up, _v_prod,
+                        _v_prod_hi, iv)
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -221,32 +222,27 @@ class EnclosedDensity:
 
 @functools.lru_cache(maxsize=None)
 def _sum_factor(n: int) -> float:
-    """1 + gamma_(n-1) rounded up, gamma_m = m u / (1 - m u); inf where
-    m u >= 1.  A float sum s of n nonnegative terms, added in any order,
-    obeys |s - S| <= (n - 1) u S for their exact sum S (Jeannerod and
-    Rump, 2013), so S <= s / (1 - (n - 1) u) = s (1 + gamma_(n-1))."""
-    m = max(int(n) - 1, 0)
-    if m * _U >= 1.0:
-        return math.inf
-    return (iv(1) + iv(m) * iv(_U) / (iv(1) - iv(m) * iv(_U))).hi
+    """1 + gamma_(n-1) rounded up (inf where (n - 1) u >= 1).  A float
+    sum s of n nonnegative terms, added in any order, obeys |s - S| <=
+    (n - 1) u S for their exact sum S (Jeannerod and Rump, 2013), so
+    S <= s / (1 - (n - 1) u) = s (1 + gamma_(n-1))."""
+    return (iv(1) + _gamma(max(int(n) - 1, 0), _U)).hi
 
 
-def _sum_up(s, n: int):
+def _per_count(fn, counts: np.ndarray) -> np.ndarray:
+    """fn(n) for each count n of counts, evaluated once per distinct count."""
+    distinct, at = np.unique(counts, return_inverse=True)
+    return np.array([fn(int(n)) for n in distinct])[at]
+
+
+def _sum_up(s, n):
     """Upper bound of the exact sum behind each float sum s of n
-    nonnegative terms, elementwise: s _sum_factor(n), stepped up only
-    where the product missed (an exact sum of exact terms stays within
-    one ulp)."""
-    p, e, unsafe = _v_prod(np.asarray(s, np.float64), np.float64(_sum_factor(n)))
+    nonnegative terms, elementwise (n an int, or one count per element):
+    s _sum_factor(n), stepped up only where the product missed (an exact
+    sum of exact terms stays within one ulp)."""
+    factor = _sum_factor(n) if np.ndim(n) == 0 else _per_count(_sum_factor, n)
+    p, e, unsafe = _v_prod(np.asarray(s, np.float64), np.float64(factor))
     return _v_prod_hi(p, e, unsafe)
-
-
-def _in_bytes(buf, dtype, n: int) -> np.ndarray:
-    """n entries of dtype laid over the bytes of the contiguous array buf;
-    a new array where buf is None or too small."""
-    size = n * np.dtype(dtype).itemsize
-    if buf is None or buf.nbytes < size:
-        return np.empty(n, dtype)
-    return buf.reshape(-1).view(np.uint8)[:size].view(dtype)
 
 
 def _usable_cpus() -> int:
@@ -269,14 +265,13 @@ def _block_columns(k: int) -> int:
 
 class _SupGrowth:
     """rho_m >= ||Pi^m|| in the sup norm for m = 0, 1, ...: the largest
-    entry of 1 |Pi|^m enclosed upward (_Model), capped at R^m.  Extended
-    on demand, one O(nnz) product per step, by one thread at a time."""
+    entry of 1 Pi^m enclosed upward (_Model.product_up), capped at R^m.
+    Extended on demand, one O(nnz) product per step, by one thread."""
 
-    def __init__(self, at_abs: sparse.csr_matrix, col_count: float,
-                 op_norm: float):
-        self._at_abs, self._col_count = at_abs, col_count
-        self._u = np.ones(at_abs.shape[0])  # 1 |Pi|^m, enclosed upward
-        self._caps = _powers(op_norm)
+    def __init__(self, model: "_Model"):
+        self._model = model
+        self._u = np.ones(model.at.shape[0])  # 1 |Pi|^m, enclosed upward
+        self._caps = _powers(model.op_norm)
         self._rho = [next(self._caps)]
         self._lock = threading.Lock()
 
@@ -284,13 +279,7 @@ class _SupGrowth:
         """[rho_0, ..., rho_m]."""
         with self._lock:
             while len(self._rho) <= m:
-                # a rounded product is within gamma_1 of its true value,
-                # or at most eta/2 under it where it underflows; with the
-                # exact term C eta the sum of C of them is a float sum of
-                # C + 1 terms, so (1 + gamma_1)(1 + gamma_C) <= 1 +
-                # gamma_(C+1), the charge of C + 2 terms, covers it
-                self._u = _sum_up(self._at_abs @ self._u
-                                  + self._col_count * _ETA, self._col_count + 2)
+                self._u = self._model.product_up(self._u)
                 self._rho.append(min(float(self._u.max()), next(self._caps)))
             return self._rho[:m + 1]
 
@@ -300,39 +289,47 @@ class _Model:
     """The swept matrix Pi as both proofs read it, built once by _model.
 
     scale is s, op_norm R and row_defect delta of the module docstring;
-    inflation is ||P - Pi||.  The anchors step with Pi32, Pi rounded to
-    float32 (at32), in float32 arithmetic, unit roundoff u = 2^-24 and
-    smallest subnormal eta = 2^-149.  With C the largest column count and
-    gamma_C = C u / (1 - C u) (inf when C u >= 1), one step of a float32
-    vector v obeys, in either norm,
+    inflation is ||P - Pi||; C_j counts the stored entries of column j,
+    and C is their maximum.  Pi >= 0 (_model), so |Pi| = Pi.
+
+    Products (product_up).  For x >= 0, each rounded product of fl(x Pi)
+    is within gamma_1 of its true value or at most eta/2 under it (eta =
+    2^-1074), so with the exact term C_j eta column j is a float sum of
+    C_j + 1 terms, and (1 + gamma_1)(1 + gamma_(C_j)) <= 1 + gamma_(C_j+1),
+    the _sum_factor of C_j + 2 terms, bounds the exact x Pi.
+
+    Anchor steps.  The anchors step with Pi32, Pi rounded to float32
+    (at32), in float32 arithmetic, unit roundoff u = 2^-24 and smallest
+    subnormal eta = 2^-149.  One step of a float32 vector v obeys, in
+    either norm,
 
         ||fl(v Pi32) - v Pi|| <= (gamma_C (1 + u) + u) R ||v||
                                  + (1 + gamma_C) eta/2 k (||v|| + C s),
 
-    the fresh error of the step (fresh): gamma_C |v| |Pi32| for the
-    products and sums, |Pi32| <= (1 + u) |Pi|, u |Pi| for rounding each
-    entry, and eta/2 for each entry or product that falls below float32's
-    normal range (at most k per row or column of Pi, nnz <= k C products,
-    s >= 1), grown by at most 1 + gamma_C in the sums.  The drift is the
-    cumulative float error of the half-anchors, and a step's bound is its
-    largest full-anchor norm plus twice the drift, rounded up.  Let h_t be
-    a computed half-anchor after t steps, so h_t = fl(h_(t-1) Pi32) =
-    h_(t-1) Pi + e_t with ||e_t|| <= fresh(||h_(t-1)||), and the exact
-    half-anchor is h_0 Pi^t.  Then h_t - h_0 Pi^t = sum_s e_s Pi^(t-s), so
-    the drift is sum_s ||Pi^(t-s)|| ||e_s||.  Each e_s is charged on the
-    norm of the vector actually stepped: h_0 = s (e_0 - e_j)/2 exactly,
-    of norm s in L1 and s/2 in the sup norm, and for t >= 2 ||h_(t-1)|| is
-    at most half the full-anchor norm of step t - 1, measured or a priori
-    (below), a bound on the computed vector itself, so no drift enters the
-    charge (fresh is increasing in the norm, so the block's largest norm
-    covers every anchor; these norms are twice a float, so halving them is
-    exact).  In L1, ||Pi^m|| <= R^m, and the drift is that sum in Horner
-    form.  In the sup norm, ||Pi^m|| is at most
-    rho_m = max_j (1 |Pi|^m)_j, 1 the all-ones row vector (growth), since
-    |(e Pi^m)_j| <= sum_i |e_i| (|Pi|^m)_ij <= ||e|| (1 |Pi|^m)_j.  rho_m is
-    enclosed upward and capped at R^m, so this drift never exceeds the
-    R^m one, and it stays bounded where R^m outgrows the anchors' own
-    ||Pi^m|| (a column sum above 1 next to row sums of 1).
+    the fresh error of the step (fresh): gamma_C |v| |Pi32| for the products
+    and sums, |Pi32| <= (1 + u) |Pi|, u |Pi| for rounding each entry, and
+    eta/2 for each entry or product that falls below float32's normal range
+    (at most k per row or column of Pi, nnz <= k C products, s >= 1), grown
+    by at most 1 + gamma_C in the sums.  The drift is the cumulative float
+    error of the half-anchors, and a step's bound is its largest full-anchor
+    norm plus twice the drift, rounded up.  Let h_t be a computed
+    half-anchor after t steps, so h_t = fl(h_(t-1) Pi32) = h_(t-1) Pi + e_t
+    with ||e_t|| <= fresh(||h_(t-1)||), and the exact half-anchor is
+    h_0 Pi^t.  Then h_t - h_0 Pi^t = sum_s e_s Pi^(t-s), so the drift is
+    sum_s ||Pi^(t-s)|| ||e_s|| in both norms, ||Pi^m|| from powers.  Each
+    e_s is charged on the norm of the vector actually stepped:
+    h_0 = s (e_0 - e_j)/2 exactly, of norm s in L1 and s/2 in the sup norm,
+    and for t >= 2 ||h_(t-1)|| is at most half the full-anchor norm of step
+    t - 1, measured or a priori (below), a bound on the computed vector
+    itself, so no drift enters the charge (fresh is increasing in the norm,
+    so the block's largest norm covers every anchor; these norms are twice a
+    float, so halving them is exact).  In L1, ||Pi^m|| <= R^m.  In the sup
+    norm, ||Pi^m|| is at most rho_m = max_j (1 Pi^m)_j, 1 the all-ones row
+    vector (growth), since |(e Pi^m)_j| <= sum_i |e_i| (Pi^m)_ij <=
+    ||e|| (1 Pi^m)_j.  rho_m is enclosed upward and capped at R^m, so this
+    drift never exceeds the R^m one, and it stays bounded where R^m
+    outgrows the anchors' own ||Pi^m|| (a column sum above 1 next to row
+    sums of 1).
 
     A-priori norms (a_priori_norms).  Let h^_0 = ||h_0|| and h^_t =
     up(R h^_(t-1) + fresh(h^_(t-1))).  Every computed half-anchor obeys
@@ -350,24 +347,26 @@ class _Model:
     norm_kind: str
     at: sparse.csr_matrix  # Pi transposed: its rows are the columns of Pi
     at32: sparse.csr_matrix  # at rounded to float32: steps the anchors
-    at_abs: sparse.csr_matrix
-    col_counts: np.ndarray  # nonzeros per column of Pi
-    col_count: float  # their maximum
+    col_counts: np.ndarray  # C_j, nonzeros per column of Pi
+    col_count: float  # C, their maximum
     scale: float
     op_norm: float  # R
     row_defect: float  # delta
     inflation: float
-    growth: _SupGrowth | None  # rho_m in the sup norm; None in L1
     fresh_rate: float  # (gamma_C (1 + u) + u) R + (1 + gamma_C) eta/2 k
     fresh_floor: float  # (1 + gamma_C) eta/2 k C s
+    growth: _SupGrowth | None = field(init=False)  # rho_m; None in L1
+
+    def __post_init__(self):
+        growth = None if self.norm_kind == "L1" else _SupGrowth(self)
+        object.__setattr__(self, "growth", growth)
 
     def col_norms(self, v, spare=None) -> np.ndarray:
         """Float64 upper bounds of the norms of the columns of a dense or
         CSR block of float32 or float64 entries; sums are taken in float64.
-        spare is a pair of arrays whose contents may be overwritten, for
-        the temporaries: a dense v uses the first, of v's shape and dtype
-        (not v itself), a CSR one the bytes of both; None allocates them."""
-        a, b = spare or (None, None)
+        A dense L1 block takes |v| in spare, an array of v's shape and
+        dtype whose contents may be overwritten (not v itself); None
+        allocates it."""
         if sparse.issparse(v):
             if self.norm_kind == "Linf":
                 # exact in any dtype, and far slower into a wider one
@@ -375,24 +374,25 @@ class _Model:
                 np.maximum.at(out, v.indices, np.abs(v.data))
                 return out.astype(np.float64)
             # adds each column's stored entries in row order, as the dense
-            # sum adds the whole column; the skipped entries are exact
-            # zeros.  bincount converts int32 indices and float32 weights
-            # far slower than it counts, so they are widened here.
-            idx = _in_bytes(a, np.intp, v.nnz)
-            idx[...] = v.indices
-            mag = np.abs(v.data, out=_in_bytes(b, np.float64, v.nnz))
-            return _sum_up(np.bincount(idx, weights=mag, minlength=v.shape[1]),
-                           v.shape[0])
+            # sum adds the whole column; the skipped entries are exact zeros
+            mag = np.abs(v.data, dtype=np.float64)
+            return _sum_up(np.bincount(v.indices, weights=mag,
+                                       minlength=v.shape[1]), v.shape[0])
         if self.norm_kind == "Linf":
             # max |v| without a block-sized temporary
             return np.maximum(v.max(axis=0), -v.min(axis=0)).astype(np.float64)
-        mag = np.abs(v, out=a)
+        mag = np.abs(v, out=spare)
         if v.shape[1] == 1:
             # numpy sums one contiguous column pairwise; a running sum adds it
             # in row order, as every column of a wider block is added
             return _sum_up(np.cumsum(mag[:, 0], dtype=np.float64)[-1:],
                            v.shape[0])
         return _sum_up(mag.sum(axis=0, dtype=np.float64), v.shape[0])
+
+    def product_up(self, x: np.ndarray) -> np.ndarray:
+        """Upper bounds of the exact x Pi for x >= 0 (class docstring)."""
+        return _sum_up(self.at @ x + self.col_counts * _ETA,
+                       self.col_counts + 2)
 
     def fresh(self, norm: float) -> float:
         """The fresh error of one anchor step from a vector of norm at most
@@ -427,17 +427,14 @@ class _Model:
         """The bounds of steps 1, 2, ... from the largest full-anchor norm
         of each step, measured or a priori, drift included (class
         docstring)."""
-        rho = None if self.growth is None else self.growth.upto(len(norm_max))
+        powers = list(itertools.islice(self.powers(), len(norm_max)))
         out, fresh = [], []
-        drift = 0.0
         half = self.half_start()  # the norm of the half-anchor stepped next
         for t, m in enumerate(norm_max, 1):
             fresh.append(self.fresh(half))
-            if rho is None:
-                drift = _up(_up(drift * self.op_norm) + fresh[-1])
-            else:  # sum over s of rho_(t-s) times the fresh error of step s
-                drift = _up(math.fsum(_up(f * r) for f, r in
-                                      zip(fresh, rho[t - 1::-1])))
+            # sum over s of ||Pi^(t-s)|| times the fresh error of step s
+            drift = _up(math.fsum(_up(f * r) for f, r in
+                                  zip(fresh, powers[t - 1::-1])))
             out.append(_up(m + 2.0 * drift))
             half = m / 2
         return out
@@ -446,32 +443,33 @@ class _Model:
         """N's test at step t: bound plus t inflations at most 1/2."""
         return (iv(bound) + iv(t) * iv(self.inflation)).hi <= 0.5
 
+    def residual(self, v: np.ndarray, p: np.ndarray) -> IntervalArray:
+        """An enclosure of the exact v Pi - v, element by element, from
+        p = fl(v Pi): p - v in interval arithmetic (exact where p_j is
+        within a factor 2 of v_j, Sterbenz), widened by gamma_(C_j) A_j +
+        C_j eta, A = product_up(|v|).  A float dot product of C_j terms
+        misses by at most gamma_(C_j) (|v| Pi)_j + (1 + gamma_(C_j-1)) C_j
+        eta/2 (Higham, 3.1; products underflow by at most eta/2, sums are
+        exact there), and gamma_(C_j-1) <= 1 for every C_j < 2^52."""
+        gamma = _per_count(lambda n: _gamma(n, _U).hi, self.col_counts)
+        miss = (IntervalArray(gamma) * self.product_up(np.abs(v))
+                + self.col_counts * _ETA).hi
+        return IntervalArray(p) - IntervalArray(v) + IntervalArray(-miss, miss)
+
     def radius(self, v: np.ndarray, p: np.ndarray, c: Sequence[float]) -> float:
         """The certified ||v - f|| of the module docstring from one float
         product p = fl(v Pi) and c = (C_1, ..., C_n); inf where the bound's
         denominator is not positive."""
         k = len(v)
-        r = p - v
-        # fl(v Pi)_j errs by at most gamma_j (|v| |Pi|)_j plus the underflow
-        # of its products; the subtraction adds at most 2u |r_j|.  The
-        # ledger is evaluated in float and moved up by its own rounding.
-        gamma = 1.01 * self.col_counts * _U
-        a = self.at_abs @ np.abs(v)
-        ledger = (gamma * (1.0 + 2.0 * gamma) * a + 2.0 * _U * np.abs(r)
-                  + 4.0 * self.col_counts * _ETA) * (1.0 + 8.0 * _U)
-        mag = np.abs(r) + ledger
+        mag = abs(self.residual(v, p)).hi
         v_1 = _sum_up(np.abs(v).sum(), k)
         if self.norm_kind == "L1":
-            # each of the k terms of mag rounded its own sum once, so
-            # (1 + gamma_1)(1 + gamma_(k-1)) <= 1 + gamma_k: k + 1 terms
-            r_norm, v_norm = _sum_up(mag.sum(), k + 1), v_1
+            r_norm, v_norm = _sum_up(mag.sum(), k), v_1
         else:
-            r_norm = _up(float(mag.max()) * (1.0 + _U))
-            v_norm = float(np.abs(v).max())
+            r_norm, v_norm = float(mag.max()), float(np.abs(v).max())
         # sum r = sum_i v_i (row sum i - 1) exactly
         r_sum = iv(self.row_defect) * iv(v_1)
-        s = math.fsum(v.tolist())
-        v_sum = Interval(math.nextafter(s, -math.inf), _up(s))
+        v_sum = _fsum(IntervalArray(v))
         if v_sum.contains_zero():
             return math.inf
 
@@ -487,52 +485,36 @@ class _Model:
 
 
 def _model(matrix: TransitionMatrix) -> _Model:
-    """The model of matrix; ValueError for an L1 matrix that is not exactly
+    """The model of matrix; ValueError for a matrix that is not exactly
     row-stochastic, or a sup-norm one with k > 2^24."""
-    row_sums = matrix.row_sums()
-    l1 = matrix.norm_kind == "L1"
-    if l1 and ((matrix.csr.data < 0).any() or (row_sums != 1.0).any()):
-        # exact: the 1-norm ledger needs entries >= 0 and fsum row sums of 1
+    if (matrix.csr.data < 0).any() or (matrix.row_sums() != 1.0).any():
+        # exact: both ledgers need entries >= 0 and fsum row sums of 1
         raise ValueError("matrix is not row-stochastic: a negative entry or "
                          "a row sum other than 1")
+    l1 = matrix.norm_kind == "L1"
     at = matrix.csr.T.tocsr()
-    at_abs = at if l1 else abs(at)
     col_counts = np.diff(at.indptr).astype(np.float64)
     col_count = float(col_counts.max())
-    # |row sum - 1| from the correctly rounded sums, half an ulp added.
-    # Each s is the float nearest to its exact sum S, so S lies within half
-    # the gap between s and its neighbour on S's side.  That gap is at most
-    # |spacing(s)|, the gap away from 0 (a power of two has the smaller gap
-    # towards 0), so |S - 1| <= |s - 1| + |spacing(s)|/2.  The halving is
-    # exact, and for s in the subnormal range S = s.  The difference and
-    # the sum round to nearest at most once each, each by at most half the
-    # gap above the result, so the one ulp that _up adds covers both
-    row_defect = _up(float((np.abs(row_sums - 1.0)
-                            + np.abs(np.spacing(row_sums)) / 2).max()))
+    # every row's correctly rounded sum is 1, so its exact sum lies within
+    # half the gap below 1 (2^-54) or above it (2^-53)
+    row_defect = _up(2.0 ** -53)
     # R: the largest row sum in L1, the largest column sum in the sup norm,
     # a float sum of at most k exact terms
     op_norm = (_l1_norm(row_defect) if l1
-               else float(_sum_up(at_abs.sum(axis=1).max(), matrix.k)))
+               else float(_sum_up(at.sum(axis=1).max(), matrix.k)))
     if not l1 and matrix.k > 1 << 24:
         raise ValueError("the sup-norm sweep needs k <= 2^24: its float32 "
                          "anchors start at k/2")
     scale = 1.0 if l1 else float(matrix.k)
-    # the fresh-error constants of _Model, exact and then rounded up
-    c_u = Fraction(col_count) * Fraction(_U32)
-    if c_u >= 1:
-        fresh_rate = fresh_floor = math.inf
-    else:
-        gamma = c_u / (1 - c_u)
-        under = (1 + gamma) * Fraction(_ETA32) / 2 * matrix.k
-        fresh_rate = iv((gamma * (1 + Fraction(_U32)) + Fraction(_U32))
-                        * Fraction(op_norm) + under).hi
-        fresh_floor = iv(under * Fraction(col_count) * Fraction(scale)).hi
+    # the fresh-error constants of the class docstring, rounded up
+    gamma = _gamma(int(col_count), _U32)
+    under = (iv(1) + gamma) * iv(_ETA32 / 2) * iv(matrix.k)
+    fresh_rate = ((gamma * iv(1 + _U32) + iv(_U32)) * iv(op_norm) + under).hi
+    fresh_floor = (under * iv(col_count) * iv(scale)).hi
     return _Model(
         norm_kind=matrix.norm_kind, at=at, at32=at.astype(np.float32),
-        at_abs=at_abs, col_counts=col_counts, col_count=col_count,
-        scale=scale, op_norm=op_norm,
-        row_defect=row_defect, inflation=matrix.step_error,
-        growth=None if l1 else _SupGrowth(at_abs, col_count, op_norm),
+        col_counts=col_counts, col_count=col_count, scale=scale,
+        op_norm=op_norm, row_defect=row_defect, inflation=matrix.step_error,
         fresh_rate=fresh_rate, fresh_floor=fresh_floor)
 
 
@@ -563,15 +545,15 @@ def _half_anchors(model: _Model, ids: np.ndarray, bufs: Sequence[np.ndarray]):
     (k x len(ids)) block of half-anchors scale*(e_0 - e_j)/2, j in ids,
     after t steps v -> at32 @ v (at32 is the transposed matrix, so each
     column follows the row action; the start is exact in float32 for every
-    k <= 2^24), and spare the pair of arrays col_norms(y, spare) may
-    overwrite.
+    k <= 2^24), and spare the idle array of y's shape that col_norms(y,
+    spare) may overwrite.
 
     The block starts as a CSR matrix and turns dense before the first
     product at which more than _SPARSE_FILL of its entries are stored
     (same norms bit for bit, module docstring).  bufs are two float32
     arrays of at least k len(ids) entries: the dense block and each
     product alternate between them, and the idle one holds the
-    temporaries of the norms, so a dense step allocates nothing
+    temporary of the norms, so a dense step allocates nothing
     block-sized (a fresh block would fault in its pages)."""
     k, width = model.at.shape[0], len(ids)
     a, b = (buf[:k * width].reshape(k, width) for buf in bufs)
@@ -584,7 +566,7 @@ def _half_anchors(model: _Model, ids: np.ndarray, bufs: Sequence[np.ndarray]):
             v = v.toarray(out=a)
         y = _step(model.at32, v, b)
         # a dense v sits in a, which the norms may now overwrite
-        yield t, y, (a, b)
+        yield t, y, a
         if y is b:
             a, b = b, a
         v = y

@@ -345,6 +345,16 @@ def from_fraction(q: Fraction) -> Interval:
     return Interval(f, _up(f))
 
 
+def _gamma(n: int, u: float) -> Interval:
+    """gamma_n = n u / (1 - n u) enclosed, for u = 2^-53 or 2^-24 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1); [inf, inf] once
+    n u >= 1."""
+    if n * u >= 1.0:
+        return Interval(_INF, _INF)
+    nu = iv(n) * iv(u)
+    return nu / (iv(1) - nu)
+
+
 # ---------------------------------------------------------------------------
 # interval arrays
 # ---------------------------------------------------------------------------
@@ -628,6 +638,12 @@ def _as_array(x) -> IntervalArray:
         return IntervalArray(f)
     x = _coerce(x)
     return IntervalArray(x.lo, x.hi)
+
+
+def _fsum(x: IntervalArray) -> Interval:
+    """Sum of x: fsum of each end, correctly rounded, moved one float out."""
+    return Interval(_down(math.fsum(x.lo.tolist())),
+                    _up(math.fsum(x.hi.tolist())))
 
 
 def exact_int_dtype(top: int):

@@ -39,8 +39,8 @@ from typing import ClassVar, Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .intervals import (Interval, IntervalArray, _two_prod, _two_sum, exact_int_dtype,
-                        from_fraction, iv, ratio_array)
+from .intervals import (Interval, IntervalArray, _gamma, _two_prod, _two_sum,
+                        exact_int_dtype, from_fraction, iv, ratio_array)
 from .maps import Branch, Endpoint, PiecewiseMap, level_crossing, value_bracket
 from .polys import poly_is_linear
 
@@ -91,16 +91,17 @@ def _row_fsums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     Rump & Oishi, Accurate sum and dot product, SIAM J. Sci. Comput. 2005):
     the float sum s and the errors e_i of the m additions of a row of m
     entries have its exact sum S = s + sum e_i.  The float sum r of the e_i
-    misses sum e_i by at most gamma_(m-1) sum |e_i| <= b, where b is 2 m u
-    times the float sum of the |e_i|, rounded up (additions are exact below
-    the normal range).  TwoSum gives c + d = s + r, so S - c = d +
-    (sum e_i - r) lies in [d - b, d + b].  c is the nearest float to S, the
-    one fsum returns, where that range lies strictly inside (-g_lo/2,
-    g_hi/2), g_lo and g_hi the gaps from c to its neighbours (halved
-    exactly, or to 0 below 2^-1073, which only tightens the test); rounding
-    is monotone, so d + b and b - d rounded still decide it.  Rows the test
-    cannot decide (a tie, heavy cancellation, a zero sum whose sign fsum
-    sets, or a non-finite value) take math.fsum."""
+    misses sum e_i by at most gamma_(m-1) sum |e_i|, and the float sum mag
+    of the |e_i| has sum |e_i| <= (1 + gamma_(m-1)) mag, so the miss is at
+    most gamma_(m-1) (1 + gamma_(m-1)) mag <= gamma_(2m) mag, rounded up b
+    (additions are exact below the normal range).  TwoSum gives c + d =
+    s + r, so S - c = d + (sum e_i - r) lies in [d - b, d + b].  c is the
+    nearest float to S, the one fsum returns, where that range lies
+    strictly inside (-g_lo/2, g_hi/2), g_lo and g_hi the gaps from c to its
+    neighbours (halved exactly, or to 0 below 2^-1073, which only tightens
+    the test); rounding is monotone, so d + b and b - d rounded still
+    decide it.  Rows the test cannot decide (a tie, heavy cancellation, a
+    zero sum whose sign fsum sets, or a non-finite value) take math.fsum."""
     k = len(indptr) - 1
     out = np.zeros(k)
     if not len(data):
@@ -116,7 +117,7 @@ def _row_fsums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
                 s, e = _two_sum(s, np.where(
                     counts > j, data[np.minimum(starts + j, last)], 0.0))
                 r, mag = r + e, mag + np.abs(e)
-            b = np.nextafter(mag * (2.0 * m * 2.0 ** -53), np.inf)
+            b = np.nextafter(mag * _gamma(2 * m, 2.0 ** -53).hi, np.inf)
             c, d = _two_sum(s, r)
             ok = ((d + b < (np.nextafter(c, np.inf) - c) / 2)
                   & (b - d < (c - np.nextafter(c, -np.inf)) / 2)

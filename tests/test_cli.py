@@ -497,7 +497,8 @@ def _plot_files_point_loop(density, m, k, out_dir):
     scale = k if density.norm_kind == "L1" else 1.0
     with open(out_dir / "density_plot.dat", "w") as fh:
         for i in range(k):
-            fh.write(f"{(i + 0.5) / k!r} {float(scale * vals[i])!r}\n")
+            x = (i + 0.5) / k if density.norm_kind == "L1" else i / k
+            fh.write(f"{x!r} {float(scale * vals[i])!r}\n")
     with open(out_dir / "map_graph.dat", "w") as fh:
         n = max(k, 512)
         for i in range(n + 1):
@@ -539,6 +540,23 @@ def test_plot_files_match_point_loop(text, mode, k, tmp_path):
             (tmp_path / "ref" / name).read_bytes()
 
 
+@pytest.mark.parametrize("text,mode", [(SINMAP, "Linf"), (EQ4, "L1")])
+def test_plot_points_are_where_the_values_live(text, mode, tmp_path):
+    # a sup-norm value is the density at its node i/k (SINMAP's first is
+    # the density at x = 0), an L1 value the average over cell i, drawn at
+    # its midpoint
+    from rigdens.cli import emit_plot_data
+
+    k = 16
+    m, density = _density(text, mode, k)
+    emit_plot_data(density, m, k, tmp_path)
+    rows = [line.split() for line in
+            (tmp_path / "density_plot.dat").read_text().splitlines()]
+    shift = 0.5 if mode == "L1" else 0.0
+    assert [float(x) for x, _ in rows] == [(i + shift) / k for i in range(k)]
+    assert [float(y) for _, y in rows] == density.density_values.tolist()
+
+
 def _plot_files_formatter(density, m, k, out_dir):
     """The artifact files as a str.format per row writes them."""
     import numpy as np
@@ -553,7 +571,8 @@ def _plot_files_formatter(density, m, k, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     scale = k if density.norm_kind == "L1" else 1.0
     write_lines(out_dir / "density_plot.dat", "{!r} {!r}\n",
-                (np.arange(k) + 0.5) / k, scale * density.values)
+                (np.arange(k) + (0.5 if density.norm_kind == "L1" else 0)) / k,
+                scale * density.values)
     n = max(k, 512)
     xs = np.arange(n + 1) / n
     at, ys = [], []

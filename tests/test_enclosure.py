@@ -355,14 +355,14 @@ def test_eq6_blocks_start_sparse(eq6, monkeypatch):
     read = []
 
     def radius_spy(model, v, p, c):
-        read.append((model.at.dtype, model.at_abs.dtype, v.dtype, p.dtype))
+        read.append((model.at.dtype, v.dtype, p.dtype))
         return radius(model, v, p, c)
 
     monkeypatch.setattr(enclosure._Model, "radius", radius_spy)
     _, dens = contraction_sweep(markovize(assemble_ulam(eq6, 2048)), 1e-4)
     # the anchors step in float32; the fixed vector and its radius do not
     assert dens.values.dtype == np.float64
-    assert read and set(read) == {(np.dtype(np.float64),) * 4}
+    assert read and set(read) == {(np.dtype(np.float64),) * 3}
     assert len(blocks) == -(-2047 // 128)
     for kinds in blocks:
         n_sparse = kinds.count(True)
@@ -612,10 +612,10 @@ def test_non_stochastic_matrix_raises():
     [[0.5, 0.5 + 2.0 ** -52], [0.5, 0.5]],
 ])
 def test_row_stochastic_check_is_exact(rows):
-    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(np.array(rows)),
-                          eps=0.0, nnz_max=2)
-    with pytest.raises(ValueError, match="not row-stochastic"):
-        contraction_sweep(tm, 1e-4)
+    # in both norms, whose ledgers both charge delta = 2^-53
+    for norm_kind in ("L1", "Linf"):
+        with pytest.raises(ValueError, match="not row-stochastic"):
+            contraction_sweep(_matrix(np.array(rows), norm_kind), 1e-4)
 
 
 @pytest.mark.parametrize("name,markov", [
@@ -623,20 +623,23 @@ def test_row_stochastic_check_is_exact(rows):
     ("sinmap", True), ("sinmap", False),
 ])
 def test_row_defect_bounds_exact_row_sums(name, markov, request):
-    # delta = |s - 1| + spacing(s)/2 rounded up, from the correctly rounded
-    # row sums s, is at least every exact |row sum - 1|: on markovized rows
-    # (s = 1, delta = 2^-53 rounded up; SINMAP's exact sums miss 1 by up to
-    # 1.006e-16 at k = 256) and on a raw sup-norm matrix's (s != 1)
+    # delta = 2^-53 rounded up is at least every exact |row sum - 1| of a
+    # markovized matrix, whose correctly rounded row sums are all 1
+    # (SINMAP's exact sums miss 1 by up to 1.006e-16 at k = 256); a raw
+    # matrix, whose rounded sums miss 1, is refused in either norm
     m = request.getfixturevalue(name)
     matrix = (assemble_linearized if name == "sinmap" else assemble_ulam)(m, 256)
-    if markov:
-        matrix = markovize(matrix)
+    if not markov:
+        with pytest.raises(ValueError, match="not row-stochastic"):
+            enclosure._model(matrix)
+        return
+    matrix = markovize(matrix)
     delta = F(enclosure._model(matrix).row_defect)
     csr = matrix.csr
     exact = [sum(map(F, csr.data[a:b].tolist()))
              for a, b in zip(csr.indptr[:-1], csr.indptr[1:])]
     assert max(abs(x - 1) for x in exact) <= delta
-    assert (delta == F(math.nextafter(2.0 ** -53, 1.0))) == markov
+    assert delta == F(math.nextafter(2.0 ** -53, 1.0))
 
 
 _DENOM_BITS = 20
@@ -749,6 +752,59 @@ def test_residual_radius_contains_exact_fixed_vector(case, t, start):
         v = model.at @ v
     radius = model.radius(v, model.at @ v, cert.per_step_bounds[:cert.n_eps])
     assert _exact_distance(v, exact, norm_kind) <= F(radius)
+
+
+_ETA = 2.0 ** -1074
+_TINY = st.integers(1, 8).map(lambda n: n * _ETA)
+
+
+@st.composite
+def _residual_cases(draw):
+    """(rows, v): nonnegative rows whose fsum is 1, each on its own
+    support (column counts from 1 to k), some with subnormal entries, and a
+    signed v: any floats, positive subnormals only (products that all
+    underflow the same way), or the result of power steps from either
+    (v Pi near v, so that p - v is exact)."""
+    k = draw(st.integers(2, 6))
+    d = 1 << _DENOM_BITS
+    rows = np.zeros((k, k))
+    for i in range(k):
+        cols = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
+                             unique=True))
+        cuts = draw(st.lists(st.integers(1, d - 1), min_size=len(cols) - 1,
+                             max_size=len(cols) - 1, unique=True))
+        rows[i, cols] = np.diff([0, *sorted(cuts), d]) / d
+        for j in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+            if rows[i, j] == 0.0:
+                rows[i, j] = draw(_TINY)  # the fsum stays 1
+    floats = st.one_of(st.floats(-4.0, 4.0), _TINY, _TINY.map(lambda x: -x))
+    v = np.array(draw(st.lists(draw(st.sampled_from([floats, _TINY])),
+                               min_size=k, max_size=k)))
+    for _ in range(draw(st.sampled_from([0, 40]))):
+        v = v @ rows
+    return rows, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_cases())
+# column 0 adds three products eta/2, each rounded to 0: the float
+# residual misses the exact one by 3 eta/2, which only C_j eta covers
+@example(([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.25, 0.25]],
+          [_ETA] * 3))
+# column 0 holds one entry, and its one rounded product needs gamma_1:
+# p_0 = fl(0.75 fl(1/3)) = 1/4 = v_0 misses 0.75 fl(1/3) by 2^-56, and
+# p_0 - v_0 = 0 is exact
+@example(([[0.0, 1.0], [0.75, 0.25]], [0.25, 1 / 3]))
+def test_residual_encloses_exact_residual(case):
+    # every element of v Pi - v, in rationals, lies in the enclosure that
+    # the radius reads, from p = fl(v Pi)
+    rows, v = np.array(case[0]), np.array(case[1])
+    model = enclosure._model(_matrix(rows, "L1"))
+    r = model.residual(v, model.at @ v)
+    exact = [[F(x) for x in row] for row in rows.tolist()]
+    for j in range(len(v)):
+        got = sum(F(v[i]) * exact[i][j] for i in range(len(v))) - F(v[j])
+        assert F(r.lo[j]) <= got <= F(r.hi[j])
 
 
 @settings(max_examples=150, deadline=None)

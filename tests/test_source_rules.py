@@ -16,3 +16,15 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_slack_factor_literals_in_src():
+    """A float literal strictly between 1 and 2 is the shape of a
+    hand-picked slack factor (1.01 c u); every rounding charge comes from
+    a proof instead (intervals._gamma), so none may appear."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and 1.0 < node.value < 2.0]
+    assert found == []
