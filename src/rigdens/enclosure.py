@@ -60,19 +60,20 @@ matrix must be nonnegative with correctly rounded row sums of 1, so
 delta is 2^-53 rounded up and R = 1 + 2^-52 in L1.
 
 The anchors step in blocks of columns (_block_columns) on a thread pool
-with one thread per usable CPU; scipy's sparse product and numpy's
-reductions release the GIL.  A block is 128 anchors wide, not a CPU's
-share of them, within an entry budget of 4 MiB, so a thread's buffers
-grow with k only up to that budget, and each CPU gets several blocks to
-balance its load.  A block starts sparse, as (e_0 - e_j) Pi^t has small
-support until a cell's image covers [0, 1], and turns dense once more
-than _SPARSE_FILL of its entries are stored, in one of the two buffers
-its thread keeps for the whole sweep (_half_anchors).  Each anchor
-column sees the same float32 arithmetic in the same order whatever the
-block width, thread count or storage, so no result depends on them:
-both products add an entry's terms in the order of the stored row of Pi
-transposed, the sparse one skipping only exact zeros, and the L1 column
-sums add a column's entries in row order, in float64.
+with one thread per usable CPU; scipy's compiled sparse kernels (called
+directly, rigdens._csr) and numpy's reductions release the GIL.  A block
+is 128 anchors wide, not a CPU's share of them, within an entry budget
+of 4 MiB, so a thread's buffers grow with k only up to that budget, and
+each CPU gets several blocks to balance its load.  A block starts
+sparse, as (e_0 - e_j) Pi^t has small support until a cell's image
+covers [0, 1], and turns dense once more than _SPARSE_FILL of its
+entries are stored, in one of the two buffers its thread keeps for the
+whole sweep (_half_anchors).  Each anchor column sees the same float32
+arithmetic in the same order whatever the block width, thread count or
+storage, so no result depends on them: both products add an entry's
+terms in the order of the stored row of Pi transposed, the sparse one
+skipping only exact zeros, and the L1 column sums add a column's entries
+in row order, in float64.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from . import _csr
+from ._csr import CSR
 from .intervals import (Interval, IntervalArray, _fsum, _gamma, _up, _v_prod,
                         _v_prod_hi, iv)
 from .ulam import TransitionMatrix
@@ -109,9 +110,8 @@ _ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
 # anchors per block where a dense step's cost flattens at large k; at
-# small k it trades time for memory: on two CPUs SINMAP at k = 1024
-# certifies about 5 ms (6-7 %) slower than in blocks of 512, each sparse
-# step paying scipy's fixed cost, for 6 MiB less of block buffers
+# k = 1024 on two CPUs they hold 6 MiB less of block buffers than blocks
+# of 512, and SINMAP's sweep runs no slower beyond the host's noise
 _BLOCK_COLUMNS = 128
 _BLOCK_ENTRIES = 1 << 20  # most float32 entries per anchor block (4 MiB)
 _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
@@ -235,14 +235,20 @@ def _per_count(fn, counts: np.ndarray) -> np.ndarray:
     return np.array([fn(int(n)) for n in distinct])[at]
 
 
-def _sum_up(s, n):
-    """Upper bound of the exact sum behind each float sum s of n
-    nonnegative terms, elementwise (n an int, or one count per element):
-    s _sum_factor(n), stepped up only where the product missed (an exact
-    sum of exact terms stays within one ulp)."""
-    factor = _sum_factor(n) if np.ndim(n) == 0 else _per_count(_sum_factor, n)
+def _times_up(s, factor):
+    """s factor elementwise (one factor, or one per element), stepped up
+    only where the product missed: _sum_up with each sum's _sum_factor
+    given."""
     p, e, unsafe = _v_prod(np.asarray(s, np.float64), np.float64(factor))
     return _v_prod_hi(p, e, unsafe)
+
+
+def _sum_up(s, n: int):
+    """Upper bound of the exact sum behind each float sum s of n
+    nonnegative terms, elementwise: s _sum_factor(n), stepped up only
+    where the product missed (an exact sum of exact terms stays within one
+    ulp)."""
+    return _times_up(s, _sum_factor(n))
 
 
 def _usable_cpus() -> int:
@@ -345,9 +351,11 @@ class _Model:
     """
 
     norm_kind: str
-    at: sparse.csr_matrix  # Pi transposed: its rows are the columns of Pi
-    at32: sparse.csr_matrix  # at rounded to float32: steps the anchors
+    at: CSR  # Pi transposed: its rows are the columns of Pi
+    at32: CSR  # at rounded to float32: steps the anchors
     col_counts: np.ndarray  # C_j, nonzeros per column of Pi
+    col_factors: np.ndarray  # _sum_factor(C_j + 2), product_up's factors
+    col_gammas: np.ndarray  # gamma_(C_j), rounded up: residual's rates
     col_count: float  # C, their maximum
     scale: float
     op_norm: float  # R
@@ -367,10 +375,10 @@ class _Model:
         A dense L1 block takes |v| in spare, an array of v's shape and
         dtype whose contents may be overwritten (not v itself); None
         allocates it."""
-        if sparse.issparse(v):
+        if isinstance(v, CSR):
             if self.norm_kind == "Linf":
                 # exact in any dtype, and far slower into a wider one
-                out = np.zeros(v.shape[1], dtype=v.dtype)
+                out = np.zeros(v.shape[1], dtype=v.data.dtype)
                 np.maximum.at(out, v.indices, np.abs(v.data))
                 return out.astype(np.float64)
             # adds each column's stored entries in row order, as the dense
@@ -391,8 +399,8 @@ class _Model:
 
     def product_up(self, x: np.ndarray) -> np.ndarray:
         """Upper bounds of the exact x Pi for x >= 0 (class docstring)."""
-        return _sum_up(self.at @ x + self.col_counts * _ETA,
-                       self.col_counts + 2)
+        return _times_up(_csr.matvec(self.at, x) + self.col_counts * _ETA,
+                         self.col_factors)
 
     def fresh(self, norm: float) -> float:
         """The fresh error of one anchor step from a vector of norm at most
@@ -451,8 +459,7 @@ class _Model:
         misses by at most gamma_(C_j) (|v| Pi)_j + (1 + gamma_(C_j-1)) C_j
         eta/2 (Higham, 3.1; products underflow by at most eta/2, sums are
         exact there), and gamma_(C_j-1) <= 1 for every C_j < 2^52."""
-        gamma = _per_count(lambda n: _gamma(n, _U).hi, self.col_counts)
-        miss = (IntervalArray(gamma) * self.product_up(np.abs(v))
+        miss = (IntervalArray(self.col_gammas) * self.product_up(np.abs(v))
                 + self.col_counts * _ETA).hi
         return IntervalArray(p) - IntervalArray(v) + IntervalArray(-miss, miss)
 
@@ -492,7 +499,7 @@ def _model(matrix: TransitionMatrix) -> _Model:
         raise ValueError("matrix is not row-stochastic: a negative entry or "
                          "a row sum other than 1")
     l1 = matrix.norm_kind == "L1"
-    at = matrix.csr.T.tocsr()
+    at = _csr.transpose(matrix.csr)
     col_counts = np.diff(at.indptr).astype(np.float64)
     col_count = float(col_counts.max())
     # every row's correctly rounded sum is 1, so its exact sum lies within
@@ -501,7 +508,7 @@ def _model(matrix: TransitionMatrix) -> _Model:
     # R: the largest row sum in L1, the largest column sum in the sup norm,
     # a float sum of at most k exact terms
     op_norm = (_l1_norm(row_defect) if l1
-               else float(_sum_up(at.sum(axis=1).max(), matrix.k)))
+               else float(_sum_up(_csr.row_sums(at).max(), matrix.k)))
     if not l1 and matrix.k > 1 << 24:
         raise ValueError("the sup-norm sweep needs k <= 2^24: its float32 "
                          "anchors start at k/2")
@@ -512,32 +519,23 @@ def _model(matrix: TransitionMatrix) -> _Model:
     fresh_rate = ((gamma * iv(1 + _U32) + iv(_U32)) * iv(op_norm) + under).hi
     fresh_floor = (under * iv(col_count) * iv(scale)).hi
     return _Model(
-        norm_kind=matrix.norm_kind, at=at, at32=at.astype(np.float32),
-        col_counts=col_counts, col_count=col_count, scale=scale,
+        norm_kind=matrix.norm_kind, at=at,
+        at32=replace(at, data=at.data.astype(np.float32)),
+        col_counts=col_counts,
+        col_factors=_per_count(_sum_factor, col_counts + 2),
+        col_gammas=_per_count(lambda n: _gamma(n, _U).hi, col_counts),
+        col_count=col_count, scale=scale,
         op_norm=op_norm, row_defect=row_defect, inflation=matrix.step_error,
         fresh_rate=fresh_rate, fresh_floor=fresh_floor)
 
 
-def _step(at32: sparse.csr_matrix, v, out: np.ndarray):
-    """at32 @ v: a new CSR block for a CSR v; for a dense v, written into
-    out, a C-contiguous block of the product's shape and at32's dtype, by
-    the kernel that at32 @ v runs (scipy's csr_matvecs, which adds into a
-    zeroed target)."""
-    if sparse.issparse(v):
-        return at32 @ v
-    n_row, n_col = at32.shape
-    width = v.shape[1]
-    # the kernel trusts these sizes, and a copy made to convert either
-    # array would take the product with it
-    if (v.shape[0] != n_col or out.shape != (n_row, width)
-            or not v.flags.c_contiguous or not out.flags.c_contiguous
-            or not out.dtype == v.dtype == at32.dtype):
-        raise ValueError("_step needs C-contiguous blocks of at32's dtype "
-                         "and the product's shape")
-    out.fill(0)
-    _sparsetools.csr_matvecs(n_row, n_col, width, at32.indptr, at32.indices,
-                             at32.data, v.ravel(), out.ravel())
-    return out
+def _step(at32: CSR, v, out: np.ndarray):
+    """at32 @ v: a new CSR block for a CSR v (_csr.matmat); for a dense v,
+    written into out, a C-contiguous block of the product's shape and
+    at32's dtype (_csr.matvecs)."""
+    if isinstance(v, CSR):
+        return _csr.matmat(at32, v)
+    return _csr.matvecs(at32, v, out)
 
 
 def _half_anchors(model: _Model, ids: np.ndarray, bufs: Sequence[np.ndarray]):
@@ -557,12 +555,14 @@ def _half_anchors(model: _Model, ids: np.ndarray, bufs: Sequence[np.ndarray]):
     block-sized (a fresh block would fault in its pages)."""
     k, width = model.at.shape[0], len(ids)
     a, b = (buf[:k * width].reshape(k, width) for buf in bufs)
-    v = sparse.csr_matrix(
-        (np.repeat(np.float32([0.5, -0.5]), width) * np.float32(model.scale),
-         (np.concatenate([np.zeros_like(ids), ids]),
-          np.tile(np.arange(width), 2))), shape=(k, width))
+    # row 0 holds +scale/2 in every column, row ids[c] -scale/2 in column c
+    counts = np.zeros(k, np.intp)
+    counts[0], counts[ids] = width, 1
+    v = CSR(np.repeat(np.float32([0.5, -0.5]), width) * np.float32(model.scale),
+            np.concatenate([np.arange(width), np.argsort(ids)]),
+            np.r_[0, np.cumsum(counts)], (k, width))
     for t in range(1, _J_MAX + 1):
-        if sparse.issparse(v) and v.nnz > _SPARSE_FILL * k * width:
+        if isinstance(v, CSR) and v.nnz > _SPARSE_FILL * k * width:
             v = v.toarray(out=a)
         y = _step(model.at32, v, b)
         # a dense v sits in a, which the norms may now overwrite
@@ -598,7 +598,10 @@ def _witness(model: _Model, bufs: Sequence[np.ndarray]):
     most the joined ones at every step; N's test is a threshold on the
     bound, so the witness passes by N."""
     k = model.at.shape[0]
-    ids = np.unique(np.linspace(1, k - 1, _WITNESS).round().astype(np.intp))
+    ids = np.linspace(1, k - 1, _WITNESS).round().astype(np.intp)
+    # ids increase, so dropping repeats needs no np.unique, whose first call
+    # without return_inverse imports numpy.ma (about 12 ms and 1.2 MB)
+    ids = ids[np.r_[True, ids[1:] != ids[:-1]]]
     measured_from = None if model.norm_kind == "L1" else 1
     norms = []
     caps = itertools.islice(model.powers(), 1, None)
@@ -692,7 +695,7 @@ def _fixed_vector(model: _Model, c: Sequence[float],
     v = np.full(at.shape[0], model.scale / at.shape[0])
     radius = math.inf
     for l in range(1, _J_MAX + 1):
-        p = at @ v
+        p = _csr.matvec(at, v)
         change, size = model.col_norms(np.column_stack([p - v, v]))
         if change <= rounding * size or l == _J_MAX:
             radius = model.radius(v, p, c)

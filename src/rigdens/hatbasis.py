@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
 
+from ._csr import CSR
 from .intervals import IntervalArray, iv, ratio_array
 from .maps import PiecewiseMap, ly_coefficients_lip
 from .ulam import TransitionMatrix, _entry_sums, _stored_midpoints
@@ -187,8 +187,7 @@ def assemble_linearized(m: PiecewiseMap, k: int) -> LinfMatrix:
         eps = max(eps, err)
 
     counts = np.concatenate(counts)
-    csr = sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(cols), np.r_[0, np.cumsum(counts)]),
-        shape=(k, k))
+    csr = CSR(np.concatenate(data), np.concatenate(cols),
+              np.r_[0, np.cumsum(counts)], (k, k))
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()),
                       lin_err=lin_err, m_sup=m_sup)

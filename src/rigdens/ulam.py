@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
-from scipy import sparse
 
+from ._csr import CSR
 from .intervals import (Interval, IntervalArray, _gamma, _two_prod, _two_sum,
                         exact_int_dtype, from_fraction, iv, ratio_array)
 from .maps import Branch, Endpoint, PiecewiseMap, level_crossing, value_bracket
@@ -57,6 +57,9 @@ __all__ = [
 class TransitionMatrix:
     """Sparse row-stochastic matrix with a certified per-entry error bound.
 
+    csr holds it as a plain CSR record (rigdens._csr), which the sweep
+    multiplies with scipy's compiled sparse kernels.
+
     eps bounds max_ij |stored_ij - P_ij| before markovization; after
     markovization the guarantee is |Pi_ij - P_ij| <= 2*eps per entry, hence
     ||P_k - Pi||_1 <= step_error = 2 * nnz_max * eps on row vectors: the
@@ -65,7 +68,7 @@ class TransitionMatrix:
     """
 
     k: int
-    csr: sparse.csr_matrix
+    csr: CSR
     eps: float
     nnz_max: int
     norm_kind: ClassVar[str] = "L1"  # the sweep's norm, fixed by the type
@@ -441,7 +444,7 @@ def assemble_ulam(m: PiecewiseMap, k: int) -> TransitionMatrix:
     if empty.size:
         raise ValueError(f"row {empty[0]} has no nonzero entries; map is singular there")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    csr = sparse.csr_matrix((data, (keys % k).astype(np.int64), indptr), shape=(k, k))
+    csr = CSR(data, (keys % k).astype(np.int64), indptr, (k, k))
     return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=int(counts.max()))
 
 
@@ -453,8 +456,7 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
     all rows at once; row sums are fsum per row, and the residue goes to
     the first largest entry of each row.
     """
-    csr = raw.csr.tocsr(copy=True)
-    indptr, data = csr.indptr, csr.data
+    indptr, data = raw.csr.indptr, raw.csr.data.copy()
     counts = np.diff(indptr)
     if (counts == 0).any():
         raise ValueError(f"row {np.argmax(counts == 0)} has no nonzero entries")
@@ -473,14 +475,15 @@ def markovize(raw: TransitionMatrix) -> TransitionMatrix:
     data[jmax] += residue
     data[jmax] += 1.0 - _row_fsums(data, indptr)
     extra = max(clamped, float(np.abs(residue).max()))
-    return replace(raw, csr=csr, eps=raw.eps + extra)
+    return replace(raw, csr=replace(raw.csr, data=data), eps=raw.eps + extra)
 
 
 def dump_matrix(matrix: TransitionMatrix, path: str) -> None:
     """Text dump: header 'k eps nnz_max [norm_kind]', one line per nonzero."""
     import os
 
-    coo = matrix.csr.tocoo()
+    csr = matrix.csr
+    rows = np.repeat(np.arange(matrix.k), np.diff(csr.indptr))
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -489,5 +492,5 @@ def dump_matrix(matrix: TransitionMatrix, path: str) -> None:
             fh.write(f"{matrix.k} {matrix.eps!r} {matrix.nnz_max}\n")
         else:
             fh.write(f"{matrix.k} {matrix.eps!r} {matrix.nnz_max} {matrix.norm_kind}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
+        for i, j, v in zip(rows, csr.indices, csr.data):
             fh.write(f"{int(i)} {int(j)} {float(v)!r} {float(matrix.eps)!r}\n")

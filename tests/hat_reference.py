@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
+from rigdens._csr import CSR
 from rigdens.hatbasis import LinfMatrix, _check_circle
 from rigdens.intervals import Interval, from_fraction, iv
 from rigdens.maps import PiecewiseMap, ly_coefficients_lip
@@ -162,10 +162,7 @@ def assemble_reference(m: PiecewiseMap, k: int) -> LinfMatrix:
             eps = max(eps, entry.hi - val, val - entry.lo)
         nnz_max = max(nnz_max, len(cols))
         indptr.append(len(indices))
-    csr = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(k, k),
-    )
+    csr = CSR(np.array(data), np.array(indices, dtype=np.int64),
+              np.array(indptr, dtype=np.int64), (k, k))
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz_max,
                       lin_err=lin_err, m_sup=coeffs.m_sup.hi)

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
 
 from rigdens.cli import parse_map
 from rigdens.certify import certify_l1, certify_linf, lyapunov
@@ -24,6 +23,7 @@ from rigdens.maps import ly_coefficients_bv, ly_coefficients_lip
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 
 from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
+from tests.csr_records import dense_csr, entries
 from tests.hat_reference import HatBasis, project_hat
 from tests.test_ulam import exact_linear_ulam
 from tests.test_enclosure import dyadic_stochastic, exact_fixed_vector
@@ -111,7 +111,7 @@ def test_criterion_3_error_formula():
     for name, b, n, n_eps, nnz, eps, eps_num, expected in _TABLE_RUNS:
         ly = LYCoefficientsBV(lam=iv(0.32), b_prime=iv(b) * iv(0.36), b=iv(b),
                               min_branch_len=iv(0.1), distortion=iv(0.0))
-        matrix = TransitionMatrix(k=k, csr=sparse.csr_matrix(np.eye(2)),
+        matrix = TransitionMatrix(k=k, csr=dense_csr(np.eye(2)),
                                   eps=eps, nnz_max=nnz)
         contraction = ContractionCertificate(n_eps=n_eps, n_true=n,
                                              per_step_bounds=[0.4],
@@ -150,8 +150,7 @@ def test_criterion_4_exact_matrix(tripling_runs):
     details = []
     for k, (matrix, contraction, density) in runs.items():
         oracle = exact_linear_ulam(F(3), k)
-        coo = matrix.csr.tocoo()
-        got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+        got = entries(matrix.csr)
         exact = set(got) == set(oracle) and all(
             abs(got[key] - float(oracle[key])) <= math.ulp(1.0)
             for key in oracle
@@ -175,7 +174,7 @@ def test_criterion_5_enclosure_soundness(monkeypatch):
     failures = 0
     for _ in range(1000):
         mat = dyadic_stochastic(rng)
-        tm = markovize(TransitionMatrix(k=8, csr=sparse.csr_matrix(mat),
+        tm = markovize(TransitionMatrix(k=8, csr=dense_csr(mat),
                                         eps=0.0, nnz_max=8))
         cert, dens = contraction_sweep(tm, 1e-6)
         exact = exact_fixed_vector(tm.csr.toarray())

@@ -30,7 +30,8 @@ from rigdens.maps import (
     ly_coefficients_lip,
 )
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
-from scipy import sparse
+
+from tests.csr_records import dense_csr
 
 
 def synthetic_bv(lam, b):
@@ -41,7 +42,7 @@ def synthetic_bv(lam, b):
 
 
 def synthetic_matrix(k, eps, nnz, norm_kind="L1", **extra):
-    csr = sparse.csr_matrix(np.eye(2))
+    csr = dense_csr(np.eye(2))
     if norm_kind == "L1":
         return TransitionMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz)
     return LinfMatrix(k=k, csr=csr, eps=eps, nnz_max=nnz, **extra)

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from rigdens import enclosure
+from rigdens import _csr, enclosure
+from rigdens._csr import CSR
 from rigdens.enclosure import (
     NotContractingError,
     contraction_sweep,
@@ -25,6 +26,8 @@ from rigdens.enclosure import (
 from rigdens.hatbasis import LinfMatrix, assemble_linearized
 from rigdens.intervals import Interval, iv
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
+
+from tests.csr_records import dense_csr
 
 
 def dyadic_stochastic(rng, k=8, denom_bits=11):
@@ -67,7 +70,7 @@ def exact_fixed_vector(mat: np.ndarray):
 
 
 def test_rank_one_contracts_immediately():
-    csr = sparse.csr_matrix(np.full((3, 3), 1 / 3))
+    csr = dense_csr(np.full((3, 3), 1 / 3))
     tm = TransitionMatrix(k=3, csr=csr, eps=0.0, nnz_max=3)
     cert, dens = contraction_sweep(tm, 1e-4)
     assert dens.l == 1
@@ -87,7 +90,7 @@ def test_sweep_stops_at_n_true(caplog):
     # norm was measured; an unmeasured step logs the a-priori norm 2 h^_t
     for p, n_true, measured_from in ((0.75, 3, 1), (0.875, 5, 3)):
         caplog.clear()
-        tm = TransitionMatrix(k=2, csr=sparse.csr_matrix([[p, 1 - p], [1 - p, p]]),
+        tm = TransitionMatrix(k=2, csr=dense_csr([[p, 1 - p], [1 - p, p]]),
                               eps=0.0, nnz_max=2)
         with caplog.at_level(logging.INFO, logger="rigdens.enclosure"):
             cert, _ = contraction_sweep(tm, 0.03)
@@ -110,7 +113,7 @@ def test_zero_sum_bound_vs_bruteforce():
     m = dyadic_stochastic(rng, k=4)
     # inflation 2*4*eps = 0.128 puts n_true at 3 (bounds 0.81, 0.26, 0.10),
     # so the certificate keeps the bounds for t = 1..3
-    tm = TransitionMatrix(k=4, csr=sparse.csr_matrix(m), eps=0.016, nnz_max=4)
+    tm = TransitionMatrix(k=4, csr=dense_csr(m), eps=0.016, nnz_max=4)
     bounds = contraction_sweep(tm, 1e-4)[0].per_step_bounds
     assert len(bounds) >= 3
     for t in (1, 2, 3):
@@ -173,7 +176,7 @@ def test_enclosure_soundness_sample(monkeypatch):
     rng = np.random.default_rng(12345)
     for _ in range(100):
         mat = dyadic_stochastic(rng)
-        tm = TransitionMatrix(k=8, csr=sparse.csr_matrix(mat), eps=0.0, nnz_max=8)
+        tm = TransitionMatrix(k=8, csr=dense_csr(mat), eps=0.0, nnz_max=8)
         mk = markovize(tm)
         cert, dens = contraction_sweep(mk, 1e-6)
         exact = exact_fixed_vector(mk.csr.toarray())
@@ -263,7 +266,7 @@ def record_product_kinds(monkeypatch):
 
     def step_spy(at32, v, out):
         if getattr(local, "kinds", None) is not None:
-            local.kinds.append(sparse.issparse(v))
+            local.kinds.append(isinstance(v, CSR))
         return step(at32, v, out)
 
     def spy(*args):
@@ -355,7 +358,7 @@ def test_eq6_blocks_start_sparse(eq6, monkeypatch):
     read = []
 
     def radius_spy(model, v, p, c):
-        read.append((model.at.dtype, v.dtype, p.dtype))
+        read.append((model.at.data.dtype, v.dtype, p.dtype))
         return radius(model, v, p, c)
 
     monkeypatch.setattr(enclosure._Model, "radius", radius_spy)
@@ -373,8 +376,11 @@ def test_eq6_blocks_start_sparse(eq6, monkeypatch):
 @pytest.mark.parametrize("name", ["eq4", "eq6", "eq7", "lanford2", "sinmap"])
 def test_step_matches_matmul(name, request):
     # the dense product written into a buffer of stale values has exactly
-    # the bits of at32 @ v, one column wide or many
+    # the bits of at32 @ v in scipy.sparse, one column wide or many
     model = enclosure._model(_family_matrix(request, name, 256))
+    at32 = model.at32
+    at32_scipy = sparse.csr_matrix((at32.data, at32.indices, at32.indptr),
+                                   shape=at32.shape)
     rng = np.random.default_rng(5)
     for width in (1, 17, 128):
         v = rng.standard_normal((256, width)).astype(np.float32)
@@ -384,7 +390,7 @@ def test_step_matches_matmul(name, request):
         got = enclosure._step(model.at32, v, out)
         assert got is out
         assert np.array_equal(out.view(np.uint32),
-                              (model.at32 @ v).view(np.uint32))
+                              (at32_scipy @ v).view(np.uint32))
     # a target the kernel could not write in place is refused
     v = np.ones((256, 4), dtype=np.float32)
     for out in (np.empty((256, 3), np.float32), np.empty((256, 4)),
@@ -591,7 +597,7 @@ def test_non_contracting_raises(monkeypatch):
     m = np.zeros((4, 4))
     m[:2, :2] = block
     m[2:, 2:] = block
-    tm = TransitionMatrix(k=4, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
+    tm = TransitionMatrix(k=4, csr=dense_csr(m), eps=0.0, nnz_max=2)
     monkeypatch.setattr(enclosure, "_J_MAX", 32)
     with pytest.raises(NotContractingError):
         contraction_sweep(tm, 1e-4)
@@ -600,7 +606,7 @@ def test_non_contracting_raises(monkeypatch):
 def test_non_stochastic_matrix_raises():
     # row 0 sums to 1.5: the anchor's 1-norm grows from step 1 to step 2
     m = np.array([[0.9, 0.6], [0.5, 0.5]])
-    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(m), eps=0.0, nnz_max=2)
+    tm = TransitionMatrix(k=2, csr=dense_csr(m), eps=0.0, nnz_max=2)
     with pytest.raises(ValueError, match="not row-stochastic"):
         contraction_sweep(tm, 1e-4)
 
@@ -697,7 +703,7 @@ def _matrix(rows, norm_kind):
     """The transition matrix of rows, of the type of norm_kind (a sup-norm
     matrix with no linearization error and M = 1)."""
     k = len(rows)
-    fields = dict(k=k, csr=sparse.csr_matrix(rows), eps=0.0, nnz_max=k)
+    fields = dict(k=k, csr=dense_csr(rows), eps=0.0, nnz_max=k)
     if norm_kind == "L1":
         return TransitionMatrix(**fields)
     return LinfMatrix(**fields, lin_err=0.0, m_sup=1.0)
@@ -749,8 +755,8 @@ def test_residual_radius_contains_exact_fixed_vector(case, t, start):
     start = np.array(start[:k], dtype=float)  # k <= 6
     v = start * (model.scale / start.sum())
     for _ in range(t):
-        v = model.at @ v
-    radius = model.radius(v, model.at @ v, cert.per_step_bounds[:cert.n_eps])
+        v = _csr.matvec(model.at, v)
+    radius = model.radius(v, _csr.matvec(model.at, v), cert.per_step_bounds[:cert.n_eps])
     assert _exact_distance(v, exact, norm_kind) <= F(radius)
 
 
@@ -800,7 +806,7 @@ def test_residual_encloses_exact_residual(case):
     # the radius reads, from p = fl(v Pi)
     rows, v = np.array(case[0]), np.array(case[1])
     model = enclosure._model(_matrix(rows, "L1"))
-    r = model.residual(v, model.at @ v)
+    r = model.residual(v, _csr.matvec(model.at, v))
     exact = [[F(x) for x in row] for row in rows.tolist()]
     for j in range(len(v)):
         got = sum(F(v[i]) * exact[i][j] for i in range(len(v))) - F(v[j])
@@ -976,7 +982,7 @@ def test_col_norms_of_float32_blocks(norm_kind):
         "dense": model.col_norms(v),
         "one column": np.concatenate([model.col_norms(v[:, [j]])
                                       for j in range(v.shape[1])]),
-        "CSR": model.col_norms(sparse.csr_matrix(v)),
+        "CSR": model.col_norms(dense_csr(v)),
     }
     for got in blocks.values():
         assert got.dtype == np.float64

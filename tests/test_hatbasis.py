@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
 
 from rigdens.hatbasis import LinfMatrix, _hat_product_enclosure, assemble_linearized
 from rigdens.intervals import IntervalArray, iv
 from rigdens.maps import ly_coefficients_lip
 from rigdens.ulam import markovize
 
+from tests.csr_records import dense_csr
 from tests.hat_reference import (
     _GRID,
     HatBasis,
@@ -87,7 +87,7 @@ def test_linear_map_fixed_vector_uniform(quadrupling):
 
 def test_row_sums_near_one(sinmap):
     lm = assemble_linearized(sinmap, 64)
-    sums = np.asarray(lm.csr.sum(axis=1)).ravel()
+    sums = lm.csr.toarray().sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 64 * lm.eps + 1e-12
     mk = markovize(lm)
     assert (mk.row_sums() == 1.0).all()
@@ -255,7 +255,7 @@ def test_linf_matrix_needs_its_map_constants():
     """A sup-norm matrix without lin_err and m_sup would charge no
     linearization error and M = 1 whatever the map, so both are required."""
     with pytest.raises(TypeError):
-        LinfMatrix(k=2, csr=sparse.csr_matrix(np.eye(2)), eps=0.0, nnz_max=1)
+        LinfMatrix(k=2, csr=dense_csr(np.eye(2)), eps=0.0, nnz_max=1)
 
 
 @pytest.mark.parametrize("k", [8, 17, 64, 1024])

@@ -4,7 +4,6 @@ assembly, iteration of maps with partial branches."""
 import math
 
 import numpy as np
-from scipy import sparse
 
 from rigdens.certify import certify_l1, lyapunov
 from rigdens.enclosure import contraction_sweep
@@ -12,12 +11,14 @@ from rigdens.maps import iterate_map, ly_coefficients_bv
 from rigdens.ulam import TransitionMatrix, assemble_ulam, markovize
 from rigdens.cli import parse_map
 
+from tests.csr_records import dense_csr
+
 
 def test_markovize_clamps_negative_entries():
     # deficit large enough to drive the small entry negative; the row must
     # still come out stochastic, with the clamp charged to eps
     row = np.array([[1e-9, 1.2], [0.5, 0.5]])
-    tm = TransitionMatrix(k=2, csr=sparse.csr_matrix(row), eps=0.0, nnz_max=2)
+    tm = TransitionMatrix(k=2, csr=dense_csr(row), eps=0.0, nnz_max=2)
     mk = markovize(tm)
     out = mk.csr.toarray()
     assert (out >= 0.0).all()

@@ -28,3 +28,28 @@ def test_no_slack_factor_literals_in_src():
              if isinstance(node, ast.Constant) and type(node.value) is float
              and 1.0 < node.value < 2.0]
     assert found == []
+
+
+def test_scipy_sparse_stays_unimported():
+    """The package reaches scipy's sparse kernels only through _csr, which
+    loads the compiled extension alone: no file imports scipy.sparse (its
+    import costs more than numpy's), and no other file names the
+    extension."""
+    imports, named = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+            else:
+                continue
+            if any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
+                   for m in modules):
+                imports.append(f"{path.name}:{node.lineno}")
+        if "_sparsetools" in text and path.name != "_csr.py":
+            named.append(path.name)
+    assert imports == []
+    assert named == []

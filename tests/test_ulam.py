@@ -1,6 +1,7 @@
 """Assembly correctness against exact rational and 50-digit preimage oracles."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from tests.conftest import EQ4, EQ6, EQ7, LANFORD2, SINMAP, TRIPLING
+from tests.csr_records import dense_csr, entries
 
 from rigdens import ulam
 from rigdens.cli import parse_map
@@ -52,8 +53,7 @@ def test_tripling_matches_rational_oracle(k):
     m = parse_map("linear 3 mod 1").build()
     raw = assemble_ulam(m, k)
     oracle = exact_linear_ulam(F(3), k)
-    coo = raw.csr.tocoo()
-    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    got = entries(raw.csr)
     assert set(got) == set(oracle)
     for key, v in got.items():
         assert v == float(oracle[key])
@@ -71,8 +71,7 @@ def test_eq6_matches_rational_oracle(eq6):
     k = 34
     raw = assemble_ulam(eq6, k)
     oracle = exact_linear_ulam(F(17, 5), k)
-    coo = raw.csr.tocoo()
-    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    got = entries(raw.csr)
     assert set(got) == set(oracle)
     for key, v in got.items():
         assert abs(v - float(oracle[key])) <= 1e-16
@@ -135,8 +134,7 @@ def test_quadratic_maps_match_preimage_oracle(text, k):
     m = parse_map(text).build()
     raw = assemble_ulam(m, k)
     oracle = preimage_ulam(m, k)
-    coo = raw.csr.tocoo()
-    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    got = entries(raw.csr)
     assert set(got) == set(oracle)
     for key, v in got.items():
         assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
@@ -227,8 +225,7 @@ def test_preimage_on_a_cell_edge():
     assert lo[0] < 0.5 < hi[0]
     raw = assemble_ulam(m, 8)
     oracle = preimage_ulam(m, 8)
-    coo = raw.csr.tocoo()
-    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    got = entries(raw.csr)
     assert set(got) == set(oracle)
     for key, v in got.items():
         assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
@@ -249,8 +246,7 @@ def test_sine_root_outside_the_piece():
     lo, hi, scale = level_crossing(m.branches[0], np.array([1]), 2, F(0), F(1, 5))
     assert scale == 1 and lo[0] <= root <= hi[0]
     raw = assemble_ulam(m, 2)
-    coo = raw.csr.tocoo()
-    got = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    got = entries(raw.csr)
     assert set(got) == set(oracle)
     for key, v in got.items():
         assert abs(mpmath.mpf(v) - oracle[key]) <= raw.eps
@@ -317,14 +313,14 @@ def test_map_leaving_unit_interval_rejected():
 
 
 def test_markovize_keeps_stochastic_row():
-    csr = sparse.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    csr = dense_csr(np.array([[0.5, 0.5], [0.5, 0.5]]))
     tm = TransitionMatrix(k=2, csr=csr, eps=0.0, nnz_max=2)
     mk = markovize(tm)
     assert (mk.csr.toarray() == 0.5).all()
 
 
 def test_markovize_spreads_uniformly():
-    csr = sparse.csr_matrix(np.array([[0.3, 0.3, 0.3]] * 3))
+    csr = dense_csr(np.array([[0.3, 0.3, 0.3]] * 3))
     tm = TransitionMatrix(k=3, csr=csr, eps=0.05, nnz_max=3)
     mk = markovize(tm)
     row = mk.csr.toarray()[0]
@@ -338,7 +334,7 @@ def test_markovize_row_sums_one_ulp(lanford2):
 
 
 def test_markovize_rejects_empty_row():
-    csr = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    csr = dense_csr(np.array([[1.0, 0.0], [0.0, 0.0]]))
     tm = TransitionMatrix(k=2, csr=csr, eps=0.0, nnz_max=1)
     with pytest.raises(ValueError):
         markovize(tm)
@@ -361,7 +357,7 @@ def test_quadratic_eps_from_preimage_brackets(eq4):
 
 def test_column_sums_bounded(eq4):
     mk = markovize(assemble_ulam(eq4, 64))
-    cols = np.asarray(mk.csr.sum(axis=0)).ravel()
+    cols = mk.csr.toarray().sum(axis=0)
     assert (cols >= 0).all()
     assert (cols <= mk.nnz_max).all()
 
@@ -383,7 +379,7 @@ def test_dump_format(tmp_path, tripling):
 
 def _markovize_row_loop(raw):
     """The row-by-row reference form of markovize."""
-    csr = raw.csr.tocsr(copy=True)
+    csr = replace(raw.csr, data=raw.csr.data.copy())
     extra = 0.0
     for i in range(raw.k):
         s, e = csr.indptr[i], csr.indptr[i + 1]
@@ -412,7 +408,7 @@ def test_markovize_matches_row_loop_reference(eq4, lanford2):
     np.fill_diagonal(hostile, 0.7)  # every row nonempty
     hostile[3, 5] = 0.7  # a tie for the largest entry
     raws = [assemble_ulam(eq4, 64), assemble_ulam(lanford2, 32),
-            TransitionMatrix(k=40, csr=sparse.csr_matrix(hostile), eps=1e-9,
+            TransitionMatrix(k=40, csr=dense_csr(hostile), eps=1e-9,
                              nnz_max=int((hostile != 0).sum(axis=1).max()))]
     for raw in raws:
         mk = markovize(raw)
