@@ -9,8 +9,10 @@ scipy's array-API layer, which costs more time and memory than numpy's
 own import.
 
 Each function passes its kernel the arguments that the scipy.sparse
-operator named in its docstring passes, in the same order and index
-dtype, so its result has that operator's bits.
+operator named in its docstring passes, in the same order, so its result
+has that operator's bits: the order sets them, and the index width does
+not.  A record's index width is its own, decided once from its size
+(_index_dtype).
 """
 
 from __future__ import annotations
@@ -54,30 +56,18 @@ def _load_sparsetools():
 _kernels = _load_sparsetools()
 
 
-def _index_dtype(arrays=(), maxval: int = 0, check_contents: bool = False):
-    """scipy.sparse's index dtype rule (get_index_dtype): int32 unless
-    maxval, or an array's dtype, needs int64; with check_contents, an
-    integer array whose values fit int32 does not."""
-    if maxval > _INT32.max:
-        return np.int64
-    for arr in arrays:
-        if np.can_cast(arr.dtype, np.int32):
-            continue
-        if check_contents and (arr.size == 0 or (
-                np.issubdtype(arr.dtype, np.integer)
-                and _INT32.min <= arr.min() and arr.max() <= _INT32.max)):
-            continue
-        return np.int64
-    return np.int32
+def _index_dtype(*sizes: int):
+    """int32 while every size (rows, columns, stored entries) fits it,
+    int64 otherwise: each index and indptr value is at most one of them."""
+    return np.int32 if max(sizes, default=0) <= _INT32.max else np.int64
 
 
 @dataclass(frozen=True)
 class CSR:
     """An m x n matrix in compressed sparse row form: row i stores
     data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:
-    indptr[i + 1]].  indices and indptr are cast to one index dtype, by
-    scipy.sparse's rule for a matrix built from these arrays (int32 unless
-    a value or the shape needs int64); the lengths are checked, as scipy
+    indptr[i + 1]].  indices and indptr are cast to the one index dtype
+    of the matrix's size (_index_dtype); the lengths are checked, as scipy
     checks them, and the indices are trusted."""
 
     data: np.ndarray
@@ -87,10 +77,8 @@ class CSR:
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
-        data = np.asarray(self.data)
-        arrays = (np.asarray(self.indices), np.asarray(self.indptr))
-        dtype = _index_dtype(arrays, max(shape, default=0), check_contents=True)
-        indices, indptr = (a.astype(dtype, copy=False) for a in arrays)
+        data, indices, indptr = map(np.asarray, (self.data, self.indices,
+                                                 self.indptr))
         if (len(shape) != 2 or min(shape) < 0
                 or not data.ndim == indices.ndim == indptr.ndim == 1
                 or len(indptr) != shape[0] + 1 or indptr[0] != 0
@@ -98,6 +86,8 @@ class CSR:
             raise ValueError("CSR needs 1-D data and indices of length "
                              "indptr[-1] and an indptr of rows + 1 entries "
                              "from 0")
+        dtype = _index_dtype(*shape, len(data))
+        indices, indptr = (x.astype(dtype, copy=False) for x in (indices, indptr))
         for name, value in (("data", data), ("indices", indices),
                             ("indptr", indptr), ("shape", shape)):
             object.__setattr__(self, name, value)
@@ -128,13 +118,10 @@ def transpose(a: CSR) -> CSR:
     """a transposed, in CSR (csr_tocsc, as scipy's a.T.tocsr()); each row
     lists its columns in increasing order."""
     m, n = a.shape
-    dtype = _index_dtype((a.indptr, a.indices), max(a.nnz, m))
-    indptr = np.empty(n + 1, dtype=dtype)
-    indices = np.empty(a.nnz, dtype=dtype)
-    data = np.empty(a.nnz, dtype=a.data.dtype)
-    _kernels.csr_tocsc(m, n, a.indptr.astype(dtype, copy=False),
-                       a.indices.astype(dtype, copy=False), a.data,
-                       indptr, indices, data)
+    indptr = np.empty(n + 1, dtype=a.indptr.dtype)
+    indices, data = np.empty_like(a.indices), np.empty_like(a.data)
+    _kernels.csr_tocsc(m, n, a.indptr, a.indices, a.data, indptr, indices,
+                       data)
     return CSR(data, indices, indptr, (n, m))
 
 
@@ -183,15 +170,14 @@ def matmat(a: CSR, b: CSR) -> CSR:
         raise ValueError("matmat needs as many rows in b as columns in a")
     m, n = a.shape[0], b.shape[1]
     arrays = (a.indptr, a.indices, b.indptr, b.indices)
-    dtype = _index_dtype(arrays)
-    size = _kernels.csr_matmat_maxnnz(
-        m, n, *(x.astype(dtype, copy=False) for x in arrays))
-    dtype = _index_dtype(arrays, size)
+    sizes = (*a.shape, n, a.nnz, b.nnz)
+    size = _kernels.csr_matmat_maxnnz(m, n, *(
+        x.astype(_index_dtype(*sizes), copy=False) for x in arrays))
+    dtype = _index_dtype(*sizes, size)
     a_ptr, a_ind, b_ptr, b_ind = (x.astype(dtype, copy=False) for x in arrays)
     indptr = np.empty(m + 1, dtype=dtype)
     indices = np.empty(size, dtype=dtype)
     data = np.empty(size, dtype=np.result_type(a.data, b.data))
     _kernels.csr_matmat(m, n, a_ptr, a_ind, a.data, b_ptr, b_ind, b.data,
                         indptr, indices, data)
-    nnz = indptr[-1]
-    return CSR(data[:nnz], indices[:nnz], indptr, (m, n))
+    return CSR(data[:indptr[-1]], indices[:indptr[-1]], indptr, (m, n))

@@ -109,13 +109,6 @@ class LyapunovResult:
         return (iv(self.estimate) + iv(self.radius)).hi
 
 
-def _up_sum(*terms: float) -> float:
-    acc = iv(0)
-    for t in terms:
-        acc = acc + iv(t)
-    return acc.hi
-
-
 def _certificate(mode: str, ly, matrix: TransitionMatrix,
                  contraction: ContractionCertificate, density: EnclosedDensity,
                  eps_num: float, map_id: str, terms) -> Certificate:
@@ -132,7 +125,7 @@ def _certificate(mode: str, ly, matrix: TransitionMatrix,
         eps_num=eps_num, nnz_max=matrix.nnz_max, l=density.l,
         n_eps=n_eps, n_true=n_true, err_discretization=err_disc,
         err_matrix=err_mat, err_numeric=density.radius,
-        eps_rig=_up_sum(err_disc, err_mat, density.radius),
+        eps_rig=sum(map(iv, (err_disc, err_mat, density.radius)), iv(0)).hi,
     )
 
 
@@ -190,8 +183,8 @@ def _slack(g: Interval, err: float, mass: Interval) -> float:
     """The module docstring's slack, rounded up: at least |integral g (f - f~)|
     for values of g in g, ||f - f~||_1 <= err, f of mass 1, f~ of mass in mass."""
     c, half = _mid_rad(g)
-    return _up_sum((iv(half) * iv(err)).hi,
-                   (abs(iv(c)) * abs(iv(1) - mass)).hi)
+    return sum(map(iv, ((iv(half) * iv(err)).hi,
+                        (abs(iv(c)) * abs(iv(1) - mass)).hi)), iv(0)).hi
 
 
 def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
@@ -214,7 +207,8 @@ def lyapunov(m: PiecewiseMap, density: EnclosedDensity,
     slack = _slack(Interval(float(log_d.lo.min()), float(log_d.hi.max())),
                    cert.eps_rig, _fsum(masses))
     estimate, half = _mid_rad(total)
-    return LyapunovResult(estimate=estimate, radius=_up_sum(half, slack))
+    return LyapunovResult(estimate=estimate,
+                          radius=sum(map(iv, (half, slack)), iv(0)).hi)
 
 
 @dataclass(frozen=True)

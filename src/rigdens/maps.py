@@ -7,11 +7,12 @@ Branch endpoints are rational brackets (lo, hi): exact when lo == hi, and
 for the irrational breakpoints created by mod-1 wrapping and by symbolic
 iteration the bracket that ``level_crossing`` returns.
 
-A branch works out each fact about itself once and caches it: its
-certified direction (``Branch.increasing``, which every reader of the
-direction uses; a mod-1 piece takes the one its expression certified)
-and the interval enclosures of the coefficients of its value, first and
-second derivative.  A map does the same for its global facts:
+A branch works out each fact about itself once and caches it: the
+enclosure of inf |T'| over its outer domain (``Branch.abs_deriv_inf``),
+its certified direction (``Branch.increasing``, read off that enclosure;
+every reader of the direction uses it, and a mod-1 piece certifies its
+own) and the interval enclosures of the coefficients of its value, first
+and second derivative.  A map does the same for its global facts:
 ``abs_deriv_inf``, ``min_branch_length`` and ``distortion_sup`` are
 cached enclosures, each one fold over the branches of a per-branch
 enclosure, computed on first read; bounds on |T'| over a set come from
@@ -171,13 +172,18 @@ class Branch:
         return abs(self.second_iv(x)) / den
 
     @cached_property
+    def abs_deriv_inf(self) -> Interval:
+        """Enclosure of inf over the outer domain of |T'|."""
+        return _adaptive_inf(lambda s: abs(self.deriv_iv(s)),
+                             self.domain_outer(), rel_tol=0.002)
+
+    @cached_property
     def increasing(self) -> bool:
-        """Certified direction: the sign of T' over the outer domain."""
-        dom = self.domain_outer()
-        if _adaptive_inf(self.deriv_iv, dom).lo > 0:
-            return True
-        if _adaptive_sup(self.deriv_iv, dom).hi < 0:
-            return False
+        """Certified direction: where inf |T'| is positive, the continuous
+        T' keeps over the outer domain the sign it has at the lower end."""
+        end = self.deriv_iv(self.lo.enc)
+        if self.abs_deriv_inf.lo > 0 and (end.lo > 0 or end.hi < 0):
+            return end.lo > 0
         raise ValueError(f"branch on [{self.lo.lo}, {self.hi.hi}] is not "
                          "certifiably monotone")
 
@@ -222,8 +228,7 @@ class PiecewiseMap:
     @cached_property
     def abs_deriv_inf(self) -> Interval:
         """Enclosure of inf over [0,1] of |T'|."""
-        return self._fold(min, lambda b: _adaptive_inf(
-            lambda s: abs(b.deriv_iv(s)), b.domain_outer(), rel_tol=0.002))
+        return self._fold(min, lambda b: b.abs_deriv_inf)
 
     @cached_property
     def distortion_sup(self) -> Interval:
@@ -334,16 +339,19 @@ class LYCoefficientsLip:
 def ly_coefficients_bv(m: PiecewiseMap) -> LYCoefficientsBV:
     """Coefficients of the variation inequality for the L1 pipeline.
 
-    Requires inf |T'| > 2 (so the doubled contraction factor stays < 1);
-    otherwise instructs the caller to study a higher iterate.
+    Requires inf |T'| > 2, certified as 1 - 2 lam > 0 (the doubled
+    contraction factor stays < 1); otherwise instructs the caller to
+    study a higher iterate.  m's branches are certified monotone, as a
+    built map's are, so inf |T'| is certified positive.
     """
     inf_d = m.abs_deriv_inf
-    if not inf_d.lo > 2.0:
+    lam = iv(1) / inf_d
+    one_minus = iv(1) - iv(2) * lam
+    if not one_minus.lo > 0.0:
         raise ExpansionError(
             f"certified inf |T'| = {inf_d.lo:.6g} <= 2; "
             "raise the iterate exponent and retry"
         )
-    lam = iv(1) / inf_d
     min_len = m.min_branch_length
     if not min_len.lo > 0.0:
         raise ValueError(
@@ -351,9 +359,6 @@ def ly_coefficients_bv(m: PiecewiseMap) -> LYCoefficientsBV:
             f"[{min_len.lo:.3g}, {min_len.hi:.3g}]")
     dist = m.distortion_sup
     b_prime = iv(2) / min_len + iv(2) * dist
-    one_minus = iv(1) - iv(2) * lam
-    if not one_minus.lo > 0.0:
-        raise ExpansionError("2/inf|T'| reaches 1; raise the iterate exponent")
     b = b_prime / one_minus
     return LYCoefficientsBV(lam, b_prime, b, min_len, dist)
 
@@ -596,8 +601,8 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     The cuts are the crossings expr(x) = n of the integers n strictly
     inside the image (``_level_cuts``); the branches' polynomials carry
     the -n shifts.  Exact rational crossings stay exact; irrational ones
-    become brackets.  Each piece takes the expression's certified
-    direction instead of certifying its own.
+    become brackets.  Each piece certifies its own direction, from the
+    |T'| enclosure over its own domain that the map's abs_deriv_inf reads.
     """
     b = expr_branch
     if not (b.lo.is_exact and b.hi.is_exact):
@@ -606,17 +611,10 @@ def split_mod_branches(expr_branch: Branch) -> List[Branch]:
     base = math.floor(img.lo)  # at or below the image: every piece has j >= 1
     levels = [Endpoint.from_rational(n)
               for n in range(base, math.ceil(img.hi) + 1)]
-    pieces = []
-    for left, right, j in _level_cuts(b, levels, "integer", "mod-1"):
-        # piece j lies above the integer base + j - 1
-        piece = Branch(left, right, tuple(poly_shift(list(b.poly), 1 - base - j)),
-                       b.trig_amp, b.trig_freq)
-        # the piece's outer domain lies in b's and the shift leaves T'
-        # unchanged, so b's certified direction holds for it (the value
-        # goes where the cached_property would store it)
-        piece.__dict__["increasing"] = b.increasing
-        pieces.append(piece)
-    return pieces
+    # piece j lies above the integer base + j - 1
+    return [Branch(left, right, tuple(poly_shift(list(b.poly), 1 - base - j)),
+                   b.trig_amp, b.trig_freq)
+            for left, right, j in _level_cuts(b, levels, "integer", "mod-1")]
 
 
 def compose_maps(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:

@@ -149,16 +149,23 @@ def test_matmat_drops_cancelled_and_structural_zeros():
     assert empty.nnz == 0 and empty.shape == (2, 2)
 
 
-def test_record_index_dtype_follows_scipy():
+def test_record_index_dtype_is_int32_while_its_size_fits(monkeypatch):
+    """int32 while rows, columns and the stored count fit int32, int64
+    otherwise, whatever dtype the arrays come in."""
     data = np.ones(2)
-    for indices, indptr, shape in (
-            (np.int64([0, 1]), np.int64([0, 1, 2]), (2, 2)),
-            (np.int32([0, 1]), np.int64([0, 2, 2]), (2, 3)),
-            (np.int64([0, 2**31]), np.int64([0, 2, 2]), (2, 2**31 + 1))):
+    for indices, indptr, shape, dtype in (
+            (np.int64([0, 1]), np.int64([0, 1, 2]), (2, 2), np.int32),
+            (np.int32([0, 1]), np.int64([0, 2, 2]), (2, 3), np.int32),
+            (np.int64([0, 2**31]), np.int64([0, 2, 2]), (2, 2**31 + 1),
+             np.int64)):
         got = CSR(data, indices, indptr, shape)
-        want = sparse.csr_matrix((data, indices, indptr), shape=shape)
-        assert got.indices.dtype == got.indptr.dtype == want.indices.dtype
-        assert want.indptr.dtype == want.indices.dtype
+        assert got.indices.dtype == got.indptr.dtype == dtype
+    # a 1 x 1 matrix storing two entries: under an int32 range of [-1, 1]
+    # its shape fits and its stored count does not
+    monkeypatch.setattr(_csr, "_INT32", types.SimpleNamespace(min=-1, max=1))
+    got = CSR(data, np.int32([0, 0]), np.int32([0, 2]), (1, 1))
+    assert got.indices.dtype == got.indptr.dtype == np.int64
+    assert CSR(data[:1], [0], [0, 1], (1, 1)).indptr.dtype == np.int32
 
 
 @pytest.mark.parametrize("fields", [

@@ -21,7 +21,7 @@ from rigdens.maps import (
 from rigdens import cli, maps
 from rigdens.cli import parse_map
 from rigdens.polys import poly_eval
-from tests.conftest import EQ4, SINMAP
+from tests.conftest import EQ4, EQ7, LANFORD2, SINMAP
 
 
 def _dense_grid(m, fn, n=20001):
@@ -293,15 +293,20 @@ def test_composition_cut_near_an_inner_end_value():
         compose_maps(outer, _identity_split_at(holding))
 
 
-@pytest.mark.parametrize("text,mode,calls", [(SINMAP, "Linf", 9), (EQ4, "L1", 12)])
+@pytest.mark.parametrize("text,mode,calls", [
+    (SINMAP, "Linf", 9), (EQ4, "L1", 8), (EQ7, "L1", 8), (LANFORD2, "L1", 11)])
 def test_each_map_fact_refined_once(text, mode, calls, tmp_path, monkeypatch):
     """One cli.run refines each (branch, quantity) pair once: every stage
-    reads the map's cached enclosures.  A refinement is identified by its
-    domain, its tolerance and the enclosure of its function over the whole
-    domain, which tells the direction check, |T'| and the distortion apart.
-    SINMAP: 1 direction check (the expression; its 4 mod-1 pieces take
-    its direction), then inf |T'| and the distortion on 4 branches; EQ4:
-    4 directions, then the same 2 facts on 4 branches.  No stage reads
+    reads the cached enclosures, and a branch's direction is read off its
+    inf |T'| enclosure.  A refinement is identified by its domain, its
+    tolerance and the enclosure of its function over the whole domain,
+    which tells |T'| and the distortion apart.  No piece inherits a
+    direction: each branch refines inf |T'| and the distortion once.
+    SINMAP: inf |T'| of the expression (its direction, which the mod-1
+    split reads), then the 2 facts on its 4 pieces; EQ4 and EQ7: the 2
+    facts on 4 branches; LANFORD2: inf |T'| of the expression and of its
+    2 mod-1 pieces (their directions, which the composition's cuts read),
+    then the 2 facts on the 4 branches of T^2.  No stage reads
     sup |T'|."""
     seen = []
     refine = maps._adaptive_sup

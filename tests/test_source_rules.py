@@ -53,3 +53,22 @@ def test_scipy_sparse_stays_unimported():
             named.append(path.name)
     assert imports == []
     assert named == []
+
+
+def test_no_writes_into_an_object_dict():
+    """A derived fact has one owner: a cached property computes it from
+    the object's own data, so no file seeds one by writing into another
+    object's __dict__ (a subscript store, update or setdefault)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr in ("update", "setdefault")):
+                target = node.value
+            else:
+                continue
+            if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
