@@ -93,8 +93,8 @@ import numpy as np
 
 from . import _csr
 from ._csr import CSR
-from .intervals import (Interval, IntervalArray, _fsum, _gamma, _up, _v_prod,
-                        _v_prod_hi, iv)
+from .intervals import (_ETA, _U, Interval, IntervalArray, _fsum, _gamma,
+                        _split, _up, _v_scale_up, iv)
 from .ulam import TransitionMatrix
 
 __all__ = [
@@ -105,8 +105,6 @@ __all__ = [
     "fixed_point_bound",
 ]
 
-_U = 2.0 ** -53  # unit roundoff of binary64
-_ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 _U32 = 2.0 ** -24  # unit roundoff of binary32, in which the anchors step
 _ETA32 = 2.0 ** -149  # smallest binary32 subnormal
 # anchors per block where a dense step's cost flattens at large k; at
@@ -235,12 +233,16 @@ def _per_count(fn, counts: np.ndarray) -> np.ndarray:
     return np.array([fn(int(n)) for n in distinct])[at]
 
 
-def _times_up(s, factor):
-    """s factor elementwise (one factor, or one per element), stepped up
-    only where the product missed: _sum_up with each sum's _sum_factor
-    given."""
-    p, e, unsafe = _v_prod(np.asarray(s, np.float64), np.float64(factor))
-    return _v_prod_hi(p, e, unsafe)
+def _split_factors(factor) -> tuple:
+    """(factor, _split(factor)): _v_scale_up's factor operands, split once."""
+    factor = np.asarray(factor, np.float64)
+    return factor, _split(factor)
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_split(n: int) -> tuple:
+    """_split_factors(_sum_factor(n)), split once per n."""
+    return _split_factors(_sum_factor(n))
 
 
 def _sum_up(s, n: int):
@@ -248,7 +250,7 @@ def _sum_up(s, n: int):
     nonnegative terms, elementwise: s _sum_factor(n), stepped up only
     where the product missed (an exact sum of exact terms stays within one
     ulp)."""
-    return _times_up(s, _sum_factor(n))
+    return _v_scale_up(np.asarray(s, np.float64), *_sum_split(n))
 
 
 def _usable_cpus() -> int:
@@ -354,7 +356,7 @@ class _Model:
     at: CSR  # Pi transposed: its rows are the columns of Pi
     at32: CSR  # at rounded to float32: steps the anchors
     col_counts: np.ndarray  # C_j, nonzeros per column of Pi
-    col_factors: np.ndarray  # _sum_factor(C_j + 2), product_up's factors
+    col_factors: tuple  # _sum_factor(C_j + 2), split: product_up's factors
     col_gammas: np.ndarray  # gamma_(C_j), rounded up: residual's rates
     col_count: float  # C, their maximum
     scale: float
@@ -399,8 +401,8 @@ class _Model:
 
     def product_up(self, x: np.ndarray) -> np.ndarray:
         """Upper bounds of the exact x Pi for x >= 0 (class docstring)."""
-        return _times_up(_csr.matvec(self.at, x) + self.col_counts * _ETA,
-                         self.col_factors)
+        return _v_scale_up(_csr.matvec(self.at, x) + self.col_counts * _ETA,
+                           *self.col_factors)
 
     def fresh(self, norm: float) -> float:
         """The fresh error of one anchor step from a vector of norm at most
@@ -522,7 +524,7 @@ def _model(matrix: TransitionMatrix) -> _Model:
         norm_kind=matrix.norm_kind, at=at,
         at32=replace(at, data=at.data.astype(np.float32)),
         col_counts=col_counts,
-        col_factors=_per_count(_sum_factor, col_counts + 2),
+        col_factors=_split_factors(_per_count(_sum_factor, col_counts + 2)),
         col_gammas=_per_count(lambda n: _gamma(n, _U).hi, col_counts),
         col_count=col_count, scale=scale,
         op_norm=op_norm, row_defect=row_defect, inflation=matrix.step_error,

@@ -5,12 +5,15 @@ nodes a_i = i/k.  The discretized operator replaces the dynamics on each
 support [a_{i-1}, a_{i+1}] by its linearization at a_i: the image of phi_i
 is a single hat of height 1/|T'(a_i)| and half-width |T'(a_i)|/k centered
 at T(a_i), which is then projected back onto the basis.  All projection
-coefficients reduce to integrals of products of two hat functions, which
-have a closed form (a second difference of cubes).  It is evaluated on
-the outward-rounded enclosures of T(a_i) and T'(a_i) themselves, in
-interval arrays, so every stored entry carries a rigorous error bound
-that charges both the node-value enclosures and the rounding of the
-cubes.  The nodes' column windows are enclosed and summed in blocks of
+coefficients reduce to integrals of products of two hat functions.  Each
+is evaluated once in float64, by Simpson's rule on the at most three
+pieces of the two hats' overlap, on which the product is quadratic, at
+the midpoints of the outward-rounded enclosures of T(a_i) and T'(a_i);
+a radius proved in _hat_product_enclosure (a rounding ledger plus a
+mean-value term for the enclosures' widths) makes it a rigorous
+enclosure, so every stored entry carries an error bound that charges
+both the node-value enclosures and the float evaluation.  The nodes'
+column windows are enclosed and summed in blocks of
 _NODE_BLOCK nodes, one array pass each, so the working set is sized by
 the block and only the stored matrix grows with k; columns that a window
 wraps onto twice (only at tiny k) add their enclosures.  A row's terms
@@ -27,14 +30,18 @@ from typing import ClassVar
 import numpy as np
 
 from ._csr import CSR
-from .intervals import IntervalArray, iv, ratio_array
+from .intervals import _ETA, _U, IntervalArray, _gamma, iv, ratio_array
 from .maps import PiecewiseMap, ly_coefficients_lip
 from .ulam import TransitionMatrix, _entry_sums, _stored_midpoints
 
 __all__ = ["LinfMatrix", "assemble_linearized"]
 
-_SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
 _NODE_BLOCK = 1 << 12  # nodes whose entries are enclosed and summed at once
+# the hat product's rounding ledger c, c u and rho's own rounding factor
+# (_hat_product_enclosure)
+_ROUND = (_gamma(32, _U) + iv(32 * _ETA)).hi
+_ROUND_U = (iv(_ROUND) * iv(_U)).hi
+_RHO_UP = (iv(1) + _gamma(8, _U)).hi
 
 
 @dataclass(frozen=True)
@@ -77,32 +84,77 @@ def _check_circle(m: PiecewiseMap) -> None:
 
 
 def _hat_product_enclosure(d: IntervalArray, w: IntervalArray) -> IntervalArray:
-    """Elementwise enclosure of the integral of tri(t;1) * tri(t-delta;omega)
-    over the line, for delta in d and omega in w (w > 0).
+    """Elementwise enclosure of F(delta, omega), the integral over the line
+    of tri(t) tri((t - delta)/omega), tri(t) = max(0, 1 - |t|), for delta
+    in d and omega in w (w > 0).
 
-    A hat is the second difference of a ramp, tri(t;h) = sum_q c_q
-    (t - qh)_+ / h with c = (1, -2, 1), so the integral is
-    (1/(6 omega)) sum_{p,q} c_p c_q (delta + p + q omega)_+^3.  The nine
-    cubes, their weighted sum and the division run on interval arrays, so
-    the enclosure charges their rounding and the widths of d and w;
-    certainly disjoint supports, |delta| >= omega + 1, give exactly 0.
-    Shifts by 0 and weights of 1 are exact, so they are skipped.
+    F is evaluated once per element in float64, at the midpoints delta and
+    omega of d and w: Simpson's rule on the pieces of the overlap [a, b],
+    a = max(-1, delta - omega) and b = min(1, delta + omega), cut at 0 and
+    delta.  On each piece A(t) = 1 - |t| and B(t) = 1 - |t - delta|/omega
+    are affine, so the integrand A B is quadratic there and Simpson's rule
+    exact; A B vanishes at a and b, so those two values are taken as 0.
+    Every term is nonnegative and O(1).  With u = 2^-53, eta = 2^-1074,
+    c = gamma_32 + 32 eta (_ROUND) and r_d, r_w the distances from the
+    midpoints to the far ends of d and w, the enclosure is F^ +- rho,
+
+        rho = c + (r_d + r_w + c u) / w.lo,
+
+    each end one float outward and the lower one clipped at 0.  rho is
+    summed in floats; the factor 1 + gamma_8 (_RHO_UP) it is multiplied by
+    covers that sum's six roundings of nonnegative terms, its own
+    included, and an underflow of its quotient.  Certainly disjoint
+    supports, |delta| >= omega + 1, give exactly 0.
+
+    Mean-value term.  On the support of tri((t - delta)/omega) its delta
+    derivative is +-1/omega and its omega derivative |t - delta|/omega^2
+    lies in [0, 1/omega]; as tri integrates to 1, |dF/d delta| <= 1/omega
+    and 0 <= dF/d omega <= 1/omega.  So F on the box d x w lies within
+    (r_d + r_w)/w.lo of F(delta, omega).
+
+    Rounding term: |F^ - F(delta, omega)| <= c s with s = 1 + u/omega, and
+    c s <= c + c u/w.lo.  The computed ends are fl(a) and fl(b), within u
+    of a and b (an empty computed overlap means an empty exact one, F^ =
+    F = 0).  0, delta and +-1 are floats, so 0 and delta stay cuts and
+    each computed piece holds one quadratic of A B, on which 0 <= A <= 1,
+    |t - delta| <= omega + u and |B| <= s.  The pieces' lengths h sum to
+    at most min(2, 2 omega + 2u).  Per source:
+    - the ends: integrating A B from fl(a) instead of a, where |B| = |t -
+      a|/omega, errs by at most u^2/(2 omega); A B at fl(a) is at most
+      u/omega and is taken as 0 with weight h/6 <= (2 omega + 2u)/6: u s
+      per end, the same at b;
+    - the midpoints: the computed ones lie in their pieces, within u +
+      eta/2 of the exact ones, where |(A B)'| <= s + 1/omega; with weights
+      4h/6, 8/3 (u + eta/2) s;
+    - the values: rounding 1 - |t|, t - delta, the quotient, 1 - it and
+      the product leaves each within gamma_5 s + 3 eta, and the weights
+      sum to at most 2: 2 gamma_5 s + 6 eta;
+    - the sums: each term passes through at most seven roundings (its
+      length, two sums in its piece, the product, two sums of pieces, the
+      division by 6), so they add gamma_7 times sum h max|value| <= 2 ((1
+      + gamma_5) s + 3 eta), and at most 2 eta where products underflow.
+    In all at most 29 u s + 10 eta s up to terms of order u^2 s: below c s.
     """
-    shifted = {-1: d - w, 0: d, 1: d + w}  # delta + q omega
-    sums = {}  # sums of the terms of positive (True) and negative weight
-    for p, cp in _SECOND_DIFF:
-        for q, cq in _SECOND_DIFF:
-            t = shifted[q] + p if p else shifted[q]
-            t = IntervalArray(np.maximum(t.lo, 0.0), np.maximum(t.hi, 0.0))
-            term = t * t * t
-            if abs(cp * cq) != 1:
-                term = term * abs(cp * cq)
-            sign = cp * cq > 0
-            sums[sign] = term + sums[sign] if sign in sums else term
-    f = (sums[True] - sums[False]) / (w * 6)
+    delta, omega = d.mid, w.mid
+    lo = np.maximum(delta - omega, -1.0)
+    hi = np.maximum(np.minimum(delta + omega, 1.0), lo)
+    cut_1 = np.clip(np.minimum(delta, 0.0), lo, hi)
+    cut_2 = np.clip(np.maximum(delta, 0.0), lo, hi)
+
+    def value(t):  # A(t) B(t)
+        return (1.0 - np.abs(t)) * (1.0 - np.abs(t - delta) / omega)
+
+    v_1, v_2 = value(cut_1), value(cut_2)
+    f = ((cut_1 - lo) * (4.0 * value(0.5 * (lo + cut_1)) + v_1)
+         + (cut_2 - cut_1) * (v_1 + 4.0 * value(0.5 * (cut_1 + cut_2)) + v_2)
+         + (hi - cut_2) * (v_2 + 4.0 * value(0.5 * (cut_2 + hi)))) / 6.0
+    r = np.maximum(delta - d.lo, d.hi - delta) \
+        + np.maximum(omega - w.lo, w.hi - omega)
+    rho = (_ROUND + (r + _ROUND_U) / w.lo) * _RHO_UP
     disjoint = abs(d).lo >= (w + 1).hi
-    return IntervalArray(np.where(disjoint, 0.0, f.lo),
-                         np.where(disjoint, 0.0, f.hi))
+    return IntervalArray(
+        np.where(disjoint, 0.0, np.maximum(np.nextafter(f - rho, -np.inf), 0.0)),
+        np.where(disjoint, 0.0, np.nextafter(f + rho, np.inf)))
 
 
 def _column_window(u_enc: IntervalArray, omega_enc: IntervalArray):

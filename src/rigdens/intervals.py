@@ -57,6 +57,8 @@ __all__ = [
 
 # Unit roundoff ledger constant: 2^-52, the spacing of doubles in [1, 2).
 EPS_MACH = 2.0 ** -52
+_U = 2.0 ** -53  # unit roundoff of binary64
+_ETA = 2.0 ** -1074  # smallest subnormal: bounds the underflow of a product
 
 _INF = math.inf
 
@@ -106,19 +108,23 @@ def _sum_hi(a: float, b: float) -> float:
     return _up(s) if e > 0 else s
 
 
-def _two_prod(a, b):
+def _split(a):
+    """Dekker's splitting: (hi, lo) with a = hi + lo, each of at most 26
+    significant bits; elementwise on arrays."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_split=None):
     """Dekker's TwoProd: (p, e) with p = fl(a*b), a*b = p+e exactly;
-    elementwise on arrays.
+    elementwise on arrays.  b_split is _split(b) where the caller holds it.
 
     Only valid away from overflow/underflow; callers guard magnitudes.
     """
     p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
+    ahi, alo = _split(a)
+    bhi, blo = _split(b) if b_split is None else b_split
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, e
 
@@ -435,6 +441,24 @@ def _v_prod_hi(p, e, unsafe):
         hi = np.where(finite, hi, np.where(p > 0, _INF,
                                            np.where(p < 0, -_MAX_FLOAT, 0.0)))
     return hi
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _v_scale_up(s, factor, factor_split):
+    """_v_prod_hi(*_v_prod(s, factor)) bit for bit, for s >= 0 and factors
+    > 0 (one, or one per element) whose _split the caller holds: the
+    product, stepped up where TwoProd shows it missed or cannot show that
+    it did not; a corner 0 * inf is 0."""
+    p, e = _two_prod(s, factor, factor_split)
+    step = (e > 0) | ((s != 0.0) & (
+        (s >= _PROD_HI) | (factor >= _PROD_HI) | (p < _PROD_MIN)))
+    # p >= 0, so one step up adds 1 to its bits (+0 goes to the least
+    # subnormal); p = -0 only for s = -0, which never steps
+    up = (p.view(np.int64) + (step & (p < _INF))).view(np.float64)
+    finite = np.isfinite(p)
+    if not finite.all():
+        up = np.where(finite, up, np.where(p > 0, _INF, 0.0))
+    return up
 
 
 def _v_div_bounds(a, b):

@@ -2,11 +2,13 @@
 node-by-node assembly for tests of the sup-norm path.
 
 The assembly never evaluates basis functions or projects node values, and
-it sums the hat products in closed form on interval arrays; the tests use
-these definitions as independent oracles for its entries and for the
-projection properties the certificate relies on.  ``assemble_reference``
-is the scalar per-node form of the assembly: the same closed form on the
-scalar ``Interval`` enclosures of T(a_i) and T'(a_i), one chain per entry.
+it evaluates the hat products by float Simpson sums plus a proved radius
+on arrays; the exact closed form and Simpson sums in rationals here are
+independent oracles for its entries, and the tests use the projection
+properties the certificate relies on.  ``assemble_reference`` is the
+scalar per-node form of the assembly: the same float Simpson sum and
+radius on the scalar ``Interval`` enclosures of T(a_i) and T'(a_i), one
+chain per entry.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from rigdens._csr import CSR
 from rigdens.hatbasis import LinfMatrix, _check_circle
-from rigdens.intervals import Interval, from_fraction, iv
+from rigdens.intervals import _ETA, _U, Interval, _gamma, from_fraction, iv
 from rigdens.maps import PiecewiseMap, ly_coefficients_lip
 
 _SECOND_DIFF = ((-1, 1), (0, -2), (1, 1))  # (shift, weight) of a hat in ramps
@@ -97,21 +99,37 @@ def hat_product_integral(delta: Fraction, omega: Fraction) -> Fraction:
     return Fraction(total, 6 * w * _GRID * _GRID)
 
 
+# the rounding ledger c = gamma_32 + 32 eta, c u, and the factor 1 + gamma_8
+# that covers the radius' own rounding (hatbasis._hat_product_enclosure)
+_ROUND = (_gamma(32, _U) + iv(32 * _ETA)).hi
+_ROUND_U = (iv(_ROUND) * iv(_U)).hi
+_RHO_UP = (iv(1) + _gamma(8, _U)).hi
+
+
 def hat_product_interval(d: Interval, w: Interval) -> Interval:
-    """Scalar form of ``hatbasis._hat_product_enclosure``: the closed form
-    above on an interval offset d and width ratio w > 0, in the same
+    """Scalar form of ``hatbasis._hat_product_enclosure``: Simpson's rule in
+    floats on the pieces of the overlap at the midpoints of d and w > 0,
+    widened by the rounding ledger and the mean-value term, in the same
     operation order."""
     if abs(d).lo >= (w + 1).hi:  # certainly disjoint supports
         return iv(0)
-    shift = {-1: -w, 0: 0, 1: w}
-    sums = {1: iv(0), -1: iv(0)}
-    for p, cp in _SECOND_DIFF:
-        for q, cq in _SECOND_DIFF:
-            t = d + shift[q] + p
-            t = Interval(max(t.lo, 0.0), max(t.hi, 0.0))
-            sign = 1 if cp * cq > 0 else -1
-            sums[sign] = t * t * t * abs(cp * cq) + sums[sign]
-    return (sums[1] - sums[-1]) / (w * 6)
+    delta, omega = d.mid, w.mid
+    lo = max(delta - omega, -1.0)
+    hi = max(min(delta + omega, 1.0), lo)
+    cut_1 = min(max(min(delta, 0.0), lo), hi)
+    cut_2 = min(max(max(delta, 0.0), lo), hi)
+
+    def value(t):
+        return (1.0 - abs(t)) * (1.0 - abs(t - delta) / omega)
+
+    v_1, v_2 = value(cut_1), value(cut_2)
+    f = ((cut_1 - lo) * (4.0 * value(0.5 * (lo + cut_1)) + v_1)
+         + (cut_2 - cut_1) * (v_1 + 4.0 * value(0.5 * (cut_1 + cut_2)) + v_2)
+         + (hi - cut_2) * (v_2 + 4.0 * value(0.5 * (cut_2 + hi)))) / 6.0
+    r = max(delta - d.lo, d.hi - delta) + max(omega - w.lo, w.hi - omega)
+    rho = (_ROUND + (r + _ROUND_U) / w.lo) * _RHO_UP
+    return Interval(max(math.nextafter(f - rho, -math.inf), 0.0),
+                    math.nextafter(f + rho, math.inf))
 
 
 def branch_index(m: PiecewiseMap, x) -> int:

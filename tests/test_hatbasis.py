@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigdens.hatbasis import LinfMatrix, _hat_product_enclosure, assemble_linearized
 from rigdens.intervals import IntervalArray, iv
@@ -192,6 +194,41 @@ def test_closed_form_enclosure_contains_exact_integral():
             assert whi - wlo <= 1e-9
         if exact == 0:
             assert lo == hi == 0.0
+
+
+_DYADIC = 1 << 20  # the denominator of the drawn offsets and widths
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10 * _DYADIC, 10 * _DYADIC), st.integers(1, 8 * _DYADIC),
+       st.one_of(st.none(), st.integers(20, 52)))
+@example(0, _DYADIC, None)  # a kink of the integrand at delta = 0
+@example(5 * _DYADIC - 1, 4 * _DYADIC, None)  # supports overlap by 2^-20
+@example(3 * _DYADIC, 2 * _DYADIC, 20)
+@example(-1, 1, 52)  # the narrowest hat
+def test_float_simpson_encloses_exact_integral(n_delta, n_omega, exponent):
+    """Exact rationals against the float Simpson enclosure: on a point
+    (dyadic delta, omega in (0, 8]), the exact integral lies inside and,
+    for omega >= 1, the enclosure is at most 1e-13 wide; on a bracket of
+    radius 2^-exponent around them, the integral at the centre and at the
+    four corners lies inside."""
+    delta, omega = F(n_delta, _DYADIC), F(n_omega, _DYADIC)
+    if exponent is None:
+        d_lo = d_hi = float(delta)
+        w_lo = w_hi = float(omega)
+    else:
+        r = 2.0 ** -exponent
+        d_lo, d_hi = float(delta) - r, float(delta) + r
+        w_lo, w_hi = max(float(omega) - r, float(omega) / 2), float(omega) + r
+    enc = _hat_product_enclosure(IntervalArray(np.array([d_lo]), np.array([d_hi])),
+                                 IntervalArray(np.array([w_lo]), np.array([w_hi])))
+    lo, hi = F(float(enc.lo[0])), F(float(enc.hi[0]))
+    assert 0 <= lo <= hat_product_integral(delta, omega) <= hi
+    if exponent is None and omega >= 1:
+        assert hi - lo <= F(1e-13)
+    for d in (d_lo, d_hi):
+        for w in (w_lo, w_hi):
+            assert lo <= simpson_hat_product(F(d), F(w)) <= hi
 
 
 @pytest.mark.parametrize("k", [4, 8, 64, 257])

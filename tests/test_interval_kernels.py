@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigdens.intervals import Interval, _two_prod, _v_down, _v_up
+from rigdens.intervals import (Interval, _split, _two_prod, _v_down, _v_prod,
+                              _v_prod_hi, _v_scale_up, _v_up)
 
 _MAX = sys.float_info.max
 _TINY = 5e-324
@@ -49,6 +50,26 @@ def test_masked_step_keeps_shape_and_input():
                             [_MAX, 3.0]]
 
 
+# -- the scaling kernel --------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scale_up_matches_the_product_kernel(seed):
+    # s >= 0 times factors > 0, split once: the bits of the general product
+    # kernel on zeros, subnormals, values near and past its TwoProd guards
+    # (1e153, 2^-968) and overflow, random magnitudes, and a 0 * inf corner
+    rng = np.random.default_rng(seed)
+    s = np.r_[0.0, -0.0, _TINY, 3 * _TINY, 2.0 ** -1022, 2.0 ** -968, 1e-160,
+              1.0, 1 / 3, 2.0 ** 52, 1e153, np.nextafter(1e153, 0), 2e153,
+              1e300, _MAX, math.inf,
+              rng.random(64), rng.random(64) * 2.0 ** rng.integers(-1074, 1023, 64)]
+    factors = [1.0, 1.0 + 2.0 ** -52, 1 + 3e-13, 1.5, 1e153, 1e200, math.inf,
+               rng.random(s.size) + 1.0, 1.0 + rng.integers(0, 1 << 20, s.size) * 2.0 ** -52]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in map(np.asarray, factors):
+            ref = _v_prod_hi(*_v_prod(s, f))
+            assert (_bits(_v_scale_up(s, f, _split(f))) == _bits(ref)).all()
+
+
 # -- the four-corner reference formulas ----------------------------------------
 
 _PROD_HI, _PROD_MIN = 1e153, 2.0 ** -968
@@ -62,6 +83,8 @@ def _safe(a, b):
 
 def _ref_prod_lo(a, b):
     p = a * b
+    if math.isnan(p):  # a corner 0 * inf counts as 0
+        return 0.0
     if not math.isfinite(p):
         return -math.inf if p < 0 else _MAX
     if _safe(a, b):
@@ -72,6 +95,8 @@ def _ref_prod_lo(a, b):
 
 def _ref_prod_hi(a, b):
     p = a * b
+    if math.isnan(p):  # a corner 0 * inf counts as 0
+        return 0.0
     if not math.isfinite(p):
         return math.inf if p > 0 else -_MAX
     if _safe(a, b):
@@ -205,6 +230,7 @@ def _pair(draw):
 @example((Interval(0.0, 0.0), Interval(1.0, math.inf)))
 @example((Interval(-3.0, 2.0), Interval(-0.5, 7.0)))
 @example((Interval(0.0, _TINY), Interval(_TINY, 1.0)))
+@example((Interval(-math.inf, math.inf), Interval(0.0, 0.0)))
 def test_sign_table_product_matches_four_corners(xy):
     x, y = xy
     _check(_ends(_run(lambda: x * y)), _ends(_run(lambda: _ref_mul(x, y))),
