@@ -23,11 +23,13 @@ either text= or file=.  Flags override config values.
 
 Exit codes: 0 success; 1 bad configuration or input: a command line usage
 error, any stage's ValueError or OverflowError (a map the parser, the
-assembly or the Lyapunov stage rejects, a branch whose length enclosure
+assembly or the Lyapunov stage rejects, an expression nested deeper than
+the parser's recursion can follow, a branch whose length enclosure
 reaches 0, a number beyond the double range, a nonpositive or non-finite
-eps_num) and any path that cannot be read or written; 2 failed expansion
-check; 3 no observed contraction (or a fixed-vector enclosure still wider
-than eps_num after the step budget).  ``run`` maps the exceptions to these
+eps_num), a MemoryError (a k whose arrays do not fit in memory; the
+message names k) and any path that cannot be read or written; 2 failed
+expansion check; 3 no observed contraction (or a fixed-vector enclosure
+still wider than eps_num after the step budget).  ``run`` maps the exceptions to these
 codes in one place and prints one "error:" line.  The output directory
 and the --dump-matrix file's directory are created once the map is
 built, before any certification work, so an unwritable path fails at
@@ -400,7 +402,10 @@ def _parse_branch(keyword: str, rest: str) -> _BranchStmt:
     if keyword == "linear":
         pt = _PolyTrig([Fraction(0), _parse_rational(body)])
     else:
-        pt = _ExprParser(_tokenize(body)).parse()
+        try:
+            pt = _ExprParser(_tokenize(body)).parse()
+        except RecursionError:  # deeper than the recursive descent can follow
+            raise MapParseError("expression nested too deeply") from None
     return _BranchStmt(lo, hi, tuple(pt.poly), pt.amp, pt.freq, bool(mod))
 
 
@@ -514,6 +519,9 @@ def run(config: RunConfig) -> int:
         # OverflowError: a coefficient beyond the double range; OSError: an
         # output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory at k = {config.k}: {exc}", file=sys.stderr)
         return 1
 
 

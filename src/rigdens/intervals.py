@@ -23,11 +23,13 @@ of two arrays that both hold negative elements takes the hull of all four
 corners, which near underflow can be wider.  Transcendental ends come
 from the same ``math`` libm calls, once per end, plus the same
 ``_LIBM_SLACK`` ulps, and ``sin``/``cos`` reduce with the same ``PI``
-enclosure, so the array layer adds no accuracy assumption (a
-round-to-nearest result is within half an ulp of the exact one; Rump,
-Acta Numerica 2010).  ``Branch.value_iv`` and
-``polys.poly_eval_iv`` take either kind unchanged, so a formula is written
-once; the per-node and per-cell loops of the pipeline use the arrays.
+enclosure and decide peaks and troughs by one quadrant rule
+(``_crosses``; cos is sin shifted by pi/2 in both layers), so the array
+layer adds no accuracy assumption (a round-to-nearest result is within
+half an ulp of the exact one; Rump, Acta Numerica 2010).  The branch
+evaluator of ``maps`` and ``polys.poly_eval`` take either kind
+unchanged, so a formula is written once; the per-node and per-cell loops
+of the pipeline use the arrays.
 
 All values are immutable; operations are pure functions, safe under any
 number of concurrent workers.
@@ -307,10 +309,32 @@ class Interval:
         return Interval(_libm_down(math.log(self.lo)), _libm_up(math.log(self.hi)))
 
     def sin(self) -> "Interval":
-        return _iv_sin(self)
+        """Rigorous sine: the libm values at the ends, _LIBM_SLACK steps
+        out, widened to 1 (-1) where a peak (trough) lies in the argument
+        (``_crosses``).  The quadrant indices are the floors of a lower
+        bound of lo / (pi/2) and of an upper bound of hi / (pi/2), so
+        boundary ambiguity only widens the result; an argument at least
+        2 pi wide or spanning more than five quadrants gives [-1, 1]."""
+        if self.width >= TWO_PI.lo:
+            return Interval(-1.0, 1.0)
+        n_lo = math.floor(_div_bounds(self.lo, HALF_PI.hi if self.lo >= 0.0 else HALF_PI.lo)[0])
+        n_hi = math.floor(_div_bounds(self.hi, HALF_PI.lo if self.hi >= 0.0 else HALF_PI.hi)[1])
+        if n_hi - n_lo > 5:
+            return Interval(-1.0, 1.0)
+        s_lo, s_hi = math.sin(self.lo), math.sin(self.hi)
+        lo = -1.0 if _crosses(n_lo, n_hi, 3) else max(_libm_down(min(s_lo, s_hi)), -1.0)
+        hi = 1.0 if _crosses(n_lo, n_hi, 1) else min(_libm_up(max(s_lo, s_hi)), 1.0)
+        return Interval(lo, hi)
 
     def cos(self) -> "Interval":
-        return _iv_cos(self)
+        return (self + HALF_PI).sin()
+
+
+def _crosses(n_lo, n_hi, m):
+    """Whether a quadrant boundary b pi/2 with b = m mod 4 has
+    n_lo < b <= n_hi, for integers or elementwise for float arrays of
+    integers: m = 1 is a peak of sin, m = 3 a trough."""
+    return (n_hi - m) // 4 > (n_lo - m) // 4
 
 
 def _coerce(x) -> Interval:
@@ -607,9 +631,7 @@ class IntervalArray:
                              _v_slack(_v_libm(math.log, self.hi), _INF))
 
     def sin(self) -> "IntervalArray":
-        """Elementwise ``_iv_sin``: endpoint values, widened to +-1 where a
-        quadrant boundary b*pi/2 with b = 1 (peak) or 3 (trough) mod 4
-        lies in the argument."""
+        """Elementwise ``Interval.sin``, by the same quadrant rule."""
         lo, hi = self.lo, self.hi
         finite = np.isfinite(lo) & np.isfinite(hi)
         lo, hi = np.where(finite, lo, 0.0), np.where(finite, hi, 0.0)
@@ -617,14 +639,10 @@ class IntervalArray:
         n_lo = np.floor(_v_div_bounds(lo, np.where(lo >= 0.0, h_hi, h_lo))[0])
         n_hi = np.floor(_v_div_bounds(hi, np.where(hi >= 0.0, h_lo, h_hi))[1])
         s_lo, s_hi = _v_libm(math.sin, lo), _v_libm(math.sin, hi)
-        out_lo = _v_slack(_min(s_lo, s_hi), -_INF)
-        out_hi = _v_slack(_max(s_lo, s_hi), _INF)
-
-        def boundaries(m):  # count of b = m mod 4 with n_lo < b <= n_hi
-            return np.floor((n_hi - m) / 4) > np.floor((n_lo - m) / 4)
-
-        out_hi = np.where(boundaries(1), 1.0, out_hi)
-        out_lo = np.where(boundaries(3), -1.0, out_lo)
+        out_lo = np.where(_crosses(n_lo, n_hi, 3), -1.0,
+                          _v_slack(_min(s_lo, s_hi), -_INF))
+        out_hi = np.where(_crosses(n_lo, n_hi, 1), 1.0,
+                          _v_slack(_max(s_lo, s_hi), _INF))
         full = ~finite | (self.hi - self.lo >= TWO_PI.lo) | (n_hi - n_lo > 5)
         return IntervalArray(np.where(full, -1.0, _max(out_lo, -1.0)),
                              np.where(full, 1.0, _min(out_hi, 1.0)))
@@ -717,36 +735,3 @@ def _libm_up(y: float) -> float:
 PI = Interval(math.pi, _up(math.pi))
 TWO_PI = PI + PI
 HALF_PI = PI / iv(2)
-
-
-def _iv_sin(x: Interval) -> Interval:
-    """Rigorous sine via quadrant analysis with the PI enclosure.
-
-    Argument reduction uses interval arithmetic throughout, so enormous
-    arguments simply degrade to [-1, 1] rather than losing containment.
-    """
-    if x.width >= TWO_PI.lo:
-        return Interval(-1.0, 1.0)
-    # Outer quadrant indices: the floors of a lower bound of x.lo / (pi/2)
-    # and of an upper bound of x.hi / (pi/2), the ends of those interval
-    # quotients, so boundary ambiguity only widens the result.
-    n_lo = math.floor(_div_bounds(x.lo, HALF_PI.hi if x.lo >= 0.0 else HALF_PI.lo)[0])
-    n_hi = math.floor(_div_bounds(x.hi, HALF_PI.lo if x.hi >= 0.0 else HALF_PI.hi)[1])
-    if n_hi - n_lo > 5:
-        return Interval(-1.0, 1.0)
-    s_lo, s_hi = math.sin(x.lo), math.sin(x.hi)
-    lo, hi = _libm_down(min(s_lo, s_hi)), _libm_up(max(s_lo, s_hi))
-    # Quadrant boundary b*pi/2 may lie inside x for b in (n_lo, n_hi];
-    # b = 1 mod 4 is a peak of sin, b = 3 mod 4 a trough.
-    for b in range(n_lo + 1, n_hi + 1):
-        m = b % 4
-        if m == 1:
-            hi = 1.0
-        elif m == 3:
-            lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
-
-
-def _iv_cos(x: Interval) -> Interval:
-    return _iv_sin(x + HALF_PI)
-

@@ -11,8 +11,12 @@ A branch works out each fact about itself once and caches it: the
 enclosure of inf |T'| over its outer domain (``Branch.abs_deriv_inf``),
 its certified direction (``Branch.increasing``, read off that enclosure;
 every reader of the direction uses it, and a mod-1 piece certifies its
-own) and the interval enclosures of the coefficients of its value, first
-and second derivative.  A map does the same for its global facts:
+own) and one coefficient table of T, T' and T'' (``Branch._table``).  One
+evaluator (``Branch._derivs``) reads that table and writes each branch
+formula once: the requested derivative orders from a single phase
+B*pi*x, as enclosures for ``value_iv``, ``deriv_iv``, ``second_iv`` and
+``distortion_iv`` and as plain floats for the Newton proposals of
+``level_crossing``.  A map does the same for its global facts:
 ``abs_deriv_inf``, ``min_branch_length`` and ``distortion_sup`` are
 cached enclosures, each one fold over the branches of a per-branch
 enclosure, computed on first read; bounds on |T'| over a set come from
@@ -43,16 +47,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import (PI, Interval, IntervalArray, exact_int_dtype, from_fraction, iv,
-                        ratio_array)
-from .polys import (
-    poly_compose,
-    poly_derivative,
-    poly_eval,
-    poly_eval_iv,
-    poly_is_linear,
-    poly_shift,
-)
+from .intervals import (PI, Interval, IntervalArray, _v_libm, exact_int_dtype,
+                        from_fraction, iv, ratio_array)
+from .polys import poly_compose, poly_derivative, poly_eval, poly_is_linear, poly_shift
 
 __all__ = [
     "Endpoint",
@@ -134,42 +131,60 @@ class Branch:
         return None
 
     @cached_property
-    def _enclosed(self):
-        """Enclosed coefficients of poly, poly' and poly'', and of A, B*pi,
-        A*B*pi and A*(B*pi)^2 (the products taken left to right)."""
-        d1 = poly_derivative(self.poly)
-        polys = (self.poly, d1, poly_derivative(d1))
-        amp, w = from_fraction(self.trig_amp), from_fraction(self.trig_freq) * PI
-        return (tuple(tuple(from_fraction(c) for c in p) for p in polys),
-                amp, w, amp * w, amp * w * w)
+    def _table(self):
+        """The one coefficient table of T, T' and T'': for each order
+        n = 0, 1, 2 the coefficients of the n-th derivative of the
+        polynomial part and the sine amplitude A (B pi)^n, and B pi itself,
+        each as a pair (enclosure, float); the enclosed products are taken
+        left to right."""
+        polys = [self.poly]
+        amps = [(from_fraction(self.trig_amp), float(self.trig_amp))]
+        w = (from_fraction(self.trig_freq) * PI, float(self.trig_freq) * math.pi)
+        for _ in range(2):
+            polys.append(poly_derivative(polys[-1]))
+            amps.append((amps[-1][0] * w[0], amps[-1][1] * w[1]))
+        coeffs = [(tuple(map(from_fraction, p)), tuple(map(float, p))) for p in polys]
+        return coeffs, amps, w
+
+    def _derivs(self, x, orders: Sequence[int]) -> list:
+        """T^(n) at x for each n in orders, from one phase B pi x: the
+        n-th derivative of A sin(B pi x) is A (B pi)^n times sin, cos and
+        -sin of the phase for n = 0, 1, 2.  Enclosures at an Interval or
+        IntervalArray x; plain float values at a float ndarray x, libm per
+        element so a value does not depend on its batch (a Newton
+        proposal, never a decision)."""
+        coeffs, amps, w = self._table
+        floats = isinstance(x, np.ndarray)
+        f = int(floats)
+        phase = w[f] * x if self.trig_amp != 0 else None
+        out = []
+        for n in orders:
+            v = poly_eval(coeffs[n][f], x)
+            if phase is not None:
+                if floats:
+                    wave = _v_libm(math.cos if n % 2 else math.sin, phase)
+                else:
+                    wave = phase.cos() if n % 2 else phase.sin()
+                v = v - amps[n][f] * wave if n == 2 else v + amps[n][f] * wave
+            out.append(v)
+        return out
 
     def value_iv(self, x: Interval) -> Interval:
-        (p, _, _), amp, w, _, _ = self._enclosed
-        out = poly_eval_iv(p, x)
-        if self.trig_amp != 0:
-            out = out + amp * (w * x).sin()
-        return out
+        return self._derivs(x, (0,))[0]
 
     def deriv_iv(self, x: Interval) -> Interval:
-        (_, p, _), _, w, aw, _ = self._enclosed
-        out = poly_eval_iv(p, x)
-        if self.trig_amp != 0:
-            out = out + aw * (w * x).cos()
-        return out
+        return self._derivs(x, (1,))[0]
 
     def second_iv(self, x: Interval) -> Interval:
-        (_, _, p), _, w, _, aww = self._enclosed
-        out = poly_eval_iv(p, x)
-        if self.trig_amp != 0:
-            out = out - aww * (w * x).sin()
-        return out
+        return self._derivs(x, (2,))[0]
 
     def distortion_iv(self, x: Interval) -> Interval:
         """Enclosure of |T''| / (T')^2 over x ([0, inf] where T' may vanish)."""
-        den = self.deriv_iv(x).sqr()
+        d1, d2 = self._derivs(x, (1, 2))
+        den = d1.sqr()
         if den.contains_zero():
             return Interval(0.0, math.inf)
-        return abs(self.second_iv(x)) / den
+        return abs(d2) / den
 
     @cached_property
     def abs_deriv_inf(self) -> Interval:
@@ -472,32 +487,17 @@ def _exact_crossings(b: Branch, nums: np.ndarray, den: int, a: Fraction,
     return x, x, scale
 
 
-def _float_values(b: Branch, x: np.ndarray, order: int) -> np.ndarray:
-    """Plain float value (order 0) or derivative (order 1) of b at x: the
-    Newton proposal only, never a decision."""
-    p = [float(c) for c in (b.poly if order == 0 else poly_derivative(b.poly))]
-    out = np.zeros_like(x)
-    for c in reversed(p):
-        out = out * x + c
-    if b.trig_amp != 0:
-        w = float(b.trig_freq) * math.pi
-        # libm per element, so a proposal does not depend on its batch
-        wave = np.fromiter(map(math.cos if order else math.sin,
-                               (w * x).tolist()), np.float64, count=x.size)
-        out = out + float(b.trig_amp) * (w if order else 1.0) * wave
-    return out
-
-
 def _float_crossings(b: Branch, y: IntervalArray):
     """Verified float brackets (lo, hi) of the crossings of the levels y
     over the branch's outer domain, each clamped to it."""
     dom = b.domain_outer()
     d_lo, d_hi = dom.lo, dom.hi
     target = y.lo
-    # proposal: inverse interpolation on a coarse table, then Newton; each
-    # element stops on its own, so a proposal depends on its level alone
+    # proposal, in plain floats: inverse interpolation on a coarse table,
+    # then Newton; each element stops on its own, so a proposal depends on
+    # its level alone
     xs = np.linspace(d_lo, d_hi, 65)
-    ts = _float_values(b, xs, 0)
+    ts = b._derivs(xs, (0,))[0]
     if not b.increasing:
         xs, ts = xs[::-1], ts[::-1]
     x = np.interp(target, np.maximum.accumulate(ts), xs)
@@ -505,8 +505,8 @@ def _float_crossings(b: Branch, y: IntervalArray):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
             xa = x[active]
-            step = (_float_values(b, xa, 0) - target[active]) / \
-                _float_values(b, xa, 1)
+            value, slope = b._derivs(xa, (0, 1))
+            step = (value - target[active]) / slope
             new = np.clip(np.where(np.isfinite(step), xa - step, xa), d_lo, d_hi)
             x[active] = new
             active = active[new != xa]

@@ -1,11 +1,12 @@
 """Exact rational polynomials with exact and interval evaluation.
 
 A polynomial is a plain list of ``Fraction`` coefficients, lowest degree
-first.  Evaluation at rational points is exact; evaluation on an interval
-takes the coefficients already enclosed as intervals (a branch encloses
-them once) and runs the outward-rounded Horner scheme of
-:mod:`rigdens.intervals` on an ``Interval`` or, elementwise, on an
-``IntervalArray``.
+first.  ``poly_eval`` is the one Horner loop: at rational points on the
+``Fraction`` coefficients it is exact; on coefficients already enclosed
+as intervals (a branch encloses them once, ``maps.Branch._table``) it
+runs the outward-rounded arithmetic of :mod:`rigdens.intervals` on an
+``Interval`` or, elementwise, on an ``IntervalArray``; on float
+coefficients it gives the plain float values of a Newton proposal.
 """
 
 from __future__ import annotations
@@ -13,21 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .intervals import Interval
-
 Poly = List[Fraction]
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_eval_iv(p: Sequence[Interval], x):
-    """Horner enclosure of the polynomial with enclosed coefficients p at
-    an Interval or IntervalArray x (a constant stays a scalar Interval)."""
+def poly_eval(p: Sequence, x):
+    """Horner's scheme for the coefficients p at x, one loop for every
+    kind: exact for ``Fraction`` coefficients at a rational x, an
+    outward-rounded enclosure for enclosed coefficients at an Interval or,
+    elementwise, an IntervalArray x, and plain floats for float
+    coefficients at a float array x (a constant stays a scalar)."""
     acc = p[-1]
     for c in reversed(p[:-1]):
         acc = acc * x + c

@@ -96,6 +96,10 @@ def test_parse_rejects_empty():
         parse_map("# nothing here\n")
 
 
+# deeper than the recursive-descent parser can follow
+_NESTED = "poly [0,1] : " + "(" * 400 + "x" + ")" * 400
+
+
 @pytest.mark.parametrize("text,message", [
     ("poly [0,1] : 3x + 0.1 sin(2 pi x) + 0.1 sin(4 pi x)",
      "line 1: at most one sinusoidal term per branch"),
@@ -122,6 +126,8 @@ def test_parse_rejects_empty():
     ("poly [a,1] : x", "line 1: bad rational literal 'a'"),
     ("linear 3; iterate 0", "line 1: iterate needs a positive integer"),
     ("poly [0,1/2] : 2x", "branch domains must cover [0,1]"),
+    pytest.param(_NESTED, "line 1: expression nested too deeply",
+                 id="400-nested-parentheses"),
 ])
 def test_parse_rejection_messages(text, message):
     with pytest.raises(MapParseError) as exc:
@@ -245,11 +251,26 @@ _HUGE = "1" + "0" * 320
      "rational out of double range"),
     (dict(map_text=f"poly [0,1] : 3x + 0.1 sin({_HUGE} pi x) mod 1"),
      "rational out of double range"),
+    # the parser rejects it before any assembly
+    (dict(map_text=_NESTED), "line 1: expression nested too deeply"),
 ])
 def test_assembly_error_exits_1(settings, message, tmp_path, capsys):
     cfg = RunConfig(k=16, out_dir=str(tmp_path / "out"), **settings)
     assert run(cfg) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_of_memory_k_exits_1(tmp_path, capsys):
+    # the first array of 2^40 cells (8 TiB) cannot be allocated, so the
+    # MemoryError comes at once
+    mp = tmp_path / "m.map"
+    mp.write_text("linear 3 mod 1\n")
+    k = 1099511627776
+    assert main(["--map", str(mp), "--k", str(k),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory at k = {k}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key", ["workers = 2", "eps-num = 1e-6", "nu = 1e-6"])

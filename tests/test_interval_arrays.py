@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigdens.intervals import Interval, IntervalArray, from_fraction, iv
-from rigdens.polys import poly_eval_iv
+from rigdens.polys import poly_eval
 
 TRIALS = 100_000
 
@@ -81,7 +81,7 @@ def test_transcendental_and_horner_containment_vs_mpmath():
         coeffs = [F(int(c), 7) for c in rng.integers(-50, 50, size=5)]
         x = _random_intervals(rng, n, -2, 1)
         px = _points(rng, x)
-        r = poly_eval_iv([from_fraction(c) for c in coeffs], x)
+        r = poly_eval([from_fraction(c) for c in coeffs], x)
         mp_coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
         violations += int((~_contains_mp(
             r, [mpmath.polyval(mp_coeffs[::-1], mpmath.mpf(p))

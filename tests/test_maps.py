@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rigdens.intervals import Interval, iv
+from rigdens.intervals import Interval, IntervalArray, iv
 from rigdens.maps import (
     Branch,
     Endpoint,
@@ -21,7 +21,8 @@ from rigdens.maps import (
 from rigdens import cli, maps
 from rigdens.cli import parse_map
 from rigdens.polys import poly_eval
-from tests.conftest import EQ4, EQ7, LANFORD2, SINMAP
+from tests.conftest import (EQ4, EQ6, EQ7, LANFORD, LANFORD2, QUADRUPLING,
+                            SINMAP, TRIPLING)
 
 
 def _dense_grid(m, fn, n=20001):
@@ -56,6 +57,74 @@ def test_eval_image_contains_samples(eq4):
             img = br.value_iv(Interval(lo, hi))
             for x in rng.uniform(lo, hi, size=20):
                 assert img.contains(poly_eval(br.poly, F(x)))
+
+
+# certifies with exit 0; its negative amplitude sends every sine product
+# of an interval array through the four-corner path of intervals._mul
+NEG_SINE = "circle; poly [0,1] : 4x - 0.01 sin(8 pi x) mod 1"
+
+
+def _mp(q: F):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp_derivs(br, x):
+    """T, T' and T'' of br at the mpmath number x, from its exact
+    coefficients (the caller sets the precision)."""
+    out, p = [], [_mp(c) for c in br.poly]
+    for _ in range(3):
+        out.append(mpmath.polyval(p[::-1], x) if p else mpmath.mpf(0))
+        p = [c * n for n, c in enumerate(p)][1:]
+    if br.trig_amp:
+        w = _mp(br.trig_freq) * mpmath.pi
+        amp = _mp(br.trig_amp)
+        out[0] += amp * mpmath.sin(w * x)
+        out[1] += amp * w * mpmath.cos(w * x)
+        out[2] -= amp * w ** 2 * mpmath.sin(w * x)
+    return out
+
+
+def _ends(enc, shape):
+    """Lower and upper end arrays of an enclosure over an IntervalArray
+    argument (a constant derivative comes back as one scalar Interval)."""
+    return np.broadcast_to(enc.lo, shape), np.broadcast_to(enc.hi, shape)
+
+
+@pytest.mark.parametrize("text", [TRIPLING, EQ6, EQ4, EQ7, LANFORD, LANFORD2,
+                                  SINMAP, QUADRUPLING, NEG_SINE],
+                         ids=["tripling", "eq6", "eq4", "eq7", "lanford",
+                              "lanford2", "sinmap", "quadrupling", "neg_sine"])
+def test_branch_evaluator_against_mpmath(text):
+    """value_iv, deriv_iv and second_iv enclose 50-digit T, T', T'' at
+    both ends and the middle of small intervals and at points, on Interval
+    and IntervalArray arguments alike; the two agree element for element,
+    and the float values of the Newton proposal lie inside the value and
+    slope enclosures at the points."""
+    m = parse_map(text).build()
+    rng = np.random.default_rng(28)
+    names = ("value_iv", "deriv_iv", "second_iv")
+    for br in m.branches:
+        dom = br.domain_outer()
+        a = np.concatenate([[dom.lo, dom.hi], rng.uniform(dom.lo, dom.hi, 48)])
+        b = np.minimum(a + rng.uniform(0, 1e-3, a.size) * (a < dom.hi), dom.hi)
+        b[:2] = a[:2]
+        for lo, hi in ((a, b), (a, a)):
+            arr = IntervalArray(lo, hi)
+            encs = [_ends(getattr(br, n)(arr), lo.shape) for n in names]
+            with mpmath.workdps(50):
+                for i in range(lo.size):
+                    pts = [mpmath.mpf(lo[i]), mpmath.mpf(hi[i]),
+                           (mpmath.mpf(lo[i]) + mpmath.mpf(hi[i])) / 2]
+                    for n, enc in zip(names, encs):
+                        one = getattr(br, n)(Interval(lo[i], hi[i]))
+                        assert (one.lo, one.hi) == (enc[0][i], enc[1][i])
+                    for pt in pts:
+                        for enc, v in zip(encs, _mp_derivs(br, pt)):
+                            assert mpmath.mpf(enc[0][i]) <= v <= mpmath.mpf(enc[1][i])
+        # encs now holds the point enclosures at a
+        value, slope = br._derivs(a, (0, 1))
+        for f, (lo, hi) in ((value, encs[0]), (slope, encs[1])):
+            assert ((lo <= f) & (f <= hi)).all()
 
 
 def test_bv_coefficients_tripling(tripling):
@@ -248,10 +317,6 @@ def test_mod_split_undecided_cut_raises():
     # 8.7e-18 above 2 is inside the end value's enclosure: no certified cut
     with pytest.raises(ValueError, match="within rounding of the integer 2"):
         parse_map(_near_integer_end_map("0.00000000000000001")).build()
-
-
-def _mp(q: F):
-    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def test_mod_split_sine_root_outside_the_domain():

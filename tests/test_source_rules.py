@@ -72,3 +72,21 @@ def test_no_writes_into_an_object_dict():
             if isinstance(target, ast.Attribute) and target.attr == "__dict__":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_branch_phases_reach_sine_only_in_maps_and_intervals():
+    """The sine of a branch phase B pi x has one owner: maps' branch
+    evaluator, over the interval sine of intervals.  No other file names
+    sin or cos (math.sin, np.cos, a .sin() method, a bare imported sin),
+    so no further copy of a branch formula grows elsewhere."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("maps.py", "intervals.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("sin", "cos"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []
