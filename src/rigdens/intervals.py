@@ -314,8 +314,9 @@ class Interval:
         (``_crosses``).  The quadrant indices are the floors of a lower
         bound of lo / (pi/2) and of an upper bound of hi / (pi/2), so
         boundary ambiguity only widens the result; an argument at least
-        2 pi wide or spanning more than five quadrants gives [-1, 1]."""
-        if self.width >= TWO_PI.lo:
+        2 pi wide, spanning more than five quadrants or with an infinite
+        end gives [-1, 1]."""
+        if not self.width < TWO_PI.lo:  # an infinite point has width NaN
             return Interval(-1.0, 1.0)
         n_lo = math.floor(_div_bounds(self.lo, HALF_PI.hi if self.lo >= 0.0 else HALF_PI.lo)[0])
         n_hi = math.floor(_div_bounds(self.hi, HALF_PI.lo if self.hi >= 0.0 else HALF_PI.hi)[1])
@@ -643,7 +644,7 @@ class IntervalArray:
                           _v_slack(_min(s_lo, s_hi), -_INF))
         out_hi = np.where(_crosses(n_lo, n_hi, 1), 1.0,
                           _v_slack(_max(s_lo, s_hi), _INF))
-        full = ~finite | (self.hi - self.lo >= TWO_PI.lo) | (n_hi - n_lo > 5)
+        full = ~finite | (hi - lo >= TWO_PI.lo) | (n_hi - n_lo > 5)
         return IntervalArray(np.where(full, -1.0, _max(out_lo, -1.0)),
                              np.where(full, 1.0, _min(out_hi, 1.0)))
 

@@ -3,6 +3,7 @@ layer it mirrors element by element."""
 
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import mpmath
@@ -206,6 +207,19 @@ def test_sin_widens_to_extrema_inside_the_argument():
                       [half_pi + 1e-6, 3 * half_pi + 1e-3, 7.0]).sin()
     assert r.hi[0] == 1.0 and r.lo[1] == -1.0
     assert (r.lo[2], r.hi[2]) == (-1.0, 1.0)
+
+
+def test_sin_of_infinite_ends_matches_the_scalar_layer():
+    """An infinite end gives [-1, 1] in both layers, without a warning
+    (the scalar layer raised OverflowError on [inf, inf])."""
+    inf = math.inf
+    ends = [(inf, inf), (-inf, -inf), (-inf, 0.0), (0.0, inf), (-inf, inf)]
+    x = IntervalArray([a for a, _ in ends], [b for _, b in ends])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, fn in ((x.sin(), Interval.sin), (x.cos(), Interval.cos)):
+            assert r.lo.tolist() == [-1.0] * len(ends) == [fn(Interval(*e)).lo for e in ends]
+            assert r.hi.tolist() == [1.0] * len(ends) == [fn(Interval(*e)).hi for e in ends]
 
 
 def test_product_underflowing_to_subnormal_contains_exact():
