@@ -29,13 +29,13 @@ reaches 0, a number beyond the double range, a nonpositive or non-finite
 eps_num), a MemoryError (a k whose arrays do not fit in memory; the
 message names k) and any path that cannot be read or written; 2 failed
 expansion check; 3 no observed contraction (or a fixed-vector enclosure
-still wider than eps_num after the step budget).  ``run`` maps the exceptions to these
-codes in one place and prints one "error:" line.  The output directory
-and the --dump-matrix file's directory are created once the map is
-built, before any certification work, so an unwritable path fails at
-once.  --verbose sends the package's INFO log records (one per
-contraction step, then one for the power steps of the fixed vector) to
-stderr.
+still wider than eps_num after the step budget).  ``run`` maps the
+exceptions to these codes in one place and prints one "error:" line.
+The output directory and the --dump-matrix file's directory are created
+once the map is built, before any certification work, so an unwritable
+path fails at once.  --verbose sends the package's INFO log records (one
+per contraction step, then one for the power steps of the fixed vector)
+to stderr.
 """
 
 from __future__ import annotations
