@@ -26,7 +26,8 @@ error, any stage's ValueError or OverflowError (a map the parser, the
 assembly or the Lyapunov stage rejects, an expression nested deeper than
 the parser's recursion can follow, a branch whose length enclosure
 reaches 0, a number beyond the double range, a nonpositive or non-finite
-eps_num), a MemoryError (a k whose arrays do not fit in memory; the
+eps_num, a sup-norm k above 2^24, which RunConfig rejects before any
+work), a MemoryError (a k whose arrays do not fit in memory; the
 message names k) and any path that cannot be read or written; 2 failed
 expansion check; 3 no observed contraction (or a fixed-vector enclosure
 still wider than eps_num after the step budget).  ``run`` maps the
@@ -55,7 +56,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .certify import certify_l1, certify_linf, lyapunov, report
-from .enclosure import NotContractingError, contraction_sweep
+from .enclosure import (_SUP_NORM_K_ERROR, _SUP_NORM_K_MAX, NotContractingError,
+                        contraction_sweep)
 from .hatbasis import assemble_linearized
 from .intervals import IntervalArray
 from .maps import (
@@ -431,6 +433,9 @@ class RunConfig:
             raise ValueError(f"mode must be L1 or Linf, got {self.mode!r}")
         if self.k < 8:
             raise ValueError("k must be at least 8")
+        # the sweep checks it too, but only after assembly
+        if self.mode == "Linf" and self.k > _SUP_NORM_K_MAX:
+            raise ValueError(_SUP_NORM_K_ERROR)
         if self.iterate is not None and self.iterate < 1:
             raise ValueError("iterate needs a positive integer")
         # contraction_sweep checks it too, but only after assembly

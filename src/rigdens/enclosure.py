@@ -116,6 +116,10 @@ _MIN_BLOCK_COLUMNS = 16  # keeps large k off one sparse mat-vec per anchor
 _SPARSE_FILL = 0.03  # a block steps sparse while at most this share is nonzero
 _J_MAX = 200  # most anchor steps, and most power steps
 _WITNESS = 16  # evenly spaced anchors that set an L1 sweep's measured_from
+# largest sup-norm k: the float32 anchors start at k/2, exact up to 2^24
+_SUP_NORM_K_MAX = 1 << 24
+_SUP_NORM_K_ERROR = ("the sup-norm sweep needs k <= 2^24: its float32 "
+                     "anchors start at k/2")
 
 _log = logging.getLogger(__name__)
 
@@ -511,9 +515,8 @@ def _model(matrix: TransitionMatrix) -> _Model:
     # a float sum of at most k exact terms
     op_norm = (_l1_norm(row_defect) if l1
                else float(_sum_up(_csr.row_sums(at).max(), matrix.k)))
-    if not l1 and matrix.k > 1 << 24:
-        raise ValueError("the sup-norm sweep needs k <= 2^24: its float32 "
-                         "anchors start at k/2")
+    if not l1 and matrix.k > _SUP_NORM_K_MAX:
+        raise ValueError(_SUP_NORM_K_ERROR)
     scale = 1.0 if l1 else float(matrix.k)
     # the fresh-error constants of the class docstring, rounded up
     gamma = _gamma(int(col_count), _U32)

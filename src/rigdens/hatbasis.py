@@ -174,7 +174,8 @@ def _column_window(u_enc: IntervalArray, omega_enc: IntervalArray):
 
 def _node_enclosures(m: PiecewiseMap, k: int):
     """Enclosures of T(a_i) and T'(a_i) at every node a_i = i/k, each node
-    on the first branch whose endpoint brackets admit it."""
+    on the first branch whose endpoint brackets admit it; a branch takes
+    both from one evaluation of its nodes (one phase B pi x each)."""
     nodes = np.arange(k)
     x = ratio_array(nodes, k)
     value = np.empty((2, k))
@@ -184,7 +185,7 @@ def _node_enclosures(m: PiecewiseMap, k: int):
         sel = free & (nodes >= math.ceil(br.lo.lo * k)) & \
             (nodes <= math.floor(br.hi.hi * k))
         xs = x[sel]
-        v, d = br.value_iv(xs), br.deriv_iv(xs)
+        v, d = br._derivs(xs, (0, 1))
         value[0, sel], value[1, sel] = v.lo, v.hi
         deriv[0, sel], deriv[1, sel] = d.lo, d.hi
         free &= ~sel

@@ -284,36 +284,34 @@ _MAX_DEPTH = 24
 
 def _adaptive_sup(fn: Callable[[Interval], Interval], dom: Interval,
                   rel_tol: float = 0.01) -> Interval:
-    """Rigorous enclosure [attained, upper] of sup over dom of fn.
+    """Rigorous enclosure of sup over dom of fn, from enclosures of fn
+    over segments of dom alone (no point evaluations).
 
-    Refines the current argmax segment until its interval evaluation is
-    narrower than rel_tol times the current max magnitude, or depth caps.
+    Refines the segment whose enclosure has the largest upper end until
+    that enclosure is narrower than rel_tol times the current max
+    magnitude, the segment cannot be halved in floats, or depth caps.  The
+    upper end is the largest upper end left on the heap.  The lower end
+    is the largest lower end among the enclosures evaluated: each bounds
+    fn from below on its whole segment, so it bounds the sup from below,
+    but it is not a value that fn attains.
     """
-
-    def point(x: float) -> float:
-        return fn(Interval(x, x)).lo
-
-    best = max(point(dom.lo), point(dom.hi), point(dom.mid))
     first = fn(dom)
+    best = first.lo
     heap = [(-first.hi, dom.lo, dom.hi, 0, first.width)]
-    steps = 0
-    while heap and steps < _GLOBAL_REFINE_CAP:
+    for _ in range(_GLOBAL_REFINE_CAP):
         neg_hi, lo, hi, depth, width = heap[0]
         top_hi = -neg_hi
         scale = max(abs(best), abs(top_hi), 1e-300)
-        if depth >= _MAX_DEPTH or width <= rel_tol * scale or top_hi <= best:
+        mid = 0.5 * (lo + hi)
+        if depth >= _MAX_DEPTH or width <= rel_tol * scale or top_hi <= best \
+                or not lo < mid < hi:
             break
         heapq.heappop(heap)
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            heapq.heappush(heap, (neg_hi, lo, hi, _MAX_DEPTH, width))
-            continue
-        best = max(best, point(mid))
         for a, b in ((lo, mid), (mid, hi)):
             enc = fn(Interval(a, b))
+            best = max(best, enc.lo)
             heapq.heappush(heap, (-enc.hi, a, b, depth + 1, enc.width))
-    sup_hi = max(-h[0] for h in heap) if heap else best
+    sup_hi = -heap[0][0]
     return Interval(min(best, sup_hi), sup_hi)
 
 

@@ -172,6 +172,34 @@ def test_runconfig_rejects_bad_k():
         RunConfig(map_text="linear 3 mod 1", k=0)
 
 
+def test_runconfig_rejects_sup_norm_k_above_2_24(tmp_path, capsys, monkeypatch):
+    """The sup-norm sweep's float32 anchors start at k/2, so the run
+    configuration rejects k > 2^24 in Linf mode, with the sweep's own
+    message, before any map build or allocation; L1 mode and k = 2^24
+    are accepted."""
+    import rigdens.cli as cli
+
+    message = ("the sup-norm sweep needs k <= 2^24: its float32 anchors "
+               "start at k/2")
+    with pytest.raises(ValueError) as caught:
+        RunConfig(map_text=SINMAP, mode="Linf", k=(1 << 24) + 1)
+    assert str(caught.value) == message
+    assert RunConfig(map_text=SINMAP, mode="Linf", k=1 << 24).k == 1 << 24
+    assert RunConfig(map_text=SINMAP, k=(1 << 24) + 1).mode == "L1"
+
+    def must_not_run(*args):
+        raise AssertionError("the map was parsed before k was checked")
+
+    monkeypatch.setattr(cli, "parse_map", must_not_run)
+    mp = tmp_path / "m.map"
+    mp.write_text(SINMAP + "\n")
+    out = tmp_path / "o"
+    assert main(["--map", str(mp), "--mode", "Linf", "--k", "16777217",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_main_bad_k_exits_1(tmp_path, capsys):
     mp = tmp_path / "m.map"
     mp.write_text("linear 3 mod 1\n")

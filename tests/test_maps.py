@@ -358,6 +358,10 @@ def test_composition_cut_near_an_inner_end_value():
         compose_maps(outer, _identity_split_at(holding))
 
 
+# most refinement evaluations (enclosures of a fact over a segment) per run
+_EVALUATIONS = {SINMAP: 279, EQ4: 68, EQ7: 64, LANFORD2: 221}
+
+
 @pytest.mark.parametrize("text,mode,calls", [
     (SINMAP, "Linf", 9), (EQ4, "L1", 8), (EQ7, "L1", 8), (LANFORD2, "L1", 11)])
 def test_each_map_fact_refined_once(text, mode, calls, tmp_path, monkeypatch):
@@ -372,17 +376,26 @@ def test_each_map_fact_refined_once(text, mode, calls, tmp_path, monkeypatch):
     facts on 4 branches; LANFORD2: inf |T'| of the expression and of its
     2 mod-1 pieces (their directions, which the composition's cuts read),
     then the 2 facts on the 4 branches of T^2.  No stage reads
-    sup |T'|."""
-    seen = []
+    sup |T'|.  A refinement evaluates only enclosures over segments of
+    positive width, never a point, and the run's evaluations stay within
+    the recorded total."""
+    seen, args = [], []
     refine = maps._adaptive_sup
 
     def recorded(fn, dom, rel_tol=0.01):
         whole = fn(dom)
         seen.append((dom.lo, dom.hi, rel_tol, whole.lo, whole.hi))
-        return refine(fn, dom, rel_tol)
+
+        def counted(x):
+            args.append(x)
+            return fn(x)
+
+        return refine(counted, dom, rel_tol)
 
     monkeypatch.setattr(maps, "_adaptive_sup", recorded)
     cfg = cli.RunConfig(map_text=text, mode=mode, k=64, out_dir=str(tmp_path))
     assert cli.run(cfg) == 0
     assert len(set(seen)) == len(seen)
     assert len(seen) == calls
+    assert [(a.lo, a.hi) for a in args if not a.lo < a.hi] == []
+    assert len(args) <= _EVALUATIONS[text]

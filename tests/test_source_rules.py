@@ -1,9 +1,43 @@
 """Rules the package source keeps."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rigdens"
+
+# the package's code-only lines at the last count (_code_lines); a change
+# that adds code raises it and says why in CHANGES.md
+CODE_LINES_MAX = 2478
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code_lines(path: Path) -> int:
+    """Lines of path that hold a token other than a comment, excluding
+    blank lines and the docstrings of the module, its classes and its
+    functions (a string spanning lines counts on each of them)."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text, str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_stay_within_the_recorded_count():
+    """ROADMAP's size metric, measured here rather than by hand: the
+    package's code-only lines do not grow past CODE_LINES_MAX."""
+    counts = {path.name: _code_lines(path) for path in sorted(SRC.glob("*.py"))}
+    assert sum(counts.values()) <= CODE_LINES_MAX, counts
 
 
 def test_no_assert_statements_in_src():
